@@ -15,7 +15,9 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import platform
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,7 +363,13 @@ def _comparison_task(args):
         _, metrics = run_single(config, kind, seed, n_horizons, dist, opts)
         return seed, kind, metrics, None
     except Exception as err:  # individual runs may fail; the table continues
-        return seed, kind, None, f"{type(err).__name__}: {err}"
+        return seed, kind, None, _failure_text(err)
+
+
+def _failure_text(err: BaseException) -> str:
+    """``Type: message (file:line)``, naming the frame that raised."""
+    where = traceback.extract_tb(err.__traceback__)[-1]
+    return f"{type(err).__name__}: {err} ({os.path.basename(where.filename)}:{where.lineno})"
 
 
 def run_comparison(

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from .lp import BINARY, EQ, GE, LE, LinearProgram
+from .lp import BINARY, EQ, EQ_CODE, GE, GE_CODE, LE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -210,72 +211,80 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 # -- model file export ------------------------------------------------------
 
 
-def _var_name(lp: LinearProgram, vid: int) -> str:
-    return ("b" if lp.variables[vid].kind == BINARY else "x") + str(vid)
+def _var_names(lp: LinearProgram) -> list[str]:
+    return [("b" if v.kind == BINARY else "x") + str(v.vid) for v in lp.variables]
 
 
 def _num(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _nums(values) -> list[str]:
+    """_num of each value, formatting every distinct float (by bit pattern,
+    so -0.0 stays apart from 0.0) once."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_num(v) for v in bits.view(float).tolist()]
+    return [text[i] for i in inverse.ravel().tolist()]
+
+
+def _signed_terms(coefs, names) -> list[str]:
+    """LP-format terms such as ' - 2.5 x3'."""
+    signs = np.where(np.asarray(coefs) >= 0, "+", "-").tolist()
+    return [f" {s} {t} {n}" for s, t, n in zip(signs, _nums(np.abs(coefs)), names)]
+
+
 def _write_lp_text(lp: LinearProgram) -> str:
+    names = _var_names(lp)
     lines = ["\\ " + lp.name, "Maximize", " obj:"]
-    terms = [
-        f" {'+' if v.obj >= 0 else '-'} {_num(abs(v.obj))} {_var_name(lp, v.vid)}"
-        for v in lp.variables
-        if v.obj != 0.0
-    ]
-    lines[-1] += "".join(terms) if terms else " 0 x0"
+    objective = [v for v in lp.variables if v.obj != 0.0]
+    lines[-1] += "".join(_signed_terms([v.obj for v in objective],
+                                       [names[v.vid] for v in objective])) or " 0 x0"
     lines.append("Subject To")
-    for i, con in enumerate(lp.constraints):
-        expr = "".join(
-            f" {'+' if coef >= 0 else '-'} {_num(abs(coef))} {_var_name(lp, vid)}"
-            for vid, coef in sorted(con.coeffs.items())
-        )
-        op = {LE: "<=", GE: ">=", EQ: "="}[con.sense]
-        lines.append(f" c{i}:{expr} {op} {_num(con.rhs)}")
+    indptr, indices, data, sense, rhs = lp.row_arrays()
+    terms = _signed_terms(data, [names[c] for c in indices.tolist()])
+    bounds = indptr.tolist()
+    ops = {LE_CODE: "<=", GE_CODE: ">=", EQ_CODE: "="}
+    for i, (lo, hi, code, b) in enumerate(zip(bounds, bounds[1:], sense.tolist(), _nums(rhs))):
+        lines.append(f" c{i}:{''.join(terms[lo:hi])} {ops[code]} {b}")
     lines.append("Bounds")
-    for v in lp.variables:
+    for v, name in zip(lp.variables, names):
         lo = "-inf" if v.lb == -math.inf else _num(v.lb)
         hi = "+inf" if v.ub == math.inf else _num(v.ub)
-        lines.append(f" {lo} <= {_var_name(lp, v.vid)} <= {hi}")
-    bins = [v for v in lp.variables if v.kind == BINARY]
+        lines.append(f" {lo} <= {name} <= {hi}")
+    bins = [name for v, name in zip(lp.variables, names) if v.kind == BINARY]
     if bins:
         lines.append("Binary")
-        lines.append(" " + " ".join(_var_name(lp, v.vid) for v in bins))
+        lines.append(" " + " ".join(bins))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
 def _write_mps_text(lp: LinearProgram) -> str:
+    names = _var_names(lp)
     lines = [f"NAME          {lp.name}", "ROWS", " N  obj"]
-    for i, con in enumerate(lp.constraints):
-        tag = {LE: "L", GE: "G", EQ: "E"}[con.sense]
-        lines.append(f" {tag}  c{i}")
+    indptr, indices, data, sense, rhs = lp.row_arrays()
+    tags = {LE_CODE: "L", GE_CODE: "G", EQ_CODE: "E"}
+    lines += [f" {tags[code]}  c{i}" for i, code in enumerate(sense.tolist())]
     lines.append("COLUMNS")
-    by_var: dict[int, list[tuple[str, float]]] = {v.vid: [] for v in lp.variables}
-    for v in lp.variables:
-        if v.obj != 0.0:
-            by_var[v.vid].append(("obj", v.obj))
-    for i, con in enumerate(lp.constraints):
-        for vid, coef in sorted(con.coeffs.items()):
-            by_var[vid].append((f"c{i}", coef))
-    for v in lp.variables:
-        name = _var_name(lp, v.vid)
+    # column-major entries, rows ascending within each column
+    by_col = sparse.csr_matrix((data, indices, indptr),
+                               shape=(len(sense), lp.n_vars)).tocsc()
+    rows, texts, bounds = by_col.indices.tolist(), _nums(by_col.data), by_col.indptr.tolist()
+    for v, name, lo, hi in zip(lp.variables, names, bounds, bounds[1:]):
         if v.kind == BINARY:
             lines.append(f"    MARKER    'MARKER'    'INTORG'")
-        for row, coef in by_var[v.vid]:
-            lines.append(f"    {name}  {row}  {_num(coef)}")
-        if not by_var[v.vid]:
+        if v.obj != 0.0:
+            lines.append(f"    {name}  obj  {_num(v.obj)}")
+        lines += [f"    {name}  c{r}  {t}" for r, t in zip(rows[lo:hi], texts[lo:hi])]
+        if v.obj == 0.0 and lo == hi:
             lines.append(f"    {name}  obj  0")
         if v.kind == BINARY:
             lines.append(f"    MARKER    'MARKER'    'INTEND'")
     lines.append("RHS")
-    for i, con in enumerate(lp.constraints):
-        lines.append(f"    RHS  c{i}  {_num(con.rhs)}")
+    lines += [f"    RHS  c{i}  {b}" for i, b in enumerate(_nums(rhs))]
     lines.append("BOUNDS")
-    for v in lp.variables:
-        name = _var_name(lp, v.vid)
+    for v, name in zip(lp.variables, names):
         if v.lb == -math.inf:
             lines.append(f" MI BND  {name}")
         elif v.lb != 0.0:
@@ -346,12 +355,11 @@ def parse_lp_text(path) -> LinearProgram:
             body = stripped.split(":", 1)[1] if ":" in stripped else stripped
             objective.update(parse_terms(body.split()))
         elif section == "Subject To":
-            label, body = stripped.split(":", 1)
-            toks = body.split()
+            toks = stripped.split(":", 1)[1].split()
             op_idx = next(i for i, t in enumerate(toks) if t in ("<=", ">=", "="))
             coeffs = parse_terms(toks[:op_idx])
             sense = {"<=": LE, ">=": GE, "=": EQ}[toks[op_idx]]
-            rows.append((coeffs, sense, float(toks[op_idx + 1]), label.strip()))
+            rows.append((coeffs, sense, float(toks[op_idx + 1])))
         elif section == "Bounds":
             lo, _, name, _, hi = stripped.split()
             var_info.setdefault(name, {})["lb"] = _parse_bound_token(lo)
@@ -369,8 +377,8 @@ def parse_lp_text(path) -> LinearProgram:
             kind=BINARY if info.get("binary") else "continuous",
             obj=objective.get(name, 0.0),
         )
-    for coeffs, sense, rhs, label in rows:
-        lp.add_constraint({"v:" + n: c for n, c in coeffs.items()}, sense, rhs, label)
+    for coeffs, sense, rhs in rows:
+        lp.add_constraint({"v:" + n: c for n, c in coeffs.items()}, sense, rhs)
     return lp
 
 
@@ -445,6 +453,5 @@ def parse_mps_text(path) -> LinearProgram:
             {"v:" + c: v for c, v in row_coeffs[name].items()},
             row_sense[name],
             rhs.get(name, 0.0),
-            name,
         )
     return lp

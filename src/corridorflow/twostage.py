@@ -180,56 +180,6 @@ class ModelBundle:
         return warm
 
 
-class _ScopedVars(LinkVariables):
-    """Link variable keys prefixed with a scenario index."""
-
-    def __init__(self, link, n_max, j):
-        super().__init__(link, n_max)
-        self.j = j
-
-    def _wrap(self, key):
-        return (self.j,) + key
-
-    def qin(self, n):
-        return self._wrap(super().qin(n))
-
-    def qout(self, n):
-        return self._wrap(super().qout(n))
-
-    def kin(self, n):
-        return self._wrap(super().kin(n))
-
-    def ka(self, s, n):
-        return self._wrap(super().ka(s, n))
-
-    def qa(self, s, n):
-        return self._wrap(super().qa(s, n))
-
-    def delta(self, s):
-        return self._wrap(super().delta(s))
-
-    def rcvf(self):
-        return self._wrap(super().rcvf())
-
-    def demand_count(self, n):
-        return self._wrap(super().demand_count(n))
-
-    def demand_flow(self, n):
-        return self._wrap(super().demand_flow(n))
-
-    def supply_count(self, n):
-        return self._wrap(super().supply_count(n))
-
-    def supply_flow(self, n):
-        return self._wrap(super().supply_flow(n))
-
-    def y_demand(self, n, c):
-        return self._wrap(super().y_demand(n, c))
-
-    def y_supply(self, n, c):
-        return self._wrap(super().y_supply(n, c))
-
-
 def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
     """Capacity of the link an entry feeds; bounds its control and inflow."""
     for jn in corridor.junctions:
@@ -246,9 +196,12 @@ def _add_scenario_block(
     weights: ObjectiveWeights,
     options: ModelOptions,
     j: int,
+    link_rows: dict,
 ) -> float:
     """Variables, constraints and probability-weighted objective for one
-    scenario; returns the constant objective contribution."""
+    scenario; returns the constant objective contribution.  ``link_rows``
+    maps each FD link id to its BlockTemplate and the template's rows at the
+    state's densities, shared by all scenarios."""
     n = state.n_steps
     T = state.T
     p = scenario.prob
@@ -256,48 +209,35 @@ def _add_scenario_block(
     exit_ids = {l.id for l in corridor.exit_links}
     vsl_ids = {l.id for l in corridor.vsl_links}
 
-    link_vars = {}
+    def qin(link_id, t):
+        return (j, "qin", link_id, t)
+
+    first_column = {}
     for link in corridor.links:
-        lv = _ScopedVars(link, n, j)
-        link_vars[link.id] = lv
         if link.kind == ENTRY:
             cap = entry_capacity(corridor, link.id)
             for t in range(1, n + 1):
                 obj = 0.0
                 if link.controlled:
                     obj = p * (-w.w2 + w.w3 * (1.0 + state.queues.get(link.id, 0.0)) * (n - t + 1))
-                lp.add_variable(lv.qin(t), 0.0, cap, obj=obj)
+                lp.add_variable(qin(link.id, t), 0.0, cap, obj=obj)
             continue
-        cap = link.capacity
-        for t in range(1, n + 1):
-            obj_in = -p * w.w1 if link.id in vsl_ids else 0.0
-            obj_out = p * (n - t + 1) if link.id in exit_ids else 0.0
-            lp.add_variable(lv.qin(t), 0.0, cap, obj=obj_in)
-            lp.add_variable(lv.qout(t), 0.0, cap, obj=obj_out)
-        if link.is_vsl:
-            sls = link.vsl_set
-            for s in range(len(sls)):
-                lp.add_variable(lv.delta(s), kind=BINARY)
-            lp.add_variable(lv.rcvf(), 0.0, sls.Q_max)
-            rc_hi = max(sls.rho_cs)
-            for t in range(1, n + 1):
-                lp.add_variable(lv.kin(t), 0.0, rc_hi)
-                for s in range(len(sls)):
-                    lp.add_variable(lv.ka(s, t), 0.0, sls.rho_cs[s])
-                    lp.add_variable(lv.qa(s, t), 0.0, sls.capacities[s])
+        first_column[link.id] = lp.n_vars
+        template, _ = link_rows[link.id]
+        for (kind, _, *idx), lb, ub, var_kind in template.columns:
+            obj = 0.0
+            if kind == "qin" and link.id in vsl_ids:
+                obj = -p * w.w1
+            elif kind == "qout" and link.id in exit_ids:
+                obj = p * (n - idx[0] + 1)
+            lp.add_variable((j, kind, link.id, *idx), lb, ub, var_kind, obj)
 
     # link physics
-    const_total = 0.0
     for link in corridor.fd_links:
-        lv = link_vars[link.id]
-        dens = state.densities[link.id]
-        for row in linkmodel.build_compatibility(link, lv, dens, n, T):
-            lp.add_constraint(row.coeffs, row.sense, row.rhs, f"j{j}_{link.id}_{row.name}")
-        if link.is_vsl:
-            for row in linkmodel.build_vsl_linearization(link, lv, n):
-                lp.add_constraint(row.coeffs, row.sense, row.rhs, f"j{j}_{link.id}_{row.name}")
+        lp.add_rows(link_rows[link.id][1], first_column[link.id])
 
     # junction coupling
+    link_vars = {link.id: LinkVariables(link, n) for link in corridor.links}
     for jn in corridor.junctions:
         if jn.kind == network.MERGE:
             for key in network.merge_binary_keys(jn, n):
@@ -306,46 +246,34 @@ def _add_scenario_block(
             corridor, jn, link_vars, n, ramp_queues=state.queues, T=T
         )
         for row in rows:
-            coeffs = {
-                (k if isinstance(k[0], int) else (j,) + k): v
-                for k, v in row.coeffs.items()
-            }
-            lp.add_constraint(coeffs, row.sense, row.rhs, f"j{j}_{row.name}")
+            lp.add_constraint({(j,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs)
 
     # bottleneck cap on the corridor exits
     for link in corridor.exit_links:
-        lv = link_vars[link.id]
         for t in range(1, n + 1):
             cap_t = corridor.exit_cap(link.id, state.t0 + (t - 1) * T)
             if cap_t < link.capacity - 1e-12:
-                lp.add_constraint({lv.qout(t): 1.0}, LE, cap_t, f"j{j}_{link.id}_exitcap_{t}")
+                lp.add_constraint({(j, "qout", link.id, t): 1.0}, LE, cap_t)
 
     # inflow forcing against the shared control
+    const_total = 0.0
     for link in corridor.controlled_entries:
-        lv = link_vars[link.id]
         cap = entry_capacity(corridor, link.id)
         d = np.asarray(scenario.demand[link.id], dtype=float)
         cum_d = np.cumsum(d)
         for t in range(1, n + 1):
             force = lp.add_variable((j, "force", link.id, t), kind=BINARY)
-            lp.add_constraint(
-                {lv.qin(t): 1.0, ("qp", link.id, t): -1.0}, LE, 0.0,
-                f"j{j}_{link.id}_le_ctrl_{t}",
-            )
-            cum_coeffs = {lv.qin(i): 1.0 for i in range(1, t + 1)}
-            lp.add_constraint(cum_coeffs, LE, float(cum_d[t - 1]),
-                              f"j{j}_{link.id}_le_dem_{t}")
+            control = ("qp", link.id, t)
+            lp.add_constraint({qin(link.id, t): 1.0, control: -1.0}, LE, 0.0)
+            cum_coeffs = {qin(link.id, i): 1.0 for i in range(1, t + 1)}
+            lp.add_constraint(cum_coeffs, LE, float(cum_d[t - 1]))
             # indicator=0: inflow reaches the control; indicator=1: demand is
             # exhausted. big-Ms are the exact worst cases (control <= cap,
             # cumulative inflow >= 0), which keeps the relaxation tight.
-            lp.add_constraint(
-                {lv.qin(t): 1.0, force: cap, ("qp", link.id, t): -1.0},
-                GE, 0.0, f"j{j}_{link.id}_force_ctrl_{t}",
-            )
+            lp.add_constraint({qin(link.id, t): 1.0, force: cap, control: -1.0}, GE, 0.0)
             coeffs = dict(cum_coeffs)
             coeffs[force] = -float(cum_d[t - 1])
-            lp.add_constraint(coeffs, GE, 0.0,
-                              f"j{j}_{link.id}_force_dem_{t}")
+            lp.add_constraint(coeffs, GE, 0.0)
         # backlog-penalty constant: -w3 (1+e) sum_t cum_d(t)
         e0 = state.queues.get(link.id, 0.0)
         const_total += -p * w.w3 * (1.0 + e0) * float(np.sum(cum_d))
@@ -356,8 +284,8 @@ def _add_scenario_block(
             pairs = [(t, t + 1) for t in range(1, n)]
         for t1, t2 in pairs:
             u = lp.add_variable((j, "u", link.id, t1), obj=-p * w.w4)
-            lp.add_constraint({u: 1.0, lv.qin(t1): -1.0, lv.qin(t2): 1.0}, GE, 0.0)
-            lp.add_constraint({u: 1.0, lv.qin(t1): 1.0, lv.qin(t2): -1.0}, GE, 0.0)
+            lp.add_constraint({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0)
+            lp.add_constraint({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0)
     return const_total
 
 
@@ -393,9 +321,14 @@ def assemble_model(
                 ub = min(float(committed[t - 1]), cap)
             lp.add_variable(("qp", link.id, t), 0.0, ub, obj=weights.w0)
 
+    link_rows = {}
+    for link in corridor.fd_links:
+        template = linkmodel.link_template(link, state.n_steps, state.T)
+        link_rows[link.id] = (template, template.evaluate(state.densities[link.id]))
     const = 0.0
     for j, scenario in enumerate(scenarios):
-        const += _add_scenario_block(lp, corridor, state, scenario, weights, options, j)
+        const += _add_scenario_block(lp, corridor, state, scenario, weights, options, j,
+                                     link_rows)
     return ModelBundle(lp, corridor, state, weights, list(scenarios), options, const)
 
 

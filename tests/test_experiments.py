@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from corridorflow import controller as ctl
-from corridorflow import experiments
+from corridorflow import experiments, solver
 from corridorflow.experiments import (
     ExperimentConfig,
     case_study,
@@ -165,6 +166,17 @@ class TestComparison:
             np.testing.assert_array_equal(
                 a.records[key].queue_series, b.records[key].queue_series
             )
+
+    def test_failure_names_type_message_and_raising_frame(self, small_config, monkeypatch):
+        infeasible = solver.Solution(solver.INFEASIBLE)
+        monkeypatch.setattr(solver, "branch_and_bound", lambda *a, **k: infeasible)
+        comp = run_comparison(small_config, seeds=[0], n_horizons=1, controllers=("d-min",))
+        assert not comp.records
+        assert re.fullmatch(
+            r"ClosedLoopError: horizon 0 plan: solver returned infeasible "
+            r"\(controller\.py:\d+\)",
+            comp.failures[(0, "d-min")],
+        )
 
     def test_csv_and_manifest(self, small_config, tmp_path):
         comp = run_comparison(small_config, seeds=[0], n_horizons=2)
