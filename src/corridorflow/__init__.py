@@ -22,7 +22,7 @@ from .lwr import (
     m_upstream,
     moskowitz,
 )
-from .linkmodel import LinkSpec, LinkVariables, SpeedLimitSet, chain_initial_densities
+from .linkmodel import LinkSpec, LinkVariables, SpeedLimitSet
 from .network import Corridor, Junction, validate_topology
 from .twostage import (
     DemandDistribution,

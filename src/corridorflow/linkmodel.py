@@ -33,7 +33,6 @@ from .lwr import (
     ComponentExpr,
     LinkGeometry,
     TriangularFD,
-    ValueConditionSet,
 )
 
 FD = "fd"
@@ -694,31 +693,6 @@ def build_demand_supply(
                 coeffs[past(i)] = T
             rows.append(LinRow(coeffs, EQ, 0.0, f"{side}_flow_{n}"))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Horizon-to-horizon density chaining.
-# ---------------------------------------------------------------------------
-
-
-def chain_initial_densities(
-    link: LinkSpec,
-    solved_vc: ValueConditionSet,
-    t_boundary: float,
-    resolution: int = 4,
-    fd: TriangularFD | None = None,
-) -> np.ndarray:
-    """Per-segment mean densities at a period boundary, used as the next
-    period's initial condition.  Averages are cumulative-count differences,
-    so the per-segment vehicle total is preserved exactly at any resolution."""
-    if t_boundary < -GUARD_TOL:
-        raise ValueError("t_boundary must be nonnegative")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    use_fd = fd if fd is not None else link.fd
-    return lwr.segment_mean_densities(
-        solved_vc, use_fd, link.geometry, t_boundary, resolution
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ solution; the true cumulative count at any (t, x) is the pointwise minimum
 over all of them, and the density is the negative space-slope of whichever
 component attains the minimum.
 
+Components are evaluated on two paths.  ``ComponentExpr`` keeps a component
+affine in the boundary flows; ``linkmodel`` builds model rows from it, and
+the tests use it as the reference.  ``LaxHopfKernel`` computes the same
+values directly as floats for simulation: it reads a link's constants once
+and adds the terms in the order of ``ComponentExpr.value``, so its results
+are bit-identical.  ``moskowitz``, ``segment_mean_densities``,
+``max_exit_count`` and ``max_entry_count`` go through the kernel.
+
 All quantities are SI and lane-aggregated: m, s, veh/m, veh/s.  Segment and
 step indices in the public functions are 1-based.
 """
@@ -129,8 +137,8 @@ class ValueConditionSet:
 
 # ---------------------------------------------------------------------------
 # Per-component solutions.  Each component is affine in the boundary flows,
-# which the constraint builders exploit; numeric evaluation just folds the
-# coefficients with actual flow values.
+# which the constraint builders exploit; ``LaxHopfKernel`` below evaluates
+# the same components numerically.
 # ---------------------------------------------------------------------------
 
 
@@ -285,6 +293,169 @@ def all_component_exprs(
 
 
 # ---------------------------------------------------------------------------
+# Numeric kernel: the component values as floats, for simulation.
+# ---------------------------------------------------------------------------
+
+
+class LaxHopfKernel:
+    """Point evaluations of one link's value conditions without building
+    ``ComponentExpr`` objects.
+
+    The link's constants (rho_c, Q, per-segment head sums, initial mass and
+    the boundary flows) are read once.  Every component value is computed
+    with the same floating-point operations, in the same order, as
+    ``ComponentExpr.value`` of the matching component expression (const +
+    rcvf*Q, the inflow terms in step order, the kin term, the outflow terms),
+    and minima are taken over the components in ``all_component_exprs``
+    order, so results are bit-identical to the expression path.  The
+    literal ``+ 0.0`` terms stand for the expressions' zero coefficients
+    (``rcvf * Q`` with rcvf = 0, a flow coefficient started from 0.0): they
+    turn -0.0 into 0.0 just as the expressions do.
+    """
+
+    def __init__(self, vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry):
+        rho = vc.initial_density
+        self.geom = geom
+        self.vf, self.w, self.rho_m = fd.vf, fd.w, fd.rho_m
+        self.rho_c, self.Q = fd.rho_c, fd.Q
+        self.X = geom.X
+        self.rho = rho.tolist()
+        self.head = [-float(np.sum(rho[:k])) * self.X for k in range(geom.k_max)]
+        self.mass = float(np.sum(rho)) * self.X
+        self.T = vc.T
+        self.inflow = vc.inflow.tolist()
+        self.outflow = vc.outflow.tolist()
+
+    def _initial(self, t: float, x: float) -> list:
+        """Values of the initial-density components at (t, x), by segment."""
+        vf, w, rc, X = self.vf, self.w, self.rho_c, self.X
+        xh = x - self.geom.xi
+        tw, tvf, jam = t * w, vf * t, self.rho_m * t * w
+        vals = []
+        for k in range(1, self.geom.k_max + 1):
+            left = (k - 1) * X
+            right = k * X
+            if xh < left + tw - GUARD_TOL or xh > right + tvf + GUARD_TOL:
+                continue
+            head = self.head[k - 1]
+            rk = self.rho[k - 1]
+            if rk <= rc + GUARD_TOL:
+                if xh >= left + tvf - GUARD_TOL:
+                    val = head + rk * (tvf + left - xh)
+                else:
+                    val = head + rc * (tvf + left - xh)
+            elif xh <= right + tw + GUARD_TOL:
+                val = head + rk * (tw + left - xh) - jam
+            else:
+                val = head - rk * X + rc * (tw + right - xh) - jam
+            vals.append(val + 0.0)
+        return vals
+
+    def _upstream(self, n: int, t: float, xh: float):
+        """Value of the step-n inflow component at (t, xi + xh); None before
+        its free-flow characteristic arrives."""
+        T, q = self.T, self.inflow
+        lag = xh / self.vf
+        if t < (n - 1) * T + lag - GUARD_TOL:
+            return None
+        if t <= n * T + lag + GUARD_TOL:
+            v = 0.0
+            for i in range(n - 1):
+                v += T * q[i]
+            v += (0.0 + (t - (n - 1) * T)) * q[n - 1]
+            return v + -xh * q[n - 1] / self.vf
+        v = -self.rho_c * xh + (t - n * T) * self.Q
+        for i in range(n):
+            v += T * q[i]
+        return v
+
+    def _downstream(self, n: int, t: float, xt: float):
+        """Value of the step-n outflow component at (t, chi + xt); None
+        before its backward wave arrives."""
+        T, q = self.T, self.outflow
+        lag = xt / self.w
+        if t < (n - 1) * T + lag - GUARD_TOL:
+            return None
+        if t <= n * T + lag + GUARD_TOL:
+            v = (-self.mass - self.rho_m * xt) + 0.0
+            for i in range(n - 1):
+                v += T * q[i]
+            return v + (0.0 + (t - lag - (n - 1) * T)) * q[n - 1]
+        v = (-self.mass - self.rho_c * xt) + (t - n * T) * self.Q
+        for i in range(n):
+            v += T * q[i]
+        return v
+
+    def _count(self, t: float, x: float) -> float:
+        vals = self._initial(t, x)
+        xh, xt = x - self.geom.xi, x - self.geom.chi
+        for n in range(1, len(self.inflow) + 1):
+            v = self._upstream(n, t, xh)
+            if v is not None:
+                vals.append(v)
+            v = self._downstream(n, t, xt)
+            if v is not None:
+                vals.append(v)
+        return min(vals) if vals else INF
+
+    def moskowitz(self, t: float, x: float) -> float:
+        """Pointwise minimum over all value-condition components."""
+        _check_domain(self.geom, t, x)
+        return self._count(t, x)
+
+    def segment_mean_densities(self, t: float, resolution: int = 1) -> np.ndarray:
+        """Per-segment mean densities at time t from cumulative-count
+        differences over ``resolution`` equal pieces of each segment; a
+        point shared by two segments is evaluated once."""
+        r = max(1, int(resolution))
+        geom = self.geom
+        edges = geom.segment_edges()
+        if r == 1:
+            xs = edges  # np.linspace(a, b, 2) is [a, b] bit for bit
+        else:
+            xs = [edges[0]]
+            for k in range(geom.k_max):
+                xs.extend(np.linspace(edges[k], edges[k + 1], r + 1)[1:])
+        counts = []
+        for x in xs:
+            _check_domain(geom, t, x)
+            counts.append(self._count(t, x))
+        means = np.empty(geom.k_max)
+        for k in range(geom.k_max):
+            total = 0.0
+            for j in range(k * r, (k + 1) * r):
+                total += counts[j] - counts[j + 1]
+            means[k] = total / geom.X
+        return np.clip(means, 0.0, self.rho_m)
+
+    def max_exit_count(self, t: float) -> float:
+        """See the module-level ``max_exit_count``."""
+        x = self.geom.chi
+        best = INF
+        for v in self._initial(t, x):
+            best = min(best, v)
+        xh = x - self.geom.xi
+        for n in range(1, len(self.inflow) + 1):
+            v = self._upstream(n, t, xh)
+            if v is not None:
+                best = min(best, v)
+        return best + self.mass if best < INF else INF
+
+    def max_entry_count(self, t: float) -> float:
+        """See the module-level ``max_entry_count``."""
+        x = self.geom.xi
+        best = INF
+        for v in self._initial(t, x):
+            best = min(best, v)
+        xt = x - self.geom.chi
+        for n in range(1, len(self.outflow) + 1):
+            v = self._downstream(n, t, xt)
+            if v is not None:
+                best = min(best, v)
+        return best
+
+
+# ---------------------------------------------------------------------------
 # Public point evaluations.
 # ---------------------------------------------------------------------------
 
@@ -334,11 +505,7 @@ def moskowitz(
     vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, x: float
 ) -> float:
     """Pointwise minimum over all value-condition components."""
-    _check_domain(geom, t, x)
-    comps = all_component_exprs(vc, fd, geom, t, x)
-    if not comps:
-        return INF
-    return min(c.value(fd, vc.inflow, vc.outflow) for c in comps)
+    return LaxHopfKernel(vc, fd, geom).moskowitz(t, x)
 
 
 def density_profile(
@@ -376,16 +543,7 @@ def segment_mean_densities(
     """Exact per-segment mean densities at time t via cumulative-count
     differences; subdividing each segment (resolution > 1) telescopes to the
     same value and is kept for spot-checking."""
-    resolution = max(1, int(resolution))
-    edges = geom.segment_edges()
-    means = np.empty(geom.k_max)
-    for k in range(geom.k_max):
-        sub = np.linspace(edges[k], edges[k + 1], resolution + 1)
-        total = 0.0
-        for a, b in zip(sub[:-1], sub[1:]):
-            total += moskowitz(vc, fd, geom, t, a) - moskowitz(vc, fd, geom, t, b)
-        means[k] = total / geom.X
-    return np.clip(means, 0.0, fd.rho_m)
+    return LaxHopfKernel(vc, fd, geom).segment_mean_densities(t, resolution)
 
 
 def max_exit_count(
@@ -393,17 +551,7 @@ def max_exit_count(
 ) -> float:
     """Most vehicles that could have left through chi by time t if the
     downstream were unrestricted (initial + upstream components only)."""
-    mass = float(np.sum(vc.initial_density)) * geom.X
-    best = INF
-    for k in range(1, geom.k_max + 1):
-        c = initial_component_expr(fd, geom, vc.initial_density, k, t, geom.chi)
-        if c is not None:
-            best = min(best, c.value(fd, vc.inflow, vc.outflow))
-    for n in range(1, vc.n_max + 1):
-        c = upstream_component_expr(fd, geom, vc.T, n, t, geom.chi)
-        if c is not None:
-            best = min(best, c.value(fd, vc.inflow, vc.outflow))
-    return best + mass if best < INF else INF
+    return LaxHopfKernel(vc, fd, geom).max_exit_count(t)
 
 
 def max_entry_count(
@@ -411,18 +559,7 @@ def max_entry_count(
 ) -> float:
     """Most vehicles that could have entered through xi by time t if the
     upstream demand were unrestricted (initial + downstream components)."""
-    best = INF
-    for k in range(1, geom.k_max + 1):
-        c = initial_component_expr(fd, geom, vc.initial_density, k, t, geom.xi)
-        if c is not None:
-            best = min(best, c.value(fd, vc.inflow, vc.outflow))
-    for n in range(1, vc.n_max + 1):
-        c = downstream_component_expr(
-            fd, geom, vc.initial_density, vc.T, n, t, geom.xi
-        )
-        if c is not None:
-            best = min(best, c.value(fd, vc.inflow, vc.outflow))
-    return best
+    return LaxHopfKernel(vc, fd, geom).max_entry_count(t)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,16 @@ class _LinkState:
     inflows: list = field(default_factory=list)
     outflows: list = field(default_factory=list)
 
-    def vc(self, T: float, pad: int = 0) -> lwr.ValueConditionSet:
-        return lwr.ValueConditionSet(
+    def kernel(self, T: float, pad: int = 0) -> lwr.LaxHopfKernel:
+        """Numeric evaluator of the running period's value conditions, with
+        ``pad`` zero-flow steps appended."""
+        vc = lwr.ValueConditionSet(
             self.densities,
             np.array(self.inflows + [0.0] * pad),
             np.array(self.outflows + [0.0] * pad),
             T,
         )
+        return lwr.LaxHopfKernel(vc, self.fd, self.link.geometry)
 
 
 class CorridorSimulator:
@@ -74,21 +77,10 @@ class CorridorSimulator:
     def active_speed(self, link_id: str) -> float:
         return self.states[link_id].fd.vf
 
-    def period_steps(self) -> int:
-        any_state = next(iter(self.states.values()))
-        return len(any_state.inflows)
-
     def stored_mass(self) -> float:
         total = 0.0
-        for st in self.states.values():
-            t_local = len(st.inflows) * self.T
-            if t_local == 0:
-                total += float(np.sum(st.densities)) * st.link.geometry.X
-            else:
-                means = lwr.segment_mean_densities(
-                    st.vc(self.T), st.fd, st.link.geometry, t_local
-                )
-                total += float(np.sum(means)) * st.link.geometry.X
+        for lid, st in self.states.items():
+            total += float(np.sum(self.segment_densities(lid))) * st.link.geometry.X
         return total
 
     def segment_densities(self, link_id: str) -> np.ndarray:
@@ -96,7 +88,7 @@ class CorridorSimulator:
         t_local = len(st.inflows) * self.T
         if t_local == 0:
             return st.densities.copy()
-        return lwr.segment_mean_densities(st.vc(self.T), st.fd, st.link.geometry, t_local)
+        return st.kernel(self.T).segment_mean_densities(t_local)
 
     def _step_rate(self, st: _LinkState, count_fn, cum_prev: float, kinks) -> float:
         """Largest constant rate sustainable over the coming step.
@@ -130,11 +122,10 @@ class CorridorSimulator:
     def step_demand(self, link_id: str) -> float:
         """Sending capability of the link over the coming step."""
         st = self.states[link_id]
-        vc = st.vc(self.T, pad=1)
         already = float(np.sum(st.outflows)) * self.T
         return self._step_rate(
             st,
-            lambda t: lwr.max_exit_count(vc, st.fd, st.link.geometry, t),
+            st.kernel(self.T, pad=1).max_exit_count,
             already,
             self._kink_times(st, "demand"),
         )
@@ -142,11 +133,10 @@ class CorridorSimulator:
     def step_supply(self, link_id: str) -> float:
         """Receiving capability of the link over the coming step."""
         st = self.states[link_id]
-        vc = st.vc(self.T, pad=1)
         already = float(np.sum(st.inflows)) * self.T
         return self._step_rate(
             st,
-            lambda t: lwr.max_entry_count(vc, st.fd, st.link.geometry, t),
+            st.kernel(self.T, pad=1).max_entry_count,
             already,
             self._kink_times(st, "supply"),
         )
@@ -241,9 +231,7 @@ class CorridorSimulator:
                 continue
             t_local = len(st.inflows) * T
             if t_local > 0:
-                st.densities = lwr.segment_mean_densities(
-                    st.vc(T), st.fd, st.link.geometry, t_local
-                )
+                st.densities = st.kernel(T).segment_mean_densities(t_local)
                 st.inflows = []
                 st.outflows = []
             if new_speeds and st.link.id in new_speeds:

@@ -282,14 +282,14 @@ class TestDemandSupply:
 class TestChaining:
     def test_time_zero_returns_initial(self, link, fd):
         vc = lwr.ValueConditionSet([0.2, 0.05], [0.0] * N, [0.0] * N, T)
-        out = linkmodel.chain_initial_densities(link, vc, 0.0)
+        out = lwr.segment_mean_densities(vc, fd, link.geometry, 0.0, resolution=4)
         assert out == pytest.approx([0.2, 0.05], abs=1e-12)
 
     def test_stationary_capacity_flow(self, link, fd):
         vc = lwr.ValueConditionSet(
             [fd.rho_c, fd.rho_c], [fd.Q] * N, [fd.Q] * N, T
         )
-        out = linkmodel.chain_initial_densities(link, vc, 4 * T)
+        out = lwr.segment_mean_densities(vc, fd, link.geometry, 4 * T, resolution=4)
         assert out == pytest.approx([fd.rho_c, fd.rho_c], abs=1e-9)
 
     def test_mass_conservation_and_resolution_invariance(self, link, fd, geom):
@@ -297,8 +297,8 @@ class TestChaining:
         for _ in range(4):
             vc = compatible_vc(fd, geom, rng)
             t = 4 * T
-            out = linkmodel.chain_initial_densities(link, vc, t, resolution=4)
-            out1 = linkmodel.chain_initial_densities(link, vc, t, resolution=9)
+            out = lwr.segment_mean_densities(vc, fd, geom, t, resolution=4)
+            out1 = lwr.segment_mean_densities(vc, fd, geom, t, resolution=9)
             assert out == pytest.approx(out1, abs=1e-9)
             stored = float(np.sum(out)) * geom.X
             entered = float(np.sum(vc.inflow[:4])) * T
@@ -309,5 +309,5 @@ class TestChaining:
     def test_bounds_clamped(self, link, fd, geom):
         rng = np.random.default_rng(29)
         vc = compatible_vc(fd, geom, rng)
-        out = linkmodel.chain_initial_densities(link, vc, 8 * T)
+        out = lwr.segment_mean_densities(vc, fd, geom, 8 * T, resolution=4)
         assert np.all(out >= 0.0) and np.all(out <= fd.rho_m)

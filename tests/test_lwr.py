@@ -285,3 +285,137 @@ class TestSegmentMeans:
             + (np.sum(vc.inflow) - np.sum(vc.outflow)) * T
         )
         assert stored == pytest.approx(expected, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The numeric kernel against the component expressions, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _bits(value) -> bytes:
+    """Exact float identity: tells -0.0 from 0.0 and compares inf."""
+    return np.float64(value).tobytes()
+
+
+def _min_value(comps, vc, fd, best=math.inf):
+    for c in comps:
+        if c is not None:
+            best = min(best, c.value(fd, vc.inflow, vc.outflow))
+    return best
+
+
+def expr_moskowitz(vc, fd, geom, t, x):
+    comps = lwr.all_component_exprs(vc, fd, geom, t, x)
+    if not comps:
+        return math.inf
+    return min(c.value(fd, vc.inflow, vc.outflow) for c in comps)
+
+
+def expr_segment_means(vc, fd, geom, t, resolution):
+    edges = geom.segment_edges()
+    means = np.empty(geom.k_max)
+    for k in range(geom.k_max):
+        sub = np.linspace(edges[k], edges[k + 1], resolution + 1)
+        total = 0.0
+        for a, b in zip(sub[:-1], sub[1:]):
+            total += expr_moskowitz(vc, fd, geom, t, a) - expr_moskowitz(vc, fd, geom, t, b)
+        means[k] = total / geom.X
+    return np.clip(means, 0.0, fd.rho_m)
+
+
+def _initial_exprs(vc, fd, geom, t, x):
+    return [lwr.initial_component_expr(fd, geom, vc.initial_density, k, t, x)
+            for k in range(1, geom.k_max + 1)]
+
+
+def expr_max_exit(vc, fd, geom, t):
+    best = _min_value(_initial_exprs(vc, fd, geom, t, geom.chi), vc, fd)
+    best = _min_value((lwr.upstream_component_expr(fd, geom, vc.T, n, t, geom.chi)
+                       for n in range(1, vc.n_max + 1)), vc, fd, best)
+    mass = float(np.sum(vc.initial_density)) * geom.X
+    return best + mass if best < math.inf else math.inf
+
+
+def expr_max_entry(vc, fd, geom, t):
+    best = _min_value(_initial_exprs(vc, fd, geom, t, geom.xi), vc, fd)
+    return _min_value(
+        (lwr.downstream_component_expr(fd, geom, vc.initial_density, vc.T, n, t, geom.xi)
+         for n in range(1, vc.n_max + 1)), vc, fd, best)
+
+
+def evaluation_points(geom, resolution=4):
+    edges = geom.segment_edges()
+    points = [edges[0]]
+    for k in range(geom.k_max):
+        points.extend(np.linspace(edges[k], edges[k + 1], resolution + 1)[1:])
+    return points
+
+
+def kink_times(fd, geom, T, n_steps):
+    """Times at which some component appears or switches branch at one of
+    the evaluation points: wave arrivals, step ends and the edges of the
+    initial-density fans."""
+    times = {0.0}
+    X = geom.X
+    for x in evaluation_points(geom):
+        xh, xt = x - geom.xi, x - geom.chi
+        for m in range(n_steps + 2):
+            times.update((m * T, m * T + xh / fd.vf, m * T + xt / fd.w))
+        for k in range(1, geom.k_max + 1):
+            left, right = (k - 1) * X, k * X
+            times.update(((xh - left) / fd.w, (xh - right) / fd.vf,
+                          (xh - left) / fd.vf, (xh - right) / fd.w))
+    return sorted(t for t in times if t >= 0.0)
+
+
+@st.composite
+def link_cases(draw):
+    fd = TriangularFD(draw(st.sampled_from([10.0, 20.0, 30.0])),
+                      draw(st.sampled_from([-4.9, -6.1])), draw(st.sampled_from([0.5, 0.42])))
+    k_max = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(0, 12))
+    level = st.sampled_from([0.0, fd.rho_m, fd.rho_c, fd.rho_c + lwr.GUARD_TOL,
+                             fd.rho_c - lwr.GUARD_TOL]) | st.floats(0.0, fd.rho_m)
+    flow = st.sampled_from([0.0, fd.Q]) | st.floats(0.0, fd.Q)
+    densities = draw(st.lists(level, min_size=k_max, max_size=k_max))
+    inflow = draw(st.lists(flow, min_size=n_steps, max_size=n_steps))
+    outflow = draw(st.lists(flow, min_size=n_steps, max_size=n_steps))
+    xi = draw(st.sampled_from([0.0, 1200.0]))
+    geom = LinkGeometry(xi, xi + draw(st.sampled_from([600.0, 1000.0, 1200.0])), k_max)
+    T = draw(st.sampled_from([15.0, 20.0]))
+    t = draw(st.sampled_from(kink_times(fd, geom, T, n_steps)))
+    return ValueConditionSet(densities, inflow, outflow, T), fd, geom, t
+
+
+class TestKernelMatchesExpressions:
+    """The simulator's kernel must reproduce the expression path exactly:
+    any difference in the last bit would move trajectories."""
+
+    @given(link_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_point_evaluations_bit_identical(self, case):
+        vc, fd, geom, t = case
+        for x in evaluation_points(geom):
+            assert _bits(lwr.moskowitz(vc, fd, geom, t, x)) == _bits(
+                expr_moskowitz(vc, fd, geom, t, x))
+        assert _bits(lwr.max_exit_count(vc, fd, geom, t)) == _bits(
+            expr_max_exit(vc, fd, geom, t))
+        assert _bits(lwr.max_entry_count(vc, fd, geom, t)) == _bits(
+            expr_max_entry(vc, fd, geom, t))
+
+    @given(link_cases(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_segment_means_bit_identical(self, case, resolution):
+        vc, fd, geom, t = case
+        got = lwr.segment_mean_densities(vc, fd, geom, t, resolution)
+        want = expr_segment_means(vc, fd, geom, t, resolution)
+        assert got.tobytes() == want.tobytes()
+
+    def test_domain_checks_kept(self, fd, geom):
+        vc = ValueConditionSet([0.1, 0.1], steps(1.0), steps(1.0), T)
+        with pytest.raises(InvalidParameterError):
+            lwr.moskowitz(vc, fd, geom, -1.0, 100.0)
+        with pytest.raises(InvalidParameterError):
+            lwr.moskowitz(vc, fd, geom, 10.0, geom.chi + 1.0)
+        with pytest.raises(InvalidParameterError):
+            lwr.segment_mean_densities(vc, fd, geom, -1.0)
