@@ -58,7 +58,7 @@ def cmd_simulate(args) -> int:
     traj.to_csv(out / f"trajectory_{args.controller}_seed{args.seed}.csv")
     solve_log = [
         {"horizon": s.horizon, "stage": s.stage, "status": s.status,
-         "objective": s.objective, "nodes": s.nodes,
+         "objective": s.objective, "bound": s.bound, "nodes": s.nodes,
          "solve_time": round(s.solve_time, 4)}
         for s in traj.solves
     ]

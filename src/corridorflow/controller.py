@@ -91,6 +91,7 @@ class HorizonLog:
     horizon: int
     stage: str  # "plan" or "update"
     objective: float
+    bound: float  # the search's proven bound, on the objective's scale
     status: str
     nodes: int
     solve_time: float
@@ -233,8 +234,8 @@ def run_closed_loop(
         warm_plan = bundle.warm_start_keys(sol)
         controls = {lid: bundle.published_control(sol, lid) for lid in ctrl_entries}
         traj.solves.append(
-            HorizonLog(h, "plan", bundle.total_objective(sol), sol.status, sol.nodes,
-                       elapsed, {lid: None for lid in vsl_ids})
+            HorizonLog(h, "plan", bundle.total_objective(sol), bundle.obj_const + sol.bound,
+                       sol.status, sol.nodes, elapsed, {lid: None for lid in vsl_ids})
         )
 
         arrivals = {
@@ -270,8 +271,9 @@ def run_closed_loop(
         warm_update = bundle_b.warm_start_keys(sol_b)
         speeds = {lid: bundle_b.selected_speed(sol_b, lid) for lid in vsl_ids}
         traj.solves.append(
-            HorizonLog(h, "update", bundle_b.total_objective(sol_b), sol_b.status,
-                       sol_b.nodes, elapsed, dict(speeds))
+            HorizonLog(h, "update", bundle_b.total_objective(sol_b),
+                       bundle_b.obj_const + sol_b.bound, sol_b.status, sol_b.nodes,
+                       elapsed, dict(speeds))
         )
 
         traj.schedules.append(

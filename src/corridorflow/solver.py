@@ -1,21 +1,30 @@
 """MILP solving: LP relaxation, branch and bound, and model file export.
 
-The LP relaxation is delegated to scipy's HiGHS simplex backend; the tree
-search on binary variables is implemented here so that branching order and
+LPs are solved by HiGHS, the simplex code that scipy ships.  The tree search
+on binary variables is implemented here so that branching order and
 incumbents are fully deterministic: branch on the most fractional binary
 (ties broken by lowest variable id), dive depth-first, and restart from the
 best-bound open node after a prune.
+
+One search loads the LP relaxation once into a HiGHS instance (scipy's
+private ``_highspy`` binding, the one ``linprog`` drives) and solves every
+node by changing the binaries' column bounds, so each node is a dual simplex
+re-solve from the previous basis.  After the search, the incumbent's point is
+a cold ``linprog`` solve with every binary fixed at its value, so the
+returned solution does not depend on the path of warm starts.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .lp import BINARY, EQ, EQ_CODE, GE, GE_CODE, LE, LE_CODE, LinearProgram
 
@@ -89,6 +98,60 @@ def solve_lp_relaxation(lp: LinearProgram) -> Solution:
     return sol
 
 
+class _Relaxation:
+    """The LP relaxation of ``lp`` held in one HiGHS instance.
+
+    The model is loaded once: minimize ``-c`` with dual simplex and no output,
+    as linprog asks, over the rows in model order as ``lo <= A x <= hi`` with
+    the bounds read from the sense codes.  ``solve`` changes only the
+    binaries' column bounds and re-runs, so HiGHS starts from the last basis.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        c, _, _, _, _, lb, ub = lp.to_arrays()
+        indptr, indices, data, sense, rhs = lp.row_arrays()
+        n_rows = len(sense)
+        by_col = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, lp.n_vars)).tocsc()
+        inf = _highs.kHighsInf
+        model = _highs.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
+        model.num_row_ = model.a_matrix_.num_row_ = n_rows
+        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        model.a_matrix_.start_ = by_col.indptr.astype(np.int32)
+        model.a_matrix_.index_ = by_col.indices.astype(np.int32)
+        model.a_matrix_.value_ = by_col.data
+        model.col_cost_ = -c
+        model.col_lower_ = np.maximum(lb, -inf)
+        model.col_upper_ = np.minimum(ub, inf)
+        model.row_lower_ = np.where(sense == LE_CODE, -inf, rhs)
+        model.row_upper_ = np.where(sense == GE_CODE, inf, rhs)
+        self.lp = lp
+        self.binary_ids = np.array(lp.binary_ids(), dtype=np.int32)
+        self.highs = _highs._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("simplex_strategy", int(
+            _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+        if self.highs.passModel(model) == _highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS refused the relaxation of {lp.name}")
+
+    def solve(self, lb, ub) -> Solution:
+        """Solve with the binaries bounded by ``lb``/``ub`` (other columns
+        keep the model's bounds)."""
+        bins, highs = self.binary_ids, self.highs
+        highs.changeColsBounds(len(bins), bins, lb[bins], ub[bins])
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            return Solution(OPTIMAL, objective=-highs.getInfo().objective_function_value,
+                            x=np.array(highs.getSolution().col_value))
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return Solution(INFEASIBLE)
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return Solution(UNBOUNDED, objective=math.inf)
+        # any other outcome is settled, or reported, by a cold solve
+        return _solve_lp(self.lp, lb, ub)
+
+
 def _most_fractional(x, binary_ids, tol):
     pick, best = None, tol
     for vid in binary_ids:
@@ -104,13 +167,14 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 
     ``warm_binaries`` maps binary variable ids to 0/1; if the assignment is
     feasible its LP solution seeds the incumbent before the search starts.
+    Nodes are warm re-solves of one ``_Relaxation``; the returned point is a
+    cold solve with every binary fixed at the incumbent's value.
     """
-    import time as _time
-
     opts = opts or SolveOptions()
     binary_ids = lp.binary_ids()
     _, _, _, _, _, lb0, ub0 = lp.to_arrays()
-    t_start = _time.monotonic()
+    t_start = time.monotonic()
+    relaxation = _Relaxation(lp)
 
     incumbent: Solution | None = None
     inc_obj = -math.inf
@@ -126,7 +190,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
                 break
             lb[vid] = ub[vid] = float(round(val))
         if usable:
-            warm = _solve_lp(lp, lb, ub)
+            warm = relaxation.solve(lb, ub)
             nodes += 1
             if warm.status == OPTIMAL:
                 incumbent, inc_obj = warm, warm.objective
@@ -136,14 +200,13 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     heap: list = []
     counter = 1
     stack = [root]
-    best_open_bound = math.inf
 
     status_cap = OPTIMAL
     while stack or heap:
         if nodes >= opts.node_limit:
             status_cap = NODE_LIMIT
             break
-        if _time.monotonic() - t_start > opts.time_limit:
+        if time.monotonic() - t_start > opts.time_limit:
             status_cap = TIME_LIMIT
             break
         if stack:
@@ -157,7 +220,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         ub = ub0.copy()
         for vid, val in fixings.items():
             lb[vid] = ub[vid] = val
-        node_sol = _solve_lp(lp, lb, ub)
+        node_sol = relaxation.solve(lb, ub)
         nodes += 1
         if node_sol.status == UNBOUNDED:
             return Solution(UNBOUNDED, objective=math.inf, nodes=nodes)
@@ -189,23 +252,34 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         stack.append((-bound, counter, near_fix))
         counter += 1
 
+    del relaxation  # release the warm instance before the cold solve
     if incumbent is None:
         if status_cap != OPTIMAL:
             return Solution(status_cap, nodes=nodes)
         return Solution(INFEASIBLE, nodes=nodes)
 
+    lb = lb0.copy()
+    ub = ub0.copy()
+    for vid in binary_ids:
+        lb[vid] = ub[vid] = float(round(incumbent.x[vid]))
+    fixed = _solve_lp(lp, lb, ub)
+    if fixed.status != OPTIMAL:
+        raise SolverError(f"incumbent's binaries are {fixed.status} on a cold re-solve")
+    x = fixed.x
+    inc_obj = lp.objective_value(x)
+
     remaining = [-h[0] for h in heap]
     best_open_bound = max(remaining) if remaining else -math.inf
     proven = max(best_open_bound, inc_obj)
 
-    viol = lp.max_violation(incumbent.x)
+    viol = lp.max_violation(x)
     if viol > 10 * opts.feasibility_tol:
         raise SolverError(f"incumbent violates constraints by {viol:.2e}")
 
     status = status_cap
     if status == OPTIMAL and best_open_bound > inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
         status = GAP_LIMIT
-    return Solution(status, inc_obj, incumbent.x, bound=proven, nodes=nodes)
+    return Solution(status, inc_obj, x, bound=proven, nodes=nodes)
 
 
 # -- model file export ------------------------------------------------------

@@ -25,6 +25,9 @@ def test_simulate_writes_trajectory_and_manifest(tiny_config, tmp_path, capsys):
     assert (out / "trajectory_d-mean_seed3.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [3]
+    assert [(s["horizon"], s["stage"]) for s in manifest["solves"]] == [
+        (0, "plan"), (0, "update"), (1, "plan"), (1, "update")]
+    assert all(s["bound"] >= s["objective"] for s in manifest["solves"])
     assert "block_penalty=" in capsys.readouterr().out
 
 

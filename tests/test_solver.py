@@ -19,6 +19,8 @@ from corridorflow.solver import (
     solve_lp_relaxation,
 )
 
+from test_acceptance import _states_for_certification
+
 
 def toy_lp():
     lp = LinearProgram("toy")
@@ -126,6 +128,80 @@ class TestBranchAndBound:
         warm = {vid: round(cold.x[vid]) for vid in lp.binary_ids()}
         sol = branch_and_bound(lp, warm_binaries=warm)
         assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def certification_models(config):
+    """Two-stage and d-mean models of the three certification states."""
+    models = []
+    for corridor, state in _states_for_certification(config):
+        models.append(twostage.build_deterministic_equivalent(
+            corridor, state, config.distribution(), config.weights()).lp)
+        models.append(twostage.build_deterministic_baseline(
+            corridor, state, config.distribution().mean(), config.weights()).lp)
+    return models
+
+
+def node_bound_sets(lp, rng, n_nodes=30):
+    """Seeded node bounds: binaries fixed, freed and re-fixed, with every
+    seventh node fixing two speeds of one link at once (infeasible) and the
+    node after it freeing them again."""
+    bins = lp.binary_ids()
+    deltas = [v.vid for v in lp.variables if v.kind == BINARY and v.key[1] == "delta"]
+    _, _, _, _, _, lb0, ub0 = lp.to_arrays()
+    fixings: dict = {}
+    for node in range(n_nodes):
+        move = rng.integers(3) if fixings else 0
+        if node % 7 == 6:
+            fixings.update({deltas[0]: 1.0, deltas[1]: 1.0})
+        elif node % 7 == 0 and node:
+            fixings.pop(deltas[0], None)
+            fixings.pop(deltas[1], None)
+        elif move == 0:
+            free = [vid for vid in bins if vid not in fixings]
+            for vid in rng.choice(free, size=rng.integers(1, 6), replace=False):
+                fixings[int(vid)] = float(rng.integers(2))
+        elif move == 1:
+            for vid in rng.choice(list(fixings), size=min(len(fixings), 3), replace=False):
+                del fixings[int(vid)]
+        else:
+            vid = int(rng.choice(list(fixings)))
+            fixings[vid] = 1.0 - fixings[vid]
+        lb, ub = lb0.copy(), ub0.copy()
+        for vid, val in fixings.items():
+            lb[vid] = ub[vid] = val
+        yield lb, ub
+
+
+class TestWarmRelaxation:
+    """Warm node re-solves against cold linprog solves of the same bounds."""
+
+    def test_node_sequence_matches_cold_solves(self, certification_models):
+        rng = np.random.default_rng(2018)
+        for lp in certification_models:
+            relaxation = solver._Relaxation(lp)
+            statuses = set()
+            for lb, ub in node_bound_sets(lp, rng):
+                warm = relaxation.solve(lb, ub)
+                cold = solver._solve_lp(lp, lb, ub)
+                assert warm.status == cold.status
+                statuses.add(cold.status)
+                if cold.status == OPTIMAL:
+                    assert abs(warm.objective - cold.objective) <= 1e-9 * max(
+                        1.0, abs(cold.objective))
+            assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_returned_point_is_the_cold_solve_with_binaries_fixed(
+            self, certification_models):
+        for lp in certification_models:
+            sol = branch_and_bound(lp)
+            _, _, _, _, _, lb, ub = lp.to_arrays()
+            lb, ub = lb.copy(), ub.copy()
+            for vid in lp.binary_ids():
+                lb[vid] = ub[vid] = round(sol.x[vid])
+            cold = solver._solve_lp(lp, lb, ub)
+            assert sol.x.tobytes() == cold.x.tobytes()
+            assert sol.objective == lp.objective_value(cold.x)
 
 
 class TestExport:
