@@ -14,12 +14,8 @@ from .lwr import (
     TriangularFD,
     ValueConditionSet,
     critical_density,
-    density_profile,
     flux,
     godunov_oracle,
-    m_downstream,
-    m_initial,
-    m_upstream,
     moskowitz,
 )
 from .linkmodel import LinkSpec, LinkVariables, SpeedLimitSet

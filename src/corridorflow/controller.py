@@ -47,17 +47,6 @@ class HorizonConfig:
             raise ValueError("need 0 < n_rolling <= n_project")
 
 
-# distribution-aware wrappers around the demand-matrix operations
-
-
-def init_demand_matrix(dist: DemandDistribution, n_steps: int) -> np.ndarray:
-    return demand_ops.init_demand_matrix(dist.levels, n_steps)
-
-
-def apply_queue_update(matrix, e: float, capacity: float):
-    return demand_ops.apply_queue_update(matrix, e, capacity)
-
-
 def observed_demand_vector(
     observed: float,
     dist: DemandDistribution,
@@ -66,14 +55,12 @@ def observed_demand_vector(
     capacity: float | None = None,
     tail_level: float | None = None,
 ) -> np.ndarray:
+    """``demand.observed_demand_vector`` over ``dist``'s levels and ``cfg``'s
+    step counts."""
     return demand_ops.observed_demand_vector(
         observed, dist.levels, dist.probs, cfg.n_project, cfg.n_rolling, e,
         capacity, tail_level,
     )
-
-
-def compute_realized_inflow(control, demand, queue: float = 0.0):
-    return demand_ops.compute_realized_inflow(control, demand, queue)
 
 
 @dataclass

@@ -2,19 +2,12 @@
 
 Queued vehicles from earlier horizons are folded back into the demand
 columns by topping successive steps up toward capacity until the backlog is
-spent; realized inflows then follow from the published control, the arrival
-stream and the carried queue.
+spent.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def init_demand_matrix(levels, n_steps: int) -> np.ndarray:
-    """(n_steps x n_scenarios) matrix of constant scenario columns."""
-    levels = np.asarray(levels, dtype=float)
-    return np.tile(levels, (n_steps, 1))
 
 
 def apply_queue_update(matrix: np.ndarray, e: float, capacity: float):
@@ -70,23 +63,3 @@ def observed_demand_vector(
         vec, _ = apply_queue_update(vec, e, capacity)
     return vec
 
-
-def compute_realized_inflow(control, demand, queue: float = 0.0):
-    """Admit min(control, arrivals plus carried queue) step by step.
-
-    Returns the inflow series and the queue after each step; cumulative
-    inflow never exceeds cumulative demand plus the initial queue.
-    """
-    control = np.asarray(control, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    if control.shape != demand.shape:
-        raise ValueError("control and demand must cover the same steps")
-    inflow = np.empty_like(control)
-    queues = np.empty_like(control)
-    q = float(queue)
-    for t in range(len(control)):
-        avail = demand[t] + q
-        inflow[t] = min(control[t], avail)
-        q = avail - inflow[t]
-        queues[t] = q
-    return inflow, queues

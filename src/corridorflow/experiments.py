@@ -25,6 +25,7 @@ import numpy as np
 from . import controller as ctl
 from . import solver
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
+from .demand import apply_queue_update
 from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
 from .lwr import LinkGeometry, TriangularFD
 from .network import MERGE, SERIAL, Corridor, Junction, validate_topology
@@ -256,7 +257,7 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
             sl = traj.horizon_slice(h)
             e_h = queues[sl.start - 1] if sl.start > 0 else 0.0
             level = traj.demand_levels[h]
-            col, _ = ctl.apply_queue_update(np.full(n1, level), e_h, cap)
+            col, _ = apply_queue_update(np.full(n1, level), e_h, cap)
             shortfall = np.maximum(np.cumsum(col) - np.cumsum(qin[sl]), 0.0)
             block += weights.w3 * (1.0 + e_h) * float(np.sum(shortfall))
             d = np.diff(qin[sl])

@@ -5,10 +5,12 @@ over link-local variable keys:
 
 * compatibility conditions tying boundary flows to the initial state,
 * the discrete speed-limit linearization (selection binaries, the rho_c*vf
-  product, and the q_in/vf auxiliaries),
-* step demand/supply definitions built from the boundary-evaluated
-  cumulative-count components,
-* density chaining between consecutive solve periods.
+  product, and the q_in/vf auxiliaries).
+
+A link's step demand and supply need no rows of their own: the
+compatibility conditions already cap the cumulative outflow by the initial
+and inflow components at the exit, and the cumulative inflow by the initial
+and outflow components at the entrance.
 
 Row coefficients reference keys like ("qin", link_id, n) or
 ("delta", link_id, s); callers map them into a concrete LinearProgram
@@ -146,31 +148,6 @@ class LinkVariables:
 
     def rcvf(self):
         return ("rcvf", self.link.id)
-
-    def demand_count(self, n: int):
-        return ("L", self.link.id, n)
-
-    def demand_flow(self, n: int):
-        return ("D", self.link.id, n)
-
-    def supply_count(self, n: int):
-        return ("U", self.link.id, n)
-
-    def supply_flow(self, n: int):
-        return ("S", self.link.id, n)
-
-    def y_demand(self, n: int, c: int):
-        return ("yL", self.link.id, n, c)
-
-    def y_supply(self, n: int, c: int):
-        return ("yU", self.link.id, n, c)
-
-
-def count_big_m(link: LinkSpec, n_max: int, T: float) -> float:
-    """Cumulative-count bound: stored vehicles plus everything that can
-    cross a boundary over the horizon.  Used to relax count-scaled rows."""
-    rho_m = link.fd.rho_m if link.fd else link.vsl_set.rho_m
-    return rho_m * link.geometry.length + link.capacity * n_max * T
 
 
 # ---------------------------------------------------------------------------
@@ -601,97 +578,6 @@ def build_vsl_linearization(link: LinkSpec, vars: LinkVariables, n_max: int) -> 
         coeffs = {vars.ka(s, n): 1.0 for s in range(len(sls))}
         coeffs[vars.kin(n)] = -1.0
         rows.append(LinRow(coeffs, EQ, 0.0, f"kin_def_{n}"))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Step demand and supply.
-# ---------------------------------------------------------------------------
-
-
-def _boundary_components(link, densities, n_max, T, side):
-    """Numeric-FD component expressions feeding the demand (side='demand',
-    at chi, initial + inflow conditions) or supply (at xi, initial + outflow
-    conditions) count at each step end."""
-    fd, geom = link.fd, link.geometry
-    out = []
-    for n in range(1, n_max + 1):
-        t = n * T
-        comps = []
-        for k in range(1, geom.k_max + 1):
-            x = geom.chi if side == "demand" else geom.xi
-            c = lwr.initial_component_expr(fd, geom, densities, k, t, x)
-            if c is not None:
-                comps.append(c)
-        for m in range(1, n_max + 1):
-            if side == "demand":
-                c = lwr.upstream_component_expr(fd, geom, T, m, t, geom.chi)
-            else:
-                c = lwr.downstream_component_expr(fd, geom, densities, T, m, t, geom.xi)
-            if c is not None:
-                comps.append(c)
-        out.append(comps)
-    return out
-
-
-def build_demand_supply(
-    link: LinkSpec,
-    vars: LinkVariables,
-    initial_density,
-    n_max: int,
-    T: float,
-    exact: bool = True,
-) -> list[LinRow]:
-    """Define per-step demand D_n and supply S_n from the boundary-evaluated
-    cumulative-count components.
-
-    The count variables are upper-bounded by every applicable component; with
-    ``exact`` they are also pinned to the componentwise minimum through a
-    big-M selection with one binary per component.  D_n converts counts to a
-    step flow net of what already left; S_n mirrors it at the entrance.
-    """
-    if link.is_vsl:
-        raise ValueError("demand/supply builder expects a fixed-speed link")
-    densities = np.asarray(initial_density, dtype=float)
-    mass = float(np.sum(densities)) * link.geometry.X
-    big_m = count_big_m(link, n_max, T)
-    rows: list[LinRow] = []
-
-    for side in ("demand", "supply"):
-        comps_by_step = _boundary_components(link, densities, n_max, T, side)
-        offset = mass if side == "demand" else 0.0
-        count = vars.demand_count if side == "demand" else vars.supply_count
-        flow = vars.demand_flow if side == "demand" else vars.supply_flow
-        chooser = vars.y_demand if side == "demand" else vars.y_supply
-        past = vars.qout if side == "demand" else vars.qin
-        for n in range(1, n_max + 1):
-            # the boundary's own value condition can only grow at capacity,
-            # so it joins the component minimum; this caps D_n and S_n at Q
-            bounds = [({past(i): T for i in range(1, n)}, link.fd.Q * T)]
-            for comp in comps_by_step[n - 1]:
-                coeffs, const = _expr_coeffs(comp, vars, link.fd)
-                bounds.append((coeffs, const + offset))
-            for c_idx, (coeffs, const) in enumerate(bounds):
-                row = {count(n): 1.0}
-                for k, v in coeffs.items():
-                    row[k] = row.get(k, 0.0) - v
-                rows.append(LinRow(row, LE, const, f"{side}_ub_{n}_{c_idx}"))
-                if exact:
-                    row = dict(row)
-                    row[chooser(n, c_idx)] = big_m
-                    rows.append(
-                        LinRow(row, GE, const - big_m, f"{side}_lb_{n}_{c_idx}")
-                    )
-            if exact:
-                rows.append(
-                    LinRow({chooser(n, c): 1.0 for c in range(len(bounds))}, EQ, 1.0,
-                           f"{side}_pick_{n}")
-                )
-            # count-to-flow conversion net of flow already through the boundary
-            coeffs = {flow(n): T, count(n): -1.0}
-            for i in range(1, n):
-                coeffs[past(i)] = T
-            rows.append(LinRow(coeffs, EQ, 0.0, f"{side}_flow_{n}"))
     return rows
 
 

@@ -150,9 +150,7 @@ class ComponentExpr:
                   + sum kin[n] * (q_in(n)/vf)
 
     ``rcvf`` and ``kin`` terms are kept separate so models with a selectable
-    free-flow speed can substitute their linearized counterparts; ``slope``
-    carries the analytic d/dx of the branch (flow coefficients included via
-    the same dictionaries in ``slope_qin``/``slope_qout``).
+    free-flow speed can substitute their linearized counterparts.
     """
 
     const: float = 0.0
@@ -160,9 +158,6 @@ class ComponentExpr:
     qin: dict = field(default_factory=dict)
     qout: dict = field(default_factory=dict)
     kin: dict = field(default_factory=dict)
-    slope_const: float = 0.0
-    slope_qin: dict = field(default_factory=dict)
-    slope_qout: dict = field(default_factory=dict)
     tag: str = ""
 
     def value(self, fd: TriangularFD, inflow, outflow) -> float:
@@ -174,14 +169,6 @@ class ComponentExpr:
         for n, a in self.qout.items():
             v += a * outflow[n - 1]
         return v
-
-    def slope(self, inflow, outflow) -> float:
-        s = self.slope_const
-        for n, a in self.slope_qin.items():
-            s += a * inflow[n - 1]
-        for n, a in self.slope_qout.items():
-            s += a * outflow[n - 1]
-        return s
 
 
 def initial_component_expr(
@@ -202,14 +189,14 @@ def initial_component_expr(
     if rk <= rc + GUARD_TOL:
         if xh >= left + fd.vf * t - GUARD_TOL:
             val = head + rk * (t * fd.vf + left - xh)
-            return ComponentExpr(const=val, slope_const=-rk, tag=f"ic{k}b")
+            return ComponentExpr(const=val, tag=f"ic{k}b")
         val = head + rc * (t * fd.vf + left - xh)
-        return ComponentExpr(const=val, slope_const=-rc, tag=f"ic{k}c")
+        return ComponentExpr(const=val, tag=f"ic{k}c")
     if xh <= right + t * fd.w + GUARD_TOL:
         val = head + rk * (t * fd.w + left - xh) - fd.rho_m * t * fd.w
-        return ComponentExpr(const=val, slope_const=-rk, tag=f"ic{k}d")
+        return ComponentExpr(const=val, tag=f"ic{k}d")
     val = head - rk * X + rc * (t * fd.w + right - xh) - fd.rho_m * t * fd.w
-    return ComponentExpr(const=val, slope_const=-rc, tag=f"ic{k}e")
+    return ComponentExpr(const=val, tag=f"ic{k}e")
 
 
 def upstream_component_expr(
@@ -228,13 +215,11 @@ def upstream_component_expr(
         # affine in the step-n inflow; the /vf part stays separate
         expr.qin[n] = expr.qin.get(n, 0.0) + (t - (n - 1) * T)
         expr.kin[n] = -xh
-        expr.slope_qin[n] = -1.0 / fd.vf
         expr.tag += "b"
         return expr
     expr.qin[n] = expr.qin.get(n, 0.0) + T
     expr.rcvf = t - n * T
     expr.const = -fd.rho_c * xh
-    expr.slope_const = -fd.rho_c
     expr.tag += "c"
     return expr
 
@@ -262,14 +247,11 @@ def downstream_component_expr(
     if t <= n * T + lag + GUARD_TOL:
         expr.qout[n] = expr.qout.get(n, 0.0) + (t - lag - (n - 1) * T)
         expr.const = -mass - fd.rho_m * xt
-        expr.slope_const = -fd.rho_m
-        expr.slope_qout[n] = -1.0 / fd.w
         expr.tag += "b"
         return expr
     expr.qout[n] = expr.qout.get(n, 0.0) + T
     expr.rcvf = t - n * T
     expr.const = -mass - fd.rho_c * xt
-    expr.slope_const = -fd.rho_c
     expr.tag += "c"
     return expr
 
@@ -467,70 +449,11 @@ def _check_domain(geom: LinkGeometry, t: float, x: float):
         raise InvalidParameterError(f"x={x} outside [{geom.xi}, {geom.chi}]")
 
 
-def m_initial(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, k: int, t: float, x: float
-) -> float:
-    """Cumulative-count solution from segment k's initial condition; +inf
-    outside its domain of influence."""
-    if not 1 <= k <= geom.k_max:
-        raise InvalidParameterError(f"segment index {k} outside 1..{geom.k_max}")
-    _check_domain(geom, t, x)
-    c = initial_component_expr(fd, geom, vc.initial_density, k, t, x)
-    return INF if c is None else c.value(fd, vc.inflow, vc.outflow)
-
-
-def m_upstream(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, n: int, t: float, x: float
-) -> float:
-    """Cumulative-count solution from the step-n inflow condition."""
-    if not 1 <= n <= vc.n_max:
-        raise InvalidParameterError(f"step index {n} outside 1..{vc.n_max}")
-    _check_domain(geom, t, x)
-    c = upstream_component_expr(fd, geom, vc.T, n, t, x)
-    return INF if c is None else c.value(fd, vc.inflow, vc.outflow)
-
-
-def m_downstream(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, n: int, t: float, x: float
-) -> float:
-    """Cumulative-count solution from the step-n outflow condition."""
-    if not 1 <= n <= vc.n_max:
-        raise InvalidParameterError(f"step index {n} outside 1..{vc.n_max}")
-    _check_domain(geom, t, x)
-    c = downstream_component_expr(fd, geom, vc.initial_density, vc.T, n, t, x)
-    return INF if c is None else c.value(fd, vc.inflow, vc.outflow)
-
-
 def moskowitz(
     vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, x: float
 ) -> float:
     """Pointwise minimum over all value-condition components."""
     return LaxHopfKernel(vc, fd, geom).moskowitz(t, x)
-
-
-def density_profile(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, positions
-) -> np.ndarray:
-    """Density at each position: negative space-slope of the minimizing
-    component; at a kink the slope of the downstream-side branch is used."""
-    out = np.empty(len(positions))
-    for i, x in enumerate(positions):
-        comps = all_component_exprs(vc, fd, geom, t, x)
-        if not comps:
-            out[i] = 0.0
-            continue
-        vals = [c.value(fd, vc.inflow, vc.outflow) for c in comps]
-        best = min(vals)
-        tol = 1e-7 * max(1.0, abs(best))
-        # downstream-side branch = the tied component that stays minimal for
-        # x slightly larger, i.e. the one with the smallest slope
-        slope = min(
-            c.slope(vc.inflow, vc.outflow)
-            for c, v in zip(comps, vals)
-            if v <= best + tol
-        )
-        out[i] = min(max(-slope, 0.0), fd.rho_m)
-    return out
 
 
 def segment_mean_densities(
@@ -580,10 +503,6 @@ class GodunovField:
     densities: np.ndarray  # (n_steps+1, n_cells)
     cum_in: np.ndarray  # (n_steps+1,)
     cum_out: np.ndarray
-
-    def cell_centers(self, geom: LinkGeometry) -> np.ndarray:
-        n = self.densities.shape[1]
-        return geom.xi + self.dx * (np.arange(n) + 0.5)
 
     def count(self, step: int, x: float, geom: LinkGeometry) -> float:
         """Cumulative count at (step*dt, x): inflow so far minus vehicles

@@ -150,17 +150,15 @@ def build_node_constraints(
     link_vars: dict,
     n_max: int,
     ramp_queues: dict | None = None,
-    ds_vars: dict | None = None,
     T: float = 1.0,
 ) -> list[LinRow]:
     """Flow coupling rows for one junction.
 
     Serial: the upstream outflow is the downstream inflow.  Merge: flows
     conserve and the ramp is served before the mainline; binary ("merge", id,
-    n) switches to the supply-limited regime where the mainline yields.  When
-    ``ds_vars`` supplies demand/supply variable keys, the explicit
-    q <= D / q <= S rows are emitted as well (they are implied by the
-    compatibility blocks and conservation, so assemblies may omit them).
+    n) switches to the supply-limited regime where the mainline yields.
+    Demand and supply caps are implied by the links' compatibility rows and
+    conservation, so no junction row states them.
     """
     rows: list[LinRow] = []
     down_id = junction.outgoing[0]
@@ -179,20 +177,6 @@ def build_node_constraints(
                 LinRow({out_key(up_id, n): 1.0, down_vars.qin(n): -1.0}, EQ, 0.0,
                        f"{junction.id}_cons_{n}")
             )
-            if ds_vars:
-                up_link = corridor.link(up_id)
-                if up_link.kind == FD and up_id in ds_vars:
-                    rows.append(
-                        LinRow({out_key(up_id, n): 1.0,
-                                link_vars[up_id].demand_flow(n): -1.0}, LE, 0.0,
-                               f"{junction.id}_dem_{n}")
-                    )
-                if down_id in ds_vars:
-                    rows.append(
-                        LinRow({down_vars.qin(n): 1.0,
-                                down_vars.supply_flow(n): -1.0}, LE, 0.0,
-                               f"{junction.id}_sup_{n}")
-                    )
         return rows
 
     if junction.kind != MERGE:
@@ -234,11 +218,6 @@ def build_node_constraints(
             LinRow({out_key(main_id, n): 1.0, z: main_cap}, LE, main_cap,
                    f"{junction.id}_ramp_priority_{n}")
         )
-        if ds_vars and down_id in ds_vars:
-            rows.append(
-                LinRow({down_vars.qin(n): 1.0, down_vars.supply_flow(n): -1.0},
-                       LE, 0.0, f"{junction.id}_sup_{n}")
-            )
     return rows
 
 

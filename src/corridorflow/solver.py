@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import BINARY, EQ, EQ_CODE, GE, GE_CODE, LE, LE_CODE, LinearProgram
+from .lp import BINARY, EQ_CODE, GE_CODE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -336,7 +336,7 @@ def _write_lp_text(lp: LinearProgram) -> str:
 
 def _write_mps_text(lp: LinearProgram) -> str:
     names = _var_names(lp)
-    lines = [f"NAME          {lp.name}", "ROWS", " N  obj"]
+    lines = [f"NAME          {lp.name}", "OBJSENSE", "    MAX", "ROWS", " N  obj"]
     indptr, indices, data, sense, rhs = lp.row_arrays()
     tags = {LE_CODE: "L", GE_CODE: "G", EQ_CODE: "E"}
     lines += [f" {tags[code]}  c{i}" for i, code in enumerate(sense.tolist())]
@@ -380,152 +380,3 @@ def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
-
-def _parse_bound_token(tok: str) -> float:
-    if tok in ("-inf", "-Inf"):
-        return -math.inf
-    if tok in ("+inf", "inf", "Inf", "+Inf"):
-        return math.inf
-    return float(tok)
-
-
-def parse_lp_text(path) -> LinearProgram:
-    """Read a model previously written by export_model(fmt='lp')."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    lp = LinearProgram(raw[0][2:] if raw and raw[0].startswith("\\ ") else "model")
-    section = None
-    var_info: dict[str, dict] = {}
-    rows = []
-    objective: dict[str, float] = {}
-
-    def parse_terms(tokens):
-        coeffs = {}
-        sign = 1.0
-        i = 0
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok == "+":
-                sign = 1.0
-            elif tok == "-":
-                sign = -1.0
-            else:
-                coef = sign * float(tok)
-                name = tokens[i + 1]
-                coeffs[name] = coeffs.get(name, 0.0) + coef
-                i += 1
-                sign = 1.0
-            i += 1
-        return coeffs
-
-    for line in raw[1:]:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
-            section = stripped
-            continue
-        if section == "Maximize":
-            body = stripped.split(":", 1)[1] if ":" in stripped else stripped
-            objective.update(parse_terms(body.split()))
-        elif section == "Subject To":
-            toks = stripped.split(":", 1)[1].split()
-            op_idx = next(i for i, t in enumerate(toks) if t in ("<=", ">=", "="))
-            coeffs = parse_terms(toks[:op_idx])
-            sense = {"<=": LE, ">=": GE, "=": EQ}[toks[op_idx]]
-            rows.append((coeffs, sense, float(toks[op_idx + 1])))
-        elif section == "Bounds":
-            lo, _, name, _, hi = stripped.split()
-            var_info.setdefault(name, {})["lb"] = _parse_bound_token(lo)
-            var_info[name]["ub"] = _parse_bound_token(hi)
-        elif section == "Binary":
-            for name in stripped.split():
-                var_info.setdefault(name, {})["binary"] = True
-
-    for name in sorted(var_info, key=lambda s: int(s[1:])):
-        info = var_info[name]
-        lp.add_variable(
-            key="v:" + name,
-            lb=info.get("lb", 0.0),
-            ub=info.get("ub", math.inf),
-            kind=BINARY if info.get("binary") else "continuous",
-            obj=objective.get(name, 0.0),
-        )
-    for coeffs, sense, rhs in rows:
-        lp.add_constraint({"v:" + n: c for n, c in coeffs.items()}, sense, rhs)
-    return lp
-
-
-def parse_mps_text(path) -> LinearProgram:
-    """Read a model previously written by export_model(fmt='mps')."""
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    lp = LinearProgram(raw[0].split(None, 1)[1] if raw and raw[0].startswith("NAME") else "model")
-    section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    col_entries: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    binary_cols: set[str] = set()
-    rhs: dict[str, float] = {}
-    bounds: dict[str, dict] = {}
-    in_integer = False
-
-    for line in raw[1:]:
-        if not line.strip():
-            continue
-        if not line.startswith(" ") or line.strip() in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-            section = line.strip()
-            continue
-        toks = line.split()
-        if section == "ROWS":
-            tag, name = toks
-            if tag != "N":
-                row_sense[name] = {"L": LE, "G": GE, "E": EQ}[tag]
-                row_order.append(name)
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1] == "'MARKER'":
-                in_integer = toks[2] == "'INTORG'"
-                continue
-            name, row, val = toks[0], toks[1], float(toks[2])
-            if name not in col_entries:
-                col_entries[name] = []
-                col_order.append(name)
-            if in_integer:
-                binary_cols.add(name)
-            col_entries[name].append((row, val))
-        elif section == "RHS":
-            rhs[toks[1]] = float(toks[2])
-        elif section == "BOUNDS":
-            kind, _, name = toks[0], toks[1], toks[2]
-            entry = bounds.setdefault(name, {})
-            if kind == "MI":
-                entry["lb"] = -math.inf
-            elif kind == "LO":
-                entry["lb"] = float(toks[3])
-            elif kind == "UP":
-                entry["ub"] = float(toks[3])
-
-    row_coeffs: dict[str, dict] = {name: {} for name in row_order}
-    for name in col_order:
-        obj = 0.0
-        for row, val in col_entries[name]:
-            if row == "obj":
-                obj += val
-            else:
-                row_coeffs[row][name] = val
-        b = bounds.get(name, {})
-        lp.add_variable(
-            key="v:" + name,
-            lb=b.get("lb", 0.0),
-            ub=b.get("ub", math.inf),
-            kind=BINARY if name in binary_cols else "continuous",
-            obj=obj,
-        )
-    for name in row_order:
-        lp.add_constraint(
-            {"v:" + c: v for c, v in row_coeffs[name].items()},
-            row_sense[name],
-            rhs.get(name, 0.0),
-        )
-    return lp

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import lwr
 from corridorflow.experiments import case_study
@@ -67,3 +68,12 @@ def compatible_vc(fd, geom, rng, n_steps=8, T=20.0, densities=None,
         inflow.append(min(want_in, supply))
         outflow.append(min(want_out, demand))
     return lwr.ValueConditionSet(densities, np.array(inflow), np.array(outflow), T)
+
+
+def read_with_highs(path):
+    """A HiGHS instance holding the model file at ``path`` as HiGHS's own
+    LP/MPS reader parses it (the binding ``solver`` drives)."""
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == highs_core.HighsStatus.kOk
+    return highs

@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs_core
 
-from corridorflow import cli
-from corridorflow.experiments import ExperimentConfig, save_config
+from corridorflow import cli, solver, twostage
+from corridorflow.experiments import ExperimentConfig, load_config, save_config
+
+from conftest import read_with_highs
 
 
 @pytest.fixture
@@ -53,6 +57,19 @@ def test_sweep_emits_grid(tiny_config, tmp_path, capsys):
 
 
 def test_export_milp_formats(tiny_config, tmp_path):
+    # an external solver reads each format as the in-process model: same
+    # sense and size, and the same LP-relaxation optimum
+    config = load_config(tiny_config)
+    corridor = config.corridor()
+    state = twostage.HorizonState(
+        {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links},
+        {l.id: 0.0 for l in corridor.entry_links},
+        config.n_project,
+        config.T,
+    )
+    lp = twostage.build_deterministic_equivalent(
+        corridor, state, config.distribution(), config.weights()).lp
+    relaxed = solver.solve_lp_relaxation(lp).objective
     out = tmp_path / "milp"
     for fmt in ("lp", "mps"):
         rc = cli.main([
@@ -60,4 +77,12 @@ def test_export_milp_formats(tiny_config, tmp_path):
             "--format", fmt,
         ])
         assert rc == 0
-        assert (out / f"horizon_two-stage.{fmt}").exists()
+        highs = read_with_highs(out / f"horizon_two-stage.{fmt}")
+        model = highs.getLp()
+        assert model.sense_ == highs_core.ObjSense.kMaximize, fmt
+        assert (model.num_col_, model.num_row_) == (lp.n_vars, lp.n_constraints), fmt
+        highs.setOptionValue("solve_relaxation", True)
+        highs.run()
+        assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal, fmt
+        value = highs.getInfo().objective_function_value
+        assert abs(value - relaxed) <= 1e-9 * max(1.0, abs(relaxed)), fmt

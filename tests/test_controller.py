@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corridorflow import controller as ctl
-from corridorflow import experiments
+from corridorflow import demand, experiments
 from corridorflow.controller import HorizonConfig
 from corridorflow.sim import CorridorSimulator
 from corridorflow.twostage import DemandDistribution
@@ -19,36 +19,22 @@ def cfg(config):
 
 
 class TestDemandMatrix:
-    def test_init_matrix_constant_columns(self, config, cfg):
-        dist = config.distribution()
-        mat = ctl.init_demand_matrix(dist, cfg.n_project)
-        assert mat.shape == (8, 3)
-        for j, level in enumerate(dist.levels):
-            np.testing.assert_allclose(mat[:, j], level)
-
-    def test_init_matrix_degenerate_and_zero(self):
-        mat = ctl.init_demand_matrix(DemandDistribution.point(1.2), 5)
-        assert mat.shape == (5, 1)
-        np.testing.assert_allclose(mat, 1.2)
-        zero = ctl.init_demand_matrix(DemandDistribution((0.0,), (1.0,)), 4)
-        np.testing.assert_allclose(zero, 0.0)
-
     def test_queue_update_noop(self):
-        mat = ctl.init_demand_matrix(DemandDistribution((1.0, 2.0), (0.5, 0.5)), 8)
-        out, residual = ctl.apply_queue_update(mat, 0.0, 2.1)
+        mat = np.tile([1.0, 2.0], (8, 1))
+        out, residual = demand.apply_queue_update(mat, 0.0, 2.1)
         np.testing.assert_allclose(out, mat)
         np.testing.assert_allclose(residual, 0.0)
 
     def test_queue_update_single_row_absorbs(self):
         col = np.full(8, 1.0)
-        out, residual = ctl.apply_queue_update(col, 0.7, 2.1)
+        out, residual = demand.apply_queue_update(col, 0.7, 2.1)
         assert out[0] == pytest.approx(1.7)
         np.testing.assert_allclose(out[1:], 1.0)
         assert residual == pytest.approx(0.0)
 
     def test_queue_update_spreads_over_rows(self):
         col = np.full(8, 2.0)
-        out, residual = ctl.apply_queue_update(col, 0.7, 2.1)
+        out, residual = demand.apply_queue_update(col, 0.7, 2.1)
         np.testing.assert_allclose(out[:7], 2.1)
         assert out[7] == pytest.approx(2.0)
         assert residual == pytest.approx(0.0)
@@ -59,7 +45,7 @@ class TestDemandMatrix:
         for _ in range(20):
             col = rng.uniform(0.0, 2.1, 8)
             e = rng.uniform(0.0, 12.0)
-            out, residual = ctl.apply_queue_update(col, e, 2.1)
+            out, residual = demand.apply_queue_update(col, e, 2.1)
             if residual > 1e-12:
                 np.testing.assert_allclose(out, 2.1)
             assert np.all(out <= 2.1 + 1e-12)
@@ -81,28 +67,6 @@ class TestDemandMatrix:
         assert vec[0] == pytest.approx(1.5)
         np.testing.assert_allclose(vec[1:4], 1.0)
         np.testing.assert_allclose(vec[4:], 2.0)
-
-
-class TestRealizedInflow:
-    def test_control_above_demand(self):
-        inflow, queues = ctl.compute_realized_inflow([2.1] * 4, [1.0] * 4)
-        np.testing.assert_allclose(inflow, 1.0)
-        np.testing.assert_allclose(queues, 0.0)
-
-    def test_control_below_demand_builds_queue(self):
-        inflow, queues = ctl.compute_realized_inflow([1.4] * 4, [2.0] * 4)
-        np.testing.assert_allclose(inflow, 1.4)
-        np.testing.assert_allclose(queues, 0.6 * np.arange(1, 5))
-
-    def test_zero_control_accumulates_everything(self):
-        inflow, queues = ctl.compute_realized_inflow([0.0] * 3, [1.5] * 3, queue=1.0)
-        np.testing.assert_allclose(inflow, 0.0)
-        np.testing.assert_allclose(queues, 1.0 + 1.5 * np.arange(1, 4))
-
-    def test_queue_drain(self):
-        inflow, queues = ctl.compute_realized_inflow([2.1] * 3, [1.0] * 3, queue=1.5)
-        np.testing.assert_allclose(inflow, [2.1, 1.4, 1.0])
-        assert queues[-1] == pytest.approx(0.0)
 
 
 class TestSimulator:

@@ -191,94 +191,6 @@ class TestVSLLinearization:
         assert sol_vsl.objective == pytest.approx(sol_static.objective, abs=1e-6)
 
 
-class TestDemandSupply:
-    def build_and_fix(self, link, fd, densities, inflow, outflow, exact=True):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_demand_supply(link, vars, densities, N, T, exact=exact)
-        lp = LinearProgram()
-        for n in range(1, N + 1):
-            lp.add_variable(vars.qin(n), inflow[n - 1], inflow[n - 1])
-            lp.add_variable(vars.qout(n), outflow[n - 1], outflow[n - 1])
-        big = fd.rho_m * link.geometry.length + fd.Q * N * T
-        for n in range(1, N + 1):
-            lp.add_variable(vars.demand_count(n), -big, big)
-            lp.add_variable(vars.demand_flow(n), -big, big)
-            lp.add_variable(vars.supply_count(n), -big, big)
-            lp.add_variable(vars.supply_flow(n), -big, big)
-        for row in rows:
-            for key in row.coeffs:
-                if not lp.has_var(key) and key[0] in ("yL", "yU"):
-                    lp.add_variable(key, kind="binary")
-        for row in rows:
-            lp.add_constraint(row.coeffs, row.sense, row.rhs)
-        sol = solver.branch_and_bound(lp)
-        assert sol.ok
-        return lp, vars, sol
-
-    def test_empty_link_demand_follows_arrivals(self, link, fd, geom):
-        # with the outflow tracking the demand, the sending rate is zero for
-        # the free-flow travel time and capacity afterwards
-        inflow = [fd.Q] * N
-        travel = geom.length / fd.vf  # 2 steps
-        outflow = [0.0 if n * T <= travel else fd.Q for n in range(1, N + 1)]
-        lp, vars, sol = self.build_and_fix(link, fd, [0.0, 0.0], inflow, outflow)
-        for n in range(1, N + 1):
-            D = sol.value(lp, vars.demand_flow(n))
-            expected = 0.0 if n * T <= travel else fd.Q
-            assert D == pytest.approx(expected, abs=1e-6), f"step {n}"
-            # sanity against the analytic sending bound
-            vc = lwr.ValueConditionSet([0.0, 0.0], inflow, outflow, T)
-            bound = lwr.max_exit_count(vc, fd, geom, n * T)
-            assert D * T + np.sum(outflow[: n - 1]) * T <= bound + 1e-6
-
-    def test_jammed_link_supply_blocked_in_horizon(self, link, fd, geom):
-        lp, vars, sol = self.build_and_fix(
-            link, fd, [fd.rho_m, fd.rho_m], [0.0] * N, [0.0] * N
-        )
-        # the backwave needs (xi-chi)/w = 244.9 s to cross; all 8 steps stay 0
-        for n in range(1, N + 1):
-            assert sol.value(lp, vars.supply_flow(n)) == pytest.approx(0.0, abs=1e-6)
-
-    def test_draining_jam_ramps_supply(self, fd):
-        # short link so the backwave crosses within the horizon
-        geom = lwr.LinkGeometry(0.0, 300.0, 2)
-        link = LinkSpec("s", "fd", geom, fd)
-        outflow = [fd.Q] * N
-        lp, vars, sol = self.build_and_fix(
-            link, fd, [fd.rho_m, fd.rho_m], [0.0] * N, outflow
-        )
-        cross = geom.length / -fd.w  # 61.2 s
-        supplies = [sol.value(lp, vars.supply_flow(n)) for n in range(1, N + 1)]
-        for n in range(1, N + 1):
-            if n * T <= cross:
-                assert supplies[n - 1] <= 1e-6
-        assert supplies[-1] > 0.5
-        vc = lwr.ValueConditionSet([fd.rho_m, fd.rho_m], [0.0] * N, outflow, T)
-        for n in range(1, N + 1):
-            bound = lwr.max_entry_count(vc, fd, geom, n * T)
-            assert supplies[n - 1] * T <= bound + 1e-6
-
-    def test_capacity_bounds(self, link, fd, geom):
-        # when the boundary flows follow the link's own sending/receiving
-        # limits (no artificial backlog), demand and supply stay within
-        # capacity
-        rng = np.random.default_rng(17)
-        vc = compatible_vc(
-            fd, geom, rng, desired_in=[fd.Q] * N, desired_out=[fd.Q] * N
-        )
-        lp, vars, sol = self.build_and_fix(
-            link, fd, vc.initial_density, vc.inflow, vc.outflow
-        )
-        for n in range(1, N + 1):
-            assert sol.value(lp, vars.demand_flow(n)) <= fd.Q + 1e-6
-            assert sol.value(lp, vars.supply_flow(n)) <= fd.Q + 1e-6
-
-    def test_inexact_mode_keeps_upper_bounds_only(self, link, fd):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_demand_supply(link, vars, [0.0, 0.0], N, T, exact=False)
-        assert not any(k[0] in ("yL", "yU") for r in rows for k in r.coeffs)
-
-
 class TestChaining:
     def test_time_zero_returns_initial(self, link, fd):
         vc = lwr.ValueConditionSet([0.2, 0.05], [0.0] * N, [0.0] * N, T)

@@ -76,55 +76,53 @@ class TestInitialComponent:
         geom = LinkGeometry(0.0, 600.0, 1)
         vc = ValueConditionSet([0.0], steps(0, 0), steps(0, 0), T)
         # any point downstream of the forward characteristic keeps count 0
-        assert lwr.m_initial(vc, fd, geom, 1, 10.0, 450.0) == pytest.approx(0.0, abs=1e-12)
+        c = lwr.initial_component_expr(fd, geom, vc.initial_density, 1, 10.0, 450.0)
+        assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(0.0, abs=1e-12)
 
     def test_jammed_backward_branch_value(self, fd, geom):
         vc = ValueConditionSet([fd.rho_m, fd.rho_m], steps(*[0] * 8), steps(*[0] * 8), T)
         t = 30.0
         x = t * fd.w + geom.X / 2
-        assert lwr.m_initial(vc, fd, geom, 1, t, x) == pytest.approx(-fd.rho_m * x, abs=1e-9)
+        c = lwr.initial_component_expr(fd, geom, vc.initial_density, 1, t, x)
+        assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(-fd.rho_m * x, abs=1e-9)
 
     def test_outside_cone_is_infinite(self, fd, geom):
-        vc = ValueConditionSet([0.1, 0.1], steps(*[0] * 8), steps(*[0] * 8), T)
-        assert lwr.m_initial(vc, fd, geom, 2, 1.0, 0.0) == math.inf
+        assert lwr.initial_component_expr(fd, geom, [0.1, 0.1], 2, 1.0, 0.0) is None
 
 
 class TestUpstreamComponent:
     def test_boundary_value_is_cumulative_count(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[0] * 8), T)
         for n in range(1, 9):
-            assert lwr.m_upstream(vc, fd, geom, n, n * T, geom.xi) == pytest.approx(
-                2.1 * n * T, abs=1e-9
-            )
+            c = lwr.upstream_component_expr(fd, geom, T, n, n * T, geom.xi)
+            assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(2.1 * n * T, abs=1e-9)
 
     def test_translated_count_along_characteristic(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[0] * 8), T)
         # 20 s of inflow at 2.1 observed 600 m downstream
-        assert lwr.m_upstream(vc, fd, geom, 1, 40.0, geom.xi + 600.0) == pytest.approx(
-            42.0, abs=1e-9
-        )
+        c = lwr.upstream_component_expr(fd, geom, T, 1, 40.0, geom.xi + 600.0)
+        assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(42.0, abs=1e-9)
 
     def test_before_characteristic_infinite(self, fd, geom):
-        vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[0] * 8), T)
-        assert lwr.m_upstream(vc, fd, geom, 1, 5.0, geom.chi) == math.inf
+        assert lwr.upstream_component_expr(fd, geom, T, 1, 5.0, geom.chi) is None
 
 
 class TestDownstreamComponent:
     def test_boundary_value_subtracts_initial_mass(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[1.0] * 8), T)
         for n in (1, 4, 8):
-            assert lwr.m_downstream(vc, fd, geom, n, n * T, geom.chi) == pytest.approx(
-                1.0 * n * T, abs=1e-9
-            )
+            c = lwr.downstream_component_expr(fd, geom, vc.initial_density, T, n, n * T,
+                                              geom.chi)
+            assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(1.0 * n * T, abs=1e-9)
 
     def test_before_backwave_infinite(self, fd, geom):
-        vc = ValueConditionSet([0.1, 0.1], steps(*[0] * 8), steps(*[0.5] * 8), T)
-        assert lwr.m_downstream(vc, fd, geom, 1, 1.0, geom.xi) == math.inf
+        assert lwr.downstream_component_expr(fd, geom, [0.1, 0.1], T, 1, 1.0, geom.xi) is None
 
     def test_blocked_outflow_jam_accumulation(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[0] * 8), T)
-        val = lwr.m_downstream(vc, fd, geom, 5, 100.0, geom.chi - 49.0)
-        assert val == pytest.approx(24.5, abs=1e-9)
+        c = lwr.downstream_component_expr(fd, geom, vc.initial_density, T, 5, 100.0,
+                                          geom.chi - 49.0)
+        assert c.value(fd, vc.inflow, vc.outflow) == pytest.approx(24.5, abs=1e-9)
 
 
 class TestMoskowitz:
@@ -168,35 +166,6 @@ class TestMoskowitz:
             for t in ts:
                 vals = [lwr.moskowitz(vc, fd, geom, t, x) for x in xs]
                 assert all(b <= a + 1e-7 for a, b in zip(vals, vals[1:]))
-
-
-class TestDensityProfile:
-    def test_initial_profile(self, fd, geom):
-        vc = ValueConditionSet([0.12, 0.4], steps(*[0] * 8), steps(*[0] * 8), T)
-        out = lwr.density_profile(vc, fd, geom, 0.0, [100.0, 900.0])
-        assert out == pytest.approx([0.12, 0.4], abs=1e-9)
-
-    def test_stationary_capacity_flow(self, fd, geom):
-        vc = ValueConditionSet(
-            [fd.rho_c, fd.rho_c], steps(*[fd.Q] * 8), steps(*[fd.Q] * 8), T
-        )
-        out = lwr.density_profile(vc, fd, geom, 100.0, np.linspace(50, 1150, 7))
-        assert out == pytest.approx([fd.rho_c] * 7, abs=1e-9)
-
-    def test_blocked_outflow_jams_tail(self, fd, geom):
-        vc = ValueConditionSet([0.05, 0.05], steps(*[2.0] * 8), steps(*[0] * 8), T)
-        out = lwr.density_profile(vc, fd, geom, 150.0, [geom.chi - 10.0])
-        assert out[0] == pytest.approx(fd.rho_m, abs=1e-9)
-
-    def test_bounds(self, fd, geom):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            vc = compatible_vc(fd, geom, rng)
-            out = lwr.density_profile(
-                vc, fd, geom, rng.uniform(0, 8 * T), np.linspace(0, 1200, 9)
-            )
-            assert np.all(out >= -1e-12)
-            assert np.all(out <= fd.rho_m + 1e-12)
 
 
 class TestGodunovOracle:

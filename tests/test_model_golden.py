@@ -3,7 +3,9 @@ case-study models are pinned by sha256.
 
 The digests were recorded from the row-by-row assembly that the sparse link
 templates replaced; equal digests mean the same coefficients, bounds and row
-order bit for bit, so branch and bound takes the same decisions.
+order bit for bit, so branch and bound takes the same decisions.  The MPS
+files carry an ``OBJSENSE``/``MAX`` pair after ``NAME`` so that readers
+maximize.
 """
 
 import hashlib
@@ -23,37 +25,37 @@ GOLDEN = {
     "congested/d-mean": {
         "arrays": "2e67aa42c2fae11b9e19acdb047a98c4ff2c65e13c63a8018d76d5431759ca72",
         "lp": "482b400fc2899e76764017c56099dfb43dec056ac88439b393b8b41162cad147",
-        "mps": "c07f40c4c31e0c6923e3442951830500f2a70a7d3bdc142aee0b6f6d0f5da85d",
+        "mps": "2834c7d10f493d9414d0eba98c79cf7a2f090be030b7845a0d885fdfaa567738",
     },
     "congested/two-stage": {
         "arrays": "ef76a0ff710fb9da48ca08a8def2b6a1db8ee64e4b53bcd605426fd69ddc8583",
         "lp": "b27692cacff4bdd5c182e9d0462920f87f14beca9e1ee0bbaadae7512de9f613",
-        "mps": "ad67e635ce57f74e2df24c463dc4839df778779ddf6f4e2a976058e1b04b3612",
+        "mps": "9ed30733efe3a411eb976deced0a2997bf264cf67268c1ef8f13d04d7ab15881",
     },
     "mixed/d-mean": {
         "arrays": "847ee4f5554bcd1b9c8414cd0581e9f3a23913c4ccb6acf327c75dbe66a42439",
         "lp": "c6c409b42732bd063bc52dd2369168cd325eb01991f2e6a52b9fdea021efd6fb",
-        "mps": "840e6d8821af6876a92d6f551c0be35ecc2dfd12ea11f39c9665ef73cc7d10a5",
+        "mps": "5132a917412d68794495a61df8784e576cc6b3979bec140f2390759e500d2044",
     },
     "mixed/two-stage": {
         "arrays": "3f9639c5a4028a27d8468b0dd732b006f10d1cfd599d380e0e0acd5e5586b47d",
         "lp": "0df4bf46561b028f3a50e5946c38e2c02573ddf19cdbfe0c53faedc49a5ad19e",
-        "mps": "1861d43694f47dd6215b9e46798b7d9c1b2d362b471b7fd3e128c4a6eff763e0",
+        "mps": "80bf117e29511eafc6ab4d91e21bdd2249049c50b0c2f93279104d7f123997d1",
     },
     "mixed/update": {
         "arrays": "bb1252f52256fc7ef90e5f8a0a64ea88f8eb0a604af9b5c6bf19eca78d8b69ba",
         "lp": "c3050703571e7dd4d2090c4163e35ae5d97cf8e7538505e00da1a22143331576",
-        "mps": "6e296a8fe560586494fb349498a762915fba8233672a204f717dc2796a8d06ac",
+        "mps": "7bbb8fbbb6455232bde62127850327c134c19121c71d71ddf5aea504ccd03aa9",
     },
     "zeros/d-mean": {
         "arrays": "634bcc25a2374585bd3b935e1aee9a84b11c0b2a181fe4fa873a733ae7a72ceb",
         "lp": "81d79074dd6d3830cb02b08603248bc86f4266508cfe24ab979a7a1ecdf5b568",
-        "mps": "cc7f319aa8fa571d9016810682845d336735dcce3db43e3de5bd8d5912f175ca",
+        "mps": "3d069121814f4f92aa79a1ab08fcb63b6d8535263e37671b99c180f56d75a49b",
     },
     "zeros/two-stage": {
         "arrays": "f3975de326b1587d6895180979406574331dfa3c675325fa701b2c26bfac5974",
         "lp": "651a0e2e60895a63ffdc6ed3f145436cd703a80a58f1406f44875130ae408397",
-        "mps": "b7ef1b721340471fd4ed1a67f17b6c22fad158abaa286959f00892cc1a2098a3",
+        "mps": "37d69a2426d2704026e4689c2c04b1bc8ebe7efb3db8b47242b5f82c33dcf5db",
     },
 }
 

@@ -114,32 +114,6 @@ class TestMergePriority:
 
 
 class TestSerialJunction:
-    def test_explicit_demand_supply_rows(self, config):
-        # with demand/supply variables supplied, the junction emits the
-        # explicit q <= D and q <= S caps
-        corridor = config.corridor()
-        jn = next(j for j in corridor.junctions if j.incoming == ("M1",))
-        lv = {lid: LinkVariables(corridor.link(lid), N) for lid in ("M1", "M2")}
-        rows = network.build_node_constraints(
-            corridor, jn, lv, N, ds_vars={"M1": True, "M2": True}, T=T
-        )
-        demand_caps = [r for r in rows if "_dem_" in r.name]
-        supply_caps = [r for r in rows if "_sup_" in r.name]
-        assert len(demand_caps) == N and len(supply_caps) == N
-        assert all(lv["M1"].demand_flow(n) in demand_caps[n - 1].coeffs
-                   for n in range(1, N + 1))
-        lp = LinearProgram()
-        for n in range(1, N + 1):
-            lp.add_variable(lv["M1"].qout(n), 0.0, 2.1)
-            lp.add_variable(lv["M2"].qin(n), 0.0, 2.1, obj=1.0)
-            lp.add_variable(lv["M1"].demand_flow(n), 0.9, 0.9)
-            lp.add_variable(lv["M2"].supply_flow(n), 1.5, 1.5)
-        for row in rows:
-            lp.add_constraint(row.coeffs, row.sense, row.rhs)
-        sol = solver.solve_lp_relaxation(lp)
-        # the tighter demand cap binds through conservation
-        assert sol.objective == pytest.approx(0.9 * N, abs=1e-9)
-
     def test_through_flow_reaches_capacity(self, config, fd):
         corridor = config.corridor()
         jn = next(j for j in corridor.junctions if j.incoming == ("M1",))

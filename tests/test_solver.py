@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import solver, twostage
-from corridorflow.lp import BINARY, EQ, GE, LE, LinearProgram
+from corridorflow.lp import BINARY, EQ, GE, GE_CODE, LE, LE_CODE, LinearProgram
 from corridorflow.solver import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -14,11 +16,10 @@ from corridorflow.solver import (
     SolveOptions,
     branch_and_bound,
     export_model,
-    parse_lp_text,
-    parse_mps_text,
     solve_lp_relaxation,
 )
 
+from conftest import read_with_highs
 from test_acceptance import _states_for_certification
 
 
@@ -204,23 +205,46 @@ class TestWarmRelaxation:
             assert sol.objective == lp.objective_value(cold.x)
 
 
-class TestExport:
-    def roundtrip(self, lp, fmt, tmp_path):
-        path = tmp_path / f"model.{fmt}"
-        export_model(lp, path, fmt=fmt)
-        parsed = parse_lp_text(path) if fmt == "lp" else parse_mps_text(path)
-        assert parsed.n_vars == lp.n_vars
-        assert parsed.n_constraints == lp.n_constraints
-        for v, w in zip(lp.variables, parsed.variables):
-            assert v.kind == w.kind
-            assert v.obj == pytest.approx(w.obj, abs=1e-12)
-            assert v.lb == pytest.approx(w.lb) and v.ub == pytest.approx(w.ub)
-        for c, d in zip(lp.constraints, parsed.constraints):
-            assert c.sense == d.sense
-            assert c.rhs == pytest.approx(d.rhs, abs=1e-12)
-            assert c.coeffs == {k: pytest.approx(v) for k, v in d.coeffs.items()}
-        return path
+def assert_reads_back(lp, path):
+    """HiGHS's reader finds ``lp`` in the file at ``path``: maximize, and the
+    costs, bounds, integrality, row bounds and matrix of ``to_arrays()`` and
+    ``row_arrays()`` to 1e-11 relative, with columns matched by their names
+    x<vid>/b<vid> and rows by c<i>."""
+    model = read_with_highs(path).getLp()
+    n, m = lp.n_vars, lp.n_constraints
+    assert model.sense_ == highs_core.ObjSense.kMaximize
+    assert (model.num_col_, model.num_row_) == (n, m)
+    cols = [int(name[1:]) for name in model.col_names_]
+    rows = [int(name[1:]) for name in model.row_names_]
+    assert sorted(cols) == list(range(n)) and sorted(rows) == list(range(m))
+    assert list(model.col_names_) == [
+        ("b" if lp.variables[vid].kind == BINARY else "x") + str(vid) for vid in cols]
+    assert list(model.row_names_) == [f"c{i}" for i in rows]
+    col_pos, row_pos = np.argsort(cols), np.argsort(rows)
 
+    def close(actual, expected):
+        np.testing.assert_allclose(np.asarray(actual, dtype=float), expected,
+                                   rtol=1e-11, atol=0.0)
+
+    c, _, _, _, _, lb, ub = lp.to_arrays()
+    close(np.array(model.col_cost_)[col_pos], c)
+    close(np.array(model.col_lower_)[col_pos], lb)
+    close(np.array(model.col_upper_)[col_pos], ub)
+    integer = [t == highs_core.HighsVarType.kInteger for t in model.integrality_] or [False] * n
+    assert np.array(integer)[col_pos].tolist() == [v.kind == BINARY for v in lp.variables]
+
+    indptr, indices, data, sense, rhs = lp.row_arrays()
+    close(np.array(model.row_lower_)[row_pos], np.where(sense == LE_CODE, -np.inf, rhs))
+    close(np.array(model.row_upper_)[row_pos], np.where(sense == GE_CODE, np.inf, rhs))
+    matrix = model.a_matrix_
+    assert matrix.format_ == highs_core.MatrixFormat.kColwise
+    read = sparse.csc_matrix((matrix.value_, matrix.index_, matrix.start_), shape=(m, n))
+    want = sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+    excess = abs(read[row_pos][:, col_pos] - want) - 1e-11 * abs(want)
+    assert excess.max() <= 0.0
+
+
+class TestExport:
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
     def test_two_variable_roundtrip(self, fmt, tmp_path):
         lp = LinearProgram("tiny")
@@ -229,9 +253,17 @@ class TestExport:
         lp.add_constraint({x: 1.0, b: -2.0}, LE, 3.0)
         lp.add_constraint({x: 0.5, b: 1.0}, GE, 0.25)
         lp.add_constraint({x: 1.0}, EQ, 1.0)
-        path = self.roundtrip(lp, fmt, tmp_path)
-        text = path.read_bytes()
-        assert b"\r" not in text
+        path = tmp_path / f"model.{fmt}"
+        export_model(lp, path, fmt=fmt)
+        assert_reads_back(lp, path)
+        assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    def test_certification_models_read_back(self, fmt, certification_models, tmp_path):
+        for i, lp in enumerate(certification_models):
+            path = tmp_path / f"model{i}.{fmt}"
+            export_model(lp, path, fmt=fmt)
+            assert_reads_back(lp, path)
 
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
     def test_export_bit_reproducible(self, fmt, tmp_path):
@@ -270,6 +302,5 @@ class TestExport:
         assert full.lp.n_vars == n_first + len(dist.levels) * block
         path = tmp_path / "full.lp"
         export_model(full.lp, path, fmt="lp")
-        parsed = parse_lp_text(path)
-        assert parsed.n_vars == full.lp.n_vars
+        assert read_with_highs(path).getLp().num_col_ == full.lp.n_vars
         assert path.read_text().splitlines()[1] == "Maximize"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corridorflow import solver, twostage
+from corridorflow import lwr, solver, twostage
 from corridorflow.twostage import (
     DemandDistribution,
     HorizonState,
@@ -13,6 +13,8 @@ from corridorflow.twostage import (
     entry_capacity,
     objective_breakdown,
 )
+
+from test_acceptance import _states_for_certification
 
 N = 8
 T = 20.0
@@ -196,3 +198,35 @@ class TestObjectiveStructure:
         state = make_state(corridor, densities=0.9)  # above jam density
         with pytest.raises(ValueError):
             build_deterministic_baseline(corridor, state, 1.0, config.weights())
+
+
+class TestStepDemandSupply:
+    def test_solved_flows_within_sending_and_receiving_counts(self, config):
+        # the model states no demand or supply rows: its compatibility rows
+        # must keep every link's cumulative outflow within what the link can
+        # send and its cumulative inflow within what it can receive, checked
+        # here by the simulator's numeric kernel, not the model's templates
+        worst_exit = worst_entry = -np.inf
+        for corridor, state in _states_for_certification(config):
+            for bundle in (
+                build_deterministic_equivalent(corridor, state, config.distribution(),
+                                               config.weights()),
+                build_deterministic_baseline(corridor, state, 2.0, config.weights()),
+            ):
+                sol = solve(bundle)
+                for j in range(len(bundle.scenarios)):
+                    flows = bundle.scenario_flows(sol, j)
+                    for link in corridor.fd_links:
+                        fd = link.fd
+                        if link.is_vsl:
+                            fd = link.fd_for_speed(bundle.selected_speed(sol, link.id, j))
+                        qin, qout = flows[link.id]
+                        vc = lwr.ValueConditionSet(state.densities[link.id], qin, qout,
+                                                   state.T)
+                        for n in range(1, state.n_steps + 1):
+                            t = n * state.T
+                            worst_exit = max(worst_exit, state.T * np.sum(qout[:n])
+                                             - lwr.max_exit_count(vc, fd, link.geometry, t))
+                            worst_entry = max(worst_entry, state.T * np.sum(qin[:n])
+                                              - lwr.max_entry_count(vc, fd, link.geometry, t))
+        assert worst_exit <= 1e-6 and worst_entry <= 1e-6, (worst_exit, worst_entry)
