@@ -51,15 +51,13 @@ def observed_demand_vector(
     observed: float,
     dist: DemandDistribution,
     cfg: HorizonConfig,
-    e: float = 0.0,
-    capacity: float | None = None,
     tail_level: float | None = None,
 ) -> np.ndarray:
     """``demand.observed_demand_vector`` over ``dist``'s levels and ``cfg``'s
     step counts."""
     return demand_ops.observed_demand_vector(
-        observed, dist.levels, dist.probs, cfg.n_project, cfg.n_rolling, e,
-        capacity, tail_level,
+        observed, dist.levels, dist.probs, cfg.n_project, cfg.n_rolling,
+        tail_level,
     )
 
 

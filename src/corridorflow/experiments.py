@@ -124,7 +124,7 @@ class ExperimentConfig:
         vsl_set = SpeedLimitSet(tuple(self.speed_candidates), self.w, self.rho_m)
         for i in range(1, self.n_main_links + 1):
             geom = LinkGeometry((i - 1) * self.link_length, i * self.link_length,
-                                self.segments_per_link, self.lanes)
+                                self.segments_per_link)
             is_vsl = i == self.vsl_link
             links.append(
                 LinkSpec(f"M{i}", FD, geom, fd, is_vsl=is_vsl,

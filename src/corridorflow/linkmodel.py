@@ -111,15 +111,6 @@ class LinRow:
     rhs: float
     name: str = ""
 
-    def evaluate(self, values: dict) -> float:
-        """Signed slack: >= 0 means satisfied for inequality rows."""
-        lhs = sum(c * values[k] for k, c in self.coeffs.items())
-        if self.sense == LE:
-            return self.rhs - lhs
-        if self.sense == GE:
-            return lhs - self.rhs
-        return -abs(lhs - self.rhs)
-
 
 class LinkVariables:
     """Key factory for one link's slice of the model."""

@@ -81,7 +81,6 @@ class LinkGeometry:
     xi: float
     chi: float
     k_max: int
-    lanes: int = 1
 
     def __post_init__(self):
         if self.chi <= self.xi or self.k_max < 1:
@@ -124,15 +123,6 @@ class ValueConditionSet:
     @property
     def n_max(self) -> int:
         return len(self.inflow)
-
-    def validate(self, fd: TriangularFD) -> None:
-        if np.any(self.initial_density < -GUARD_TOL) or np.any(
-            self.initial_density > fd.rho_m + GUARD_TOL
-        ):
-            raise InvalidParameterError("initial densities outside [0, rho_m]")
-        for q in (self.inflow, self.outflow):
-            if np.any(q < -GUARD_TOL) or np.any(q > fd.Q + GUARD_TOL):
-                raise InvalidParameterError("boundary flows outside [0, Q]")
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +283,16 @@ class LaxHopfKernel:
     literal ``+ 0.0`` terms stand for the expressions' zero coefficients
     (``rcvf * Q`` with rcvf = 0, a flow coefficient started from 0.0): they
     turn -0.0 into 0.0 just as the expressions do.
+
+    The head sums and the mass depend only on the period's initial
+    densities, so a caller may extend (or overwrite entries of) ``inflow``
+    and ``outflow`` as steps complete, keeping both lists the same length;
+    ``densities`` and ``fd`` keep the period's initial data.
     """
 
     def __init__(self, vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry):
         rho = vc.initial_density
+        self.densities, self.fd = rho, fd
         self.geom = geom
         self.vf, self.w, self.rho_m = fd.vf, fd.w, fd.rho_m
         self.rho_c, self.Q = fd.rho_c, fd.Q

@@ -73,12 +73,6 @@ class Corridor:
         value, t_start = cap
         return float(value) if t >= t_start else self.link(link_id).capacity
 
-    def upstream_junction(self, link_id: str) -> Junction | None:
-        for jn in self.junctions:
-            if link_id in jn.outgoing:
-                return jn
-        return None
-
 
 class TopologyError(ValueError):
     pass

@@ -1,43 +1,53 @@
 """Closed-loop traffic simulation on the analytic kinematic-wave engine.
 
-The corridor advances one control step at a time: each link's step demand
-and supply come from its boundary-evaluated cumulative-count components,
-junction flows take the greedy min (ramp served first at merges), and the
-realized flows are appended to the link's value conditions.  At period
-boundaries (speed-limit changes, horizon rolls) densities are re-initialized
-from exact per-segment cumulative-count differences, so vehicles are
-conserved to float precision.
+Each link's state for a period is one ``lwr.LaxHopfKernel``: built from the
+period's initial densities and flux law, it keeps the realized boundary
+flows of the period's completed steps.  A step first opens itself by
+appending a zero flow to every kernel's inflow and outflow; each link's step
+demand and supply come from its boundary-evaluated cumulative-count
+components with the open step at zero, junction flows take the greedy min
+(ramp served first at merges), and the realized flows overwrite the open
+step's zeros.  At period boundaries (speed-limit changes, horizon rolls) a
+fresh kernel starts from the exact per-segment cumulative-count differences,
+so vehicles are conserved to float precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import lwr
-from .linkmodel import ENTRY, LinkSpec
+from .linkmodel import ENTRY
 from .network import MERGE, SERIAL, Corridor
 
 
-@dataclass
-class _LinkState:
-    link: LinkSpec
-    fd: lwr.TriangularFD
-    densities: np.ndarray
-    inflows: list = field(default_factory=list)
-    outflows: list = field(default_factory=list)
+def _step_rate(k: lwr.LaxHopfKernel, side: str) -> float:
+    """Largest constant rate the link can send (``side="demand"``) or
+    receive (``"supply"``) over its open step, the last of its flow lists.
 
-    def kernel(self, T: float, pad: int = 0) -> lwr.LaxHopfKernel:
-        """Numeric evaluator of the running period's value conditions, with
-        ``pad`` zero-flow steps appended."""
-        vc = lwr.ValueConditionSet(
-            self.densities,
-            np.array(self.inflows + [0.0] * pad),
-            np.array(self.outflows + [0.0] * pad),
-            T,
-        )
-        return lwr.LaxHopfKernel(vc, self.fd, self.link.geometry)
+    Checked at the step end and at every wave-arrival kink inside the
+    step; a component can turn finite mid-step below the straight
+    boundary line, so step-end checks alone would overdraw.
+    """
+    geom, T = k.geom, k.T
+    edges = geom.segment_edges()
+    n = len(k.inflow)
+    if side == "supply":
+        count_fn, flows = k.max_entry_count, k.inflow
+        kinks = [(geom.xi - e) / k.w for e in edges[:-1]]
+        lag = (geom.xi - geom.chi) / k.w
+    else:
+        count_fn, flows = k.max_exit_count, k.outflow
+        kinks = [(geom.chi - e) / k.vf for e in edges[1:]]
+        lag = geom.length / k.vf
+    kinks += [m * T + lag for m in range(1, n + 1)]
+    cum_prev = float(np.sum(flows[:-1])) * T
+    t_prev = (n - 1) * T
+    t_next = t_prev + T
+    rate = k.Q
+    for t in [t_next] + [t for t in kinks if t_prev < t < t_next]:
+        rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
+    return max(rate, 0.0)
 
 
 class CorridorSimulator:
@@ -54,7 +64,8 @@ class CorridorSimulator:
         self.corridor = corridor
         self.T = T
         self.global_step = 0
-        self.states: dict[str, _LinkState] = {}
+        #: link id -> the running period's kernel
+        self.states: dict[str, lwr.LaxHopfKernel] = {}
         for link in corridor.fd_links:
             dens = np.zeros(link.geometry.k_max)
             if initial_densities and link.id in initial_densities:
@@ -63,7 +74,7 @@ class CorridorSimulator:
             if link.is_vsl:
                 speed = (initial_speeds or {}).get(link.id, max(link.vsl_set.speeds))
                 fd = link.fd_for_speed(speed)
-            self.states[link.id] = _LinkState(link, fd, dens)
+            self.states[link.id] = self._kernel(dens, fd, link.geometry)
         self.queues = {l.id: 0.0 for l in corridor.entry_links}
         if initial_queues:
             self.queues.update({k: float(v) for k, v in initial_queues.items()})
@@ -72,6 +83,11 @@ class CorridorSimulator:
         self.initial_mass = self.stored_mass()
         self.records: list[dict] = []
 
+    def _kernel(self, densities, fd, geom) -> lwr.LaxHopfKernel:
+        """A period's kernel: ``densities`` at its start, no steps yet."""
+        vc = lwr.ValueConditionSet(densities, [], [], self.T)
+        return lwr.LaxHopfKernel(vc, fd, geom)
+
     # -- state inspection ---------------------------------------------------
 
     def active_speed(self, link_id: str) -> float:
@@ -79,67 +95,16 @@ class CorridorSimulator:
 
     def stored_mass(self) -> float:
         total = 0.0
-        for lid, st in self.states.items():
-            total += float(np.sum(self.segment_densities(lid))) * st.link.geometry.X
+        for lid, k in self.states.items():
+            total += float(np.sum(self.segment_densities(lid))) * k.X
         return total
 
     def segment_densities(self, link_id: str) -> np.ndarray:
-        st = self.states[link_id]
-        t_local = len(st.inflows) * self.T
+        k = self.states[link_id]
+        t_local = len(k.inflow) * self.T
         if t_local == 0:
-            return st.densities.copy()
-        return st.kernel(self.T).segment_mean_densities(t_local)
-
-    def _step_rate(self, st: _LinkState, count_fn, cum_prev: float, kinks) -> float:
-        """Largest constant rate sustainable over the coming step.
-
-        Checked at the step end and at every wave-arrival kink inside the
-        step; a component can turn finite mid-step below the straight
-        boundary line, so step-end checks alone would overdraw.
-        """
-        T = self.T
-        t_prev = len(st.inflows) * T
-        t_next = t_prev + T
-        rate = st.fd.Q
-        for t in [t_next] + [t for t in kinks if t_prev < t < t_next]:
-            rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
-        return max(rate, 0.0)
-
-    def _kink_times(self, st: _LinkState, side: str) -> list:
-        geom = st.link.geometry
-        edges = geom.segment_edges()
-        n = len(st.inflows)
-        if side == "supply":
-            kinks = [(geom.xi - e) / st.fd.w for e in edges[:-1]]
-            back = (geom.xi - geom.chi) / st.fd.w
-            kinks += [m * self.T + back for m in range(1, n + 2)]
-        else:
-            kinks = [(geom.chi - e) / st.fd.vf for e in edges[1:]]
-            travel = geom.length / st.fd.vf
-            kinks += [m * self.T + travel for m in range(1, n + 2)]
-        return kinks
-
-    def step_demand(self, link_id: str) -> float:
-        """Sending capability of the link over the coming step."""
-        st = self.states[link_id]
-        already = float(np.sum(st.outflows)) * self.T
-        return self._step_rate(
-            st,
-            st.kernel(self.T, pad=1).max_exit_count,
-            already,
-            self._kink_times(st, "demand"),
-        )
-
-    def step_supply(self, link_id: str) -> float:
-        """Receiving capability of the link over the coming step."""
-        st = self.states[link_id]
-        already = float(np.sum(st.inflows)) * self.T
-        return self._step_rate(
-            st,
-            st.kernel(self.T, pad=1).max_entry_count,
-            already,
-            self._kink_times(st, "supply"),
-        )
+            return k.densities.copy()
+        return k.segment_mean_densities(t_local)
 
     # -- evolution ----------------------------------------------------------
 
@@ -152,8 +117,11 @@ class CorridorSimulator:
         """
         T = self.T
         t_start = self.global_step * T
-        D = {lid: self.step_demand(lid) for lid in self.states}
-        S = {lid: self.step_supply(lid) for lid in self.states}
+        for k in self.states.values():
+            k.inflow.append(0.0)
+            k.outflow.append(0.0)
+        D = {lid: _step_rate(k, "demand") for lid, k in self.states.items()}
+        S = {lid: _step_rate(k, "supply") for lid, k in self.states.items()}
 
         qin: dict[str, float] = {}
         qout: dict[str, float] = {}
@@ -191,9 +159,9 @@ class CorridorSimulator:
             cap = self.corridor.exit_cap(link.id, t_start)
             qout[link.id] = min(D[link.id], cap)
 
-        for lid, st in self.states.items():
-            st.inflows.append(qin.get(lid, 0.0))
-            st.outflows.append(qout.get(lid, 0.0))
+        for lid, k in self.states.items():
+            k.inflow[-1] = qin.get(lid, 0.0)
+            k.outflow[-1] = qout.get(lid, 0.0)
         for link in self.corridor.entry_links:
             arrived = demands.get(link.id, link.demand)
             admitted = qin.get(link.id, 0.0)
@@ -224,18 +192,13 @@ class CorridorSimulator:
         speed limit changes mid-horizon); other links keep their running
         value conditions, which the grid-free solution permits.
         """
-        T = self.T
         chain = set(links) if links is not None else set(self.states)
-        for st in self.states.values():
-            if st.link.id not in chain:
-                continue
-            t_local = len(st.inflows) * T
-            if t_local > 0:
-                st.densities = st.kernel(T).segment_mean_densities(t_local)
-                st.inflows = []
-                st.outflows = []
-            if new_speeds and st.link.id in new_speeds:
-                st.fd = st.link.fd_for_speed(new_speeds[st.link.id])
+        for lid in [lid for lid in self.states if lid in chain]:
+            k = self.states[lid]
+            fd = k.fd
+            if new_speeds and lid in new_speeds:
+                fd = self.corridor.link(lid).fd_for_speed(new_speeds[lid])
+            self.states[lid] = self._kernel(self.segment_densities(lid), fd, k.geom)
 
     def conservation_error(self) -> float:
         """|initial + admitted - stored - exited| in vehicles."""

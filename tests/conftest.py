@@ -14,7 +14,7 @@ def fd():
 
 @pytest.fixture(scope="session")
 def geom():
-    return lwr.LinkGeometry(0.0, 1200.0, 2, lanes=4)
+    return lwr.LinkGeometry(0.0, 1200.0, 2)
 
 
 @pytest.fixture(scope="session")

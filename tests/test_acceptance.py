@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from corridorflow import controller as ctl
-from corridorflow import experiments, linkmodel, lwr, solver, twostage
+from corridorflow import lwr, solver, twostage
 from corridorflow.experiments import (
     case_study,
     distribution_sd,
     run_comparison,
-    sample_demand_stream,
     symmetric_distribution,
 )
 from corridorflow.twostage import DemandDistribution, HorizonState

@@ -3,7 +3,6 @@ import pytest
 
 from corridorflow import controller as ctl
 from corridorflow import demand, experiments
-from corridorflow.controller import HorizonConfig
 from corridorflow.sim import CorridorSimulator
 from corridorflow.twostage import DemandDistribution
 
@@ -20,10 +19,10 @@ def cfg(config):
 
 class TestDemandMatrix:
     def test_queue_update_noop(self):
-        mat = np.tile([1.0, 2.0], (8, 1))
-        out, residual = demand.apply_queue_update(mat, 0.0, 2.1)
-        np.testing.assert_allclose(out, mat)
-        np.testing.assert_allclose(residual, 0.0)
+        col = np.full(8, 1.0)
+        out, residual = demand.apply_queue_update(col, 0.0, 2.1)
+        np.testing.assert_allclose(out, col)
+        assert residual == 0.0
 
     def test_queue_update_single_row_absorbs(self):
         col = np.full(8, 1.0)
@@ -60,12 +59,10 @@ class TestDemandMatrix:
         dist = DemandDistribution.point(1.5)
         np.testing.assert_allclose(ctl.observed_demand_vector(1.5, dist, cfg), 1.5)
 
-    def test_observed_vector_tail_override_and_queue(self, config, cfg):
+    def test_observed_vector_tail_override(self, config, cfg):
         dist = config.distribution()
-        vec = ctl.observed_demand_vector(1.0, dist, cfg, e=0.5, capacity=2.1,
-                                         tail_level=2.0)
-        assert vec[0] == pytest.approx(1.5)
-        np.testing.assert_allclose(vec[1:4], 1.0)
+        vec = ctl.observed_demand_vector(1.0, dist, cfg, tail_level=2.0)
+        np.testing.assert_allclose(vec[:4], 1.0)
         np.testing.assert_allclose(vec[4:], 2.0)
 
 

@@ -14,7 +14,6 @@ from corridorflow.experiments import (
     distribution_sd,
     load_config,
     run_comparison,
-    run_single,
     sample_demand_stream,
     save_config,
     sweep_to_csv,

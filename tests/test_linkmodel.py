@@ -22,12 +22,13 @@ def vsl_link(fd, geom):
     return LinkSpec("v", "fd", geom, fd, is_vsl=True, vsl_set=sls)
 
 
-def flow_values(vars, inflow, outflow):
-    values = {}
+def flow_point(lp, vars, inflow, outflow):
+    """The point of ``lp`` with the given per-step boundary flows."""
+    x = np.zeros(len(lp.variables))
     for n in range(1, len(inflow) + 1):
-        values[vars.qin(n)] = inflow[n - 1]
-        values[vars.qout(n)] = outflow[n - 1]
-    return values
+        x[lp.var_id(vars.qin(n))] = inflow[n - 1]
+        x[lp.var_id(vars.qout(n))] = outflow[n - 1]
+    return x
 
 
 def lp_with_rows(rows, vars, fd, objective=None, fix=None):
@@ -60,21 +61,21 @@ class TestCompatibilityRows:
         rows = linkmodel.build_compatibility(
             link, vars, [fd.rho_c, fd.rho_c], N, T
         )
-        values = flow_values(vars, [fd.Q] * N, [fd.Q] * N)
-        assert min(r.evaluate(values) for r in rows) >= -1e-9
+        lp = lp_with_rows(rows, vars, fd)
+        x = flow_point(lp, vars, [fd.Q] * N, [fd.Q] * N)
+        assert lp.max_violation(x) <= 1e-9
 
     def test_empty_link_requires_travel_time_before_outflow(self, link, fd):
         vars = LinkVariables(link, N)
         rows = linkmodel.build_compatibility(link, vars, [0.0, 0.0], N, T)
         # outflow at capacity from the start exits vehicles that are not
         # there yet; the causality row fails by exactly 2 steps of capacity
-        values = flow_values(vars, [fd.Q] * N, [fd.Q] * N)
-        assert min(r.evaluate(values) for r in rows) == pytest.approx(
-            -2 * fd.Q * T, abs=1e-9
-        )
+        lp = lp_with_rows(rows, vars, fd)
+        x = flow_point(lp, vars, [fd.Q] * N, [fd.Q] * N)
+        assert lp.max_violation(x) == pytest.approx(2 * fd.Q * T, abs=1e-9)
         # delaying the outflow by the travel time makes everything feasible
-        values = flow_values(vars, [fd.Q] * N, [0.0, 0.0] + [fd.Q] * (N - 2))
-        assert min(r.evaluate(values) for r in rows) >= -1e-9
+        x = flow_point(lp, vars, [fd.Q] * N, [0.0, 0.0] + [fd.Q] * (N - 2))
+        assert lp.max_violation(x) <= 1e-9
 
     def test_jammed_link_blocks_inflow(self, link, fd):
         vars = LinkVariables(link, N)

@@ -1,12 +1,11 @@
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from corridorflow import network, solver
-from corridorflow.linkmodel import ENTRY, FD, LinkSpec, LinkVariables, SpeedLimitSet
+from corridorflow.linkmodel import ENTRY, FD, LinkSpec, LinkVariables
 from corridorflow.lp import LinearProgram
-from corridorflow.lwr import LinkGeometry, TriangularFD
+from corridorflow.lwr import LinkGeometry
 from corridorflow.network import MERGE, SERIAL, Corridor, Junction
 
 N = 8

@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 
+from corridorflow import lwr
 from corridorflow.sim import CorridorSimulator
 
 GOLDEN = "319f3ff7b601ac648fcd726aa54fd7846b7f82aa7f9acb9bc0cdc5373baaa108"
@@ -62,3 +63,18 @@ def test_replay_records_match_golden_digest(config):
     assert len(sim.records) == 3 * config.n_project
     assert sim.conservation_error() < 1e-9
     assert records_digest(sim.records) == GOLDEN
+
+
+def test_replay_builds_one_kernel_per_link_and_period(config, monkeypatch):
+    built = []
+
+    class CountingKernel(lwr.LaxHopfKernel):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lwr, "LaxHopfKernel", CountingKernel)
+    seeded_replay(config)
+    # 4 links at the start, then per horizon 1 at the mid-period M3 switch
+    # and 4 at the horizon end
+    assert len(built) == 4 + 3 * (1 + 4)

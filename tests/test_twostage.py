@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corridorflow import lwr, solver, twostage
+from corridorflow import lwr, solver
 from corridorflow.twostage import (
     DemandDistribution,
     HorizonState,
