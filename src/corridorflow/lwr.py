@@ -85,6 +85,11 @@ class LinkGeometry:
     def __post_init__(self):
         if self.chi <= self.xi or self.k_max < 1:
             raise InvalidParameterError("need chi > xi and k_max >= 1")
+        # not a field: equality and hashing (linkmodel's caches key on the
+        # geometry) see xi, chi and k_max only
+        edges = self.xi + self.X * np.arange(self.k_max + 1)
+        edges.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def X(self) -> float:
@@ -95,7 +100,8 @@ class LinkGeometry:
         return self.chi - self.xi
 
     def segment_edges(self) -> np.ndarray:
-        return self.xi + self.X * np.arange(self.k_max + 1)
+        """The k_max + 1 segment edges, computed once; the array is read-only."""
+        return self._edges
 
 
 @dataclass

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import BINARY, EQ_CODE, GE_CODE, LE_CODE, LinearProgram
+from .lp import BINARY, GE_CODE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -285,98 +285,97 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 # -- model file export ------------------------------------------------------
 
 
-def _var_names(lp: LinearProgram) -> list[str]:
-    return [("b" if v.kind == BINARY else "x") + str(v.vid) for v in lp.variables]
+def _texts(values, fmt) -> np.ndarray:
+    """fmt(v) of each value as an object array; fmt runs once per distinct bit pattern."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)[inverse.ravel()]
 
 
-def _num(v: float) -> str:
-    return f"{v:.12g}"
+def _lp_coef(v: float) -> str:
+    """An LP term's coefficient with its glue, such as ' - 2.5 '."""
+    return f" {'+' if v >= 0 else '-'} {abs(v):.12g} "
 
 
-def _nums(values) -> list[str]:
-    """_num of each value, formatting every distinct float (by bit pattern,
-    so -0.0 stays apart from 0.0) once."""
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_num(v) for v in bits.view(float).tolist()]
-    return [text[i] for i in inverse.ravel().tolist()]
+def _scatter(indptr, heads, entries, tails) -> str:
+    """Rows of pieces joined: row i is its heads, the pieces of each of its
+    entries indptr[i]:indptr[i + 1] in turn, then its tails.  A piece is an
+    array over rows (heads, tails) or entries, or a string."""
+    h, k, per_row = len(heads), len(entries), len(heads) + len(tails)
+    counts = np.diff(indptr)
+    first = indptr[:-1] * k + np.arange(len(counts)) * per_row
+    out = np.empty(len(counts) * per_row + indptr[-1] * k, dtype=object)
+    at = np.repeat(first + h - indptr[:-1] * k, counts) + np.arange(indptr[-1]) * k
+    for start, pieces in ((first, heads), (at, entries), (first + h + counts * k, tails)):
+        for p, piece in enumerate(pieces):
+            out[start + p] = piece
+    return "".join(out.tolist())
 
 
-def _signed_terms(coefs, names) -> list[str]:
-    """LP-format terms such as ' - 2.5 x3'."""
-    signs = np.where(np.asarray(coefs) >= 0, "+", "-").tolist()
-    return [f" {s} {t} {n}" for s, t, n in zip(signs, _nums(np.abs(coefs)), names)]
+def _interleave(*columns) -> str:
+    """Equally long columns of pieces (a string is a constant one) joined row by row."""
+    out = np.empty((np.broadcast(*columns).size, len(columns)), dtype=object)
+    for p, column in enumerate(columns):
+        out[:, p] = column
+    return "".join(out.ravel().tolist())
+
+
+def _columns(lp: LinearProgram):
+    """Names (x<vid>, b<vid> for a binary), binary mask, costs and bounds of the columns."""
+    vs = lp.variables
+    names = np.array([("b" if v.kind == BINARY else "x") + str(v.vid) for v in vs], dtype=object)
+    cost, lb, ub = np.array([[v.obj for v in vs], [v.lb for v in vs], [v.ub for v in vs]])
+    return names, np.array([v.kind == BINARY for v in vs], dtype=bool), cost, lb, ub
 
 
 def _write_lp_text(lp: LinearProgram) -> str:
-    names = _var_names(lp)
-    lines = ["\\ " + lp.name, "Maximize", " obj:"]
-    objective = [v for v in lp.variables if v.obj != 0.0]
-    lines[-1] += "".join(_signed_terms([v.obj for v in objective],
-                                       [names[v.vid] for v in objective])) or " 0 x0"
-    lines.append("Subject To")
+    names, binary, cost, lb, ub = _columns(lp)
     indptr, indices, data, sense, rhs = lp.row_arrays()
-    terms = _signed_terms(data, [names[c] for c in indices.tolist()])
-    bounds = indptr.tolist()
-    ops = {LE_CODE: "<=", GE_CODE: ">=", EQ_CODE: "="}
-    for i, (lo, hi, code, b) in enumerate(zip(bounds, bounds[1:], sense.tolist(), _nums(rhs))):
-        lines.append(f" c{i}:{''.join(terms[lo:hi])} {ops[code]} {b}")
-    lines.append("Bounds")
-    for v, name in zip(lp.variables, names):
-        lo = "-inf" if v.lb == -math.inf else _num(v.lb)
-        hi = "+inf" if v.ub == math.inf else _num(v.ub)
-        lines.append(f" {lo} <= {name} <= {hi}")
-    bins = [name for v, name in zip(lp.variables, names) if v.kind == BINARY]
-    if bins:
-        lines.append("Binary")
-        lines.append(" " + " ".join(bins))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    objective = (_interleave(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
+                 or _interleave(" 0 ", names[:1]))
+    ops = np.array([" <= ", " >= ", " = "], dtype=object)  # by sense code
+    rows = _scatter(indptr, [[f"\n c{i}:" for i in range(len(sense))]],
+                    [_texts(data, _lp_coef), names[indices]],
+                    [ops[sense], _texts(rhs, "{:.12g}".format)])
+    bounds = _interleave(_texts(lb, "\n {:.12g} <= ".format), names, _texts(
+        ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
+    binaries = "\nBinary\n " + " ".join(names[binary].tolist()) if binary.any() else ""
+    return "".join(["\\ ", lp.name, "\nMaximize\n obj:", objective, "\nSubject To", rows,
+                    "\nBounds", bounds, binaries, "\nEnd\n"])
 
 
 def _write_mps_text(lp: LinearProgram) -> str:
-    names = _var_names(lp)
-    lines = [f"NAME          {lp.name}", "OBJSENSE", "    MAX", "ROWS", " N  obj"]
+    names, binary, cost, lb, ub = _columns(lp)
     indptr, indices, data, sense, rhs = lp.row_arrays()
-    tags = {LE_CODE: "L", GE_CODE: "G", EQ_CODE: "E"}
-    lines += [f" {tags[code]}  c{i}" for i, code in enumerate(sense.tolist())]
-    lines.append("COLUMNS")
+    rows = np.array([f"c{i}" for i in range(len(sense))], dtype=object)
+    tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
     # column-major entries, rows ascending within each column
-    by_col = sparse.csr_matrix((data, indices, indptr),
-                               shape=(len(sense), lp.n_vars)).tocsc()
-    rows, texts, bounds = by_col.indices.tolist(), _nums(by_col.data), by_col.indptr.tolist()
-    for v, name, lo, hi in zip(lp.variables, names, bounds, bounds[1:]):
-        if v.kind == BINARY:
-            lines.append(f"    MARKER    'MARKER'    'INTORG'")
-        if v.obj != 0.0:
-            lines.append(f"    {name}  obj  {_num(v.obj)}")
-        lines += [f"    {name}  c{r}  {t}" for r, t in zip(rows[lo:hi], texts[lo:hi])]
-        if v.obj == 0.0 and lo == hi:
-            lines.append(f"    {name}  obj  0")
-        if v.kind == BINARY:
-            lines.append(f"    MARKER    'MARKER'    'INTEND'")
-    lines.append("RHS")
-    lines += [f"    RHS  c{i}  {b}" for i, b in enumerate(_nums(rhs))]
-    lines.append("BOUNDS")
-    for v, name in zip(lp.variables, names):
-        if v.lb == -math.inf:
-            lines.append(f" MI BND  {name}")
-        elif v.lb != 0.0:
-            lines.append(f" LO BND  {name}  {_num(v.lb)}")
-        if v.ub != math.inf:
-            lines.append(f" UP BND  {name}  {_num(v.ub)}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    by_col = sparse.csr_matrix((data, indices, indptr), shape=(len(sense), lp.n_vars)).tocsc()
+    counts = np.diff(by_col.indptr)
+    line = "\n    " + names + "  "
+    columns = _scatter(
+        by_col.indptr,
+        [np.where(binary, "\n    MARKER    'MARKER'    'INTORG'", ""),
+         np.where(cost != 0.0, line + _texts(cost, "obj  {:.12g}".format), "")],
+        [np.repeat(line, counts), rows[by_col.indices], _texts(by_col.data, "  {:.12g}".format)],
+        [np.where((cost == 0.0) & (counts == 0), line + "obj  0", ""),
+         np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
+    free, lower, upper = lb == -math.inf, (lb != 0.0) & (lb != -math.inf), ub != math.inf
+    bounds = _interleave(np.where(free, "\n MI BND  ", np.where(lower, "\n LO BND  ", "")),
+                         np.where(free | lower, names, ""),
+                         np.where(lower, _texts(lb, "  {:.12g}".format), ""),
+                         np.where(upper, "\n UP BND  ", ""), np.where(upper, names, ""),
+                         np.where(upper, _texts(ub, "  {:.12g}".format), ""))
+    return "".join(["NAME          ", lp.name, "\nOBJSENSE\n    MAX\nROWS\n N  obj",
+                    _interleave(tags[sense], rows), "\nCOLUMNS", columns, "\nRHS",
+                    _interleave("\n    RHS  ", rows, _texts(rhs, "  {:.12g}".format)),
+                    "\nBOUNDS", bounds, "\nENDATA\n"])
 
 
 def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:
     """Write the model as UTF-8 text with LF endings; fmt is 'lp' or 'mps'."""
-    if fmt == "lp":
-        text = _write_lp_text(lp)
-    elif fmt == "mps":
-        text = _write_mps_text(lp)
-    else:
+    if fmt not in ("lp", "mps"):
         raise ValueError(f"unknown format {fmt!r}")
+    text = _write_lp_text(lp) if fmt == "lp" else _write_mps_text(lp)
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -240,6 +240,23 @@ class TestGodunovOracle:
         )
 
 
+class TestLinkGeometry:
+    @pytest.mark.parametrize("xi, chi, k_max", [(0.0, 1200.0, 2), (300.0, 1300.0, 7),
+                                                (-250.0, 350.0, 3)])
+    def test_segment_edges_computed_once_and_read_only(self, xi, chi, k_max):
+        geom = LinkGeometry(xi, chi, k_max)
+        edges = geom.segment_edges()
+        assert edges is geom.segment_edges()
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError):
+            edges[0] = 1.0
+        assert edges.tobytes() == (xi + geom.X * np.arange(k_max + 1)).tobytes()
+        # the cached array is no field: linkmodel's caches key on the fields
+        twin = LinkGeometry(xi, chi, k_max)
+        assert twin == geom and hash(twin) == hash(geom)
+        assert repr(geom) == f"LinkGeometry(xi={xi!r}, chi={chi!r}, k_max={k_max!r})"
+
+
 class TestSegmentMeans:
     def test_resolution_invariance_and_conservation(self, fd, geom):
         rng = np.random.default_rng(9)
