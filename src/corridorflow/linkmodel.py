@@ -110,6 +110,8 @@ class LinRow:
     sense: str
     rhs: float
     name: str = ""
+    #: entry link whose backlog at the horizon start adds to ``rhs``
+    backlog: str | None = None
 
 
 class LinkVariables:
@@ -291,7 +293,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _pack(rows: list, keys: list):
+def pack_rows(rows: list, keys: list):
     """CSR (indptr, indices, data) of coefficient dicts over ``keys``, each
     row's entries in column order."""
     col = {key: i for i, key in enumerate(keys)}
@@ -327,7 +329,7 @@ class CompatTemplate:
         self.keys = [key for n in range(1, n_max + 1) for key in (vars.qin(n), vars.qout(n))]
         rows = _compat_rows(fd, geom, vars, n_max, T)
         live = [row for row in rows if row[0]]
-        self.indptr, self.indices, self.data = _pack([row[0] for row in live], self.keys)
+        self.indptr, self.indices, self.data = pack_rows([row[0] for row in live], self.keys)
         self.names = [row[1] for row in live]
         self.matrix = sparse.csr_matrix((self.data, self.indices, self.indptr),
                                         shape=(len(live), len(self.keys)))
@@ -343,12 +345,15 @@ class CompatTemplate:
             return np.array([t[1:] if t[0] == kind else (0.0,) * width for t in terms],
                             dtype=float).reshape(-1, width).T
 
-        self._kind = np.array([t[0] for t in terms], dtype=int)
+        kind = np.array([t[0] for t in terms], dtype=int)
+        self._initial, self._outflowing = (np.flatnonzero(kind == _INITIAL),
+                                           np.flatnonzero(kind == _OUTFLOW))
+        self._dead = np.flatnonzero(~self._live)
         (self._fixed,) = params(_FIXED, 1)
-        seg, *initial = params(_INITIAL, 7)
+        seg, *initial = params(_INITIAL, 7)[:, self._initial]
         self._seg = seg.astype(int)
         self._free, self._congested = np.array(initial[:3]), np.array(initial[3:])
-        self._outflow = params(_OUTFLOW, 2)
+        self._outflow = params(_OUTFLOW, 2)[:, self._outflowing]
 
     def row_coeffs(self) -> list[dict]:
         """The rows of A as dicts over ``keys``."""
@@ -366,14 +371,14 @@ class CompatTemplate:
         head = np.array([-float(np.sum(rho[:k])) * X for k in range(len(rho))])
         rk = rho[self._seg]
         P, C, D = np.where(rk <= self.fd.rho_c + GUARD_TOL, self._free, self._congested)
-        initial = (((head[self._seg] + rk * P) + C) - D) + 0.0
+        const = self._fixed.copy()
+        const[self._initial] = (((head[self._seg] + rk * P) + C) - D) + 0.0
         R, F = self._outflow
-        const = np.select([self._kind == _INITIAL, self._kind == _OUTFLOW],
-                          [initial, (neg_mass - R) + F], self._fixed)
+        const[self._outflowing] = (neg_mass - R) + F
         b = np.where(self._downstream, neg_mass, 0.0) - const
-        violated = ~self._live & (b > 1e-9)
-        if violated.any():
-            name = self._all_names[int(np.argmax(violated))]
+        violated = self._dead[b[self._dead] > 1e-9]
+        if violated.size:
+            name = self._all_names[violated[0]]
             raise ValueError(f"constant compatibility row violated: {name}")
         return b[self._live]
 
@@ -473,7 +478,7 @@ class BlockTemplate:
             names.append(row.name)
 
         keys = [c[0] for c in self.columns]
-        self.indptr, self.indices, self.data = _pack([r[0] for r in rows], keys)
+        self.indptr, self.indices, self.data = pack_rows([r[0] for r in rows], keys)
         self.names = names
         self.sense = _read_only(np.array([sense_code(r[1]) for r in rows], dtype=np.int8))
         self.rhs = _read_only(np.array([r[2] for r in rows], dtype=float))

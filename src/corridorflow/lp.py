@@ -5,10 +5,13 @@ arbitrary hashable key, so models built from the same inputs always number
 their columns identically (needed for reproducible solves and exports).
 The objective sense is always maximize.
 
-Rows are kept in one sparse form: blocks of CSR rows (column indices sorted
-within each row) with a sense code and a right-hand side per row.  Single
-rows come in through ``add_constraint``; whole blocks, such as a link's
-templated rows, through ``add_rows``.
+Columns are held as arrays: keys, costs, bounds and a binary mask, filled in
+bulk by ``add_columns`` (the control models come from a cached template) or
+one at a time by ``add_variable``.  Rows are kept in one sparse form: blocks
+of CSR rows (column indices sorted within each row) with a sense code and a
+right-hand side per row.  Single rows come in through ``add_constraint``;
+whole blocks through ``add_rows``.  ``variables`` and ``constraints`` are
+read-only views rebuilt on each access.
 """
 
 from __future__ import annotations
@@ -62,10 +65,37 @@ class RowBlock(NamedTuple):
         return len(self.indptr) - 1
 
 
+def stack_rows(blocks) -> RowBlock:
+    """The rows of ``blocks``, one block after another, as one block."""
+    ends = np.cumsum([0] + [len(b.indices) for b in blocks[:-1]])
+    return RowBlock(
+        np.concatenate([[0]] + [b.indptr[1:] + e for b, e in zip(blocks, ends)]),
+        np.concatenate([np.zeros(0, np.int64)] + [b.indices for b in blocks]),
+        np.concatenate([np.zeros(0)] + [b.data for b in blocks]),
+        np.concatenate([np.zeros(0, np.int8)] + [b.sense for b in blocks]),
+        np.concatenate([np.zeros(0)] + [b.rhs for b in blocks]),
+    )
+
+
 def sense_code(sense: str) -> int:
     if sense not in SENSES:
         raise ValueError(f"bad sense {sense!r}")
     return SENSES.index(sense)
+
+
+class Columns(NamedTuple):
+    """Every column's cost, bounds and binary flag, in id order."""
+
+    obj: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 class LinearProgram:
@@ -73,8 +103,9 @@ class LinearProgram:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
-        self._by_key: dict = {}
+        self._keys: list = []
+        self._by_key: dict | None = {}  # key -> id, rebuilt on demand after add_columns
+        self._cols = Columns(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))
         self._blocks: list[RowBlock] = []
         # rows from add_constraint since the last block: nnz, cols, vals, sense, rhs
         self._loose = ([], [], [], [], [])
@@ -87,35 +118,61 @@ class LinearProgram:
     def add_variable(self, key=None, lb=0.0, ub=np.inf, kind=CONTINUOUS, obj=0.0) -> int:
         if kind == BINARY:
             lb, ub = max(lb, 0.0), min(ub, 1.0)
-        vid = len(self.variables)
+        vid = self.n_vars
         if key is None:
             key = vid
         elif isinstance(key, int):
             raise ValueError("explicit integer keys are reserved for variable ids")
-        if key in self._by_key:
+        index = self._index()
+        if key in index:
             raise ValueError(f"duplicate variable key {key!r}")
-        self.variables.append(Variable(vid, key, float(lb), float(ub), kind, float(obj)))
-        self._by_key[key] = vid
-        self._arrays = None
+        self._extend([key], [float(obj)], [float(lb)], [float(ub)], [kind == BINARY])
+        index[key] = vid
         return vid
 
+    def add_columns(self, keys, obj, lb, ub, binary) -> int:
+        """Append columns in bulk: their keys (new and distinct, not integers)
+        and arrays of costs, bounds and binary flags.  Returns the first new
+        column's id."""
+        first = self.n_vars
+        self._extend(keys, obj, lb, ub, binary)
+        self._by_key = None
+        return first
+
+    def _extend(self, keys, obj, lb, ub, binary):
+        self._keys += keys
+        self._cols = Columns(*(np.concatenate((old, new)) for old, new in
+                               zip(self._cols, (obj, lb, ub, binary))))
+        self._arrays = None
+
+    def _index(self) -> dict:
+        if self._by_key is None:
+            self._by_key = {key: vid for vid, key in enumerate(self._keys)}
+            if len(self._by_key) != len(self._keys):
+                raise ValueError("duplicate variable key")
+        return self._by_key
+
     def var_id(self, key) -> int:
-        return self._by_key[key]
+        return self._index()[key]
 
     def has_var(self, key) -> bool:
-        return key in self._by_key
+        return key in self._index()
+
+    def key(self, vid: int):
+        return self._keys[vid]
 
     def set_objective_coeff(self, key, coef, accumulate=True):
-        v = self.variables[self._key_or_id(key)]
-        v.obj = v.obj + coef if accumulate else coef
+        vid = self._key_or_id(key)
+        obj = self._cols.obj
+        obj[vid] = obj[vid] + coef if accumulate else coef
         self._arrays = None
 
     def set_bounds(self, key, lb=None, ub=None):
-        v = self.variables[self._key_or_id(key)]
+        vid = self._key_or_id(key)
         if lb is not None:
-            v.lb = float(lb)
+            self._cols.lb[vid] = float(lb)
         if ub is not None:
-            v.ub = float(ub)
+            self._cols.ub[vid] = float(ub)
         self._arrays = None
 
     def add_constraint(self, coeffs: dict, sense: str, rhs: float) -> int:
@@ -175,16 +232,27 @@ class LinearProgram:
 
     def _key_or_id(self, key) -> int:
         if isinstance(key, int) and not isinstance(key, bool):
-            if not 0 <= key < len(self.variables):
+            if not 0 <= key < self.n_vars:
                 raise KeyError(f"variable id {key} out of range")
             return key
-        return self._by_key[key]
+        return self._index()[key]
 
     # -- views -------------------------------------------------------------
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self._keys)
+
+    @property
+    def variables(self) -> list[Variable]:
+        """The columns as Variable records, rebuilt on each access."""
+        obj, lb, ub, binary = (a.tolist() for a in self._cols)
+        return [Variable(vid, key, lo, hi, BINARY if b else CONTINUOUS, c)
+                for vid, (key, c, lo, hi, b) in enumerate(zip(self._keys, obj, lb, ub, binary))]
+
+    def column_arrays(self) -> Columns:
+        """Every column's cost, bounds and binary flag as read-only arrays."""
+        return Columns(*map(_frozen, self._cols))
 
     @property
     def n_constraints(self) -> int:
@@ -202,7 +270,7 @@ class LinearProgram:
         ]
 
     def binary_ids(self) -> list[int]:
-        return [v.vid for v in self.variables if v.kind == BINARY]
+        return np.flatnonzero(self._cols.binary).tolist()
 
     def objective_value(self, x) -> float:
         c, *_ = self.to_arrays()
@@ -213,14 +281,7 @@ class LinearProgram:
         if self._rows is None:
             self._flush()
             blocks = self._blocks
-            ends = np.cumsum([0] + [len(b.indices) for b in blocks[:-1]])
-            self._rows = RowBlock(
-                np.concatenate([[0]] + [b.indptr[1:] + e for b, e in zip(blocks, ends)]),
-                np.concatenate([np.zeros(0, np.int64)] + [b.indices for b in blocks]),
-                np.concatenate([np.zeros(0)] + [b.data for b in blocks]),
-                np.concatenate([np.zeros(0, np.int8)] + [b.sense for b in blocks]),
-                np.concatenate([np.zeros(0)] + [b.rhs for b in blocks]),
-            )
+            self._rows = blocks[0] if len(blocks) == 1 else stack_rows(blocks)
             self._blocks = [self._rows]
         return self._rows
 
@@ -229,9 +290,7 @@ class LinearProgram:
         if self._arrays is not None:
             return self._arrays
         n = self.n_vars
-        c = np.array([v.obj for v in self.variables])
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
+        c, lb, ub = (a.copy() for a in self._cols[:3])
 
         indptr, indices, data, sense, rhs = self.row_arrays()
         sign = np.where(sense == GE_CODE, -1.0, 1.0)

@@ -143,7 +143,6 @@ def build_node_constraints(
     junction: Junction,
     link_vars: dict,
     n_max: int,
-    ramp_queues: dict | None = None,
     T: float = 1.0,
 ) -> list[LinRow]:
     """Flow coupling rows for one junction.
@@ -152,7 +151,9 @@ def build_node_constraints(
     conserve and the ramp is served before the mainline; binary ("merge", id,
     n) switches to the supply-limited regime where the mainline yields.
     Demand and supply caps are implied by the links' compatibility rows and
-    conservation, so no junction row states them.
+    conservation, so no junction row states them.  The ramp rows' right-hand
+    sides count arrivals only; the ramp's backlog at the horizon start adds to
+    them (``LinRow.backlog`` names the ramp).
     """
     rows: list[LinRow] = []
     down_id = junction.outgoing[0]
@@ -183,7 +184,6 @@ def build_node_constraints(
     main_id = next(i for i in junction.incoming if i != ramp_id)
     ramp = corridor.link(ramp_id)
     ramp_vars: LinkVariables = link_vars[ramp_id]
-    queue0 = (ramp_queues or {}).get(ramp_id, 0.0)
     big_m = merge_big_m(corridor, junction, n_max, T)
     main_cap = corridor.link(main_id).capacity
 
@@ -198,7 +198,7 @@ def build_node_constraints(
         # ramp availability: cumulative admissions capped by arrivals + backlog
         coeffs = {ramp_vars.qin(i): 1.0 for i in range(1, n + 1)}
         rows.append(
-            LinRow(coeffs, LE, ramp.demand * n + queue0, f"{junction.id}_ramp_avail_{n}")
+            LinRow(coeffs, LE, ramp.demand * n, f"{junction.id}_ramp_avail_{n}", ramp_id)
         )
         # ramp served first: demand-limited unless flagged supply-limited,
         # in which case the mainline yields the junction entirely
@@ -206,7 +206,7 @@ def build_node_constraints(
         coeffs = {ramp_vars.qin(i): 1.0 for i in range(1, n + 1)}
         coeffs[z] = big_m
         rows.append(
-            LinRow(coeffs, GE, ramp.demand * n + queue0, f"{junction.id}_ramp_full_{n}")
+            LinRow(coeffs, GE, ramp.demand * n, f"{junction.id}_ramp_full_{n}", ramp_id)
         )
         rows.append(
             LinRow({out_key(main_id, n): 1.0, z: main_cap}, LE, main_cap,

@@ -16,6 +16,7 @@ returned solution does not depend on the path of warm starts.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -26,7 +27,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import BINARY, GE_CODE, LE_CODE, LinearProgram
+from .lp import GE_CODE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -184,8 +185,9 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         lb = lb0.copy()
         ub = ub0.copy()
         usable = True
+        binary = lp.column_arrays().binary
         for vid, val in warm_binaries.items():
-            if lp.variables[vid].kind != BINARY:
+            if not binary[vid]:
                 usable = False
                 break
             lb[vid] = ub[vid] = float(round(val))
@@ -286,9 +288,28 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 
 
 def _texts(values, fmt) -> np.ndarray:
-    """fmt(v) of each value as an object array; fmt runs once per distinct bit pattern."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    return np.array([fmt(v) for v in bits.view(float).tolist()], dtype=object)[inverse.ravel()]
+    """fmt(v) of each value as an object array; fmt runs once per distinct bit
+    pattern (so -0.0 and 0.0 stay apart)."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    order = np.sort(bits)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = order[1:] != order[:-1]
+    distinct = order[first]
+    texts = np.array([fmt(v) for v in distinct.view(float).tolist()], dtype=object)
+    return texts[np.searchsorted(distinct, bits)]
+
+
+@functools.lru_cache(maxsize=None)
+def _names_upto(size: int, prefix: str, suffix: str) -> np.ndarray:
+    names = np.array([f"{prefix}{i}{suffix}" for i in range(size)], dtype=object)
+    names.setflags(write=False)
+    return names
+
+
+def _numbered(n: int, prefix: str = "", suffix: str = "") -> np.ndarray:
+    """prefix + str(i) + suffix for i in range(n): a slice of a cached array
+    whose size is the next power of two, so each size class is built once."""
+    return _names_upto(1 << max(n - 1, 0).bit_length(), prefix, suffix)[:n]
 
 
 def _lp_coef(v: float) -> str:
@@ -321,10 +342,9 @@ def _interleave(*columns) -> str:
 
 def _columns(lp: LinearProgram):
     """Names (x<vid>, b<vid> for a binary), binary mask, costs and bounds of the columns."""
-    vs = lp.variables
-    names = np.array([("b" if v.kind == BINARY else "x") + str(v.vid) for v in vs], dtype=object)
-    cost, lb, ub = np.array([[v.obj for v in vs], [v.lb for v in vs], [v.ub for v in vs]])
-    return names, np.array([v.kind == BINARY for v in vs], dtype=bool), cost, lb, ub
+    cost, lb, ub, binary = lp.column_arrays()
+    names = np.where(binary, "b", "x").astype(object) + _numbered(len(binary))
+    return names, binary, cost, lb, ub
 
 
 def _write_lp_text(lp: LinearProgram) -> str:
@@ -333,7 +353,7 @@ def _write_lp_text(lp: LinearProgram) -> str:
     objective = (_interleave(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
                  or _interleave(" 0 ", names[:1]))
     ops = np.array([" <= ", " >= ", " = "], dtype=object)  # by sense code
-    rows = _scatter(indptr, [[f"\n c{i}:" for i in range(len(sense))]],
+    rows = _scatter(indptr, [_numbered(len(sense), "\n c", ":")],
                     [_texts(data, _lp_coef), names[indices]],
                     [ops[sense], _texts(rhs, "{:.12g}".format)])
     bounds = _interleave(_texts(lb, "\n {:.12g} <= ".format), names, _texts(
@@ -346,7 +366,7 @@ def _write_lp_text(lp: LinearProgram) -> str:
 def _write_mps_text(lp: LinearProgram) -> str:
     names, binary, cost, lb, ub = _columns(lp)
     indptr, indices, data, sense, rhs = lp.row_arrays()
-    rows = np.array([f"c{i}" for i in range(len(sense))], dtype=object)
+    rows = _numbered(len(sense), "c")
     tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
     # column-major entries, rows ascending within each column
     by_col = sparse.csr_matrix((data, indices, indptr), shape=(len(sense), lp.n_vars)).tocsc()
@@ -371,10 +391,52 @@ def _write_mps_text(lp: LinearProgram) -> str:
                     "\nBOUNDS", bounds, "\nENDATA\n"])
 
 
+#: HiGHS's reader takes finite costs, bounds and right-hand sides of this
+#: magnitude or more as infinite ...
+INFINITE_VALUE = 1e20
+#: ... refuses a model with a matrix coefficient of this magnitude or more ...
+LARGE_COEFFICIENT = 1e15
+#: ... and drops nonzero coefficients of magnitude below this one.
+SMALL_COEFFICIENT = 1e-9
+
+
+def _check_readable(lp: LinearProgram) -> None:
+    """Raise ValueError, naming the row or column, at the first value that
+    HiGHS's reader would not read back as written."""
+    cost, lb, ub, binary = lp.column_arrays()
+    indptr, indices, data, _, rhs = lp.row_arrays()
+
+    def column(vid):
+        return ("b" if binary[vid] else "x") + str(vid)
+
+    for what, values, name in (("cost", cost, column), ("lower bound", lb, column),
+                               ("upper bound", ub, column),
+                               ("right-hand side", rhs, "c{}".format)):
+        bad = np.flatnonzero(np.isfinite(values) & (np.abs(values) >= INFINITE_VALUE))
+        if bad.size:
+            raise ValueError(f"{name(bad[0])}: {what} {values[bad[0]]:.12g} would read "
+                             f"back as infinite (magnitude >= {INFINITE_VALUE:g})")
+    size = np.abs(data)
+    # a LinearProgram holds no zero coefficients: each one below the floor is nonzero
+    bad = np.flatnonzero((size >= LARGE_COEFFICIENT) | (size < SMALL_COEFFICIENT))
+    if bad.size:
+        at = bad[0]
+        row = np.searchsorted(indptr, at, side="right") - 1
+        raise ValueError(f"c{row}, {column(indices[at])}: coefficient {data[at]:.12g} is "
+                         f"outside the magnitudes HiGHS reads back, "
+                         f"[{SMALL_COEFFICIENT:g}, {LARGE_COEFFICIENT:g})")
+
+
 def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:
-    """Write the model as UTF-8 text with LF endings; fmt is 'lp' or 'mps'."""
+    """Write the model as UTF-8 text with LF endings; fmt is 'lp' or 'mps'.
+
+    Raises ValueError when the model holds a value HiGHS's reader would not
+    read back: a finite cost, bound or right-hand side of magnitude 1e20 or
+    more, or a nonzero coefficient of magnitude 1e15 or more or below 1e-9.
+    """
     if fmt not in ("lp", "mps"):
         raise ValueError(f"unknown format {fmt!r}")
+    _check_readable(lp)
     text = _write_lp_text(lp) if fmt == "lp" else _write_mps_text(lp)
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -6,10 +6,16 @@ inflow to the largest value allowed by the control and the scenario's
 cumulative demand, and score: time-weighted exit outflow, small inflow
 penalties, a backlog penalty scaled by the queue at the horizon start, and
 an epigraph-linearized penalty on inflow changes between consecutive steps.
+
+The models of one shape (corridor, steps, step size, scenario count and
+penalized step pairs) share every column and row; only numbers differ.  Each
+shape's ModelTemplate is assembled once, cached, and evaluated at each state
+into a LinearProgram whose columns and rows are filled in bulk.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +23,7 @@ import numpy as np
 from . import demand as demand_ops
 from . import linkmodel, network
 from .linkmodel import ENTRY, LinkVariables
-from .lp import BINARY, GE, LE, LinearProgram
+from .lp import BINARY, GE, LE, LinearProgram, RowBlock, sense_code, stack_rows
 
 
 @dataclass(frozen=True)
@@ -173,11 +179,7 @@ class ModelBundle:
     def warm_start_keys(self, solution) -> dict:
         """Binary assignment of this solution, keyed for reuse on the next
         horizon's model (same shape)."""
-        warm = {}
-        for v in self.lp.variables:
-            if v.kind == BINARY:
-                warm[v.key] = round(float(solution.x[v.vid]))
-        return warm
+        return {self.lp.key(vid): round(float(solution.x[vid])) for vid in self.lp.binary_ids()}
 
 
 def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
@@ -188,105 +190,267 @@ def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
     raise network.TopologyError(f"entry link {entry_id} feeds no junction")
 
 
-def _add_scenario_block(
-    lp: LinearProgram,
-    corridor: network.Corridor,
-    state: HorizonState,
-    scenario: Scenario,
-    weights: ObjectiveWeights,
-    options: ModelOptions,
-    j: int,
-    link_rows: dict,
-) -> float:
-    """Variables, constraints and probability-weighted objective for one
-    scenario; returns the constant objective contribution.  ``link_rows``
-    maps each FD link id to its BlockTemplate and the template's rows at the
-    state's densities, shared by all scenarios."""
-    n = state.n_steps
-    T = state.T
-    p = scenario.prob
-    w = weights
-    exit_ids = {l.id for l in corridor.exit_links}
-    vsl_ids = {l.id for l in corridor.vsl_links}
+class CorridorShape:
+    """A corridor compared and hashed by what its model's rows read from it:
+    the links, the junctions and the exit caps.  Corridors built alike share
+    their model templates."""
 
-    def qin(link_id, t):
-        return (j, "qin", link_id, t)
+    __slots__ = ("corridor", "_key")
 
-    first_column = {}
-    for link in corridor.links:
-        if link.kind == ENTRY:
-            cap = entry_capacity(corridor, link.id)
-            for t in range(1, n + 1):
-                obj = 0.0
-                if link.controlled:
-                    obj = p * (-w.w2 + w.w3 * (1.0 + state.queues.get(link.id, 0.0)) * (n - t + 1))
-                lp.add_variable(qin(link.id, t), 0.0, cap, obj=obj)
-            continue
-        first_column[link.id] = lp.n_vars
-        template, _ = link_rows[link.id]
-        for (kind, _, *idx), lb, ub, var_kind in template.columns:
-            obj = 0.0
-            if kind == "qin" and link.id in vsl_ids:
-                obj = -p * w.w1
-            elif kind == "qout" and link.id in exit_ids:
-                obj = p * (n - idx[0] + 1)
-            lp.add_variable((j, kind, link.id, *idx), lb, ub, var_kind, obj)
-
-    # link physics
-    for link in corridor.fd_links:
-        lp.add_rows(link_rows[link.id][1], first_column[link.id])
-
-    # junction coupling
-    link_vars = {link.id: LinkVariables(link, n) for link in corridor.links}
-    for jn in corridor.junctions:
-        if jn.kind == network.MERGE:
-            for key in network.merge_binary_keys(jn, n):
-                lp.add_variable((j,) + key, kind=BINARY)
-        rows = network.build_node_constraints(
-            corridor, jn, link_vars, n, ramp_queues=state.queues, T=T
+    def __init__(self, corridor: network.Corridor):
+        self.corridor = corridor
+        self._key = (
+            tuple((l.id, l.kind, l.geometry, l.fd, l.is_vsl, l.vsl_set, l.controlled, l.demand)
+                  for l in corridor.links),
+            tuple((jn.id, jn.incoming, jn.outgoing, jn.kind) for jn in corridor.junctions),
+            tuple(sorted(corridor.exit_caps.items())),
         )
-        for row in rows:
-            lp.add_constraint({(j,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs)
 
-    # bottleneck cap on the corridor exits
-    for link in corridor.exit_links:
-        for t in range(1, n + 1):
-            cap_t = corridor.exit_cap(link.id, state.t0 + (t - 1) * T)
-            if cap_t < link.capacity - 1e-12:
-                lp.add_constraint({(j, "qout", link.id, t): 1.0}, LE, cap_t)
+    def __hash__(self):
+        return hash(self._key)
 
-    # inflow forcing against the shared control
-    const_total = 0.0
-    for link in corridor.controlled_entries:
-        cap = entry_capacity(corridor, link.id)
-        d = np.asarray(scenario.demand[link.id], dtype=float)
-        cum_d = np.cumsum(d)
-        for t in range(1, n + 1):
-            force = lp.add_variable((j, "force", link.id, t), kind=BINARY)
-            control = ("qp", link.id, t)
-            lp.add_constraint({qin(link.id, t): 1.0, control: -1.0}, LE, 0.0)
-            cum_coeffs = {qin(link.id, i): 1.0 for i in range(1, t + 1)}
-            lp.add_constraint(cum_coeffs, LE, float(cum_d[t - 1]))
-            # indicator=0: inflow reaches the control; indicator=1: demand is
-            # exhausted. big-Ms are the exact worst cases (control <= cap,
-            # cumulative inflow >= 0), which keeps the relaxation tight.
-            lp.add_constraint({qin(link.id, t): 1.0, force: cap, control: -1.0}, GE, 0.0)
-            coeffs = dict(cum_coeffs)
-            coeffs[force] = -float(cum_d[t - 1])
-            lp.add_constraint(coeffs, GE, 0.0)
-        # backlog-penalty constant: -w3 (1+e) sum_t cum_d(t)
-        e0 = state.queues.get(link.id, 0.0)
-        const_total += -p * w.w3 * (1.0 + e0) * float(np.sum(cum_d))
+    def __eq__(self, other):
+        return isinstance(other, CorridorShape) and self._key == other._key
 
-        # inflow-change epigraph
-        pairs = options.fluct_pairs
-        if pairs is None:
-            pairs = [(t, t + 1) for t in range(1, n)]
-        for t1, t2 in pairs:
-            u = lp.add_variable((j, "u", link.id, t1), obj=-p * w.w4)
-            lp.add_constraint({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0)
-            lp.add_constraint({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0)
-    return const_total
+
+class ModelTemplate:
+    """Every column and row of the control MILPs of one shape: a corridor,
+    ``n_steps`` steps of length ``T``, a scenario count and the penalized
+    inflow-change pairs.  Only numbers differ between the models of one
+    shape, so the pattern is assembled once and ``evaluate`` fills in a
+    state's numbers.
+
+    The columns are the shared first-stage controls ("qp", entry, t), then
+    one block per scenario j, each key prefixed by j: the links' flows (an FD
+    link's columns from its BlockTemplate), the merge binaries, and per
+    controlled entry its forcing binaries and inflow-change epigraph
+    variables.  The rows of each scenario follow in the same order: the FD
+    links' BlockTemplate rows, the junction rows of
+    ``network.build_node_constraints``, the bottleneck caps on the exits, and
+    per controlled entry the forcing rows (inflow reaches the control unless
+    the scenario's cumulative demand is exhausted) and the epigraph rows.
+
+    A state enters as link densities (BlockTemplate right-hand sides and VSL
+    ``delta`` coefficients), ramp backlogs, scenario demand (cumulative
+    demand as a right-hand side and as the forcing binary's coefficient),
+    ``t0`` (which exit caps bind) and committed controls (bounds).
+    """
+
+    def __init__(self, corridor: network.Corridor, n_steps: int, T: float,
+                 n_scenarios: int, fluct_pairs: tuple):
+        errors = network.validate_topology(corridor)
+        if errors:
+            raise network.TopologyError("; ".join(errors))
+        self.corridor, self.n_steps, self.T = corridor, n_steps, T
+        steps = range(1, n_steps + 1)
+        controlled = corridor.controlled_entries
+        exit_ids = {l.id for l in corridor.exit_links}
+        caps = {l.id: entry_capacity(corridor, l.id) for l in corridor.entry_links}
+
+        # one scenario's columns: (key without the scenario index, lb, ub, binary)
+        block, fd_links = [], []
+        entry_in, vsl_in, exit_out, exit_left = [], [], [], []
+        for link in corridor.links:
+            if link.kind == ENTRY:
+                if link.controlled:
+                    entry_in.append((link.id, np.arange(len(block), len(block) + n_steps)))
+                block += [(("qin", link.id, t), 0.0, caps[link.id], False) for t in steps]
+                continue
+            template = linkmodel.link_template(link, n_steps, T)
+            fd_links.append((link.id, template, len(block)))
+            for (kind, _, *idx), lb, ub, var_kind in template.columns:
+                if kind == "qin" and link.is_vsl:
+                    vsl_in.append(len(block))
+                elif kind == "qout" and link.id in exit_ids:
+                    exit_out.append(len(block))
+                    exit_left.append(n_steps - idx[0] + 1)
+                block.append(((kind, link.id, *idx), lb, ub, var_kind == BINARY))
+        for jn in corridor.junctions:
+            if jn.kind == network.MERGE:
+                block += [(key, 0.0, 1.0, True) for key in network.merge_binary_keys(jn, n_steps)]
+        u_cols = []
+        for link in controlled:
+            block += [(("force", link.id, t), 0.0, 1.0, True) for t in steps]
+            u_cols += range(len(block), len(block) + len(fluct_pairs))
+            block += [(("u", link.id, t1), 0.0, np.inf, False) for t1, _ in fluct_pairs]
+
+        first = [(("qp", l.id, t), 0.0, caps[l.id], False) for l in controlled for t in steps]
+        self.n_first, self.width = len(first), len(block)
+        columns = first + [((j,) + key, *rest) for j in range(n_scenarios)
+                           for key, *rest in block]
+        keys, lb, ub, binary = zip(*columns)
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate variable key")
+        self.keys = keys
+        self.lb, self.ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
+        self.binary = np.array(binary, dtype=bool)
+        self._controls = [(l.id, np.arange(k * n_steps, (k + 1) * n_steps), caps[l.id])
+                          for k, l in enumerate(controlled)]
+        self._entry_in = entry_in
+        self._left = np.array([n_steps - t + 1 for t in steps], dtype=float)
+        self._vsl_in, self._u = np.array(vsl_in, dtype=int), np.array(u_cols, dtype=int)
+        self._exit_out = np.array(exit_out, dtype=int)
+        self._exit_left = np.array(exit_left, dtype=float)
+        self._costed = np.sort(np.concatenate(
+            [cols for _, cols in entry_in] + [self._vsl_in, self._exit_out, self._u]))
+
+        # scenario 0's rows over its own and the first-stage columns, with the
+        # places a state fills; the other scenarios repeat them
+        link_rows = [RowBlock(template.indptr, template.indices + self.n_first + at,
+                              template.data, template.sense, np.zeros(len(template.sense)))
+                     for _, template, at in fd_links]
+
+        def qin(link_id, t):
+            return (0, "qin", link_id, t)
+
+        rows = []  # (coefficients over model keys, sense, rhs)
+        backlog: dict = {}  # entry id -> rows
+        link_vars = {link.id: LinkVariables(link, n_steps) for link in corridor.links}
+        for jn in corridor.junctions:
+            for row in network.build_node_constraints(corridor, jn, link_vars, n_steps, T=T):
+                if row.backlog is not None:
+                    backlog.setdefault(row.backlog, []).append(len(rows))
+                rows.append(({(0,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs))
+        exit_caps = []  # (exit id, t, row)
+        for link in corridor.exit_links:
+            for t in steps:
+                exit_caps.append((link.id, t, len(rows)))
+                rows.append(({(0, "qout", link.id, t): 1.0}, LE, 0.0))
+        forcing = []  # (entry id, cumulative-demand rows, (row, force column) pairs)
+        for link in controlled:
+            cum_rows, forces = [], []
+            for t in steps:
+                force, control = (0, "force", link.id, t), ("qp", link.id, t)
+                cum = {qin(link.id, i): 1.0 for i in range(1, t + 1)}
+                cum_rows.append(len(rows) + 1)
+                forces.append((len(rows) + 3, keys.index(force)))
+                rows += [
+                    ({qin(link.id, t): 1.0, control: -1.0}, LE, 0.0),
+                    (cum, LE, 0.0),
+                    # indicator=0: inflow reaches the control; indicator=1: demand is
+                    # exhausted. big-Ms are the exact worst cases (control <= cap,
+                    # cumulative inflow >= 0), which keeps the relaxation tight.
+                    ({qin(link.id, t): 1.0, force: caps[link.id], control: -1.0}, GE, 0.0),
+                    ({**cum, force: 0.0}, GE, 0.0),
+                ]
+            forcing.append((link.id, cum_rows, forces))
+            for t1, t2 in fluct_pairs:
+                u = (0, "u", link.id, t1)
+                rows += [({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0),
+                         ({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0)]
+        indptr, indices, data = linkmodel.pack_rows([r[0] for r in rows], keys)
+        block = stack_rows(link_rows + [RowBlock(
+            indptr, indices, data, np.array([sense_code(r[1]) for r in rows], dtype=np.int8),
+            np.array([r[2] for r in rows], dtype=float))])
+        self._block_rows = block.n_rows
+        row0, nnz0 = block.n_rows - len(rows), len(block.indices) - len(indices)
+
+        def entry(row, column):
+            lo, hi = indptr[row], indptr[row + 1]
+            return nnz0 + lo + int(np.searchsorted(indices[lo:hi], column))
+
+        self._links, row, nnz = [], 0, 0  # (link id, BlockTemplate, first entry, first row)
+        for (lid, template, _), link_block in zip(fd_links, link_rows):
+            self._links.append((lid, template, nnz, row))
+            row, nnz = row + link_block.n_rows, nnz + len(link_block.indices)
+        self._backlog = [(lid, row0 + np.array(rs)) for lid, rs in backlog.items()]
+        self._exit_caps = [(lid, corridor.link(lid).capacity, t, row0 + row, nnz0 + indptr[row])
+                           for lid, t, row in exit_caps]
+        self._forcing = [(lid, row0 + np.array(cum_rows),
+                          np.array([entry(row, column) for row, column in forces]))
+                         for lid, cum_rows, forces in forcing]
+
+        # every scenario: scenario 0's rows with its columns shifted
+        shift = np.where(block.indices >= self.n_first, self.width, 0)
+        (self.indptr, self.indices, self.data, self.sense, self.rhs) = stack_rows(
+            [block._replace(indices=block.indices + j * shift) for j in range(n_scenarios)])
+        for array in (self.lb, self.ub, self.binary, self.indptr, self.indices, self.data,
+                      self.sense, self.rhs):
+            array.setflags(write=False)
+
+    def evaluate(self, state: HorizonState, scenarios: list, weights: ObjectiveWeights,
+                 options: ModelOptions, name: str = "corridor-control"):
+        """The model at one state as (LinearProgram, constant objective term).
+
+        Each number is computed with the operations, in the order, of a
+        row-by-row build (``tests/model_oracle.py`` keeps one as reference),
+        and exact zeros and exit caps that do not bind are left out as it
+        leaves them out, so the arrays and exported files match it bit for
+        bit."""
+        n, w = self.n_steps, weights
+
+        # costs: one scenario block's coefficients, scaled by each probability
+        block_cost = np.zeros(self.width)
+        for lid, cols in self._entry_in:
+            block_cost[cols] = -w.w2 + w.w3 * (1.0 + state.queues.get(lid, 0.0)) * self._left
+        block_cost[self._vsl_in] = -w.w1
+        block_cost[self._exit_out] = self._exit_left
+        block_cost[self._u] = -w.w4
+        obj = np.zeros(len(self.keys))
+        obj[:self.n_first] = w.w0
+
+        # the committed controls cap the first-stage controls they cover
+        ub = self.ub.copy()
+        for lid, cols, cap in self._controls:
+            committed = options.committed_controls.get(lid, ())[:n]
+            ub[cols[:len(committed)]] = np.minimum(np.asarray(committed, dtype=float), cap)
+
+        # rows as (scenario, row) and (scenario, entry) views
+        data, rhs = self.data.copy(), self.rhs.copy()
+        data_of, rhs_of = data.reshape(len(scenarios), -1), rhs.reshape(len(scenarios), -1)
+        for lid, template, at, row in self._links:
+            rows = template.evaluate(state.densities[lid])
+            data_of[:, at:at + len(rows.data)] = rows.data
+            rhs_of[:, row:row + len(rows.rhs)] = rows.rhs
+        for lid, rows in self._backlog:
+            rhs_of[:, rows] += state.queues.get(lid, 0.0)
+        live, idle = np.ones(self._block_rows, dtype=bool), []
+        for lid, capacity, t, row, at in self._exit_caps:
+            cap_t = self.corridor.exit_cap(lid, state.t0 + (t - 1) * self.T)
+            if cap_t < capacity - 1e-12:
+                rhs_of[:, row] = cap_t
+            else:
+                live[row] = False
+                idle.append(at)
+
+        const = 0.0
+        for j, scenario in enumerate(scenarios):
+            p, scenario_const = scenario.prob, 0.0
+            obj[self.n_first + j * self.width + self._costed] = p * block_cost[self._costed]
+            for lid, cum_rows, force_at in self._forcing:
+                cum_d = np.cumsum(np.asarray(scenario.demand[lid], dtype=float))
+                rhs_of[j, cum_rows] = cum_d[:n]
+                data_of[j, force_at] = -cum_d[:n]
+                # backlog-penalty constant: -w3 (1+e) sum_t cum_d(t)
+                e0 = state.queues.get(lid, 0.0)
+                scenario_const += -p * w.w3 * (1.0 + e0) * float(np.sum(cum_d))
+            const += scenario_const
+
+        keep = data != 0.0
+        keep.reshape(len(scenarios), -1)[:, idle] = False
+        indptr, sense = self.indptr, self.sense
+        if not live.all():
+            live = np.tile(live, len(scenarios))
+            indptr = indptr[np.concatenate(([True], live))]
+            sense, rhs = sense[live], rhs[live]
+        if keep.all():
+            block = RowBlock(indptr, self.indices, data, sense, rhs)
+        else:
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            block = RowBlock(indptr, self.indices[keep], data[keep], sense, rhs)
+
+        lp = LinearProgram(name)
+        lp.add_columns(self.keys, obj, self.lb, ub, self.binary)
+        lp.add_rows(block)
+        return lp, const
+
+
+@functools.lru_cache(maxsize=None)
+def model_template(shape: CorridorShape, n_steps: int, T: float, n_scenarios: int,
+                   fluct_pairs: tuple) -> ModelTemplate:
+    """The ModelTemplate of one shape, built on first use.  The key holds no
+    state, so every horizon of a closed loop that keeps the shape reuses it."""
+    return ModelTemplate(shape.corridor, n_steps, T, n_scenarios, fluct_pairs)
 
 
 def assemble_model(
@@ -297,10 +461,14 @@ def assemble_model(
     options: ModelOptions | None = None,
     name: str = "corridor-control",
 ) -> ModelBundle:
-    """Shared first-stage controls plus one block per scenario."""
-    errors = network.validate_topology(corridor)
-    if errors:
-        raise network.TopologyError("; ".join(errors))
+    """Shared first-stage controls plus one block per scenario, evaluated
+    from the shape's cached ModelTemplate."""
+    options = options or ModelOptions()
+    pairs = options.fluct_pairs
+    if pairs is None:
+        pairs = [(t, t + 1) for t in range(1, state.n_steps)]
+    template = model_template(CorridorShape(corridor), state.n_steps, state.T, len(scenarios),
+                              tuple((int(t1), int(t2)) for t1, t2 in pairs))
     for link in corridor.fd_links:
         dens = np.asarray(state.densities[link.id], dtype=float)
         rho_m = link.fd.rho_m
@@ -309,26 +477,7 @@ def assemble_model(
     total_p = sum(s.prob for s in scenarios)
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError("scenario probabilities must sum to 1")
-
-    options = options or ModelOptions()
-    lp = LinearProgram(name)
-    for link in corridor.controlled_entries:
-        cap = entry_capacity(corridor, link.id)
-        committed = options.committed_controls.get(link.id, ())
-        for t in range(1, state.n_steps + 1):
-            ub = cap
-            if t <= len(committed):
-                ub = min(float(committed[t - 1]), cap)
-            lp.add_variable(("qp", link.id, t), 0.0, ub, obj=weights.w0)
-
-    link_rows = {}
-    for link in corridor.fd_links:
-        template = linkmodel.link_template(link, state.n_steps, state.T)
-        link_rows[link.id] = (template, template.evaluate(state.densities[link.id]))
-    const = 0.0
-    for j, scenario in enumerate(scenarios):
-        const += _add_scenario_block(lp, corridor, state, scenario, weights, options, j,
-                                     link_rows)
+    lp, const = template.evaluate(state, scenarios, weights, options, name)
     return ModelBundle(lp, corridor, state, weights, list(scenarios), options, const)
 
 

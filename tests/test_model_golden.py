@@ -128,13 +128,17 @@ def test_new_densities_build_no_new_template(config):
 
     def build(value):
         dens = {l.id: np.full(l.geometry.k_max, value) for l in corridor.fd_links}
-        queues = {l.id: 0.0 for l in corridor.entry_links}
-        state = HorizonState(dens, queues, config.n_project, config.T)
+        queues = {l.id: 10.0 * value for l in corridor.entry_links}
+        state = HorizonState(dens, queues, config.n_project, config.T, 1e3 * value)
         return twostage.build_deterministic_equivalent(corridor, state, dist, weights)
 
+    def caches():
+        return (linkmodel.compat_template.cache_info(), linkmodel.block_template.cache_info(),
+                twostage.model_template.cache_info())
+
     build(0.03)
-    before = (linkmodel.compat_template.cache_info(), linkmodel.block_template.cache_info())
+    before = caches()
     build(0.17)
-    after = (linkmodel.compat_template.cache_info(), linkmodel.block_template.cache_info())
+    after = caches()
     assert [i.misses for i in after] == [i.misses for i in before]
     assert [i.currsize for i in after] == [i.currsize for i in before]

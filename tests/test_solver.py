@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,3 +377,44 @@ class TestExportMatchesLineWriters:
             export_model(lp, path, fmt=fmt)
             assert path.read_bytes() == oracle(lp).encode()
             assert_reads_back(lp, path)
+
+
+class TestUnreadableValues:
+    """``export_model`` refuses the values HiGHS's reader would not read back
+    as written (the ones ``small_programs(readable=True)`` leaves out)."""
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    @pytest.mark.parametrize("column, row, message", [
+        ({"obj": 1e20}, None, "x0: cost 1e+20"),
+        ({"lb": -1e20}, None, "x0: lower bound -1e+20"),
+        ({"ub": 1e20}, None, "x0: upper bound 1e+20"),
+        ({}, (1.0, 1e20), "c0: right-hand side 1e+20"),
+        ({}, (1e15, 1.0), "c0, x0: coefficient 1e+15"),
+        ({}, (1e-13, 1.0), "c0, x0: coefficient 1e-13"),
+    ])
+    def test_value_is_named(self, fmt, column, row, message, tmp_path):
+        lp = LinearProgram("unreadable")
+        x = lp.add_variable(("x",), **{"lb": 0.0, "ub": 5.0, "obj": 1.0, **column})
+        if row is not None:
+            lp.add_constraint({x: row[0]}, LE, row[1])
+        path = tmp_path / f"model.{fmt}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            export_model(lp, path, fmt=fmt)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp=small_programs(readable=False))
+    def test_refused_exactly_when_unreadable(self, lp, tmp_path_factory):
+        c, _, _, _, _, lb, ub = lp.to_arrays()
+        _, _, data, _, rhs = lp.row_arrays()
+        numbers = np.concatenate([c, lb, ub, rhs])
+        unreadable = (np.any(np.isfinite(numbers) & (np.abs(numbers) >= 1e20))
+                      or np.any((np.abs(data) >= 1e15) | (np.abs(data) < 1e-9)))
+        for fmt in ("lp", "mps"):
+            path = tmp_path_factory.getbasetemp() / f"refused.{fmt}"
+            if unreadable:
+                with pytest.raises(ValueError):
+                    export_model(lp, path, fmt=fmt)
+            else:
+                export_model(lp, path, fmt=fmt)
+                assert_reads_back(lp, path)

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from corridorflow import lwr, solver
 from corridorflow.twostage import (
@@ -14,6 +19,7 @@ from corridorflow.twostage import (
     objective_breakdown,
 )
 
+import model_oracle
 from test_acceptance import _states_for_certification
 
 N = 8
@@ -230,3 +236,68 @@ class TestStepDemandSupply:
                             worst_entry = max(worst_entry, state.T * np.sum(qin[:n])
                                               - lwr.max_entry_count(vc, fd, link.geometry, t))
         assert worst_exit <= 1e-6 and worst_entry <= 1e-6, (worst_exit, worst_entry)
+
+
+@st.composite
+def drawn_models(draw, config):
+    """(corridor, template-built bundle) over the state features that change
+    a model's numbers or drop its entries: empty links (no VSL ``delta``
+    coefficients), ramp and entry backlogs, zero demand (no forcing
+    coefficient), ``t0`` before and after the exit cap binds, committed
+    controls, and both forms of the fluctuation pairs."""
+    drop_start = draw(st.sampled_from([0.0, 90.0, 1e6]))
+    corridor = dataclasses.replace(config, capacity_drop_start=drop_start).corridor()
+    n = draw(st.sampled_from([4, N]))
+    densities = {}
+    for link in corridor.fd_links:
+        k = link.geometry.k_max
+        if draw(st.booleans()):
+            densities[link.id] = np.zeros(k)
+        else:
+            values = st.floats(0.0, link.fd.rho_m, allow_subnormal=False)
+            densities[link.id] = np.array(draw(st.lists(values, min_size=k, max_size=k)))
+    backlog = st.sampled_from([0.0, 0.5, 7.25])
+    queues = {l.id: draw(backlog) for l in corridor.entry_links}
+    state = HorizonState(densities, queues, n, T, draw(st.sampled_from([0.0, 40.0, 160.0])))
+    options = ModelOptions()
+    if draw(st.booleans()):
+        options.fluct_pairs = [(t, t + 1) for t in range(1, n) if t != n // 2]
+    if draw(st.booleans()):
+        committed = draw(st.lists(st.sampled_from([0.0, 0.9, 1.8, 9.0]), max_size=n))
+        options.committed_controls = {"E": np.array(committed)}
+    demand = draw(st.sampled_from(["two-stage", 0.0, 1.5, "vector"]))
+    weights = config.weights()
+    if demand == "two-stage":
+        bundle = build_deterministic_equivalent(corridor, state, config.distribution(),
+                                                weights, options)
+    else:
+        if demand == "vector":
+            demand = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]),
+                                            min_size=n, max_size=n)))
+        bundle = build_deterministic_baseline(corridor, state, demand, weights, options)
+    return corridor, bundle
+
+
+class TestTemplateMatchesRowBuilder:
+    """Template-built models against the row-by-row reference builder
+    (``model_oracle``): the same arrays, constant and LP/MPS bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_model(self, data, config):
+        corridor, bundle = data.draw(drawn_models(config))
+        lp = bundle.lp
+        oracle, const = model_oracle.assemble_model(
+            corridor, bundle.state, bundle.scenarios, bundle.weights, bundle.options, lp.name)
+        assert bundle.obj_const == const
+        assert [v.key for v in lp.variables] == [v.key for v in oracle.variables]
+        for got, want in zip(lp.to_arrays(), oracle.to_arrays()):
+            if sparse.issparse(want):
+                assert got.shape == want.shape
+                got, want = [(m.data, m.indices, m.indptr) for m in (got, want)]
+            else:
+                got, want = [got], [want]
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert solver._write_lp_text(lp) == solver._write_lp_text(oracle)
+        assert solver._write_mps_text(lp) == solver._write_mps_text(oracle)
