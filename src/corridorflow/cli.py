@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solver, twostage
-from .controller import CONTROLLER_KINDS, TWO_STAGE
+from .controller import CONTROLLER_KINDS, TWO_STAGE, assumed_level
 from .experiments import (
     ExperimentConfig,
     case_study,
@@ -125,10 +125,8 @@ def cmd_export_milp(args) -> int:
             corridor, state, dist, config.weights()
         )
     else:
-        level = {"d-min": dist.min_level(), "d-mean": dist.mean(),
-                 "d-max": dist.max_level()}[args.controller]
         bundle = twostage.build_deterministic_baseline(
-            corridor, state, level, config.weights()
+            corridor, state, assumed_level(args.controller, dist), config.weights()
         )
     path = out / f"horizon_{args.controller}.{args.format}"
     solver.export_model(bundle.lp, path, fmt=args.format)

@@ -141,7 +141,8 @@ class ClosedLoopError(RuntimeError):
     pass
 
 
-def _assumed_level(kind: str, dist: DemandDistribution) -> float:
+def assumed_level(kind: str, dist: DemandDistribution) -> float:
+    """The demand level a deterministic baseline controller plans for."""
     if kind == D_MIN:
         return dist.min_level()
     if kind == D_MEAN:
@@ -213,7 +214,7 @@ def run_closed_loop(
             bundle = twostage.build_deterministic_equivalent(corridor, state, dist, weights)
         else:
             bundle = twostage.build_deterministic_baseline(
-                corridor, state, _assumed_level(controller_kind, dist), weights
+                corridor, state, assumed_level(controller_kind, dist), weights
             )
         sol, elapsed = _solve(bundle, opts, warm_plan, f"horizon {h} plan")
         warm_plan = bundle.warm_start_keys(sol)
@@ -241,7 +242,7 @@ def run_closed_loop(
         )
         tail = dist.mean()
         if controller_kind != TWO_STAGE:
-            tail = _assumed_level(controller_kind, dist)
+            tail = assumed_level(controller_kind, dist)
         vec = observed_demand_vector(level, dist, cfg, tail_level=tail)
         opts_b = ModelOptions(
             fluct_pairs=[(t, t + 1) for t in range(1, n1) if t != n1 - n2],

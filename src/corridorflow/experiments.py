@@ -29,7 +29,7 @@ from .demand import apply_queue_update
 from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
 from .lwr import LinkGeometry, TriangularFD
 from .network import MERGE, SERIAL, Corridor, Junction, validate_topology
-from .twostage import DemandDistribution, ObjectiveWeights
+from .twostage import DemandDistribution, ObjectiveWeights, entry_capacity
 
 MASK64 = (1 << 64) - 1
 
@@ -252,7 +252,7 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
     for lid in ctrl:
         qin = traj.series("qin", lid)
         queues = traj.series("queues", lid)
-        cap = _entry_cap(corridor, lid)
+        cap = entry_capacity(corridor, lid)
         for h in range(n_horizons):
             sl = traj.horizon_slice(h)
             e_h = queues[sl.start - 1] if sl.start > 0 else 0.0
@@ -280,12 +280,6 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
                          queue_series, diffs_per_horizon,
                          conservation_error=traj.conservation_error,
                          density_excess=density_excess, queue_min=queue_min)
-
-
-def _entry_cap(corridor: Corridor, entry_id: str) -> float:
-    from .twostage import entry_capacity
-
-    return entry_capacity(corridor, entry_id)
 
 
 # ---------------------------------------------------------------------------

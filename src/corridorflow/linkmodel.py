@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lp import BINARY, CONTINUOUS, EQ, GE, GE_CODE, LE, SENSES, RowBlock, sense_code
+from .lp import BINARY, CONTINUOUS, EQ, GE, LE, SENSES, RowBlock, pack_rows
 from . import lwr
 from .lwr import (
     GUARD_TOL,
@@ -287,26 +287,6 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, vars: LinkVariables,
     return rows
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """Templates are cached and shared by every model: freeze their arrays."""
-    array.setflags(write=False)
-    return array
-
-
-def pack_rows(rows: list, keys: list):
-    """CSR (indptr, indices, data) of coefficient dicts over ``keys``, each
-    row's entries in column order."""
-    col = {key: i for i, key in enumerate(keys)}
-    indptr, indices, data = [0], [], []
-    for coeffs in rows:
-        for c, v in sorted((col[k], v) for k, v in coeffs.items()):
-            indices.append(c)
-            data.append(v)
-        indptr.append(len(indices))
-    return (_read_only(np.array(indptr)), _read_only(np.array(indices, dtype=np.int64)),
-            _read_only(np.array(data, dtype=float)))
-
-
 class CompatTemplate:
     """Compatibility inequalities ``A q >= b(rho)`` of one flux law on one
     link geometry over ``n_max`` steps of length ``T``.
@@ -328,11 +308,9 @@ class CompatTemplate:
         vars = LinkVariables(LinkSpec("", FD, geom, fd), n_max)
         self.keys = [key for n in range(1, n_max + 1) for key in (vars.qin(n), vars.qout(n))]
         rows = _compat_rows(fd, geom, vars, n_max, T)
-        live = [row for row in rows if row[0]]
-        self.indptr, self.indices, self.data = pack_rows([row[0] for row in live], self.keys)
-        self.names = [row[1] for row in live]
-        self.matrix = sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                        shape=(len(live), len(self.keys)))
+        self.rows = pack_rows([(row[0], GE, 0.0) for row in rows if row[0]], self.keys)
+        self.matrix = sparse.csr_matrix((self.rows.data, self.rows.indices, self.rows.indptr),
+                                        shape=(self.rows.n_rows, len(self.keys)))
 
         self._live = np.array([bool(row[0]) for row in rows], dtype=bool)
         self._all_names = [row[1] for row in rows]
@@ -357,7 +335,8 @@ class CompatTemplate:
 
     def row_coeffs(self) -> list[dict]:
         """The rows of A as dicts over ``keys``."""
-        cols, vals, bounds = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        indptr, indices, data, _, _ = self.rows
+        cols, vals, bounds = indices.tolist(), data.tolist(), indptr.tolist()
         return [
             {self.keys[c]: v for c, v in zip(cols[lo:hi], vals[lo:hi])}
             for lo, hi in zip(bounds, bounds[1:])
@@ -414,9 +393,10 @@ class BlockTemplate:
 
     ``columns`` lists (key, lb, ub, kind) of those variables, keyed as
     LinkVariables keys of a link with a blank id; a model creates them for
-    its link and places the rows at the first one's column id.  The first
-    ``n_compat`` rows are the compatibility inequalities.  A plain link has
-    just those, with b(rho) from its CompatTemplate as right-hand side.
+    its link and places ``rows`` at the first one's column id, filled in by
+    ``evaluate``.  The first ``n_compat`` rows are the compatibility
+    inequalities.  A plain link has just those, with b(rho) from its
+    CompatTemplate as right-hand side.
 
     A speed-controlled link gets one copy of its compatibility rows per
     candidate speed in disaggregated form: the rows act on per-candidate
@@ -435,19 +415,15 @@ class BlockTemplate:
         if vsl_set is None:
             self._compat = compat_template(fd, geom, n_max, T)
             self._delta = None
-            self.indptr, self.indices, self.data = (
-                self._compat.indptr, self._compat.indices, self._compat.data)
-            self.names = self._compat.names
-            self.n_compat = len(self.names)
-            self.sense = _read_only(np.full(self.n_compat, GE_CODE, dtype=np.int8))
-            self.rhs = None
+            self.rows = self._compat.rows
+            self.n_compat = self.rows.n_rows
             return
 
-        rows, names, parts = [], [], []
+        rows, parts = [], []
         for s, (v_s, fd_s) in enumerate(zip(vsl_set.speeds, vsl_set.fds)):
             tpl = compat_template(fd_s, geom, n_max, T)
             first = len(rows)
-            for coeffs, name in zip(tpl.row_coeffs(), tpl.names):
+            for coeffs in tpl.row_coeffs():
                 row = {vars.delta(s): 0.0}  # -b_s(rho), set by evaluate
                 for key, coef in coeffs.items():
                     if key[0] == "qin":
@@ -455,12 +431,10 @@ class BlockTemplate:
                     else:
                         row[vars.qa(s, key[2])] = coef
                 rows.append((row, GE, 0.0))
-                names.append(f"s{s}_{name}")
             parts.append((tpl, first, len(rows), vars.delta(s)))
             # outflow copy active only for the selected candidate
             for n in range(1, n_max + 1):
                 rows.append(({vars.qa(s, n): 1.0, vars.delta(s): -fd_s.Q}, LE, 0.0))
-                names.append(f"s{s}_qa_cap_{n}")
         # aggregate flows are the sums of the candidate copies
         for n in range(1, n_max + 1):
             coeffs = {vars.qin(n): 1.0}
@@ -471,32 +445,27 @@ class BlockTemplate:
             for s in range(len(vsl_set)):
                 coeffs[vars.qa(s, n)] = -1.0
             rows.append((coeffs, EQ, 0.0))
-            names += [f"qin_agg_{n}", f"qout_agg_{n}"]
         self.n_compat = len(rows)
-        for row in build_vsl_linearization(link, vars, n_max):
-            rows.append((row.coeffs, row.sense, row.rhs))
-            names.append(row.name)
+        rows += [(row.coeffs, row.sense, row.rhs)
+                 for row in build_vsl_linearization(link, vars, n_max)]
 
         keys = [c[0] for c in self.columns]
-        self.indptr, self.indices, self.data = pack_rows([r[0] for r in rows], keys)
-        self.names = names
-        self.sense = _read_only(np.array([sense_code(r[1]) for r in rows], dtype=np.int8))
-        self.rhs = _read_only(np.array([r[2] for r in rows], dtype=float))
+        self.rows = pack_rows(rows, keys)
+        indptr, indices = self.rows.indptr, self.rows.indices
         self._delta = []
         for tpl, first, end, delta in parts:
-            lo, hi = self.indptr[first], self.indptr[end]
-            pos = lo + np.flatnonzero(self.indices[lo:hi] == keys.index(delta))
+            lo, hi = indptr[first], indptr[end]
+            pos = lo + np.flatnonzero(indices[lo:hi] == keys.index(delta))
             self._delta.append((tpl, pos))
 
     def evaluate(self, densities) -> RowBlock:
         """The block's rows for the given initial segment densities."""
         if self._delta is None:
-            return RowBlock(self.indptr, self.indices, self.data, self.sense,
-                            self._compat.rhs(densities))
-        data = self.data.copy()
+            return self.rows._replace(rhs=self._compat.rhs(densities))
+        data = self.rows.data.copy()
         for tpl, pos in self._delta:
             data[pos] = 0.0 - tpl.rhs(densities)
-        return RowBlock(self.indptr, self.indices, data, self.sense, self.rhs)
+        return self.rows._replace(data=data)
 
 
 @functools.lru_cache(maxsize=None)
@@ -528,12 +497,11 @@ def build_compatibility(
     block = link_template(link, n_max, T)
     indptr, indices, data, sense, rhs = block.evaluate(densities)
     keys = [getattr(vars, key[0])(*key[2:]) for key, *_ in block.columns]
-    cols, vals, bounds = indices.tolist(), data.tolist(), indptr.tolist()
+    cols, vals, bounds = indices.tolist(), data.tolist(), indptr[:block.n_compat + 1].tolist()
     return [
         LinRow({keys[c]: v for c, v in zip(cols[lo:hi], vals[lo:hi]) if v != 0.0},
-               SENSES[code], b, name)
-        for lo, hi, code, b, name in zip(bounds, bounds[1:], sense.tolist(),
-                                         rhs.tolist(), block.names[:block.n_compat])
+               SENSES[code], b)
+        for lo, hi, code, b in zip(bounds, bounds[1:], sense.tolist(), rhs.tolist())
     ]
 
 

@@ -1,17 +1,20 @@
 """Solver-agnostic container for mixed-integer linear programs.
 
-Variables are created in a fixed order and addressed by integer id or by an
-arbitrary hashable key, so models built from the same inputs always number
-their columns identically (needed for reproducible solves and exports).
-The objective sense is always maximize.
+A model is built once, from arrays, and not changed afterwards:
+``LinearProgram(name, keys, columns, rows)`` takes every column's key, its
+cost, bounds and binary flag (``Columns``), and every row in one CSR block
+(column indices sorted within each row) with a sense code and a right-hand
+side per row (``RowBlock``).  The control models come from a cached template
+(``twostage.ModelTemplate``); ``pack_rows`` turns rows written as
+coefficient dicts into a block.
 
-Columns are held as arrays: keys, costs, bounds and a binary mask, filled in
-bulk by ``add_columns`` (the control models come from a cached template) or
-one at a time by ``add_variable``.  Rows are kept in one sparse form: blocks
-of CSR rows (column indices sorted within each row) with a sense code and a
-right-hand side per row.  Single rows come in through ``add_constraint``;
-whole blocks through ``add_rows``.  ``variables`` and ``constraints`` are
-read-only views rebuilt on each access.
+Columns are numbered in the order of their keys and addressed by integer
+id or by key, so models built from the same inputs number their columns
+identically (needed for reproducible solves and exports).  The objective
+sense is always maximize.  ``column_arrays`` and ``row_arrays`` hand out the
+read-only arrays themselves and ``to_arrays`` the solver's split of the
+rows into ``<=`` and ``=`` rows; ``constraints`` is a view of the rows as
+records, rebuilt on each access.
 """
 
 from __future__ import annotations
@@ -32,16 +35,6 @@ EQ = "=="
 #: row senses in the order of their codes in ``RowBlock.sense``
 SENSES = (LE, GE, EQ)
 LE_CODE, GE_CODE, EQ_CODE = range(3)
-
-
-@dataclass
-class Variable:
-    vid: int
-    key: object
-    lb: float
-    ub: float
-    kind: str = CONTINUOUS
-    obj: float = 0.0
 
 
 @dataclass
@@ -83,6 +76,33 @@ def sense_code(sense: str) -> int:
     return SENSES.index(sense)
 
 
+def _frozen(array) -> np.ndarray:
+    view = np.asarray(array).view()
+    view.setflags(write=False)
+    return view
+
+
+def pack_rows(rows, keys) -> RowBlock:
+    """Rows given as (coefficients by key, sense, rhs) as one read-only
+    block over the columns ``keys``, each row's entries in column order.
+    Zero coefficients are kept: templates hold them as the places a state
+    fills in."""
+    col = {key: i for i, key in enumerate(keys)}
+    indptr, indices, data = [0], [], []
+    for coeffs, _, _ in rows:
+        for c, v in sorted((col[k], v) for k, v in coeffs.items()):
+            indices.append(c)
+            data.append(v)
+        indptr.append(len(indices))
+    return RowBlock(*map(_frozen, (
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=float),
+        np.array([sense_code(sense) for _, sense, _ in rows], dtype=np.int8),
+        np.array([rhs for _, _, rhs in rows], dtype=float),
+    )))
+
+
 class Columns(NamedTuple):
     """Every column's cost, bounds and binary flag, in id order."""
 
@@ -92,63 +112,32 @@ class Columns(NamedTuple):
     binary: np.ndarray
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.setflags(write=False)
-    return view
-
-
 class LinearProgram:
-    """Sparse-row MILP with maximize objective."""
+    """Sparse-row MILP with maximize objective, fixed once built.
 
-    def __init__(self, name: str = "model"):
+    ``keys`` name the columns (distinct, any hashable but int); ``columns``
+    holds their costs, bounds and binary flags and ``rows`` every row, with
+    no zero coefficients.  The arrays are held as read-only views."""
+
+    def __init__(self, name: str, keys, columns: Columns, rows: RowBlock):
         self.name = name
-        self._keys: list = []
-        self._by_key: dict | None = {}  # key -> id, rebuilt on demand after add_columns
-        self._cols = Columns(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))
-        self._blocks: list[RowBlock] = []
-        # rows from add_constraint since the last block: nnz, cols, vals, sense, rhs
-        self._loose = ([], [], [], [], [])
-        self._n_rows = 0
-        self._rows = None
-        self._arrays = None
-
-    # -- construction -----------------------------------------------------
-
-    def add_variable(self, key=None, lb=0.0, ub=np.inf, kind=CONTINUOUS, obj=0.0) -> int:
-        if kind == BINARY:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        vid = self.n_vars
-        if key is None:
-            key = vid
-        elif isinstance(key, int):
-            raise ValueError("explicit integer keys are reserved for variable ids")
-        index = self._index()
-        if key in index:
-            raise ValueError(f"duplicate variable key {key!r}")
-        self._extend([key], [float(obj)], [float(lb)], [float(ub)], [kind == BINARY])
-        index[key] = vid
-        return vid
-
-    def add_columns(self, keys, obj, lb, ub, binary) -> int:
-        """Append columns in bulk: their keys (new and distinct, not integers)
-        and arrays of costs, bounds and binary flags.  Returns the first new
-        column's id."""
-        first = self.n_vars
-        self._extend(keys, obj, lb, ub, binary)
-        self._by_key = None
-        return first
-
-    def _extend(self, keys, obj, lb, ub, binary):
-        self._keys += keys
-        self._cols = Columns(*(np.concatenate((old, new)) for old, new in
-                               zip(self._cols, (obj, lb, ub, binary))))
+        self.keys = tuple(keys)
+        self._cols = Columns(*map(_frozen, columns))
+        self._rows = RowBlock(*map(_frozen, rows))
+        if any(len(array) != len(self.keys) for array in self._cols):
+            raise ValueError("column arrays and keys differ in length")
+        indices = self._rows.indices
+        if indices.size and (indices.min() < 0 or indices.max() >= len(self.keys)):
+            raise KeyError("rows refer to columns outside the model")
+        if not self._rows.data.all():
+            raise ValueError("rows hold a zero coefficient")
+        self._by_key: dict | None = None  # key -> id, built on first lookup
         self._arrays = None
 
     def _index(self) -> dict:
         if self._by_key is None:
-            self._by_key = {key: vid for vid, key in enumerate(self._keys)}
-            if len(self._by_key) != len(self._keys):
+            self._by_key = {key: vid for vid, key in enumerate(self.keys)}
+            if len(self._by_key) != len(self.keys):
                 raise ValueError("duplicate variable key")
         return self._by_key
 
@@ -159,109 +148,26 @@ class LinearProgram:
         return key in self._index()
 
     def key(self, vid: int):
-        return self._keys[vid]
-
-    def set_objective_coeff(self, key, coef, accumulate=True):
-        vid = self._key_or_id(key)
-        obj = self._cols.obj
-        obj[vid] = obj[vid] + coef if accumulate else coef
-        self._arrays = None
-
-    def set_bounds(self, key, lb=None, ub=None):
-        vid = self._key_or_id(key)
-        if lb is not None:
-            self._cols.lb[vid] = float(lb)
-        if ub is not None:
-            self._cols.ub[vid] = float(ub)
-        self._arrays = None
-
-    def add_constraint(self, coeffs: dict, sense: str, rhs: float) -> int:
-        code = sense_code(sense)
-        mapped = {}
-        for key, coef in coeffs.items():
-            if coef == 0.0:
-                continue
-            vid = self._key_or_id(key)
-            mapped[vid] = mapped.get(vid, 0.0) + float(coef)
-        nnz, cols, vals, senses, rhss = self._loose
-        nnz.append(len(mapped))
-        for vid in sorted(mapped):
-            cols.append(vid)
-            vals.append(mapped[vid])
-        senses.append(code)
-        rhss.append(float(rhs))
-        return self._added(1) - 1
-
-    def add_rows(self, block: RowBlock, col_offset: int = 0) -> int:
-        """Append a block of rows whose column indices are relative to
-        ``col_offset``; zero coefficients are dropped, as ``add_constraint``
-        drops them.  Returns the number of rows."""
-        indptr, indices, data = block.indptr, block.indices, block.data
-        if indices.size and (indices.min() + col_offset < 0
-                             or indices.max() + col_offset >= self.n_vars):
-            raise KeyError("row block refers to columns outside the model")
-        keep = data != 0.0
-        if not keep.all():
-            row = np.repeat(np.arange(block.n_rows), np.diff(indptr))
-            counts = np.bincount(row[keep], minlength=block.n_rows)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            indices, data = indices[keep], data[keep]
-        self._flush()
-        self._blocks.append(RowBlock(indptr, indices + col_offset, data,
-                                     block.sense, block.rhs))
-        self._added(block.n_rows)
-        return block.n_rows
-
-    def _added(self, n: int) -> int:
-        self._n_rows += n
-        self._rows = None
-        self._arrays = None
-        return self._n_rows
-
-    def _flush(self):
-        nnz, cols, vals, senses, rhss = self._loose
-        if senses:
-            self._blocks.append(RowBlock(
-                np.concatenate(([0], np.cumsum(nnz))),
-                np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=float),
-                np.array(senses, dtype=np.int8),
-                np.array(rhss, dtype=float),
-            ))
-            self._loose = ([], [], [], [], [])
-
-    def _key_or_id(self, key) -> int:
-        if isinstance(key, int) and not isinstance(key, bool):
-            if not 0 <= key < self.n_vars:
-                raise KeyError(f"variable id {key} out of range")
-            return key
-        return self._index()[key]
+        return self.keys[vid]
 
     # -- views -------------------------------------------------------------
 
     @property
     def n_vars(self) -> int:
-        return len(self._keys)
-
-    @property
-    def variables(self) -> list[Variable]:
-        """The columns as Variable records, rebuilt on each access."""
-        obj, lb, ub, binary = (a.tolist() for a in self._cols)
-        return [Variable(vid, key, lo, hi, BINARY if b else CONTINUOUS, c)
-                for vid, (key, c, lo, hi, b) in enumerate(zip(self._keys, obj, lb, ub, binary))]
+        return len(self.keys)
 
     def column_arrays(self) -> Columns:
         """Every column's cost, bounds and binary flag as read-only arrays."""
-        return Columns(*map(_frozen, self._cols))
+        return self._cols
 
     @property
     def n_constraints(self) -> int:
-        return self._n_rows
+        return self._rows.n_rows
 
     @property
     def constraints(self) -> list[Constraint]:
         """The rows as Constraint records, rebuilt on each access."""
-        indptr, indices, data, sense, rhs = self.row_arrays()
+        indptr, indices, data, sense, rhs = self._rows
         cols, vals = indices.tolist(), data.tolist()
         bounds = indptr.tolist()
         return [
@@ -277,12 +183,7 @@ class LinearProgram:
         return float(c @ x)
 
     def row_arrays(self) -> RowBlock:
-        """Every row in insertion order as one CSR block."""
-        if self._rows is None:
-            self._flush()
-            blocks = self._blocks
-            self._rows = blocks[0] if len(blocks) == 1 else stack_rows(blocks)
-            self._blocks = [self._rows]
+        """Every row in model order as one read-only CSR block."""
         return self._rows
 
     def to_arrays(self):
@@ -290,9 +191,9 @@ class LinearProgram:
         if self._arrays is not None:
             return self._arrays
         n = self.n_vars
-        c, lb, ub = (a.copy() for a in self._cols[:3])
+        c, lb, ub, _ = self._cols
 
-        indptr, indices, data, sense, rhs = self.row_arrays()
+        indptr, indices, data, sense, rhs = self._rows
         sign = np.where(sense == GE_CODE, -1.0, 1.0)
         entry_row = np.repeat(np.arange(len(sense)), np.diff(indptr))
 

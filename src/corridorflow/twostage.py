@@ -10,7 +10,7 @@ an epigraph-linearized penalty on inflow changes between consecutive steps.
 The models of one shape (corridor, steps, step size, scenario count and
 penalized step pairs) share every column and row; only numbers differ.  Each
 shape's ModelTemplate is assembled once, cached, and evaluated at each state
-into a LinearProgram whose columns and rows are filled in bulk.
+into the arrays of a LinearProgram.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import demand as demand_ops
 from . import linkmodel, network
 from .linkmodel import ENTRY, LinkVariables
-from .lp import BINARY, GE, LE, LinearProgram, RowBlock, sense_code, stack_rows
+from .lp import BINARY, GE, LE, Columns, LinearProgram, RowBlock, pack_rows, stack_rows
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ class ModelTemplate:
 
         # scenario 0's rows over its own and the first-stage columns, with the
         # places a state fills; the other scenarios repeat them
-        link_rows = [RowBlock(template.indptr, template.indices + self.n_first + at,
-                              template.data, template.sense, np.zeros(len(template.sense)))
+        link_rows = [template.rows._replace(indices=template.rows.indices + self.n_first + at,
+                                            rhs=np.zeros(template.rows.n_rows))
                      for _, template, at in fd_links]
 
         def qin(link_id, t):
@@ -338,12 +338,11 @@ class ModelTemplate:
                 u = (0, "u", link.id, t1)
                 rows += [({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0),
                          ({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0)]
-        indptr, indices, data = linkmodel.pack_rows([r[0] for r in rows], keys)
-        block = stack_rows(link_rows + [RowBlock(
-            indptr, indices, data, np.array([sense_code(r[1]) for r in rows], dtype=np.int8),
-            np.array([r[2] for r in rows], dtype=float))])
+        packed = pack_rows(rows, keys)
+        indptr, indices = packed.indptr, packed.indices
+        block = stack_rows(link_rows + [packed])
         self._block_rows = block.n_rows
-        row0, nnz0 = block.n_rows - len(rows), len(block.indices) - len(indices)
+        row0, nnz0 = block.n_rows - packed.n_rows, len(block.indices) - len(indices)
 
         def entry(row, column):
             lo, hi = indptr[row], indptr[row + 1]
@@ -362,10 +361,9 @@ class ModelTemplate:
 
         # every scenario: scenario 0's rows with its columns shifted
         shift = np.where(block.indices >= self.n_first, self.width, 0)
-        (self.indptr, self.indices, self.data, self.sense, self.rhs) = stack_rows(
+        self.rows = stack_rows(
             [block._replace(indices=block.indices + j * shift) for j in range(n_scenarios)])
-        for array in (self.lb, self.ub, self.binary, self.indptr, self.indices, self.data,
-                      self.sense, self.rhs):
+        for array in (self.lb, self.ub, self.binary, *self.rows):
             array.setflags(write=False)
 
     def evaluate(self, state: HorizonState, scenarios: list, weights: ObjectiveWeights,
@@ -396,7 +394,7 @@ class ModelTemplate:
             ub[cols[:len(committed)]] = np.minimum(np.asarray(committed, dtype=float), cap)
 
         # rows as (scenario, row) and (scenario, entry) views
-        data, rhs = self.data.copy(), self.rhs.copy()
+        data, rhs = self.rows.data.copy(), self.rows.rhs.copy()
         data_of, rhs_of = data.reshape(len(scenarios), -1), rhs.reshape(len(scenarios), -1)
         for lid, template, at, row in self._links:
             rows = template.evaluate(state.densities[lid])
@@ -428,21 +426,16 @@ class ModelTemplate:
 
         keep = data != 0.0
         keep.reshape(len(scenarios), -1)[:, idle] = False
-        indptr, sense = self.indptr, self.sense
+        indptr, indices, _, sense, _ = self.rows
         if not live.all():
             live = np.tile(live, len(scenarios))
             indptr = indptr[np.concatenate(([True], live))]
             sense, rhs = sense[live], rhs[live]
-        if keep.all():
-            block = RowBlock(indptr, self.indices, data, sense, rhs)
-        else:
+        if not keep.all():
             indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            block = RowBlock(indptr, self.indices[keep], data[keep], sense, rhs)
-
-        lp = LinearProgram(name)
-        lp.add_columns(self.keys, obj, self.lb, ub, self.binary)
-        lp.add_rows(block)
-        return lp, const
+            indices, data = indices[keep], data[keep]
+        rows = RowBlock(indptr, indices, data, sense, rhs)
+        return LinearProgram(name, self.keys, Columns(obj, self.lb, ub, self.binary), rows), const
 
 
 @functools.lru_cache(maxsize=None)

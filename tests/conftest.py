@@ -4,6 +4,7 @@ from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import lwr
 from corridorflow.experiments import case_study
+from corridorflow.lp import Columns, LinearProgram, pack_rows
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +78,27 @@ def read_with_highs(path):
     highs.setOptionValue("output_flag", False)
     assert highs.readModel(str(path)) == highs_core.HighsStatus.kOk
     return highs
+
+
+def build_lp(columns, rows, name="model"):
+    """A LinearProgram of ``columns`` given as (key, lb, ub, binary, obj) and
+    ``rows`` as (coefficients by key, sense, rhs).  Zero coefficients are
+    dropped and binary columns' bounds clamped to [0, 1]."""
+    keys, lb, ub, binary, obj = zip(*columns)
+    binary = np.array(binary, dtype=bool)
+    lb = np.where(binary, np.maximum(lb, 0.0), np.array(lb, dtype=float))
+    ub = np.where(binary, np.minimum(ub, 1.0), np.array(ub, dtype=float))
+    rows = [({k: v for k, v in coeffs.items() if v != 0.0}, sense, rhs)
+            for coeffs, sense, rhs in rows]
+    return LinearProgram(name, keys, Columns(np.array(obj, dtype=float), lb, ub, binary),
+                         pack_rows(rows, keys))
+
+
+def with_fixed(lp, values):
+    """A copy of ``lp`` with the columns of ``values`` (key -> value) fixed
+    at their value."""
+    columns = lp.column_arrays()
+    lb, ub = columns.lb.copy(), columns.ub.copy()
+    for key, val in values.items():
+        lb[lp.var_id(key)] = ub[lp.var_id(key)] = val
+    return LinearProgram(lp.name, lp.keys, columns._replace(lb=lb, ub=ub), lp.row_arrays())

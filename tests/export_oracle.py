@@ -10,11 +10,12 @@ import math
 import numpy as np
 from scipy import sparse
 
-from corridorflow.lp import BINARY, EQ_CODE, GE_CODE, LE_CODE, LinearProgram
+from corridorflow.lp import EQ_CODE, GE_CODE, LE_CODE, LinearProgram
 
 
 def _var_names(lp: LinearProgram) -> list[str]:
-    return [("b" if v.kind == BINARY else "x") + str(v.vid) for v in lp.variables]
+    return [("b" if b else "x") + str(vid)
+            for vid, b in enumerate(lp.column_arrays().binary.tolist())]
 
 
 def _num(v: float) -> str:
@@ -38,10 +39,11 @@ def _signed_terms(coefs, names) -> list[str]:
 
 def lp_text(lp: LinearProgram) -> str:
     names = _var_names(lp)
+    cost, lb, ub, binary = (a.tolist() for a in lp.column_arrays())
     lines = ["\\ " + lp.name, "Maximize", " obj:"]
-    objective = [v for v in lp.variables if v.obj != 0.0]
-    lines[-1] += "".join(_signed_terms([v.obj for v in objective],
-                                       [names[v.vid] for v in objective])) or " 0 " + names[0]
+    objective = [vid for vid, c in enumerate(cost) if c != 0.0]
+    lines[-1] += "".join(_signed_terms([cost[vid] for vid in objective],
+                                       [names[vid] for vid in objective])) or " 0 " + names[0]
     lines.append("Subject To")
     indptr, indices, data, sense, rhs = lp.row_arrays()
     terms = _signed_terms(data, [names[c] for c in indices.tolist()])
@@ -50,11 +52,11 @@ def lp_text(lp: LinearProgram) -> str:
     for i, (lo, hi, code, b) in enumerate(zip(bounds, bounds[1:], sense.tolist(), _nums(rhs))):
         lines.append(f" c{i}:{''.join(terms[lo:hi])} {ops[code]} {b}")
     lines.append("Bounds")
-    for v, name in zip(lp.variables, names):
-        lo = "-inf" if v.lb == -math.inf else _num(v.lb)
-        hi = "+inf" if v.ub == math.inf else _num(v.ub)
+    for v_lb, v_ub, name in zip(lb, ub, names):
+        lo = "-inf" if v_lb == -math.inf else _num(v_lb)
+        hi = "+inf" if v_ub == math.inf else _num(v_ub)
         lines.append(f" {lo} <= {name} <= {hi}")
-    bins = [name for v, name in zip(lp.variables, names) if v.kind == BINARY]
+    bins = [name for b, name in zip(binary, names) if b]
     if bins:
         lines.append("Binary")
         lines.append(" " + " ".join(bins))
@@ -64,6 +66,7 @@ def lp_text(lp: LinearProgram) -> str:
 
 def mps_text(lp: LinearProgram) -> str:
     names = _var_names(lp)
+    cost, lb, ub, binary = (a.tolist() for a in lp.column_arrays())
     lines = [f"NAME          {lp.name}", "OBJSENSE", "    MAX", "ROWS", " N  obj"]
     indptr, indices, data, sense, rhs = lp.row_arrays()
     tags = {LE_CODE: "L", GE_CODE: "G", EQ_CODE: "E"}
@@ -73,25 +76,25 @@ def mps_text(lp: LinearProgram) -> str:
     by_col = sparse.csr_matrix((data, indices, indptr),
                                shape=(len(sense), lp.n_vars)).tocsc()
     rows, texts, bounds = by_col.indices.tolist(), _nums(by_col.data), by_col.indptr.tolist()
-    for v, name, lo, hi in zip(lp.variables, names, bounds, bounds[1:]):
-        if v.kind == BINARY:
+    for b, c, name, lo, hi in zip(binary, cost, names, bounds, bounds[1:]):
+        if b:
             lines.append(f"    MARKER    'MARKER'    'INTORG'")
-        if v.obj != 0.0:
-            lines.append(f"    {name}  obj  {_num(v.obj)}")
+        if c != 0.0:
+            lines.append(f"    {name}  obj  {_num(c)}")
         lines += [f"    {name}  c{r}  {t}" for r, t in zip(rows[lo:hi], texts[lo:hi])]
-        if v.obj == 0.0 and lo == hi:
+        if c == 0.0 and lo == hi:
             lines.append(f"    {name}  obj  0")
-        if v.kind == BINARY:
+        if b:
             lines.append(f"    MARKER    'MARKER'    'INTEND'")
     lines.append("RHS")
     lines += [f"    RHS  c{i}  {b}" for i, b in enumerate(_nums(rhs))]
     lines.append("BOUNDS")
-    for v, name in zip(lp.variables, names):
-        if v.lb == -math.inf:
+    for v_lb, v_ub, name in zip(lb, ub, names):
+        if v_lb == -math.inf:
             lines.append(f" MI BND  {name}")
-        elif v.lb != 0.0:
-            lines.append(f" LO BND  {name}  {_num(v.lb)}")
-        if v.ub != math.inf:
-            lines.append(f" UP BND  {name}  {_num(v.ub)}")
+        elif v_lb != 0.0:
+            lines.append(f" LO BND  {name}  {_num(v_lb)}")
+        if v_ub != math.inf:
+            lines.append(f" UP BND  {name}  {_num(v_ub)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from corridorflow.experiments import (
 )
 from corridorflow.twostage import DemandDistribution, HorizonState
 
-from conftest import compatible_vc
+from conftest import build_lp, compatible_vc
 
 CONTROLLERS = ctl.CONTROLLER_KINDS
 
@@ -153,14 +153,13 @@ class TestCriterion5SolverCorrectness:
         rng = np.random.default_rng(55)
         worst_gap = 0.0
         for n_items in (6, 10, 12):
-            lp = solver.LinearProgram("knap")
             values = rng.integers(1, 30, n_items)
             weights = rng.integers(1, 10, n_items)
             budget = int(weights.sum() * 0.45) + 1
-            ids = [lp.add_variable((f"i{i}",), kind="binary", obj=float(values[i]))
-                   for i in range(n_items)]
-            lp.add_constraint({ids[i]: float(weights[i]) for i in range(n_items)},
-                              "<=", budget)
+            keys = [(f"i{i}",) for i in range(n_items)]
+            lp = build_lp([(key, 0.0, 1.0, True, float(v)) for key, v in zip(keys, values)],
+                          [({key: float(w) for key, w in zip(keys, weights)}, "<=", budget)],
+                          "knap")
             best = 0.0
             for mask in itertools.product((0, 1), repeat=n_items):
                 if np.dot(mask, weights) <= budget:

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import cli, solver, twostage
+from corridorflow.controller import CONTROLLER_KINDS, TWO_STAGE, assumed_level
 from corridorflow.experiments import ExperimentConfig, load_config, save_config
 
 from conftest import read_with_highs
@@ -56,7 +57,8 @@ def test_sweep_emits_grid(tiny_config, tmp_path, capsys):
     assert "sd=0.4472" in capsys.readouterr().out
 
 
-def test_export_milp_formats(tiny_config, tmp_path):
+@pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+def test_export_milp_formats(controller, tiny_config, tmp_path):
     # an external solver reads each format as the in-process model: same
     # sense and size, and the same LP-relaxation optimum
     config = load_config(tiny_config)
@@ -67,17 +69,22 @@ def test_export_milp_formats(tiny_config, tmp_path):
         config.n_project,
         config.T,
     )
-    lp = twostage.build_deterministic_equivalent(
-        corridor, state, config.distribution(), config.weights()).lp
+    dist = config.distribution()
+    if controller == TWO_STAGE:
+        bundle = twostage.build_deterministic_equivalent(corridor, state, dist, config.weights())
+    else:
+        bundle = twostage.build_deterministic_baseline(
+            corridor, state, assumed_level(controller, dist), config.weights())
+    lp = bundle.lp
     relaxed = solver.solve_lp_relaxation(lp).objective
     out = tmp_path / "milp"
     for fmt in ("lp", "mps"):
         rc = cli.main([
             "export-milp", "--config", str(tiny_config), "--output-dir", str(out),
-            "--format", fmt,
+            "--controller", controller, "--format", fmt,
         ])
         assert rc == 0
-        highs = read_with_highs(out / f"horizon_two-stage.{fmt}")
+        highs = read_with_highs(out / f"horizon_{controller}.{fmt}")
         model = highs.getLp()
         assert model.sense_ == highs_core.ObjSense.kMaximize, fmt
         assert (model.num_col_, model.num_row_) == (lp.n_vars, lp.n_constraints), fmt

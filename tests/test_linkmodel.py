@@ -3,9 +3,9 @@ import pytest
 
 from corridorflow import linkmodel, lwr, solver
 from corridorflow.linkmodel import LinkSpec, LinkVariables, SpeedLimitSet
-from corridorflow.lp import EQ, GE, LE, LinearProgram
+from corridorflow.lp import EQ, GE, LE
 
-from conftest import compatible_vc
+from conftest import build_lp, compatible_vc, with_fixed
 
 T = 20.0
 N = 8
@@ -24,25 +24,17 @@ def vsl_link(fd, geom):
 
 def flow_point(lp, vars, inflow, outflow):
     """The point of ``lp`` with the given per-step boundary flows."""
-    x = np.zeros(len(lp.variables))
+    x = np.zeros(lp.n_vars)
     for n in range(1, len(inflow) + 1):
         x[lp.var_id(vars.qin(n))] = inflow[n - 1]
         x[lp.var_id(vars.qout(n))] = outflow[n - 1]
     return x
 
 
-def lp_with_rows(rows, vars, fd, objective=None, fix=None):
-    lp = LinearProgram()
-    for n in range(1, N + 1):
-        for key in (vars.qin(n), vars.qout(n)):
-            obj = (objective or {}).get(key, 0.0)
-            lp.add_variable(key, 0.0, fd.Q, obj=obj)
-    if fix:
-        for key, val in fix.items():
-            lp.set_bounds(key, val, val)
-    for row in rows:
-        lp.add_constraint(row.coeffs, row.sense, row.rhs)
-    return lp
+def lp_with_rows(rows, vars, fd, objective=None):
+    columns = [(key, 0.0, fd.Q, False, (objective or {}).get(key, 0.0))
+               for n in range(1, N + 1) for key in (vars.qin(n), vars.qout(n))]
+    return build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
 
 
 class TestCompatibilityRows:
@@ -115,24 +107,21 @@ def _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=None, inflow_cost=0.0):
     rows = linkmodel.build_compatibility(vsl_link, vars, densities, N, T)
     rows += linkmodel.build_vsl_linearization(vsl_link, vars, N)
     sls = vsl_link.vsl_set
-    lp = LinearProgram()
+    columns = []
     for n in range(1, N + 1):
-        lp.add_variable(vars.qin(n), 0.0, sls.Q_max, obj=-inflow_cost)
-        lp.add_variable(vars.qout(n), 0.0, sls.Q_max, obj=float(N - n + 1))
-    for s in range(len(sls)):
-        lp.add_variable(vars.delta(s), kind="binary")
-    lp.add_variable(vars.rcvf(), 0.0, sls.Q_max)
+        columns.append((vars.qin(n), 0.0, sls.Q_max, False, -inflow_cost))
+        columns.append((vars.qout(n), 0.0, sls.Q_max, False, float(N - n + 1)))
+    columns += [(vars.delta(s), 0.0, 1.0, True, 0.0) for s in range(len(sls))]
+    columns.append((vars.rcvf(), 0.0, sls.Q_max, False, 0.0))
     for n in range(1, N + 1):
-        lp.add_variable(vars.kin(n), 0.0, max(sls.rho_cs))
+        columns.append((vars.kin(n), 0.0, max(sls.rho_cs), False, 0.0))
         for s in range(len(sls)):
-            lp.add_variable(vars.ka(s, n), 0.0, sls.rho_cs[s])
-            lp.add_variable(vars.qa(s, n), 0.0, sls.capacities[s])
-    for row in rows:
-        lp.add_constraint(row.coeffs, row.sense, row.rhs)
+            columns.append((vars.ka(s, n), 0.0, sls.rho_cs[s], False, 0.0))
+            columns.append((vars.qa(s, n), 0.0, sls.capacities[s], False, 0.0))
+    lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
     if fixed_s is not None:
-        for s in range(len(sls)):
-            val = 1.0 if s == fixed_s else 0.0
-            lp.set_bounds(vars.delta(s), val, val)
+        lp = with_fixed(lp, {vars.delta(s): 1.0 if s == fixed_s else 0.0
+                              for s in range(len(sls))})
         sol = solver.solve_lp_relaxation(lp)
     else:
         sol = solver.branch_and_bound(lp)
@@ -147,8 +136,7 @@ class TestVSLLinearization:
     def test_selected_speed_propagates_aux_values(self, vsl_link, fd):
         # fastest speed selected with inflow pinned at 2.1
         lp, vars, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=4)
-        for n in range(1, N + 1):
-            lp.set_bounds(vars.qin(n), 2.1, 2.1)
+        lp = with_fixed(lp, {vars.qin(n): 2.1 for n in range(1, N + 1)})
         sol = solver.solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
         for n in (1, 5, 8):
@@ -159,8 +147,7 @@ class TestVSLLinearization:
 
     def test_zero_inflow_zeroes_aux(self, vsl_link, fd):
         lp, vars, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=2)
-        for n in range(1, N + 1):
-            lp.set_bounds(vars.qin(n), 0.0, 0.0)
+        lp = with_fixed(lp, {vars.qin(n): 0.0 for n in range(1, N + 1)})
         sol = solver.solve_lp_relaxation(lp)
         for n in (1, 4):
             assert sol.value(lp, vars.kin(n)) == pytest.approx(0.0, abs=1e-9)

@@ -122,23 +122,42 @@ def test_model_matches_golden_digests(name, models, tmp_path):
     assert model_digests(bundle.lp, tmp_path) == GOLDEN[name]
 
 
-def test_new_densities_build_no_new_template(config):
+def build_at(config, value):
+    """The case-study two-stage model with every density, queue and ``t0``
+    scaled by ``value``."""
     corridor = config.corridor()
-    dist, weights = config.distribution(), config.weights()
+    dens = {l.id: np.full(l.geometry.k_max, value) for l in corridor.fd_links}
+    queues = {l.id: 10.0 * value for l in corridor.entry_links}
+    state = HorizonState(dens, queues, config.n_project, config.T, 1e3 * value)
+    return twostage.build_deterministic_equivalent(corridor, state, config.distribution(),
+                                                   config.weights())
 
-    def build(value):
-        dens = {l.id: np.full(l.geometry.k_max, value) for l in corridor.fd_links}
-        queues = {l.id: 10.0 * value for l in corridor.entry_links}
-        state = HorizonState(dens, queues, config.n_project, config.T, 1e3 * value)
-        return twostage.build_deterministic_equivalent(corridor, state, dist, weights)
 
+def test_new_densities_build_no_new_template(config):
     def caches():
         return (linkmodel.compat_template.cache_info(), linkmodel.block_template.cache_info(),
                 twostage.model_template.cache_info())
 
-    build(0.03)
+    build_at(config, 0.03)
     before = caches()
-    build(0.17)
+    build_at(config, 0.17)
     after = caches()
     assert [i.misses for i in after] == [i.misses for i in before]
     assert [i.currsize for i in after] == [i.currsize for i in before]
+
+
+def test_models_of_one_template_share_no_writable_state(config):
+    def arrays(lp):
+        out = [*lp.row_arrays(), *lp.column_arrays()]
+        for a in lp.to_arrays():
+            out += [a.data, a.indices, a.indptr] if hasattr(a, "indptr") else [a]
+        return out
+
+    a = build_at(config, 0.03).lp
+    before = [x.tobytes() for x in arrays(a)]
+    b = build_at(config, 0.17).lp
+    assert [x.tobytes() for x in arrays(a)] != [x.tobytes() for x in arrays(b)]
+    assert [x.tobytes() for x in arrays(a)] == before
+    for lp in (a, b):
+        for array in [*lp.row_arrays(), *lp.column_arrays()]:
+            assert not array.flags.writeable

@@ -4,9 +4,10 @@ import pytest
 
 from corridorflow import network, solver
 from corridorflow.linkmodel import ENTRY, FD, LinkSpec, LinkVariables
-from corridorflow.lp import LinearProgram
 from corridorflow.lwr import LinkGeometry
 from corridorflow.network import MERGE, SERIAL, Corridor, Junction
+
+from conftest import build_lp
 
 N = 8
 T = 20.0
@@ -67,21 +68,15 @@ def _merge_lp(corridor, supply_cap, ramp_demand=None, objective="main"):
         corridor.link("R").demand = ramp_demand
     lv = {lid: LinkVariables(corridor.link(lid), N) for lid in ("M2", "R", "M3")}
     rows = network.build_node_constraints(corridor, jn, lv, N, T=T)
-    lp = LinearProgram()
+    columns = []
     for n in range(1, N + 1):
-        lp.add_variable(lv["M2"].qout(n), 0.0, corridor.link("M2").capacity)
-        lp.add_variable(lv["R"].qin(n), 0.0, corridor.link("M3").capacity)
-        lp.add_variable(lv["M3"].qin(n), 0.0, supply_cap)
-    for row in rows:
-        for key in row.coeffs:
-            if not lp.has_var(key) and key[0] == "merge":
-                lp.add_variable(key, kind="binary")
-    for row in rows:
-        lp.add_constraint(row.coeffs, row.sense, row.rhs)
-    for n in range(1, N + 1):
-        lp.set_objective_coeff(lv["M3"].qin(n), 1.0)
-        if objective == "main":
-            lp.set_objective_coeff(lv["M2"].qout(n), 1.0)
+        columns.append((lv["M2"].qout(n), 0.0, corridor.link("M2").capacity, False,
+                        1.0 if objective == "main" else 0.0))
+        columns.append((lv["R"].qin(n), 0.0, corridor.link("M3").capacity, False, 0.0))
+        columns.append((lv["M3"].qin(n), 0.0, supply_cap, False, 1.0))
+    merge = {key: None for row in rows for key in row.coeffs if key[0] == "merge"}
+    columns += [(key, 0.0, 1.0, True, 0.0) for key in merge]
+    lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
     sol = solver.branch_and_bound(lp)
     assert sol.ok
     return lp, lv, sol
@@ -118,12 +113,11 @@ class TestSerialJunction:
         jn = next(j for j in corridor.junctions if j.incoming == ("M1",))
         lv = {lid: LinkVariables(corridor.link(lid), N) for lid in ("M1", "M2")}
         rows = network.build_node_constraints(corridor, jn, lv, N, T=T)
-        lp = LinearProgram()
+        columns = []
         for n in range(1, N + 1):
-            lp.add_variable(lv["M1"].qout(n), 0.0, 2.1)
-            lp.add_variable(lv["M2"].qin(n), 0.0, 2.1, obj=1.0)
-        for row in rows:
-            lp.add_constraint(row.coeffs, row.sense, row.rhs)
+            columns.append((lv["M1"].qout(n), 0.0, 2.1, False, 0.0))
+            columns.append((lv["M2"].qin(n), 0.0, 2.1, False, 1.0))
+        lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
         sol = solver.solve_lp_relaxation(lp)
         assert sol.objective == pytest.approx(2.1 * N, abs=1e-6)
         # conservation holds row by row

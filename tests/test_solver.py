@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import solver, twostage
-from corridorflow.lp import BINARY, EQ, GE, GE_CODE, LE, LE_CODE, LinearProgram
+from corridorflow.lp import EQ, GE, GE_CODE, LE, LE_CODE, LinearProgram
 from corridorflow.solver import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -23,15 +23,12 @@ from corridorflow.solver import (
 )
 
 import export_oracle
-from conftest import read_with_highs
+from conftest import build_lp, read_with_highs, with_fixed
 from test_acceptance import _states_for_certification
 
 
 def toy_lp():
-    lp = LinearProgram("toy")
-    x = lp.add_variable(("x",), 0.0, math.inf, obj=1.0)
-    lp.add_constraint({x: 1.0}, LE, 2.1)
-    return lp
+    return build_lp([(("x",), 0.0, math.inf, False, 1.0)], [({("x",): 1.0}, LE, 2.1)], "toy")
 
 
 class TestLPRelaxation:
@@ -41,30 +38,38 @@ class TestLPRelaxation:
         assert sol.objective == pytest.approx(2.1, abs=1e-9)
 
     def test_infeasible_pair(self):
-        lp = LinearProgram()
-        x = lp.add_variable(("x",), 0.0, 10.0, obj=1.0)
-        lp.add_constraint({x: 1.0}, LE, 0.0)
-        lp.add_constraint({x: 1.0}, GE, 1.0)
+        lp = build_lp([(("x",), 0.0, 10.0, False, 1.0)],
+                      [({("x",): 1.0}, LE, 0.0), ({("x",): 1.0}, GE, 1.0)])
         assert solve_lp_relaxation(lp).status == INFEASIBLE
 
     def test_binaries_relaxed(self):
-        lp = LinearProgram()
-        b = lp.add_variable(("b",), kind=BINARY, obj=1.0)
-        lp.add_constraint({b: 2.0}, LE, 1.0)
+        lp = build_lp([(("b",), 0.0, 1.0, True, 1.0)], [({("b",): 2.0}, LE, 1.0)])
         sol = solve_lp_relaxation(lp)
         assert sol.objective == pytest.approx(0.5, abs=1e-9)
 
 
+class TestLinearProgram:
+    def test_rows_outside_the_columns_are_refused(self):
+        lp = toy_lp()
+        for column in (-1, lp.n_vars):
+            rows = lp.row_arrays()._replace(indices=np.array([column]))
+            with pytest.raises(KeyError):
+                LinearProgram("bad", lp.keys, lp.column_arrays(), rows)
+
+    def test_zero_coefficients_are_refused(self):
+        lp = toy_lp()
+        rows = lp.row_arrays()._replace(data=np.array([0.0]))
+        with pytest.raises(ValueError):
+            LinearProgram("bad", lp.keys, lp.column_arrays(), rows)
+
+
 def random_knapsack(rng, n_items):
-    lp = LinearProgram("knapsack")
     values = rng.integers(1, 20, n_items)
     weights = rng.integers(1, 12, n_items)
     budget = int(weights.sum() * 0.4) + 1
-    ids = [
-        lp.add_variable((f"item{i}",), kind=BINARY, obj=float(values[i]))
-        for i in range(n_items)
-    ]
-    lp.add_constraint({ids[i]: float(weights[i]) for i in range(n_items)}, LE, budget)
+    keys = [(f"item{i}",) for i in range(n_items)]
+    lp = build_lp([(key, 0.0, 1.0, True, float(v)) for key, v in zip(keys, values)],
+                  [({key: float(w) for key, w in zip(keys, weights)}, LE, budget)], "knapsack")
     return lp, values, weights, budget
 
 
@@ -91,9 +96,7 @@ class TestBranchAndBound:
     def test_fixed_binaries_reduce_to_relaxation(self):
         lp, *_ = random_knapsack(np.random.default_rng(1), 6)
         best = branch_and_bound(lp)
-        for vid in lp.binary_ids():
-            val = round(best.x[vid])
-            lp.set_bounds(vid, val, val)
+        lp = with_fixed(lp, {lp.key(vid): round(best.x[vid]) for vid in lp.binary_ids()})
         relaxed = solve_lp_relaxation(lp)
         assert branch_and_bound(lp).objective == pytest.approx(
             relaxed.objective, abs=1e-9
@@ -116,10 +119,8 @@ class TestBranchAndBound:
         assert a.nodes == b.nodes
 
     def test_integer_infeasible(self):
-        lp = LinearProgram()
-        b1 = lp.add_variable(("b1",), kind=BINARY)
-        b2 = lp.add_variable(("b2",), kind=BINARY)
-        lp.add_constraint({b1: 1.0, b2: 1.0}, EQ, 0.5)
+        lp = build_lp([(("b1",), 0.0, 1.0, True, 0.0), (("b2",), 0.0, 1.0, True, 0.0)],
+                      [({("b1",): 1.0, ("b2",): 1.0}, EQ, 0.5)])
         assert branch_and_bound(lp).status == INFEASIBLE
 
     def test_node_limit_status(self):
@@ -152,7 +153,7 @@ def node_bound_sets(lp, rng, n_nodes=30):
     seventh node fixing two speeds of one link at once (infeasible) and the
     node after it freeing them again."""
     bins = lp.binary_ids()
-    deltas = [v.vid for v in lp.variables if v.kind == BINARY and v.key[1] == "delta"]
+    deltas = [vid for vid in bins if lp.key(vid)[1] == "delta"]
     _, _, _, _, _, lb0, ub0 = lp.to_arrays()
     fixings: dict = {}
     for node in range(n_nodes):
@@ -221,8 +222,8 @@ def assert_reads_back(lp, path):
     cols = [int(name[1:]) for name in model.col_names_]
     rows = [int(name[1:]) for name in model.row_names_]
     assert sorted(cols) == list(range(n)) and sorted(rows) == list(range(m))
-    assert list(model.col_names_) == [
-        ("b" if lp.variables[vid].kind == BINARY else "x") + str(vid) for vid in cols]
+    binary = lp.column_arrays().binary
+    assert list(model.col_names_) == [("b" if binary[vid] else "x") + str(vid) for vid in cols]
     assert list(model.row_names_) == [f"c{i}" for i in rows]
     col_pos, row_pos = np.argsort(cols), np.argsort(rows)
 
@@ -235,7 +236,7 @@ def assert_reads_back(lp, path):
     close(np.array(model.col_lower_)[col_pos], lb)
     close(np.array(model.col_upper_)[col_pos], ub)
     integer = [t == highs_core.HighsVarType.kInteger for t in model.integrality_] or [False] * n
-    assert np.array(integer)[col_pos].tolist() == [v.kind == BINARY for v in lp.variables]
+    assert np.array(integer)[col_pos].tolist() == binary.tolist()
 
     indptr, indices, data, sense, rhs = lp.row_arrays()
     close(np.array(model.row_lower_)[row_pos], np.where(sense == LE_CODE, -np.inf, rhs))
@@ -251,12 +252,10 @@ def assert_reads_back(lp, path):
 class TestExport:
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
     def test_two_variable_roundtrip(self, fmt, tmp_path):
-        lp = LinearProgram("tiny")
-        x = lp.add_variable(("x",), 0.0, 5.0, obj=1.25)
-        b = lp.add_variable(("b",), kind=BINARY, obj=-0.5)
-        lp.add_constraint({x: 1.0, b: -2.0}, LE, 3.0)
-        lp.add_constraint({x: 0.5, b: 1.0}, GE, 0.25)
-        lp.add_constraint({x: 1.0}, EQ, 1.0)
+        x, b = ("x",), ("b",)
+        lp = build_lp([(x, 0.0, 5.0, False, 1.25), (b, 0.0, 1.0, True, -0.5)],
+                      [({x: 1.0, b: -2.0}, LE, 3.0), ({x: 0.5, b: 1.0}, GE, 0.25),
+                       ({x: 1.0}, EQ, 1.0)], "tiny")
         path = tmp_path / f"model.{fmt}"
         export_model(lp, path, fmt=fmt)
         assert_reads_back(lp, path)
@@ -264,10 +263,9 @@ class TestExport:
 
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
     def test_model_without_costs_names_its_first_column(self, fmt, tmp_path):
-        lp = LinearProgram("no costs")
-        b = lp.add_variable(("b",), kind=BINARY)
-        x = lp.add_variable(("x",), 0.0, 4.0)
-        lp.add_constraint({b: 1.0, x: 1.0}, LE, 2.0)
+        b, x = ("b",), ("x",)
+        lp = build_lp([(b, 0.0, 1.0, True, 0.0), (x, 0.0, 4.0, False, 0.0)],
+                      [({b: 1.0, x: 1.0}, LE, 2.0)], "no costs")
         path = tmp_path / f"model.{fmt}"
         export_model(lp, path, fmt=fmt)
         assert_reads_back(lp, path)
@@ -288,9 +286,7 @@ class TestExport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_twelve_significant_digits(self, tmp_path):
-        lp = LinearProgram()
-        x = lp.add_variable(("x",), 0.0, 1.0, obj=1.0 / 3.0)
-        lp.add_constraint({x: 2.0 / 3.0}, LE, 1.0)
+        lp = build_lp([(("x",), 0.0, 1.0, False, 1.0 / 3.0)], [({("x",): 2.0 / 3.0}, LE, 1.0)])
         path = tmp_path / "digits.lp"
         export_model(lp, path, fmt="lp")
         assert "0.333333333333" in path.read_text()
@@ -334,27 +330,28 @@ def small_programs(draw, readable):
     reads finite costs, bounds and right-hand sides of 1e20 or more as
     infinite, drops coefficients below 1e-9 and rejects those of 1e15 and
     above.
-    ``LinearProgram`` drops zero coefficients, so a row may have no entries
-    and a column may have none.
+    ``build_lp`` drops zero coefficients, so a row may have no entries and a
+    column may have none.
     """
     def pick(values, least=0.0):
         kept = [v for v in values if not readable
                 or ((math.isinf(v) or abs(v) < 1e20) and not 0.0 < abs(v) < least)]
         return draw(st.sampled_from(kept))
 
-    lp = LinearProgram("drawn")
+    columns = []
     for j in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
-            lp.add_variable(("b", j), kind=BINARY, obj=pick(VALUES))
+            columns.append((("b", j), 0.0, math.inf, True, pick(VALUES)))
             continue
         lb = pick([-math.inf, -1e20, -0.0, 0.0, 1e-13, -3.25, 2.0])
         ub = max(lb, pick([math.inf, 1e20, 0.0, 1e-13, 4.5]))
-        lp.add_variable(("x", j), lb, ub, obj=pick(VALUES))
+        columns.append((("x", j), lb, ub, False, pick(VALUES)))
+    rows = []
     for _ in range(draw(st.integers(0, 4))):
-        cols = draw(st.lists(st.integers(0, lp.n_vars - 1), min_size=1, unique=True))
-        lp.add_constraint({c: pick(VALUES, least=1e-9) for c in cols},
-                          draw(st.sampled_from([LE, GE, EQ])), pick(VALUES))
-    return lp
+        cols = draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, unique=True))
+        rows.append(({columns[c][0]: pick(VALUES, least=1e-9) for c in cols},
+                     draw(st.sampled_from([LE, GE, EQ])), pick(VALUES)))
+    return build_lp(columns, rows, "drawn")
 
 
 class TestExportMatchesLineWriters:
@@ -393,10 +390,10 @@ class TestUnreadableValues:
         ({}, (1e-13, 1.0), "c0, x0: coefficient 1e-13"),
     ])
     def test_value_is_named(self, fmt, column, row, message, tmp_path):
-        lp = LinearProgram("unreadable")
-        x = lp.add_variable(("x",), **{"lb": 0.0, "ub": 5.0, "obj": 1.0, **column})
-        if row is not None:
-            lp.add_constraint({x: row[0]}, LE, row[1])
+        column = {"lb": 0.0, "ub": 5.0, "obj": 1.0, **column}
+        rows = [] if row is None else [({("x",): row[0]}, LE, row[1])]
+        lp = build_lp([(("x",), column["lb"], column["ub"], False, column["obj"])], rows,
+                      "unreadable")
         path = tmp_path / f"model.{fmt}"
         with pytest.raises(ValueError, match=re.escape(message)):
             export_model(lp, path, fmt=fmt)

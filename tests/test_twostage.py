@@ -290,7 +290,7 @@ class TestTemplateMatchesRowBuilder:
         oracle, const = model_oracle.assemble_model(
             corridor, bundle.state, bundle.scenarios, bundle.weights, bundle.options, lp.name)
         assert bundle.obj_const == const
-        assert [v.key for v in lp.variables] == [v.key for v in oracle.variables]
+        assert lp.keys == oracle.keys
         for got, want in zip(lp.to_arrays(), oracle.to_arrays()):
             if sparse.issparse(want):
                 assert got.shape == want.shape
