@@ -18,7 +18,7 @@ from .lwr import (
     godunov_oracle,
     moskowitz,
 )
-from .linkmodel import LinkSpec, LinkVariables, SpeedLimitSet
+from .linkmodel import LinkSpec, SpeedLimitSet
 from .network import Corridor, Junction, validate_topology
 from .twostage import (
     DemandDistribution,

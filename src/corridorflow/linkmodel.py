@@ -12,9 +12,11 @@ compatibility conditions already cap the cumulative outflow by the initial
 and inflow components at the exit, and the cumulative inflow by the initial
 and outflow components at the entrance.
 
-Row coefficients reference keys like ("qin", link_id, n) or
-("delta", link_id, s); callers map them into a concrete LinearProgram
-namespace.  The control model itself takes each link's rows from a
+Rows are lp.Constraint records.  The templates key a link's columns
+link-locally, as (kind, *index): ("qin", n), ("qout", n), ("kin", n),
+("delta", s), ("ka", s, n), ("qa", s, n) and ("rcvf",).  The control model
+places them at (scenario, kind, link_id, *index), and build_compatibility at
+(kind, link_id, *index).  The control model takes each link's rows from a
 BlockTemplate: a CSR block built once per (flux law, geometry, speed set,
 n_steps, T), whose only density-dependent parts are evaluated vectorized.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .lp import BINARY, CONTINUOUS, EQ, GE, LE, SENSES, RowBlock, pack_rows
+from .lp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, RowBlock, pack_rows
 from . import lwr
 from .lwr import (
     GUARD_TOL,
@@ -104,69 +106,30 @@ class LinkSpec:
         raise ValueError(f"speed {speed} not in candidate set of link {self.id}")
 
 
-@dataclass
-class LinRow:
-    coeffs: dict
-    sense: str
-    rhs: float
-    name: str = ""
-    #: entry link whose backlog at the horizon start adds to ``rhs``
-    backlog: str | None = None
-
-
-class LinkVariables:
-    """Key factory for one link's slice of the model."""
-
-    def __init__(self, link: LinkSpec, n_max: int):
-        self.link = link
-        self.n_max = n_max
-
-    def qin(self, n: int):
-        return ("qin", self.link.id, n)
-
-    def qout(self, n: int):
-        return ("qout", self.link.id, n)
-
-    def kin(self, n: int):
-        return ("kin", self.link.id, n)
-
-    def ka(self, s: int, n: int):
-        return ("ka", self.link.id, s, n)
-
-    def qa(self, s: int, n: int):
-        return ("qa", self.link.id, s, n)
-
-    def delta(self, s: int):
-        return ("delta", self.link.id, s)
-
-    def rcvf(self):
-        return ("rcvf", self.link.id)
-
-
 # ---------------------------------------------------------------------------
 # Compatibility conditions.
 # ---------------------------------------------------------------------------
 
 
-def _expr_coeffs(expr: ComponentExpr, vars: LinkVariables, fd: TriangularFD):
+def _expr_coeffs(expr: ComponentExpr, fd: TriangularFD):
     """Flatten a component into (coeffs, const) over link-local flow keys;
     the 1/vf and rho_c*vf parts fold numerically with the given flux law."""
     coeffs = {}
     const = expr.const + expr.rcvf * fd.Q
     for n, a in expr.qin.items():
-        coeffs[vars.qin(n)] = coeffs.get(vars.qin(n), 0.0) + a
+        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a
     for n, a in expr.qout.items():
-        coeffs[vars.qout(n)] = coeffs.get(vars.qout(n), 0.0) + a
+        coeffs[("qout", n)] = coeffs.get(("qout", n), 0.0) + a
     for n, a in expr.kin.items():
-        coeffs[vars.qin(n)] = coeffs.get(vars.qin(n), 0.0) + a / fd.vf
+        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a / fd.vf
     return coeffs, const
 
 
-def _vc_coeffs(flow, T: float, p: int, t: float) -> dict:
+def _vc_coeffs(flow: str, T: float, p: int, t: float) -> dict:
     """Flow part of a boundary value condition at t in step p: the count
-    through that boundary, over the keys flow(1..p)."""
-    coeffs = {flow(i): T for i in range(1, p)}
-    coeffs[flow(p)] = coeffs.get(flow(p), 0.0) + (t - (p - 1) * T)
+    through that boundary, over the keys (flow, 1..p)."""
+    coeffs = {(flow, i): T for i in range(1, p)}
+    coeffs[(flow, p)] = coeffs.get((flow, p), 0.0) + (t - (p - 1) * T)
     return coeffs
 
 
@@ -206,8 +169,7 @@ def _initial_term(fd: TriangularFD, geom: LinkGeometry, k: int, t: float, x: flo
     return free + congested
 
 
-def _compat_rows(fd: TriangularFD, geom: LinkGeometry, vars: LinkVariables,
-                 n_max: int, T: float) -> list:
+def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> list:
     """Every row ``component >= value condition`` of one flux law as
     (flow coefficients, name, downstream boundary?, component constant).
 
@@ -223,7 +185,7 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, vars: LinkVariables,
             return
         coeffs, term = comp
         coeffs = dict(coeffs)
-        for key, v in _vc_coeffs(vars.qout if downstream else vars.qin, T, p, t).items():
+        for key, v in _vc_coeffs("qout" if downstream else "qin", T, p, t).items():
             coeffs[key] = coeffs.get(key, 0.0) - v
         coeffs = {k: v for k, v in coeffs.items() if abs(v) > 1e-12}
         rows.append((coeffs, name, downstream, term))
@@ -236,7 +198,7 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, vars: LinkVariables,
         c = lwr.upstream_component_expr(fd, geom, T, n, t, x)
         if c is None:
             return None
-        coeffs, const = _expr_coeffs(c, vars, fd)
+        coeffs, const = _expr_coeffs(c, fd)
         return coeffs, (_FIXED, const)
 
     def downstream(n, t, x):
@@ -244,7 +206,7 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, vars: LinkVariables,
         c = lwr.downstream_component_expr(fd, geom, zero, T, n, t, x)
         if c is None:
             return None
-        coeffs, _ = _expr_coeffs(c, vars, fd)
+        coeffs, _ = _expr_coeffs(c, fd)
         return coeffs, (_OUTFLOW, -c.const, c.rcvf * fd.Q)
 
     # initial components against both boundary conditions
@@ -305,10 +267,9 @@ class CompatTemplate:
 
     def __init__(self, fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float):
         self.fd, self.geom = fd, geom
-        vars = LinkVariables(LinkSpec("", FD, geom, fd), n_max)
-        self.keys = [key for n in range(1, n_max + 1) for key in (vars.qin(n), vars.qout(n))]
-        rows = _compat_rows(fd, geom, vars, n_max, T)
-        self.rows = pack_rows([(row[0], GE, 0.0) for row in rows if row[0]], self.keys)
+        self.keys = [(kind, n) for n in range(1, n_max + 1) for kind in ("qin", "qout")]
+        rows = _compat_rows(fd, geom, n_max, T)
+        self.rows = pack_rows([Constraint(row[0], GE, 0.0) for row in rows if row[0]], self.keys)
         self.matrix = sparse.csr_matrix((self.rows.data, self.rows.indices, self.rows.indptr),
                                         shape=(self.rows.n_rows, len(self.keys)))
 
@@ -332,15 +293,6 @@ class CompatTemplate:
         self._seg = seg.astype(int)
         self._free, self._congested = np.array(initial[:3]), np.array(initial[3:])
         self._outflow = params(_OUTFLOW, 2)[:, self._outflowing]
-
-    def row_coeffs(self) -> list[dict]:
-        """The rows of A as dicts over ``keys``."""
-        indptr, indices, data, _, _ = self.rows
-        cols, vals, bounds = indices.tolist(), data.tolist(), indptr.tolist()
-        return [
-            {self.keys[c]: v for c, v in zip(cols[lo:hi], vals[lo:hi])}
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
 
     def rhs(self, densities) -> np.ndarray:
         """b(rho); raises ValueError when a row without flows is violated."""
@@ -368,22 +320,23 @@ def compat_template(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) 
     return CompatTemplate(fd, geom, n_max, T)
 
 
-def _link_columns(link: LinkSpec, vars: LinkVariables, n_max: int) -> list:
-    """(key, lb, ub, kind) of every variable of one FD link, in model order."""
+def _link_columns(link: LinkSpec, n_max: int) -> list:
+    """(link-local key, lb, ub, kind) of every variable of one FD link, in
+    model order."""
     cap = link.capacity
     cols = []
     for t in range(1, n_max + 1):
-        cols += [(vars.qin(t), 0.0, cap, CONTINUOUS), (vars.qout(t), 0.0, cap, CONTINUOUS)]
+        cols += [(("qin", t), 0.0, cap, CONTINUOUS), (("qout", t), 0.0, cap, CONTINUOUS)]
     if link.is_vsl:
         sls = link.vsl_set
-        cols += [(vars.delta(s), 0.0, 1.0, BINARY) for s in range(len(sls))]
-        cols.append((vars.rcvf(), 0.0, sls.Q_max, CONTINUOUS))
+        cols += [(("delta", s), 0.0, 1.0, BINARY) for s in range(len(sls))]
+        cols.append((("rcvf",), 0.0, sls.Q_max, CONTINUOUS))
         rc_hi = max(sls.rho_cs)
         for t in range(1, n_max + 1):
-            cols.append((vars.kin(t), 0.0, rc_hi, CONTINUOUS))
+            cols.append((("kin", t), 0.0, rc_hi, CONTINUOUS))
             for s in range(len(sls)):
-                cols.append((vars.ka(s, t), 0.0, sls.rho_cs[s], CONTINUOUS))
-                cols.append((vars.qa(s, t), 0.0, sls.capacities[s], CONTINUOUS))
+                cols.append((("ka", s, t), 0.0, sls.rho_cs[s], CONTINUOUS))
+                cols.append((("qa", s, t), 0.0, sls.capacities[s], CONTINUOUS))
     return cols
 
 
@@ -391,12 +344,11 @@ class BlockTemplate:
     """Every row one FD link adds to the control MILP, over the link's own
     variables in model order.
 
-    ``columns`` lists (key, lb, ub, kind) of those variables, keyed as
-    LinkVariables keys of a link with a blank id; a model creates them for
-    its link and places ``rows`` at the first one's column id, filled in by
-    ``evaluate``.  The first ``n_compat`` rows are the compatibility
-    inequalities.  A plain link has just those, with b(rho) from its
-    CompatTemplate as right-hand side.
+    ``columns`` lists (key, lb, ub, kind) of those variables, keyed
+    link-locally; a model creates them for its link and places ``rows`` at
+    the first one's column id, filled in by ``evaluate``.  The first
+    ``n_compat`` rows are the compatibility inequalities.  A plain link has
+    just those, with b(rho) from its CompatTemplate as right-hand side.
 
     A speed-controlled link gets one copy of its compatibility rows per
     candidate speed in disaggregated form: the rows act on per-candidate
@@ -410,8 +362,7 @@ class BlockTemplate:
 
     def __init__(self, fd: TriangularFD, geom: LinkGeometry, vsl_set, n_max: int, T: float):
         link = LinkSpec("", FD, geom, fd, is_vsl=vsl_set is not None, vsl_set=vsl_set)
-        vars = LinkVariables(link, n_max)
-        self.columns = _link_columns(link, vars, n_max)
+        self.columns = _link_columns(link, n_max)
         if vsl_set is None:
             self._compat = compat_template(fd, geom, n_max, T)
             self._delta = None
@@ -423,31 +374,30 @@ class BlockTemplate:
         for s, (v_s, fd_s) in enumerate(zip(vsl_set.speeds, vsl_set.fds)):
             tpl = compat_template(fd_s, geom, n_max, T)
             first = len(rows)
-            for coeffs in tpl.row_coeffs():
-                row = {vars.delta(s): 0.0}  # -b_s(rho), set by evaluate
-                for key, coef in coeffs.items():
-                    if key[0] == "qin":
-                        row[vars.ka(s, key[2])] = coef * v_s
+            for compat in tpl.rows.constraints(tpl.keys):
+                row = {("delta", s): 0.0}  # -b_s(rho), set by evaluate
+                for (kind, n), coef in compat.coeffs.items():
+                    if kind == "qin":
+                        row[("ka", s, n)] = coef * v_s
                     else:
-                        row[vars.qa(s, key[2])] = coef
-                rows.append((row, GE, 0.0))
-            parts.append((tpl, first, len(rows), vars.delta(s)))
+                        row[("qa", s, n)] = coef
+                rows.append(Constraint(row, GE, 0.0))
+            parts.append((tpl, first, len(rows), ("delta", s)))
             # outflow copy active only for the selected candidate
             for n in range(1, n_max + 1):
-                rows.append(({vars.qa(s, n): 1.0, vars.delta(s): -fd_s.Q}, LE, 0.0))
+                rows.append(Constraint({("qa", s, n): 1.0, ("delta", s): -fd_s.Q}, LE, 0.0))
         # aggregate flows are the sums of the candidate copies
         for n in range(1, n_max + 1):
-            coeffs = {vars.qin(n): 1.0}
+            coeffs = {("qin", n): 1.0}
             for s, v_s in enumerate(vsl_set.speeds):
-                coeffs[vars.ka(s, n)] = -v_s
-            rows.append((coeffs, EQ, 0.0))
-            coeffs = {vars.qout(n): 1.0}
+                coeffs[("ka", s, n)] = -v_s
+            rows.append(Constraint(coeffs, EQ, 0.0))
+            coeffs = {("qout", n): 1.0}
             for s in range(len(vsl_set)):
-                coeffs[vars.qa(s, n)] = -1.0
-            rows.append((coeffs, EQ, 0.0))
+                coeffs[("qa", s, n)] = -1.0
+            rows.append(Constraint(coeffs, EQ, 0.0))
         self.n_compat = len(rows)
-        rows += [(row.coeffs, row.sense, row.rhs)
-                 for row in build_vsl_linearization(link, vars, n_max)]
+        rows += build_vsl_linearization(link, n_max)
 
         keys = [c[0] for c in self.columns]
         self.rows = pack_rows(rows, keys)
@@ -481,67 +431,44 @@ def link_template(link: LinkSpec, n_max: int, T: float) -> BlockTemplate:
                           n_max, T)
 
 
-def build_compatibility(
-    link: LinkSpec,
-    vars: LinkVariables,
-    initial_density,
-    n_max: int,
-    T: float,
-) -> list[LinRow]:
+def build_compatibility(link: LinkSpec, initial_density, n_max: int,
+                        T: float) -> list[Constraint]:
     """All compatibility inequalities for one link as linear rows in the
     boundary flows (initial densities enter as fixed parameters): the first
-    ``n_compat`` rows of its BlockTemplate over ``vars`` keys."""
+    ``n_compat`` rows of its BlockTemplate, keyed (kind, link.id, *index)."""
     densities = np.asarray(initial_density, dtype=float)
     if np.any(densities < -GUARD_TOL):
         raise ValueError("negative initial density")
     block = link_template(link, n_max, T)
-    indptr, indices, data, sense, rhs = block.evaluate(densities)
-    keys = [getattr(vars, key[0])(*key[2:]) for key, *_ in block.columns]
-    cols, vals, bounds = indices.tolist(), data.tolist(), indptr[:block.n_compat + 1].tolist()
-    return [
-        LinRow({keys[c]: v for c, v in zip(cols[lo:hi], vals[lo:hi]) if v != 0.0},
-               SENSES[code], b)
-        for lo, hi, code, b in zip(bounds, bounds[1:], sense.tolist(), rhs.tolist())
-    ]
+    keys = [(kind, link.id, *idx) for (kind, *idx), *_ in block.columns]
+    return block.evaluate(densities).constraints(keys)[:block.n_compat]
 
 
-def build_vsl_linearization(link: LinkSpec, vars: LinkVariables, n_max: int) -> list[LinRow]:
-    """Selection constraints for the discrete speed-limit set: exactly one
-    candidate active, the rho_c*vf product pinned to the active candidate,
-    and the q_in/vf auxiliaries sandwiched so k_in equals q_in over the
-    active speed."""
+def build_vsl_linearization(link: LinkSpec, n_max: int) -> list[Constraint]:
+    """Selection constraints for the discrete speed-limit set, over the
+    link-local keys: exactly one candidate active, the rho_c*vf product
+    pinned to the active candidate, and the q_in/vf auxiliaries sandwiched
+    so k_in equals q_in over the active speed."""
     if not link.is_vsl:
         raise ValueError(f"link {link.id} has no speed-limit control")
     sls = link.vsl_set
-    rows = [
-        LinRow({vars.delta(s): 1.0 for s in range(len(sls))}, EQ, 1.0, "one_speed")
-    ]
-    coeffs = {vars.rcvf(): 1.0}
+    rows = [Constraint({("delta", s): 1.0 for s in range(len(sls))}, EQ, 1.0)]
+    coeffs = {("rcvf",): 1.0}
     for s, (rc, v) in enumerate(zip(sls.rho_cs, sls.speeds)):
-        coeffs[vars.delta(s)] = -rc * v
-    rows.append(LinRow(coeffs, EQ, 0.0, "rcvf_select"))
+        coeffs[("delta", s)] = -rc * v
+    rows.append(Constraint(coeffs, EQ, 0.0))
     q_max = sls.Q_max
     for n in range(1, n_max + 1):
         for s, (v, Q_s) in enumerate(zip(sls.speeds, sls.capacities)):
-            rows.append(
-                LinRow({vars.ka(s, n): 1.0, vars.delta(s): -Q_s / v}, LE, 0.0,
-                       f"ka_ub_{s}_{n}")
-            )
-            rows.append(
-                LinRow({vars.ka(s, n): 1.0, vars.qin(n): -1.0 / v}, LE, 0.0,
-                       f"ka_le_qv_{s}_{n}")
-            )
-            rows.append(
-                LinRow(
-                    {vars.ka(s, n): 1.0, vars.qin(n): -1.0 / v, vars.delta(s): -q_max / v},
-                    GE,
-                    -q_max / v,
-                    f"ka_ge_qv_{s}_{n}",
-                )
-            )
-        coeffs = {vars.ka(s, n): 1.0 for s in range(len(sls))}
-        coeffs[vars.kin(n)] = -1.0
-        rows.append(LinRow(coeffs, EQ, 0.0, f"kin_def_{n}"))
+            ka, qin, delta = ("ka", s, n), ("qin", n), ("delta", s)
+            rows += [
+                Constraint({ka: 1.0, delta: -Q_s / v}, LE, 0.0),
+                Constraint({ka: 1.0, qin: -1.0 / v}, LE, 0.0),
+                Constraint({ka: 1.0, qin: -1.0 / v, delta: -q_max / v}, GE, -q_max / v),
+            ]
+        coeffs = {("ka", s, n): 1.0 for s in range(len(sls))}
+        coeffs[("kin", n)] = -1.0
+        rows.append(Constraint(coeffs, EQ, 0.0))
     return rows
 
 

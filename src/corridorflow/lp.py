@@ -5,8 +5,9 @@ A model is built once, from arrays, and not changed afterwards:
 cost, bounds and binary flag (``Columns``), and every row in one CSR block
 (column indices sorted within each row) with a sense code and a right-hand
 side per row (``RowBlock``).  The control models come from a cached template
-(``twostage.ModelTemplate``); ``pack_rows`` turns rows written as
-coefficient dicts into a block.
+(``twostage.ModelTemplate``); a row written out is a ``Constraint`` (its
+coefficients by key, sense and right-hand side), and ``pack_rows`` turns such
+rows into a block and ``RowBlock.constraints`` a block back into them.
 
 Columns are numbered in the order of their keys and addressed by integer
 id or by key, so models built from the same inputs number their columns
@@ -19,7 +20,6 @@ records, rebuilt on each access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +37,9 @@ SENSES = (LE, GE, EQ)
 LE_CODE, GE_CODE, EQ_CODE = range(3)
 
 
-@dataclass
-class Constraint:
+class Constraint(NamedTuple):
+    """One row written out: coefficients by column key, sense, right-hand side."""
+
     coeffs: dict
     sense: str
     rhs: float
@@ -56,6 +57,16 @@ class RowBlock(NamedTuple):
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
+
+    def constraints(self, keys) -> list[Constraint]:
+        """The rows as Constraint records over the column keys ``keys``,
+        without their zero coefficients."""
+        indptr, indices, data, sense, rhs = (array.tolist() for array in self)
+        return [
+            Constraint({keys[c]: v for c, v in zip(indices[lo:hi], data[lo:hi]) if v != 0.0},
+                       SENSES[code], b)
+            for lo, hi, code, b in zip(indptr, indptr[1:], sense, rhs)
+        ]
 
 
 def stack_rows(blocks) -> RowBlock:
@@ -83,14 +94,13 @@ def _frozen(array) -> np.ndarray:
 
 
 def pack_rows(rows, keys) -> RowBlock:
-    """Rows given as (coefficients by key, sense, rhs) as one read-only
-    block over the columns ``keys``, each row's entries in column order.
-    Zero coefficients are kept: templates hold them as the places a state
-    fills in."""
+    """Constraint rows as one read-only block over the columns ``keys``, each
+    row's entries in column order.  Zero coefficients are kept: templates
+    hold them as the places a state fills in."""
     col = {key: i for i, key in enumerate(keys)}
     indptr, indices, data = [0], [], []
-    for coeffs, _, _ in rows:
-        for c, v in sorted((col[k], v) for k, v in coeffs.items()):
+    for row in rows:
+        for c, v in sorted((col[k], v) for k, v in row.coeffs.items()):
             indices.append(c)
             data.append(v)
         indptr.append(len(indices))
@@ -98,8 +108,8 @@ def pack_rows(rows, keys) -> RowBlock:
         np.array(indptr, dtype=np.int64),
         np.array(indices, dtype=np.int64),
         np.array(data, dtype=float),
-        np.array([sense_code(sense) for _, sense, _ in rows], dtype=np.int8),
-        np.array([rhs for _, _, rhs in rows], dtype=float),
+        np.array([sense_code(row.sense) for row in rows], dtype=np.int8),
+        np.array([row.rhs for row in rows], dtype=float),
     )))
 
 
@@ -166,7 +176,10 @@ class LinearProgram:
 
     @property
     def constraints(self) -> list[Constraint]:
-        """The rows as Constraint records, rebuilt on each access."""
+        """The rows as Constraint records over column ids, rebuilt on each
+        access."""
+        # no call to RowBlock.constraints: perfbench's tracer reads this view
+        # inside its bookkeeping, where a traced call's time would count twice
         indptr, indices, data, sense, rhs = self._rows
         cols, vals = indices.tolist(), data.tolist()
         bounds = indptr.tolist()

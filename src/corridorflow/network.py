@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linkmodel import ENTRY, FD, LinkSpec, LinkVariables, LinRow
-from .lp import EQ, GE, LE
+from .linkmodel import ENTRY, FD, LinkSpec
+from .lp import EQ, GE, LE, Constraint
 
 SERIAL = "serial"
 MERGE = "merge"
@@ -138,14 +138,11 @@ def merge_big_m(corridor: Corridor, junction: Junction, n_max: int, T: float) ->
     return down.capacity * (n_max + 1) * T
 
 
-def build_node_constraints(
-    corridor: Corridor,
-    junction: Junction,
-    link_vars: dict,
-    n_max: int,
-    T: float = 1.0,
-) -> list[LinRow]:
-    """Flow coupling rows for one junction.
+def build_node_constraints(corridor: Corridor, junction: Junction, n_max: int,
+                           T: float) -> tuple[list, dict]:
+    """Flow coupling rows for one junction as (rows, {ramp id: positions of
+    the rows whose right-hand side its backlog adds to}), over the keys
+    (kind, link id, n).
 
     Serial: the upstream outflow is the downstream inflow.  Merge: flows
     conserve and the ramp is served before the mainline; binary ("merge", id,
@@ -153,26 +150,20 @@ def build_node_constraints(
     Demand and supply caps are implied by the links' compatibility rows and
     conservation, so no junction row states them.  The ramp rows' right-hand
     sides count arrivals only; the ramp's backlog at the horizon start adds to
-    them (``LinRow.backlog`` names the ramp).
+    them.
     """
-    rows: list[LinRow] = []
+    rows: list[Constraint] = []
     down_id = junction.outgoing[0]
-    down_vars: LinkVariables = link_vars[down_id]
 
     def out_key(link_id, n):
-        link = corridor.link(link_id)
-        lv = link_vars[link_id]
         # entry links are point queues: what leaves them is what was admitted
-        return lv.qin(n) if link.kind == ENTRY else lv.qout(n)
+        return ("qin" if corridor.link(link_id).kind == ENTRY else "qout", link_id, n)
 
     if junction.kind == SERIAL:
         up_id = junction.incoming[0]
         for n in range(1, n_max + 1):
-            rows.append(
-                LinRow({out_key(up_id, n): 1.0, down_vars.qin(n): -1.0}, EQ, 0.0,
-                       f"{junction.id}_cons_{n}")
-            )
-        return rows
+            rows.append(Constraint({out_key(up_id, n): 1.0, ("qin", down_id, n): -1.0}, EQ, 0.0))
+        return rows, {}
 
     if junction.kind != MERGE:
         raise TopologyError(f"unsupported junction kind {junction.kind}")
@@ -183,36 +174,25 @@ def build_node_constraints(
     ramp_id = ramp_candidates[0]
     main_id = next(i for i in junction.incoming if i != ramp_id)
     ramp = corridor.link(ramp_id)
-    ramp_vars: LinkVariables = link_vars[ramp_id]
     big_m = merge_big_m(corridor, junction, n_max, T)
     main_cap = corridor.link(main_id).capacity
 
+    backlog = []
     for n in range(1, n_max + 1):
-        rows.append(
-            LinRow(
-                {out_key(main_id, n): 1.0, ramp_vars.qin(n): 1.0,
-                 down_vars.qin(n): -1.0},
-                EQ, 0.0, f"{junction.id}_cons_{n}",
-            )
-        )
-        # ramp availability: cumulative admissions capped by arrivals + backlog
-        coeffs = {ramp_vars.qin(i): 1.0 for i in range(1, n + 1)}
-        rows.append(
-            LinRow(coeffs, LE, ramp.demand * n, f"{junction.id}_ramp_avail_{n}", ramp_id)
-        )
-        # ramp served first: demand-limited unless flagged supply-limited,
-        # in which case the mainline yields the junction entirely
+        admitted = {("qin", ramp_id, i): 1.0 for i in range(1, n + 1)}
         z = ("merge", junction.id, n)
-        coeffs = {ramp_vars.qin(i): 1.0 for i in range(1, n + 1)}
-        coeffs[z] = big_m
-        rows.append(
-            LinRow(coeffs, GE, ramp.demand * n, f"{junction.id}_ramp_full_{n}", ramp_id)
-        )
-        rows.append(
-            LinRow({out_key(main_id, n): 1.0, z: main_cap}, LE, main_cap,
-                   f"{junction.id}_ramp_priority_{n}")
-        )
-    return rows
+        backlog += [len(rows) + 1, len(rows) + 2]
+        rows += [
+            Constraint({out_key(main_id, n): 1.0, ("qin", ramp_id, n): 1.0,
+                        ("qin", down_id, n): -1.0}, EQ, 0.0),
+            # ramp availability: cumulative admissions capped by arrivals + backlog
+            Constraint(admitted, LE, ramp.demand * n),
+            # ramp served first: demand-limited unless flagged supply-limited,
+            # in which case the mainline yields the junction entirely
+            Constraint({**admitted, z: big_m}, GE, ramp.demand * n),
+            Constraint({out_key(main_id, n): 1.0, z: main_cap}, LE, main_cap),
+        ]
+    return rows, {ramp_id: backlog}
 
 
 def merge_binary_keys(junction: Junction, n_max: int) -> list:

@@ -169,7 +169,9 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     ``warm_binaries`` maps binary variable ids to 0/1; if the assignment is
     feasible its LP solution seeds the incumbent before the search starts.
     Nodes are warm re-solves of one ``_Relaxation``; the returned point is a
-    cold solve with every binary fixed at the incumbent's value.
+    cold solve with every binary fixed at the incumbent's value.  ``bound``
+    is the largest LP bound of the incumbent and of the nodes left open or
+    discarded by the gap test, so no feasible point scores above it.
     """
     opts = opts or SolveOptions()
     binary_ids = lp.binary_ids()
@@ -197,9 +199,11 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
             if warm.status == OPTIMAL:
                 incumbent, inc_obj = warm, warm.objective
 
-    # node: (negated bound for heap order, tiebreak counter, fixings dict)
-    root = (None, 0, {})
+    # node: (negated parent bound for heap order, tiebreak counter, fixings dict);
+    # the root has no parent, so its bound is +inf until it is solved
+    root = (-math.inf, 0, {})
     heap: list = []
+    pruned = -math.inf  # largest bound of the nodes the gap test discarded
     counter = 1
     stack = [root]
 
@@ -216,6 +220,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         else:
             neg_bound, _, fixings = heapq.heappop(heap)
             if -neg_bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+                pruned = max(pruned, -neg_bound)
                 continue
 
         lb = lb0.copy()
@@ -230,6 +235,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
             continue
         bound = node_sol.objective
         if bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+            pruned = max(pruned, bound)
             continue
 
         branch_var = _most_fractional(node_sol.x, binary_ids, opts.integrality_tol)
@@ -270,9 +276,9 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     x = fixed.x
     inc_obj = lp.objective_value(x)
 
-    remaining = [-h[0] for h in heap]
+    remaining = [-node[0] for node in heap + stack]
     best_open_bound = max(remaining) if remaining else -math.inf
-    proven = max(best_open_bound, inc_obj)
+    proven = max(best_open_bound, pruned, inc_obj)
 
     viol = lp.max_violation(x)
     if viol > 10 * opts.feasibility_tol:

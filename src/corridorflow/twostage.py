@@ -22,8 +22,8 @@ import numpy as np
 
 from . import demand as demand_ops
 from . import linkmodel, network
-from .linkmodel import ENTRY, LinkVariables
-from .lp import BINARY, GE, LE, Columns, LinearProgram, RowBlock, pack_rows, stack_rows
+from .linkmodel import ENTRY
+from .lp import BINARY, GE, LE, Columns, Constraint, LinearProgram, RowBlock, pack_rows, stack_rows
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class ModelTemplate:
                 continue
             template = linkmodel.link_template(link, n_steps, T)
             fd_links.append((link.id, template, len(block)))
-            for (kind, _, *idx), lb, ub, var_kind in template.columns:
+            for (kind, *idx), lb, ub, var_kind in template.columns:
                 if kind == "qin" and link.is_vsl:
                     vsl_in.append(len(block))
                 elif kind == "qout" and link.id in exit_ids:
@@ -303,19 +303,19 @@ class ModelTemplate:
         def qin(link_id, t):
             return (0, "qin", link_id, t)
 
-        rows = []  # (coefficients over model keys, sense, rhs)
+        rows = []  # Constraints over model keys
         backlog: dict = {}  # entry id -> rows
-        link_vars = {link.id: LinkVariables(link, n_steps) for link in corridor.links}
         for jn in corridor.junctions:
-            for row in network.build_node_constraints(corridor, jn, link_vars, n_steps, T=T):
-                if row.backlog is not None:
-                    backlog.setdefault(row.backlog, []).append(len(rows))
-                rows.append(({(0,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs))
+            node_rows, ramp_rows = network.build_node_constraints(corridor, jn, n_steps, T)
+            for lid, positions in ramp_rows.items():
+                backlog.setdefault(lid, []).extend(len(rows) + p for p in positions)
+            rows += [Constraint({(0,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs)
+                     for row in node_rows]
         exit_caps = []  # (exit id, t, row)
         for link in corridor.exit_links:
             for t in steps:
                 exit_caps.append((link.id, t, len(rows)))
-                rows.append(({(0, "qout", link.id, t): 1.0}, LE, 0.0))
+                rows.append(Constraint({(0, "qout", link.id, t): 1.0}, LE, 0.0))
         forcing = []  # (entry id, cumulative-demand rows, (row, force column) pairs)
         for link in controlled:
             cum_rows, forces = [], []
@@ -325,19 +325,22 @@ class ModelTemplate:
                 cum_rows.append(len(rows) + 1)
                 forces.append((len(rows) + 3, keys.index(force)))
                 rows += [
-                    ({qin(link.id, t): 1.0, control: -1.0}, LE, 0.0),
-                    (cum, LE, 0.0),
+                    Constraint({qin(link.id, t): 1.0, control: -1.0}, LE, 0.0),
+                    Constraint(cum, LE, 0.0),
                     # indicator=0: inflow reaches the control; indicator=1: demand is
                     # exhausted. big-Ms are the exact worst cases (control <= cap,
                     # cumulative inflow >= 0), which keeps the relaxation tight.
-                    ({qin(link.id, t): 1.0, force: caps[link.id], control: -1.0}, GE, 0.0),
-                    ({**cum, force: 0.0}, GE, 0.0),
+                    Constraint({qin(link.id, t): 1.0, force: caps[link.id], control: -1.0},
+                               GE, 0.0),
+                    Constraint({**cum, force: 0.0}, GE, 0.0),
                 ]
             forcing.append((link.id, cum_rows, forces))
             for t1, t2 in fluct_pairs:
                 u = (0, "u", link.id, t1)
-                rows += [({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0),
-                         ({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0)]
+                rows += [
+                    Constraint({u: 1.0, qin(link.id, t1): -1.0, qin(link.id, t2): 1.0}, GE, 0.0),
+                    Constraint({u: 1.0, qin(link.id, t1): 1.0, qin(link.id, t2): -1.0}, GE, 0.0),
+                ]
         packed = pack_rows(rows, keys)
         indptr, indices = packed.indptr, packed.indices
         block = stack_rows(link_rows + [packed])

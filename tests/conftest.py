@@ -4,7 +4,7 @@ from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import lwr
 from corridorflow.experiments import case_study
-from corridorflow.lp import Columns, LinearProgram, pack_rows
+from corridorflow.lp import Columns, Constraint, LinearProgram, pack_rows
 
 
 @pytest.fixture(scope="session")
@@ -88,7 +88,7 @@ def build_lp(columns, rows, name="model"):
     binary = np.array(binary, dtype=bool)
     lb = np.where(binary, np.maximum(lb, 0.0), np.array(lb, dtype=float))
     ub = np.where(binary, np.minimum(ub, 1.0), np.array(ub, dtype=float))
-    rows = [({k: v for k, v in coeffs.items() if v != 0.0}, sense, rhs)
+    rows = [Constraint({k: v for k, v in coeffs.items() if v != 0.0}, sense, rhs)
             for coeffs, sense, rhs in rows]
     return LinearProgram(name, keys, Columns(np.array(obj, dtype=float), lb, ub, binary),
                          pack_rows(rows, keys))

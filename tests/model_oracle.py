@@ -4,26 +4,20 @@
 It lists every column, and every junction, exit-cap, forcing and epigraph
 row as a coefficient dict, once per scenario, in model order.  Two changes
 from the replaced code: the junction rows no longer carry the ramp's
-backlog, so it is added here to the rows that name it (``LinRow.backlog``);
-and the lists are built into a model once at the end (``conftest.build_lp``)
-where columns and rows were added to a mutable model one at a time.
+backlog, so it is added here to the rows ``network.build_node_constraints``
+lists for the ramp; and the lists are built into a model once at the end
+(``conftest.build_lp``) where columns and rows were added to a mutable model
+one at a time.
 """
 
 import numpy as np
 
 from corridorflow import linkmodel, network
-from corridorflow.linkmodel import ENTRY, LinkVariables
-from corridorflow.lp import BINARY, GE, LE, SENSES
+from corridorflow.linkmodel import ENTRY
+from corridorflow.lp import BINARY, GE, LE
 from corridorflow.twostage import ModelOptions, entry_capacity
 
 from conftest import build_lp
-
-
-def _block_rows(block, keys):
-    """The rows of a link's RowBlock as coefficient dicts over ``keys``."""
-    indptr, indices, data, sense, rhs = (a.tolist() for a in block)
-    return [({keys[c]: v for c, v in zip(indices[lo:hi], data[lo:hi])}, SENSES[code], b)
-            for lo, hi, code, b in zip(indptr, indptr[1:], sense, rhs)]
 
 
 def _add_scenario_block(columns, rows, corridor, state, scenario, weights, options, j,
@@ -50,7 +44,7 @@ def _add_scenario_block(columns, rows, corridor, state, scenario, weights, optio
             continue
         first_column[link.id] = len(columns)
         template, _ = link_rows[link.id]
-        for (kind, _, *idx), lb, ub, var_kind in template.columns:
+        for (kind, *idx), lb, ub, var_kind in template.columns:
             obj = 0.0
             if kind == "qin" and link.id in vsl_ids:
                 obj = -p * w.w1
@@ -61,19 +55,20 @@ def _add_scenario_block(columns, rows, corridor, state, scenario, weights, optio
     # link physics
     for link in corridor.fd_links:
         keys = [key for key, *_ in columns[first_column[link.id]:]]
-        rows += _block_rows(link_rows[link.id][1], keys)
+        rows += link_rows[link.id][1].constraints(keys)
 
     # junction coupling
-    link_vars = {link.id: LinkVariables(link, n) for link in corridor.links}
     for jn in corridor.junctions:
         if jn.kind == network.MERGE:
             for key in network.merge_binary_keys(jn, n):
                 columns.append(((j,) + key, 0.0, 1.0, True, 0.0))
-        for row in network.build_node_constraints(corridor, jn, link_vars, n, T=T):
-            rhs = row.rhs
-            if row.backlog is not None:
-                rhs = rhs + state.queues.get(row.backlog, 0.0)
-            rows.append(({(j,) + k: v for k, v in row.coeffs.items()}, row.sense, rhs))
+        node_rows, ramp_rows = network.build_node_constraints(corridor, jn, n, T)
+        for ramp_id, positions in ramp_rows.items():
+            for pos in positions:
+                row = node_rows[pos]
+                node_rows[pos] = row._replace(rhs=row.rhs + state.queues.get(ramp_id, 0.0))
+        rows += [({(j,) + k: v for k, v in row.coeffs.items()}, row.sense, row.rhs)
+                 for row in node_rows]
 
     # bottleneck cap on the corridor exits
     for link in corridor.exit_links:

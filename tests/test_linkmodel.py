@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corridorflow import linkmodel, lwr, solver
-from corridorflow.linkmodel import LinkSpec, LinkVariables, SpeedLimitSet
+from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
 from corridorflow.lp import EQ, GE, LE
 
 from conftest import build_lp, compatible_vc, with_fixed
@@ -22,25 +22,24 @@ def vsl_link(fd, geom):
     return LinkSpec("v", "fd", geom, fd, is_vsl=True, vsl_set=sls)
 
 
-def flow_point(lp, vars, inflow, outflow):
+def flow_point(lp, link_id, inflow, outflow):
     """The point of ``lp`` with the given per-step boundary flows."""
     x = np.zeros(lp.n_vars)
     for n in range(1, len(inflow) + 1):
-        x[lp.var_id(vars.qin(n))] = inflow[n - 1]
-        x[lp.var_id(vars.qout(n))] = outflow[n - 1]
+        x[lp.var_id(("qin", link_id, n))] = inflow[n - 1]
+        x[lp.var_id(("qout", link_id, n))] = outflow[n - 1]
     return x
 
 
-def lp_with_rows(rows, vars, fd, objective=None):
+def lp_with_rows(rows, link_id, fd, objective=None):
     columns = [(key, 0.0, fd.Q, False, (objective or {}).get(key, 0.0))
-               for n in range(1, N + 1) for key in (vars.qin(n), vars.qout(n))]
-    return build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
+               for n in range(1, N + 1) for key in (("qin", link_id, n), ("qout", link_id, n))]
+    return build_lp(columns, rows)
 
 
 class TestCompatibilityRows:
     def test_row_count_matches_hand_enumeration(self, link):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_compatibility(link, vars, [0.1, 0.2], N, T)
+        rows = linkmodel.build_compatibility(link, [0.1, 0.2], N, T)
         # initial components: 16 step-end rows at chi + 1 kink row (segment 1
         # free-flow arrival), 10 step-end rows at xi + 1 backwave kink row
         # (segment 2, 122.4 s); inflow components: 28 later-step rows at xi,
@@ -49,35 +48,28 @@ class TestCompatibilityRows:
         assert len(rows) == (16 + 1 + 10 + 1) + (28 + 28 + 6) + 28 == 118
 
     def test_capacity_steady_state_feasible(self, link, fd):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_compatibility(
-            link, vars, [fd.rho_c, fd.rho_c], N, T
-        )
-        lp = lp_with_rows(rows, vars, fd)
-        x = flow_point(lp, vars, [fd.Q] * N, [fd.Q] * N)
+        rows = linkmodel.build_compatibility(link, [fd.rho_c, fd.rho_c], N, T)
+        lp = lp_with_rows(rows, "l", fd)
+        x = flow_point(lp, "l", [fd.Q] * N, [fd.Q] * N)
         assert lp.max_violation(x) <= 1e-9
 
     def test_empty_link_requires_travel_time_before_outflow(self, link, fd):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_compatibility(link, vars, [0.0, 0.0], N, T)
+        rows = linkmodel.build_compatibility(link, [0.0, 0.0], N, T)
         # outflow at capacity from the start exits vehicles that are not
         # there yet; the causality row fails by exactly 2 steps of capacity
-        lp = lp_with_rows(rows, vars, fd)
-        x = flow_point(lp, vars, [fd.Q] * N, [fd.Q] * N)
+        lp = lp_with_rows(rows, "l", fd)
+        x = flow_point(lp, "l", [fd.Q] * N, [fd.Q] * N)
         assert lp.max_violation(x) == pytest.approx(2 * fd.Q * T, abs=1e-9)
         # delaying the outflow by the travel time makes everything feasible
-        x = flow_point(lp, vars, [fd.Q] * N, [0.0, 0.0] + [fd.Q] * (N - 2))
+        x = flow_point(lp, "l", [fd.Q] * N, [0.0, 0.0] + [fd.Q] * (N - 2))
         assert lp.max_violation(x) <= 1e-9
 
     def test_jammed_link_blocks_inflow(self, link, fd):
-        vars = LinkVariables(link, N)
-        rows = linkmodel.build_compatibility(
-            link, vars, [fd.rho_m, fd.rho_m], N, T
-        )
-        lp = lp_with_rows(rows, vars, fd, objective={vars.qin(1): 1.0})
+        rows = linkmodel.build_compatibility(link, [fd.rho_m, fd.rho_m], N, T)
+        lp = lp_with_rows(rows, "l", fd, objective={("qin", "l", 1): 1.0})
         sol = solver.solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
-        assert sol.value(lp, vars.qin(1)) == pytest.approx(0.0, abs=1e-9)
+        assert sol.value(lp, ("qin", "l", 1)) == pytest.approx(0.0, abs=1e-9)
         # cross-check: the finite-volume oracle admits nothing either
         vc = lwr.ValueConditionSet([fd.rho_m, fd.rho_m], [fd.Q] * N, [0.0] * N, T)
         field = lwr.godunov_oracle(vc, fd, link.geometry, 2.5, 150.0)
@@ -94,8 +86,7 @@ class TestCompatibilityRows:
 
     def test_all_rows_linear(self, link, vsl_link):
         for l in (link, vsl_link):
-            vars = LinkVariables(l, N)
-            rows = linkmodel.build_compatibility(l, vars, [0.1, 0.3], N, T)
+            rows = linkmodel.build_compatibility(l, [0.1, 0.3], N, T)
             for row in rows:
                 assert row.sense in (LE, GE, EQ)
                 for coef in row.coeffs.values():
@@ -103,77 +94,76 @@ class TestCompatibilityRows:
 
 
 def _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=None, inflow_cost=0.0):
-    vars = LinkVariables(vsl_link, N)
-    rows = linkmodel.build_compatibility(vsl_link, vars, densities, N, T)
-    rows += linkmodel.build_vsl_linearization(vsl_link, vars, N)
+    """Max-flow model of the VSL link over the link-local keys of its
+    speed linearization, with its compatibility rows' link id dropped."""
+    rows = [row._replace(coeffs={(kind, *idx): v for (kind, _, *idx), v in row.coeffs.items()})
+            for row in linkmodel.build_compatibility(vsl_link, densities, N, T)]
+    rows += linkmodel.build_vsl_linearization(vsl_link, N)
     sls = vsl_link.vsl_set
     columns = []
     for n in range(1, N + 1):
-        columns.append((vars.qin(n), 0.0, sls.Q_max, False, -inflow_cost))
-        columns.append((vars.qout(n), 0.0, sls.Q_max, False, float(N - n + 1)))
-    columns += [(vars.delta(s), 0.0, 1.0, True, 0.0) for s in range(len(sls))]
-    columns.append((vars.rcvf(), 0.0, sls.Q_max, False, 0.0))
+        columns.append((("qin", n), 0.0, sls.Q_max, False, -inflow_cost))
+        columns.append((("qout", n), 0.0, sls.Q_max, False, float(N - n + 1)))
+    columns += [(("delta", s), 0.0, 1.0, True, 0.0) for s in range(len(sls))]
+    columns.append((("rcvf",), 0.0, sls.Q_max, False, 0.0))
     for n in range(1, N + 1):
-        columns.append((vars.kin(n), 0.0, max(sls.rho_cs), False, 0.0))
+        columns.append((("kin", n), 0.0, max(sls.rho_cs), False, 0.0))
         for s in range(len(sls)):
-            columns.append((vars.ka(s, n), 0.0, sls.rho_cs[s], False, 0.0))
-            columns.append((vars.qa(s, n), 0.0, sls.capacities[s], False, 0.0))
-    lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
+            columns.append((("ka", s, n), 0.0, sls.rho_cs[s], False, 0.0))
+            columns.append((("qa", s, n), 0.0, sls.capacities[s], False, 0.0))
+    lp = build_lp(columns, rows)
     if fixed_s is not None:
-        lp = with_fixed(lp, {vars.delta(s): 1.0 if s == fixed_s else 0.0
+        lp = with_fixed(lp, {("delta", s): 1.0 if s == fixed_s else 0.0
                               for s in range(len(sls))})
         sol = solver.solve_lp_relaxation(lp)
     else:
         sol = solver.branch_and_bound(lp)
-    return lp, vars, sol
+    return lp, sol
 
 
 class TestVSLLinearization:
     def test_requires_vsl_link(self, link):
         with pytest.raises(ValueError):
-            linkmodel.build_vsl_linearization(link, LinkVariables(link, N), N)
+            linkmodel.build_vsl_linearization(link, N)
 
     def test_selected_speed_propagates_aux_values(self, vsl_link, fd):
         # fastest speed selected with inflow pinned at 2.1
-        lp, vars, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=4)
-        lp = with_fixed(lp, {vars.qin(n): 2.1 for n in range(1, N + 1)})
+        lp, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=4)
+        lp = with_fixed(lp, {("qin", n): 2.1 for n in range(1, N + 1)})
         sol = solver.solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
         for n in (1, 5, 8):
-            assert sol.value(lp, vars.ka(4, n)) == pytest.approx(0.07, abs=1e-9)
+            assert sol.value(lp, ("ka", 4, n)) == pytest.approx(0.07, abs=1e-9)
             for s in range(4):
-                assert sol.value(lp, vars.ka(s, n)) == pytest.approx(0.0, abs=1e-9)
-            assert sol.value(lp, vars.kin(n)) == pytest.approx(0.07, abs=1e-9)
+                assert sol.value(lp, ("ka", s, n)) == pytest.approx(0.0, abs=1e-9)
+            assert sol.value(lp, ("kin", n)) == pytest.approx(0.07, abs=1e-9)
 
     def test_zero_inflow_zeroes_aux(self, vsl_link, fd):
-        lp, vars, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=2)
-        lp = with_fixed(lp, {vars.qin(n): 0.0 for n in range(1, N + 1)})
+        lp, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=2)
+        lp = with_fixed(lp, {("qin", n): 0.0 for n in range(1, N + 1)})
         sol = solver.solve_lp_relaxation(lp)
         for n in (1, 4):
-            assert sol.value(lp, vars.kin(n)) == pytest.approx(0.0, abs=1e-9)
+            assert sol.value(lp, ("kin", n)) == pytest.approx(0.0, abs=1e-9)
 
     def test_exactly_one_candidate_bound_active(self, vsl_link):
-        vars = LinkVariables(vsl_link, N)
-        rows = linkmodel.build_vsl_linearization(vsl_link, vars, N)
-        pick = [r for r in rows if r.name == "one_speed"]
+        rows = linkmodel.build_vsl_linearization(vsl_link, N)
+        pick = [r for r in rows if r.sense == EQ and r.rhs == 1.0]
         assert len(pick) == 1
-        assert pick[0].sense == EQ and pick[0].rhs == 1.0
-        assert len(pick[0].coeffs) == len(vsl_link.vsl_set)
+        assert pick[0].coeffs == {("delta", s): 1.0 for s in range(len(vsl_link.vsl_set))}
 
     @pytest.mark.parametrize("s", [0, 2, 4])
     def test_fixed_selection_equals_static_model(self, vsl_link, fd, geom, s):
         # spec invariant: with delta pinned, the speed-controlled constraint
         # set collapses to the plain one built with that candidate's flux law
         densities = [0.15, 0.05]
-        _, _, sol_vsl = _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=s)
+        _, sol_vsl = _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=s)
 
         fd_s = vsl_link.vsl_set.fds[s]
         static = LinkSpec("s", "fd", geom, fd_s)
-        vars = LinkVariables(static, N)
-        rows = linkmodel.build_compatibility(static, vars, densities, N, T)
+        rows = linkmodel.build_compatibility(static, densities, N, T)
         lp = lp_with_rows(
-            rows, vars, fd_s,
-            objective={vars.qout(n): float(N - n + 1) for n in range(1, N + 1)},
+            rows, "s", fd_s,
+            objective={("qout", "s", n): float(N - n + 1) for n in range(1, N + 1)},
         )
         sol_static = solver.solve_lp_relaxation(lp)
         assert sol_vsl.objective == pytest.approx(sol_static.objective, abs=1e-6)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from corridorflow import network, solver
-from corridorflow.linkmodel import ENTRY, FD, LinkSpec, LinkVariables
+from corridorflow.linkmodel import ENTRY, FD, LinkSpec
 from corridorflow.lwr import LinkGeometry
 from corridorflow.network import MERGE, SERIAL, Corridor, Junction
 
@@ -60,70 +60,82 @@ class TestValidateTopology:
         assert any("FD inconsistency" in e for e in errors)
 
 
-def _merge_lp(corridor, supply_cap, ramp_demand=None, objective="main"):
+def _merge_lp(corridor, supply_cap, ramp_demand=None, objective="main", backlog=0.0):
     """Small LP around the case-study merge with the downstream inflow
-    limited by a fixed supply."""
+    limited by a fixed supply and ``backlog`` added to the rows
+    ``build_node_constraints`` flags for the ramp."""
     jn = next(j for j in corridor.junctions if j.kind == MERGE)
     if ramp_demand is not None:
         corridor.link("R").demand = ramp_demand
-    lv = {lid: LinkVariables(corridor.link(lid), N) for lid in ("M2", "R", "M3")}
-    rows = network.build_node_constraints(corridor, jn, lv, N, T=T)
+    rows, ramp_rows = network.build_node_constraints(corridor, jn, N, T)
+    assert list(ramp_rows) == ["R"]
+    for pos in ramp_rows["R"]:
+        rows[pos] = rows[pos]._replace(rhs=rows[pos].rhs + backlog)
     columns = []
     for n in range(1, N + 1):
-        columns.append((lv["M2"].qout(n), 0.0, corridor.link("M2").capacity, False,
+        columns.append((("qout", "M2", n), 0.0, corridor.link("M2").capacity, False,
                         1.0 if objective == "main" else 0.0))
-        columns.append((lv["R"].qin(n), 0.0, corridor.link("M3").capacity, False, 0.0))
-        columns.append((lv["M3"].qin(n), 0.0, supply_cap, False, 1.0))
+        columns.append((("qin", "R", n), 0.0, corridor.link("M3").capacity, False, 0.0))
+        columns.append((("qin", "M3", n), 0.0, supply_cap, False, 1.0))
     merge = {key: None for row in rows for key in row.coeffs if key[0] == "merge"}
     columns += [(key, 0.0, 1.0, True, 0.0) for key in merge]
-    lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
+    lp = build_lp(columns, rows)
     sol = solver.branch_and_bound(lp)
     assert sol.ok
-    return lp, lv, sol
+    return lp, sol
 
 
 class TestMergePriority:
     def test_ramp_served_then_mainline_residual(self, config):
         corridor = config.corridor()
-        lp, lv, sol = _merge_lp(corridor, supply_cap=1.4)
+        lp, sol = _merge_lp(corridor, supply_cap=1.4)
         for n in (1, 4, 8):
-            assert sol.value(lp, lv["R"].qin(n)) == pytest.approx(0.05, abs=1e-6)
-            assert sol.value(lp, lv["M2"].qout(n)) <= 1.35 + 1e-6
+            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
+            assert sol.value(lp, ("qout", "M2", n)) <= 1.35 + 1e-6
         # maximizing junction flow drives the mainline to the residual
-        assert sol.value(lp, lv["M2"].qout(1)) == pytest.approx(1.35, abs=1e-6)
+        assert sol.value(lp, ("qout", "M2", 1)) == pytest.approx(1.35, abs=1e-6)
 
     def test_zero_supply_blocks_everything(self, config):
         corridor = config.corridor()
-        lp, lv, sol = _merge_lp(corridor, supply_cap=0.0)
+        lp, sol = _merge_lp(corridor, supply_cap=0.0)
         for n in (1, 5):
-            assert sol.value(lp, lv["R"].qin(n)) == pytest.approx(0.0, abs=1e-9)
-            assert sol.value(lp, lv["M2"].qout(n)) == pytest.approx(0.0, abs=1e-9)
+            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.0, abs=1e-9)
+            assert sol.value(lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-9)
 
     def test_supply_limited_ramp_preempts_mainline(self, config):
         corridor = config.corridor()
-        lp, lv, sol = _merge_lp(corridor, supply_cap=0.03, ramp_demand=0.05)
+        lp, sol = _merge_lp(corridor, supply_cap=0.03, ramp_demand=0.05)
         for n in (1, 8):
-            assert sol.value(lp, lv["M2"].qout(n)) == pytest.approx(0.0, abs=1e-6)
-            assert sol.value(lp, lv["R"].qin(n)) == pytest.approx(0.03, abs=1e-6)
+            assert sol.value(lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-6)
+            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.03, abs=1e-6)
+
+    def test_backlog_is_served_first(self, config):
+        # the flagged rows cap and force the ramp's cumulative admissions at
+        # arrivals plus backlog, so the whole backlog leaves in the first step
+        corridor = config.corridor()
+        lp, sol = _merge_lp(corridor, supply_cap=5.0, ramp_demand=0.05, backlog=0.5)
+        assert sol.value(lp, ("qin", "R", 1)) == pytest.approx(0.55, abs=1e-6)
+        for n in range(2, N + 1):
+            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
 
 
 class TestSerialJunction:
     def test_through_flow_reaches_capacity(self, config, fd):
         corridor = config.corridor()
         jn = next(j for j in corridor.junctions if j.incoming == ("M1",))
-        lv = {lid: LinkVariables(corridor.link(lid), N) for lid in ("M1", "M2")}
-        rows = network.build_node_constraints(corridor, jn, lv, N, T=T)
+        rows, ramp_rows = network.build_node_constraints(corridor, jn, N, T)
+        assert ramp_rows == {}
         columns = []
         for n in range(1, N + 1):
-            columns.append((lv["M1"].qout(n), 0.0, 2.1, False, 0.0))
-            columns.append((lv["M2"].qin(n), 0.0, 2.1, False, 1.0))
-        lp = build_lp(columns, [(row.coeffs, row.sense, row.rhs) for row in rows])
+            columns.append((("qout", "M1", n), 0.0, 2.1, False, 0.0))
+            columns.append((("qin", "M2", n), 0.0, 2.1, False, 1.0))
+        lp = build_lp(columns, rows)
         sol = solver.solve_lp_relaxation(lp)
         assert sol.objective == pytest.approx(2.1 * N, abs=1e-6)
         # conservation holds row by row
         for n in (1, 8):
-            assert sol.value(lp, lv["M1"].qout(n)) == pytest.approx(
-                sol.value(lp, lv["M2"].qin(n)), abs=1e-9
+            assert sol.value(lp, ("qout", "M1", n)) == pytest.approx(
+                sol.value(lp, ("qin", "M2", n)), abs=1e-9
             )
 
     def test_exit_cap_schedule(self, config):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs_core
 
 from corridorflow import solver, twostage
-from corridorflow.lp import EQ, GE, GE_CODE, LE, LE_CODE, LinearProgram
+from corridorflow.lp import EQ, GE, GE_CODE, LE, LE_CODE, LinearProgram, pack_rows
 from corridorflow.solver import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -146,6 +147,32 @@ def certification_models(config):
         models.append(twostage.build_deterministic_baseline(
             corridor, state, config.distribution().mean(), config.weights()).lp)
     return models
+
+
+def milp_optimum(lp):
+    """The optimum of ``lp`` found by ``scipy.optimize.milp`` at a relative
+    gap of 1e-9 (a test oracle only)."""
+    c, A_ub, b_ub, A_eq, b_eq, lb, ub = lp.to_arrays()
+    res = milp(-c, integrality=lp.column_arrays().binary, bounds=Bounds(lb, ub),
+               constraints=[LinearConstraint(A_ub, -np.inf, b_ub),
+                            LinearConstraint(A_eq, b_eq, b_eq)],
+               options={"mip_rel_gap": 1e-9})
+    assert res.status == 0
+    return -res.fun
+
+
+class TestReportedBound:
+    def test_bound_holds_the_optimum_within_the_gap(self, certification_models):
+        # the search discards nodes whose LP bound lies within the gap above
+        # the incumbent; their bounds must still count in the reported one
+        gap = SolveOptions().mip_gap
+        for lp in certification_models:
+            sol = branch_and_bound(lp)
+            optimum = milp_optimum(lp)
+            scale = max(1.0, abs(optimum))
+            assert sol.objective <= optimum + 1e-9 * scale
+            assert sol.bound >= optimum - 1e-9 * scale
+            assert sol.bound - sol.objective <= gap * max(1.0, abs(sol.objective)) + 1e-9 * scale
 
 
 def node_bound_sets(lp, rng, n_nodes=30):
@@ -352,6 +379,16 @@ def small_programs(draw, readable):
         rows.append(({columns[c][0]: pick(VALUES, least=1e-9) for c in cols},
                      draw(st.sampled_from([LE, GE, EQ])), pick(VALUES)))
     return build_lp(columns, rows, "drawn")
+
+
+class TestConstraintView:
+    @settings(max_examples=300, deadline=None)
+    @given(lp=small_programs(readable=False))
+    def test_packing_the_records_gives_the_rows_back(self, lp):
+        # Constraint is both pack_rows' input and the constraints view's output
+        packed, rows = pack_rows(lp.constraints, range(lp.n_vars)), lp.row_arrays()
+        for a, b in zip(packed, rows):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestExportMatchesLineWriters:
