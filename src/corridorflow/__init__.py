@@ -7,16 +7,12 @@ fixed-demand baselines.
 """
 
 from .lwr import (
-    CFLError,
-    GodunovField,
     InvalidParameterError,
     LinkGeometry,
     TriangularFD,
     ValueConditionSet,
     critical_density,
     flux,
-    godunov_oracle,
-    moskowitz,
 )
 from .linkmodel import LinkSpec, SpeedLimitSet
 from .network import Corridor, Junction, validate_topology

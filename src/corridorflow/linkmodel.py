@@ -249,6 +249,15 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> 
     return rows
 
 
+def _density_terms(densities, X: float) -> tuple:
+    """The parts of b(rho) that depend on the segment densities alone, so
+    every flux law on one geometry shares them: (rho, -mass, the head sums
+    -sum(rho[:k]) * X)."""
+    rho = np.asarray(densities, dtype=float)
+    head = np.array([-float(np.sum(rho[:k])) * X for k in range(len(rho))])
+    return rho, -(float(np.sum(rho)) * X), head
+
+
 class CompatTemplate:
     """Compatibility inequalities ``A q >= b(rho)`` of one flux law on one
     link geometry over ``n_max`` steps of length ``T``.
@@ -294,12 +303,10 @@ class CompatTemplate:
         self._free, self._congested = np.array(initial[:3]), np.array(initial[3:])
         self._outflow = params(_OUTFLOW, 2)[:, self._outflowing]
 
-    def rhs(self, densities) -> np.ndarray:
-        """b(rho); raises ValueError when a row without flows is violated."""
-        rho = np.asarray(densities, dtype=float)
-        X = self.geom.X
-        neg_mass = -(float(np.sum(rho)) * X)
-        head = np.array([-float(np.sum(rho[:k])) * X for k in range(len(rho))])
+    def rhs(self, terms: tuple) -> np.ndarray:
+        """b(rho) from ``_density_terms(rho, geom.X)``; raises ValueError when
+        a row without flows is violated."""
+        rho, neg_mass, head = terms
         rk = rho[self._seg]
         P, C, D = np.where(rk <= self.fd.rho_c + GUARD_TOL, self._free, self._congested)
         const = self._fixed.copy()
@@ -363,6 +370,7 @@ class BlockTemplate:
     def __init__(self, fd: TriangularFD, geom: LinkGeometry, vsl_set, n_max: int, T: float):
         link = LinkSpec("", FD, geom, fd, is_vsl=vsl_set is not None, vsl_set=vsl_set)
         self.columns = _link_columns(link, n_max)
+        self._X = geom.X
         if vsl_set is None:
             self._compat = compat_template(fd, geom, n_max, T)
             self._delta = None
@@ -410,11 +418,12 @@ class BlockTemplate:
 
     def evaluate(self, densities) -> RowBlock:
         """The block's rows for the given initial segment densities."""
+        terms = _density_terms(densities, self._X)
         if self._delta is None:
-            return self.rows._replace(rhs=self._compat.rhs(densities))
+            return self.rows._replace(rhs=self._compat.rhs(terms))
         data = self.rows.data.copy()
         for tpl, pos in self._delta:
-            data[pos] = 0.0 - tpl.rhs(densities)
+            data[pos] = 0.0 - tpl.rhs(terms)
         return self.rows._replace(data=data)
 
 
@@ -491,4 +500,5 @@ def compatibility_violation(
     outflow = np.asarray(outflow, dtype=float)
     tpl = compat_template(fd, geom, len(inflow), T)
     q = np.column_stack([inflow, outflow]).ravel()
-    return float(np.max(tpl.rhs(densities) - tpl.matrix @ q, initial=0.0))
+    return float(np.max(tpl.rhs(_density_terms(densities, geom.X)) - tpl.matrix @ q,
+                        initial=0.0))

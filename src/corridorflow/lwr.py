@@ -13,8 +13,9 @@ affine in the boundary flows; ``linkmodel`` builds model rows from it, and
 the tests use it as the reference.  ``LaxHopfKernel`` computes the same
 values directly as floats for simulation: it reads a link's constants once
 and adds the terms in the order of ``ComponentExpr.value``, so its results
-are bit-identical.  ``moskowitz``, ``segment_mean_densities``,
-``max_exit_count`` and ``max_entry_count`` go through the kernel.
+are bit-identical.  The simulator reads every count through the kernel;
+the tests keep the expression-path reference and a finite-volume solution
+to compare it against.
 
 All quantities are SI and lane-aggregated: m, s, veh/m, veh/s.  Segment and
 step indices in the public functions are 1-based.
@@ -252,43 +253,39 @@ def downstream_component_expr(
     return expr
 
 
-def all_component_exprs(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, x: float
-) -> list[ComponentExpr]:
-    comps = []
-    for k in range(1, geom.k_max + 1):
-        c = initial_component_expr(fd, geom, vc.initial_density, k, t, x)
-        if c is not None:
-            comps.append(c)
-    for n in range(1, vc.n_max + 1):
-        c = upstream_component_expr(fd, geom, vc.T, n, t, x)
-        if c is not None:
-            comps.append(c)
-        c = downstream_component_expr(fd, geom, vc.initial_density, vc.T, n, t, x)
-        if c is not None:
-            comps.append(c)
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # Numeric kernel: the component values as floats, for simulation.
 # ---------------------------------------------------------------------------
+
+
+def _fsum(values) -> float:
+    """``float(np.sum(values))`` bit for bit.  numpy adds fewer than 8 values
+    one by one from 0.0, so those are summed here without building an array;
+    from 8 values on it sums pairwise, so those go to numpy."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class LaxHopfKernel:
     """Point evaluations of one link's value conditions without building
     ``ComponentExpr`` objects.
 
-    The link's constants (rho_c, Q, per-segment head sums, initial mass and
-    the boundary flows) are read once.  Every component value is computed
-    with the same floating-point operations, in the same order, as
-    ``ComponentExpr.value`` of the matching component expression (const +
-    rcvf*Q, the inflow terms in step order, the kin term, the outflow terms),
-    and minima are taken over the components in ``all_component_exprs``
-    order, so results are bit-identical to the expression path.  The
-    literal ``+ 0.0`` terms stand for the expressions' zero coefficients
-    (``rcvf * Q`` with rcvf = 0, a flow coefficient started from 0.0): they
-    turn -0.0 into 0.0 just as the expressions do.
+    The link's constants (edges, rho_c, Q, per-segment head sums, initial
+    mass and the boundary flows) are read once, as Python floats: numpy
+    scalars would make every operation several times slower without
+    changing its result.  Every component value is computed with the same
+    floating-point operations, in the same order, as ``ComponentExpr.value``
+    of the matching component expression (const + rcvf*Q, the inflow terms in
+    step order, the kin term, the outflow terms), and minima are taken over
+    the components in the order of the tests' ``all_component_exprs``, so
+    results are bit-identical to the expression path.  The literal ``+ 0.0``
+    terms stand for the expressions' zero coefficients (``rcvf * Q`` with
+    rcvf = 0, a flow coefficient started from 0.0): they turn -0.0 into 0.0
+    just as the expressions do.
 
     The head sums and the mass depend only on the period's initial
     densities, so a caller may extend (or overwrite entries of) ``inflow``
@@ -302,10 +299,14 @@ class LaxHopfKernel:
         self.geom = geom
         self.vf, self.w, self.rho_m = fd.vf, fd.w, fd.rho_m
         self.rho_c, self.Q = fd.rho_c, fd.Q
-        self.X = geom.X
+        X = self.X = geom.X
+        self.xi, self.chi = float(geom.xi), float(geom.chi)
+        self.edges = geom.segment_edges().tolist()
+        #: each segment's (left, right) offset from xi
+        self.spans = [(k * X, (k + 1) * X) for k in range(geom.k_max)]
         self.rho = rho.tolist()
-        self.head = [-float(np.sum(rho[:k])) * self.X for k in range(geom.k_max)]
-        self.mass = float(np.sum(rho)) * self.X
+        self.head = [-_fsum(self.rho[:k]) * X for k in range(geom.k_max)]
+        self.mass = _fsum(self.rho) * X
         self.T = vc.T
         self.inflow = vc.inflow.tolist()
         self.outflow = vc.outflow.tolist()
@@ -313,16 +314,12 @@ class LaxHopfKernel:
     def _initial(self, t: float, x: float) -> list:
         """Values of the initial-density components at (t, x), by segment."""
         vf, w, rc, X = self.vf, self.w, self.rho_c, self.X
-        xh = x - self.geom.xi
+        xh = x - self.xi
         tw, tvf, jam = t * w, vf * t, self.rho_m * t * w
         vals = []
-        for k in range(1, self.geom.k_max + 1):
-            left = (k - 1) * X
-            right = k * X
+        for (left, right), head, rk in zip(self.spans, self.head, self.rho):
             if xh < left + tw - GUARD_TOL or xh > right + tvf + GUARD_TOL:
                 continue
-            head = self.head[k - 1]
-            rk = self.rho[k - 1]
             if rk <= rc + GUARD_TOL:
                 if xh >= left + tvf - GUARD_TOL:
                     val = head + rk * (tvf + left - xh)
@@ -335,51 +332,58 @@ class LaxHopfKernel:
             vals.append(val + 0.0)
         return vals
 
-    def _upstream(self, n: int, t: float, xh: float):
-        """Value of the step-n inflow component at (t, xi + xh); None before
-        its free-flow characteristic arrives."""
-        T, q = self.T, self.inflow
-        lag = xh / self.vf
-        if t < (n - 1) * T + lag - GUARD_TOL:
-            return None
-        if t <= n * T + lag + GUARD_TOL:
-            v = 0.0
-            for i in range(n - 1):
-                v += T * q[i]
-            v += (0.0 + (t - (n - 1) * T)) * q[n - 1]
-            return v + -xh * q[n - 1] / self.vf
-        v = -self.rho_c * xh + (t - n * T) * self.Q
-        for i in range(n):
-            v += T * q[i]
-        return v
+    def _upstream(self, t: float, xh: float) -> list:
+        """Values of the inflow components at (t, xi + xh) in step order;
+        None for a step whose free-flow characteristic has not arrived."""
+        T, vf, Q = self.T, self.vf, self.Q
+        lag = xh / vf
+        base = -self.rho_c * xh
+        Tq = [T * q for q in self.inflow]
+        vals = []
+        done = 0.0  # the earlier steps' terms, added in step order from 0.0
+        for n, q in enumerate(self.inflow, 1):
+            if t < (n - 1) * T + lag - GUARD_TOL:
+                vals.append(None)
+            elif t <= n * T + lag + GUARD_TOL:
+                v = done + (0.0 + (t - (n - 1) * T)) * q
+                vals.append(v + -xh * q / vf)
+            else:
+                v = base + (t - n * T) * Q
+                for a in Tq[:n]:
+                    v += a
+                vals.append(v)
+            done += Tq[n - 1]
+        return vals
 
-    def _downstream(self, n: int, t: float, xt: float):
-        """Value of the step-n outflow component at (t, chi + xt); None
-        before its backward wave arrives."""
-        T, q = self.T, self.outflow
+    def _downstream(self, t: float, xt: float) -> list:
+        """Values of the outflow components at (t, chi + xt) in step order;
+        None for a step whose backward wave has not arrived."""
+        T, Q = self.T, self.Q
         lag = xt / self.w
-        if t < (n - 1) * T + lag - GUARD_TOL:
-            return None
-        if t <= n * T + lag + GUARD_TOL:
-            v = (-self.mass - self.rho_m * xt) + 0.0
-            for i in range(n - 1):
-                v += T * q[i]
-            return v + (0.0 + (t - lag - (n - 1) * T)) * q[n - 1]
-        v = (-self.mass - self.rho_c * xt) + (t - n * T) * self.Q
-        for i in range(n):
-            v += T * q[i]
-        return v
+        base = -self.mass - self.rho_c * xt
+        Tq = [T * q for q in self.outflow]
+        vals = []
+        done = (-self.mass - self.rho_m * xt) + 0.0
+        for n, q in enumerate(self.outflow, 1):
+            if t < (n - 1) * T + lag - GUARD_TOL:
+                vals.append(None)
+            elif t <= n * T + lag + GUARD_TOL:
+                vals.append(done + (0.0 + (t - lag - (n - 1) * T)) * q)
+            else:
+                v = base + (t - n * T) * Q
+                for a in Tq[:n]:
+                    v += a
+                vals.append(v)
+            done += Tq[n - 1]
+        return vals
 
     def _count(self, t: float, x: float) -> float:
         vals = self._initial(t, x)
-        xh, xt = x - self.geom.xi, x - self.geom.chi
-        for n in range(1, len(self.inflow) + 1):
-            v = self._upstream(n, t, xh)
-            if v is not None:
-                vals.append(v)
-            v = self._downstream(n, t, xt)
-            if v is not None:
-                vals.append(v)
+        for up, down in zip(self._upstream(t, x - self.xi), self._downstream(t, x - self.chi)):
+            if up is not None:
+                vals.append(up)
+            if down is not None:
+                vals.append(down)
         return min(vals) if vals else INF
 
     def moskowitz(self, t: float, x: float) -> float:
@@ -389,59 +393,48 @@ class LaxHopfKernel:
 
     def segment_mean_densities(self, t: float, resolution: int = 1) -> np.ndarray:
         """Per-segment mean densities at time t from cumulative-count
-        differences over ``resolution`` equal pieces of each segment; a
-        point shared by two segments is evaluated once."""
+        differences over ``resolution`` equal pieces of each segment, clipped
+        to [0, rho_m]; subdividing telescopes to the same value and is kept
+        for spot-checking.  A point shared by two segments is evaluated once."""
         r = max(1, int(resolution))
-        geom = self.geom
-        edges = geom.segment_edges()
+        edges = self.edges
         if r == 1:
             xs = edges  # np.linspace(a, b, 2) is [a, b] bit for bit
         else:
             xs = [edges[0]]
-            for k in range(geom.k_max):
-                xs.extend(np.linspace(edges[k], edges[k + 1], r + 1)[1:])
+            for a, b in zip(edges, edges[1:]):
+                xs += np.linspace(a, b, r + 1)[1:].tolist()
         counts = []
         for x in xs:
-            _check_domain(geom, t, x)
+            _check_domain(self.geom, t, x)
             counts.append(self._count(t, x))
-        means = np.empty(geom.k_max)
-        for k in range(geom.k_max):
+        X, rho_m = self.X, self.rho_m
+        means = []
+        for k in range(0, len(xs) - 1, r):
             total = 0.0
-            for j in range(k * r, (k + 1) * r):
+            for j in range(k, k + r):
                 total += counts[j] - counts[j + 1]
-            means[k] = total / geom.X
-        return np.clip(means, 0.0, self.rho_m)
+            # np.clip's result, NaN and -0.0 included
+            means.append(min(max(total / X, 0.0), rho_m))
+        return np.array(means)
 
     def max_exit_count(self, t: float) -> float:
-        """See the module-level ``max_exit_count``."""
-        x = self.geom.chi
+        """Most vehicles that could have left through chi by time t if the
+        downstream were unrestricted (initial + upstream components only)."""
         best = INF
-        for v in self._initial(t, x):
-            best = min(best, v)
-        xh = x - self.geom.xi
-        for n in range(1, len(self.inflow) + 1):
-            v = self._upstream(n, t, xh)
+        for v in self._initial(t, self.chi) + self._upstream(t, self.chi - self.xi):
             if v is not None:
                 best = min(best, v)
         return best + self.mass if best < INF else INF
 
     def max_entry_count(self, t: float) -> float:
-        """See the module-level ``max_entry_count``."""
-        x = self.geom.xi
+        """Most vehicles that could have entered through xi by time t if the
+        upstream demand were unrestricted (initial + downstream components)."""
         best = INF
-        for v in self._initial(t, x):
-            best = min(best, v)
-        xt = x - self.geom.chi
-        for n in range(1, len(self.outflow) + 1):
-            v = self._downstream(n, t, xt)
+        for v in self._initial(t, self.xi) + self._downstream(t, self.xi - self.chi):
             if v is not None:
                 best = min(best, v)
         return best
-
-
-# ---------------------------------------------------------------------------
-# Public point evaluations.
-# ---------------------------------------------------------------------------
 
 
 def _check_domain(geom: LinkGeometry, t: float, x: float):
@@ -449,125 +442,3 @@ def _check_domain(geom: LinkGeometry, t: float, x: float):
         raise InvalidParameterError("t must be nonnegative")
     if x < geom.xi - GUARD_TOL or x > geom.chi + GUARD_TOL:
         raise InvalidParameterError(f"x={x} outside [{geom.xi}, {geom.chi}]")
-
-
-def moskowitz(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, x: float
-) -> float:
-    """Pointwise minimum over all value-condition components."""
-    return LaxHopfKernel(vc, fd, geom).moskowitz(t, x)
-
-
-def segment_mean_densities(
-    vc: ValueConditionSet,
-    fd: TriangularFD,
-    geom: LinkGeometry,
-    t: float,
-    resolution: int = 1,
-) -> np.ndarray:
-    """Exact per-segment mean densities at time t via cumulative-count
-    differences; subdividing each segment (resolution > 1) telescopes to the
-    same value and is kept for spot-checking."""
-    return LaxHopfKernel(vc, fd, geom).segment_mean_densities(t, resolution)
-
-
-def max_exit_count(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float
-) -> float:
-    """Most vehicles that could have left through chi by time t if the
-    downstream were unrestricted (initial + upstream components only)."""
-    return LaxHopfKernel(vc, fd, geom).max_exit_count(t)
-
-
-def max_entry_count(
-    vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float
-) -> float:
-    """Most vehicles that could have entered through xi by time t if the
-    upstream demand were unrestricted (initial + downstream components)."""
-    return LaxHopfKernel(vc, fd, geom).max_entry_count(t)
-
-
-# ---------------------------------------------------------------------------
-# First-order finite-volume reference solution.
-# ---------------------------------------------------------------------------
-
-
-class CFLError(ValueError):
-    pass
-
-
-@dataclass
-class GodunovField:
-    """Cell densities over time plus cumulative boundary counts."""
-
-    dt: float
-    dx: float
-    densities: np.ndarray  # (n_steps+1, n_cells)
-    cum_in: np.ndarray  # (n_steps+1,)
-    cum_out: np.ndarray
-
-    def count(self, step: int, x: float, geom: LinkGeometry) -> float:
-        """Cumulative count at (step*dt, x): inflow so far minus vehicles
-        currently stored between xi and x."""
-        rho = self.densities[step]
-        edges = geom.xi + self.dx * np.arange(len(rho) + 1)
-        stored = 0.0
-        for i in range(len(rho)):
-            if edges[i + 1] <= x:
-                stored += rho[i] * self.dx
-            elif edges[i] < x:
-                stored += rho[i] * (x - edges[i])
-        return self.cum_in[step] - stored
-
-
-def godunov_oracle(
-    vc: ValueConditionSet,
-    fd: TriangularFD,
-    geom: LinkGeometry,
-    dt: float,
-    dx: float,
-) -> GodunovField:
-    """March the conservation law with demand/supply interface fluxes.
-
-    The prescribed inflow is clipped by the first cell's receiving capacity
-    and the prescribed outflow by the last cell's sending capacity, mirroring
-    how boundary conditions act on the exact solution.
-    """
-    if dt > dx / fd.vf + GUARD_TOL:
-        raise CFLError(f"dt={dt} violates dt <= dx/vf = {dx / fd.vf}")
-    n_cells = int(round(geom.length / dx))
-    if abs(n_cells * dx - geom.length) > 1e-6:
-        raise InvalidParameterError("dx must divide the link length")
-    t_end = vc.n_max * vc.T
-    n_steps = int(round(t_end / dt))
-
-    # start cells from the segment-wise initial densities
-    rho = np.empty(n_cells)
-    centers = geom.xi + dx * (np.arange(n_cells) + 0.5)
-    seg = np.minimum(((centers - geom.xi) / geom.X).astype(int), geom.k_max - 1)
-    rho[:] = vc.initial_density[seg]
-
-    def sending(r):
-        return np.minimum(fd.vf * r, fd.Q)
-
-    def receiving(r):
-        return np.minimum(fd.Q, fd.w * (r - fd.rho_m))
-
-    densities = np.empty((n_steps + 1, n_cells))
-    densities[0] = rho
-    cum_in = np.zeros(n_steps + 1)
-    cum_out = np.zeros(n_steps + 1)
-
-    for s in range(n_steps):
-        t = s * dt
-        step_idx = min(int(t / vc.T), vc.n_max - 1)
-        q_in = min(vc.inflow[step_idx], receiving(rho[0]))
-        q_out = min(vc.outflow[step_idx], sending(rho[-1]))
-        flows = np.minimum(sending(rho[:-1]), receiving(rho[1:]))
-        rho = rho + (dt / dx) * (
-            np.concatenate(([q_in], flows)) - np.concatenate((flows, [q_out]))
-        )
-        densities[s + 1] = rho
-        cum_in[s + 1] = cum_in[s] + q_in * dt
-        cum_out[s + 1] = cum_out[s] + q_out * dt
-    return GodunovField(dt, dx, densities, cum_in, cum_out)

@@ -7,8 +7,9 @@ appending a zero flow to every kernel's inflow and outflow; each link's step
 demand and supply come from its boundary-evaluated cumulative-count
 components with the open step at zero, junction flows take the greedy min
 (ramp served first at merges), and the realized flows overwrite the open
-step's zeros.  At period boundaries (speed-limit changes, horizon rolls) a
-fresh kernel starts from the exact per-segment cumulative-count differences,
+step's zeros.  The step then records each link's per-segment densities from
+exact cumulative-count differences; state reads and, at period boundaries
+(speed-limit changes, horizon rolls), the fresh kernels start from those,
 so vehicles are conserved to float precision.
 """
 
@@ -29,19 +30,18 @@ def _step_rate(k: lwr.LaxHopfKernel, side: str) -> float:
     step; a component can turn finite mid-step below the straight
     boundary line, so step-end checks alone would overdraw.
     """
-    geom, T = k.geom, k.T
-    edges = geom.segment_edges()
+    T = k.T
     n = len(k.inflow)
     if side == "supply":
         count_fn, flows = k.max_entry_count, k.inflow
-        kinks = [(geom.xi - e) / k.w for e in edges[:-1]]
-        lag = (geom.xi - geom.chi) / k.w
+        kinks = [(k.xi - e) / k.w for e in k.edges[:-1]]
+        lag = (k.xi - k.chi) / k.w
     else:
         count_fn, flows = k.max_exit_count, k.outflow
-        kinks = [(geom.chi - e) / k.vf for e in edges[1:]]
-        lag = geom.length / k.vf
+        kinks = [(k.chi - e) / k.vf for e in k.edges[1:]]
+        lag = (k.chi - k.xi) / k.vf
     kinks += [m * T + lag for m in range(1, n + 1)]
-    cum_prev = float(np.sum(flows[:-1])) * T
+    cum_prev = lwr._fsum(flows[:-1]) * T
     t_prev = (n - 1) * T
     t_next = t_prev + T
     rate = k.Q
@@ -66,6 +66,9 @@ class CorridorSimulator:
         self.global_step = 0
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
+        #: link id -> the densities at the last step end, the simulator's own
+        #: array: records and state reads get copies
+        self._densities: dict[str, np.ndarray] = {}
         for link in corridor.fd_links:
             dens = np.zeros(link.geometry.k_max)
             if initial_densities and link.id in initial_densities:
@@ -75,6 +78,7 @@ class CorridorSimulator:
                 speed = (initial_speeds or {}).get(link.id, max(link.vsl_set.speeds))
                 fd = link.fd_for_speed(speed)
             self.states[link.id] = self._kernel(dens, fd, link.geometry)
+            self._densities[link.id] = dens
         self.queues = {l.id: 0.0 for l in corridor.entry_links}
         if initial_queues:
             self.queues.update({k: float(v) for k, v in initial_queues.items()})
@@ -96,15 +100,13 @@ class CorridorSimulator:
     def stored_mass(self) -> float:
         total = 0.0
         for lid, k in self.states.items():
-            total += float(np.sum(self.segment_densities(lid))) * k.X
+            total += float(np.sum(self._densities[lid])) * k.X
         return total
 
     def segment_densities(self, link_id: str) -> np.ndarray:
-        k = self.states[link_id]
-        t_local = len(k.inflow) * self.T
-        if t_local == 0:
-            return k.densities.copy()
-        return k.segment_mean_densities(t_local)
+        """The link's densities as the last step recorded them (its initial
+        densities before the first step), as a new array."""
+        return self._densities[link_id].copy()
 
     # -- evolution ----------------------------------------------------------
 
@@ -171,6 +173,8 @@ class CorridorSimulator:
             self.total_exited[link.id] += qout[link.id] * T
 
         self.global_step += 1
+        self._densities = {lid: k.segment_mean_densities(len(k.inflow) * T)
+                           for lid, k in self.states.items()}
         record = {
             "step": self.global_step - 1,
             "t": t_start,
@@ -180,7 +184,7 @@ class CorridorSimulator:
             "demands": {l.id: demands.get(l.id, l.demand) for l in self.corridor.entry_links},
             "controls": dict(controls),
             "speeds": {l.id: self.active_speed(l.id) for l in self.corridor.vsl_links},
-            "densities": {lid: self.segment_densities(lid) for lid in self.states},
+            "densities": {lid: d.copy() for lid, d in self._densities.items()},
         }
         self.records.append(record)
         return record
@@ -190,15 +194,26 @@ class CorridorSimulator:
 
         ``links`` restricts chaining to a subset (e.g. just the link whose
         speed limit changes mid-horizon); other links keep their running
-        value conditions, which the grid-free solution permits.
+        value conditions, which the grid-free solution permits.  A link in
+        ``links`` without a flux law, or a speed for a link that this call
+        does not chain or that has no speed control, raises ``ValueError``.
         """
-        chain = set(links) if links is not None else set(self.states)
+        new_speeds = new_speeds or {}
+        chain = set(self.states) if links is None else set(links)
+        unknown = sorted(chain - self.states.keys())
+        if unknown:
+            raise ValueError(f"cannot chain link {unknown[0]!r}: it has no flux law")
+        for lid in new_speeds:
+            if lid not in chain:
+                raise ValueError(f"speed for link {lid!r}, which this call does not chain")
+            if not self.corridor.link(lid).is_vsl:
+                raise ValueError(f"speed for link {lid!r}, which has no speed control")
         for lid in [lid for lid in self.states if lid in chain]:
             k = self.states[lid]
             fd = k.fd
-            if new_speeds and lid in new_speeds:
+            if lid in new_speeds:
                 fd = self.corridor.link(lid).fd_for_speed(new_speeds[lid])
-            self.states[lid] = self._kernel(self.segment_densities(lid), fd, k.geom)
+            self.states[lid] = self._kernel(self._densities[lid], fd, k.geom)
 
     def conservation_error(self) -> float:
         """|initial + admitted - stored - exited| in vehicles."""

@@ -153,7 +153,9 @@ class _Relaxation:
         return _solve_lp(self.lp, lb, ub)
 
 
-def _most_fractional(x, binary_ids, tol):
+def _most_fractional(x: list, binary_ids, tol):
+    """The binary farthest from an integer, by more than ``tol``; ``x`` is a
+    list of floats, which reads far faster than numpy scalars."""
     pick, best = None, tol
     for vid in binary_ids:
         frac = abs(x[vid] - round(x[vid]))
@@ -238,19 +240,19 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
             pruned = max(pruned, bound)
             continue
 
-        branch_var = _most_fractional(node_sol.x, binary_ids, opts.integrality_tol)
+        values = node_sol.x.tolist()
+        branch_var = _most_fractional(values, binary_ids, opts.integrality_tol)
         if branch_var is None:
             x = node_sol.x.copy()
             for vid in binary_ids:
-                x[vid] = round(x[vid])
+                x[vid] = round(values[vid])
             obj = lp.objective_value(x)
             if obj > inc_obj:
                 incumbent = Solution(OPTIMAL, obj, x, nodes=nodes)
                 inc_obj = obj
             continue
 
-        frac = node_sol.x[branch_var]
-        near = int(round(frac))
+        near = int(round(values[branch_var]))
         far_fix = dict(fixings)
         far_fix[branch_var] = float(1 - near)
         near_fix = dict(fixings)

@@ -6,6 +6,8 @@ from corridorflow import lwr
 from corridorflow.experiments import case_study
 from corridorflow.lp import Columns, Constraint, LinearProgram, pack_rows
 
+import lwr_oracle
+
 
 @pytest.fixture(scope="session")
 def fd():
@@ -57,11 +59,11 @@ def compatible_vc(fd, geom, rng, n_steps=8, T=20.0, densities=None,
             T,
         )
         supply = max_flow(
-            lambda t: lwr.max_entry_count(vc, fd, geom, t),
+            lambda t: lwr_oracle.max_entry_count(vc, fd, geom, t),
             sum(inflow) * T, (n - 1) * T, n * T, kinks_supply,
         )
         demand = max_flow(
-            lambda t: lwr.max_exit_count(vc, fd, geom, t),
+            lambda t: lwr_oracle.max_exit_count(vc, fd, geom, t),
             sum(outflow) * T, (n - 1) * T, n * T, kinks_demand,
         )
         want_in = desired_in[n - 1] if desired_in is not None else rng.uniform(0.0, fd.Q)

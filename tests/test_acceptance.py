@@ -21,6 +21,7 @@ from corridorflow.experiments import (
 )
 from corridorflow.twostage import DemandDistribution, HorizonState
 
+import lwr_oracle
 from conftest import build_lp, compatible_vc
 
 CONTROLLERS = ctl.CONTROLLER_KINDS
@@ -69,16 +70,16 @@ class TestCriterion2OracleAgreement:
             count_err = []
             for refine in (1, 2, 4, 8):
                 dx = geom.X / (8 * refine)
-                field = lwr.godunov_oracle(vc, fd, geom, dx / fd.vf, dx)
+                field = lwr_oracle.godunov_oracle(vc, fd, geom, dx / fd.vf, dx)
                 step = field.densities.shape[0] - 1
                 count_err.append(max(
-                    abs(field.count(step, x, geom) - lwr.moskowitz(vc, fd, geom, t_end, x))
+                    abs(field.count(step, x, geom) - lwr_oracle.moskowitz(vc, fd, geom, t_end, x))
                     for x in (300.0, 600.0, 900.0)
                 ))
                 if refine == 1:
                     edges = geom.xi + dx * np.arange(field.densities.shape[1] + 1)
                     counts = np.array(
-                        [lwr.moskowitz(vc, fd, geom, t_end, x) for x in edges]
+                        [lwr_oracle.moskowitz(vc, fd, geom, t_end, x) for x in edges]
                     )
                     analytic = -np.diff(counts) / dx
                     jump = np.abs(np.diff(analytic, prepend=analytic[0],

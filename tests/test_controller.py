@@ -107,6 +107,30 @@ class TestSimulator:
                 rho_m = corridor.link(lid).fd.rho_m
                 assert np.all(dens >= -1e-9) and np.all(dens <= rho_m + 1e-9)
 
+    @staticmethod
+    def _stepped(corridor, cfg):
+        sim = CorridorSimulator(corridor, cfg.T)
+        sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+        return sim
+
+    def test_end_period_refuses_a_speed_for_a_link_it_does_not_chain(self, corridor, cfg):
+        sim = self._stepped(corridor, cfg)
+        with pytest.raises(ValueError, match="'M3'"):
+            sim.end_period(new_speeds={"M3": 20.0}, links=["M2"])
+        assert sim.active_speed("M3") == 30.0
+
+    def test_end_period_refuses_a_speed_for_a_link_without_speed_control(self, corridor, cfg):
+        sim = self._stepped(corridor, cfg)
+        with pytest.raises(ValueError, match="'M2'"):
+            sim.end_period(new_speeds={"M2": 20.0})
+        assert len(sim.states["M2"].inflow) == 1
+
+    def test_end_period_refuses_an_unknown_link(self, corridor, cfg):
+        sim = self._stepped(corridor, cfg)
+        with pytest.raises(ValueError, match="'M9'"):
+            sim.end_period(links=["M3", "M9"])
+        assert len(sim.states["M3"].inflow) == 1
+
 
 class TestClosedLoop:
     def test_zero_demand_stream(self, config, cfg):

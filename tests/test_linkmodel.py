@@ -5,6 +5,7 @@ from corridorflow import linkmodel, lwr, solver
 from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
 from corridorflow.lp import EQ, GE, LE
 
+import lwr_oracle
 from conftest import build_lp, compatible_vc, with_fixed
 
 T = 20.0
@@ -72,7 +73,7 @@ class TestCompatibilityRows:
         assert sol.value(lp, ("qin", "l", 1)) == pytest.approx(0.0, abs=1e-9)
         # cross-check: the finite-volume oracle admits nothing either
         vc = lwr.ValueConditionSet([fd.rho_m, fd.rho_m], [fd.Q] * N, [0.0] * N, T)
-        field = lwr.godunov_oracle(vc, fd, link.geometry, 2.5, 150.0)
+        field = lwr_oracle.godunov_oracle(vc, fd, link.geometry, 2.5, 150.0)
         assert field.cum_in[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_simulated_flows_certify(self, link, fd, geom):
@@ -172,14 +173,14 @@ class TestVSLLinearization:
 class TestChaining:
     def test_time_zero_returns_initial(self, link, fd):
         vc = lwr.ValueConditionSet([0.2, 0.05], [0.0] * N, [0.0] * N, T)
-        out = lwr.segment_mean_densities(vc, fd, link.geometry, 0.0, resolution=4)
+        out = lwr_oracle.segment_mean_densities(vc, fd, link.geometry, 0.0, resolution=4)
         assert out == pytest.approx([0.2, 0.05], abs=1e-12)
 
     def test_stationary_capacity_flow(self, link, fd):
         vc = lwr.ValueConditionSet(
             [fd.rho_c, fd.rho_c], [fd.Q] * N, [fd.Q] * N, T
         )
-        out = lwr.segment_mean_densities(vc, fd, link.geometry, 4 * T, resolution=4)
+        out = lwr_oracle.segment_mean_densities(vc, fd, link.geometry, 4 * T, resolution=4)
         assert out == pytest.approx([fd.rho_c, fd.rho_c], abs=1e-9)
 
     def test_mass_conservation_and_resolution_invariance(self, link, fd, geom):
@@ -187,8 +188,8 @@ class TestChaining:
         for _ in range(4):
             vc = compatible_vc(fd, geom, rng)
             t = 4 * T
-            out = lwr.segment_mean_densities(vc, fd, geom, t, resolution=4)
-            out1 = lwr.segment_mean_densities(vc, fd, geom, t, resolution=9)
+            out = lwr_oracle.segment_mean_densities(vc, fd, geom, t, resolution=4)
+            out1 = lwr_oracle.segment_mean_densities(vc, fd, geom, t, resolution=9)
             assert out == pytest.approx(out1, abs=1e-9)
             stored = float(np.sum(out)) * geom.X
             entered = float(np.sum(vc.inflow[:4])) * T
@@ -199,5 +200,5 @@ class TestChaining:
     def test_bounds_clamped(self, link, fd, geom):
         rng = np.random.default_rng(29)
         vc = compatible_vc(fd, geom, rng)
-        out = lwr.segment_mean_densities(vc, fd, geom, 8 * T, resolution=4)
+        out = lwr_oracle.segment_mean_densities(vc, fd, geom, 8 * T, resolution=4)
         assert np.all(out >= 0.0) and np.all(out <= fd.rho_m)

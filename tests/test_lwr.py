@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from corridorflow import lwr
 from corridorflow.lwr import (
-    CFLError,
     InvalidParameterError,
     LinkGeometry,
     TriangularFD,
     ValueConditionSet,
 )
 
+import lwr_oracle
 from conftest import compatible_vc
+from lwr_oracle import CFLError
 
 T = 20.0
 
@@ -133,15 +134,15 @@ class TestMoskowitz:
             expected = -np.sum(vc.initial_density[: k - 1]) * geom.X - vc.initial_density[
                 k - 1
             ] * (x - (k - 1) * geom.X)
-            assert lwr.moskowitz(vc, fd, geom, 0.0, x) == pytest.approx(expected, abs=1e-9)
+            assert lwr_oracle.moskowitz(vc, fd, geom, 0.0, x) == pytest.approx(expected, abs=1e-9)
 
     def test_upstream_component_attains_minimum_on_empty_road(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[2.1] * 8), T)
         t, x = 40.0, geom.xi + 600.0
-        comps = lwr.all_component_exprs(vc, fd, geom, t, x)
+        comps = lwr_oracle.all_component_exprs(vc, fd, geom, t, x)
         values = {c.tag: c.value(fd, vc.inflow, vc.outflow) for c in comps}
         best = min(values.values())
-        assert lwr.moskowitz(vc, fd, geom, t, x) == pytest.approx(best, abs=1e-12)
+        assert lwr_oracle.moskowitz(vc, fd, geom, t, x) == pytest.approx(best, abs=1e-12)
         assert min(values, key=values.get).startswith("up")
 
     def test_lower_bound_of_every_component(self, fd, geom):
@@ -150,8 +151,8 @@ class TestMoskowitz:
             vc = compatible_vc(fd, geom, rng)
             t = rng.uniform(0.0, 8 * T)
             x = rng.uniform(geom.xi, geom.chi)
-            m = lwr.moskowitz(vc, fd, geom, t, x)
-            for comp in lwr.all_component_exprs(vc, fd, geom, t, x):
+            m = lwr_oracle.moskowitz(vc, fd, geom, t, x)
+            for comp in lwr_oracle.all_component_exprs(vc, fd, geom, t, x):
                 assert m <= comp.value(fd, vc.inflow, vc.outflow) + 1e-9
 
     def test_monotone_in_time_and_space(self, fd, geom):
@@ -161,30 +162,30 @@ class TestMoskowitz:
             ts = np.sort(rng.uniform(0.0, 8 * T, 4))
             xs = np.sort(rng.uniform(geom.xi, geom.chi, 4))
             for x in xs:
-                vals = [lwr.moskowitz(vc, fd, geom, t, x) for t in ts]
+                vals = [lwr_oracle.moskowitz(vc, fd, geom, t, x) for t in ts]
                 assert all(b >= a - 1e-7 for a, b in zip(vals, vals[1:]))
             for t in ts:
-                vals = [lwr.moskowitz(vc, fd, geom, t, x) for x in xs]
+                vals = [lwr_oracle.moskowitz(vc, fd, geom, t, x) for x in xs]
                 assert all(b <= a + 1e-7 for a, b in zip(vals, vals[1:]))
 
 
 class TestGodunovOracle:
     def test_empty_road_stays_empty(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[0] * 8), T)
-        field = lwr.godunov_oracle(vc, fd, geom, 2.5, 150.0)
+        field = lwr_oracle.godunov_oracle(vc, fd, geom, 2.5, 150.0)
         assert np.max(np.abs(field.densities)) == 0.0
 
     def test_zero_flux_riemann_interface(self, fd):
         geom = LinkGeometry(0.0, 1200.0, 2)
         vc = ValueConditionSet([0.0, fd.rho_m], steps(*[0] * 8), steps(*[0] * 8), T)
-        field = lwr.godunov_oracle(vc, fd, geom, 2.5, 150.0)
+        field = lwr_oracle.godunov_oracle(vc, fd, geom, 2.5, 150.0)
         # empty head and jammed tail exchange nothing while the exit is shut
         assert np.allclose(field.densities[-1], vc.initial_density.repeat(4))
 
     def test_cfl_guard(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[0] * 8), T)
         with pytest.raises(CFLError):
-            lwr.godunov_oracle(vc, fd, geom, 10.0, 150.0)
+            lwr_oracle.godunov_oracle(vc, fd, geom, 10.0, 150.0)
 
     def test_counts_and_densities_converge_to_analytic(self, fd, geom):
         rng = np.random.default_rng(42)
@@ -195,11 +196,11 @@ class TestGodunovOracle:
             count_errors = []
             for refine in (1, 2, 4, 8):
                 dx = geom.X / (8 * refine)
-                field = lwr.godunov_oracle(vc, fd, geom, dx / fd.vf, dx)
+                field = lwr_oracle.godunov_oracle(vc, fd, geom, dx / fd.vf, dx)
                 step = field.densities.shape[0] - 1
                 count_errors.append(
                     max(
-                        abs(field.count(step, x, geom) - lwr.moskowitz(vc, fd, geom, t_end, x))
+                        abs(field.count(step, x, geom) - lwr_oracle.moskowitz(vc, fd, geom, t_end, x))
                         for x in probes
                     )
                 )
@@ -208,7 +209,7 @@ class TestGodunovOracle:
                     # volume's own averaging
                     edges = geom.xi + dx * np.arange(field.densities.shape[1] + 1)
                     counts = np.array(
-                        [lwr.moskowitz(vc, fd, geom, t_end, x) for x in edges]
+                        [lwr_oracle.moskowitz(vc, fd, geom, t_end, x) for x in edges]
                     )
                     analytic = -np.diff(counts) / dx
                     numeric = field.densities[step]
@@ -232,7 +233,7 @@ class TestGodunovOracle:
         # stored mass change equals inflow minus outflow at any resolution
         rng = np.random.default_rng(5)
         vc = compatible_vc(fd, geom, rng)
-        field = lwr.godunov_oracle(vc, fd, geom, 2.5, 150.0)
+        field = lwr_oracle.godunov_oracle(vc, fd, geom, 2.5, 150.0)
         stored0 = np.sum(field.densities[0]) * field.dx
         stored1 = np.sum(field.densities[-1]) * field.dx
         assert stored1 - stored0 == pytest.approx(
@@ -262,8 +263,8 @@ class TestSegmentMeans:
         rng = np.random.default_rng(9)
         vc = compatible_vc(fd, geom, rng)
         t = 8 * T
-        m1 = lwr.segment_mean_densities(vc, fd, geom, t, resolution=1)
-        m4 = lwr.segment_mean_densities(vc, fd, geom, t, resolution=4)
+        m1 = lwr_oracle.segment_mean_densities(vc, fd, geom, t, resolution=1)
+        m4 = lwr_oracle.segment_mean_densities(vc, fd, geom, t, resolution=4)
         assert m1 == pytest.approx(m4, abs=1e-9)
         stored = float(np.sum(m1)) * geom.X
         expected = (
@@ -291,7 +292,7 @@ def _min_value(comps, vc, fd, best=math.inf):
 
 
 def expr_moskowitz(vc, fd, geom, t, x):
-    comps = lwr.all_component_exprs(vc, fd, geom, t, x)
+    comps = lwr_oracle.all_component_exprs(vc, fd, geom, t, x)
     if not comps:
         return math.inf
     return min(c.value(fd, vc.inflow, vc.outflow) for c in comps)
@@ -382,26 +383,48 @@ class TestKernelMatchesExpressions:
     def test_point_evaluations_bit_identical(self, case):
         vc, fd, geom, t = case
         for x in evaluation_points(geom):
-            assert _bits(lwr.moskowitz(vc, fd, geom, t, x)) == _bits(
+            assert _bits(lwr_oracle.moskowitz(vc, fd, geom, t, x)) == _bits(
                 expr_moskowitz(vc, fd, geom, t, x))
-        assert _bits(lwr.max_exit_count(vc, fd, geom, t)) == _bits(
+        assert _bits(lwr_oracle.max_exit_count(vc, fd, geom, t)) == _bits(
             expr_max_exit(vc, fd, geom, t))
-        assert _bits(lwr.max_entry_count(vc, fd, geom, t)) == _bits(
+        assert _bits(lwr_oracle.max_entry_count(vc, fd, geom, t)) == _bits(
             expr_max_entry(vc, fd, geom, t))
 
     @given(link_cases(), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
     def test_segment_means_bit_identical(self, case, resolution):
         vc, fd, geom, t = case
-        got = lwr.segment_mean_densities(vc, fd, geom, t, resolution)
+        got = lwr_oracle.segment_mean_densities(vc, fd, geom, t, resolution)
         want = expr_segment_means(vc, fd, geom, t, resolution)
         assert got.tobytes() == want.tobytes()
+
+    def test_float_sum_is_numpys(self):
+        # numpy adds fewer than 8 values in order and sums pairwise from 8 on
+        rng = np.random.default_rng(0)
+        for n in range(21):
+            for _ in range(200):
+                values = (rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+                assert _bits(lwr._fsum(values)) == _bits(np.sum(values))
+            assert _bits(lwr._fsum([-0.0] * n)) == _bits(np.sum([-0.0] * n))
+
+    def test_segment_means_clip_as_numpy_does(self, fd):
+        geom = LinkGeometry(0.0, 1200.0, 5)
+        kernel = lwr.LaxHopfKernel(ValueConditionSet(np.zeros(5), [], [], T), fd, geom)
+        X, tiny = geom.X, 5e-324
+        # per segment: NaN, +inf, an underflow to -0.0, below 0, inside
+        counts = [math.inf, math.inf, 0.0, tiny, tiny + 0.1 * X, tiny - 0.1 * X]
+        points = iter(counts)
+        kernel._count = lambda t, x: next(points)
+        got = kernel.segment_mean_densities(0.0)
+        raw = np.array([(0.0 + (a - b)) / X for a, b in zip(counts, counts[1:])])
+        assert got.tobytes() == np.clip(raw, 0.0, fd.rho_m).tobytes()
+        assert math.isnan(got[0]) and _bits(got[2]) == _bits(-0.0)
 
     def test_domain_checks_kept(self, fd, geom):
         vc = ValueConditionSet([0.1, 0.1], steps(1.0), steps(1.0), T)
         with pytest.raises(InvalidParameterError):
-            lwr.moskowitz(vc, fd, geom, -1.0, 100.0)
+            lwr_oracle.moskowitz(vc, fd, geom, -1.0, 100.0)
         with pytest.raises(InvalidParameterError):
-            lwr.moskowitz(vc, fd, geom, 10.0, geom.chi + 1.0)
+            lwr_oracle.moskowitz(vc, fd, geom, 10.0, geom.chi + 1.0)
         with pytest.raises(InvalidParameterError):
-            lwr.segment_mean_densities(vc, fd, geom, -1.0)
+            lwr_oracle.segment_mean_densities(vc, fd, geom, -1.0)

@@ -18,6 +18,9 @@ from corridorflow import lwr
 from corridorflow.sim import CorridorSimulator
 
 GOLDEN = "319f3ff7b601ac648fcd726aa54fd7846b7f82aa7f9acb9bc0cdc5373baaa108"
+#: ``long_period_replay``'s digest, recorded from the simulator that summed
+#: completed flows with ``np.sum`` and computed every step on numpy scalars
+LONG_GOLDEN = "e1e0792099cc9d87265c65d99aba6207bf27db87ec06f07dd2818ec996867fa1"
 
 
 def records_digest(records) -> str:
@@ -34,18 +37,22 @@ def records_digest(records) -> str:
     return h.hexdigest()
 
 
-def seeded_replay(config, n_horizons=3):
-    corridor = config.corridor()
+def mixed_start(config) -> CorridorSimulator:
+    """A simulator started from a mixed free-flow/congested state."""
     fd = config.fd()
-    rng = np.random.default_rng(2024)
     initial = {
         "M1": [0.05, fd.rho_c],
         "M2": [fd.rho_c + 0.02, 0.3],
         "M3": [fd.rho_m, 0.1],
         "M4": [0.2, fd.rho_c - 1e-3],
     }
-    sim = CorridorSimulator(corridor, config.T, initial, {"E": 3.0},
-                            {"M3": 25.0})
+    return CorridorSimulator(config.corridor(), config.T, initial, {"E": 3.0},
+                             {"M3": 25.0})
+
+
+def seeded_replay(config, n_horizons=3):
+    rng = np.random.default_rng(2024)
+    sim = mixed_start(config)
     n1, n2 = config.n_project, config.n_rolling
     for _ in range(n_horizons):
         level = float(rng.choice(config.demand_levels))
@@ -63,6 +70,42 @@ def test_replay_records_match_golden_digest(config):
     assert len(sim.records) == 3 * config.n_project
     assert sim.conservation_error() < 1e-9
     assert records_digest(sim.records) == GOLDEN
+
+
+def long_period_replay(config, n_steps=20):
+    """``n_steps`` steps in one period for M1, M2 and M4, while M3 switches
+    speed every 4 steps.  From the ninth step on, the three long periods sum
+    8 or more completed flows, where ``np.sum`` turns to pairwise summation."""
+    rng = np.random.default_rng(2025)
+    sim = mixed_start(config)
+    for step in range(n_steps):
+        if step and step % 4 == 0:
+            speed = float(rng.choice(config.speed_candidates))
+            sim.end_period(new_speeds={"M3": speed}, links=["M3"])
+        level = float(rng.choice(config.demand_levels))
+        sim.step({"E": rng.uniform(0.5, 2.1)}, {"E": level, "R": 0.05})
+    return sim
+
+
+def test_long_period_records_match_golden_digest(config):
+    sim = long_period_replay(config)
+    assert [len(sim.states[lid].inflow) for lid in ("M1", "M2", "M3", "M4")] == [20, 20, 4, 20]
+    assert sim.conservation_error() < 1e-9
+    assert records_digest(sim.records) == LONG_GOLDEN
+
+
+def test_state_reads_and_records_share_no_array(config):
+    sim = seeded_replay(config, n_horizons=1)
+    sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+    recorded = sim.records[-1]["densities"]
+    before = {lid: d.copy() for lid, d in recorded.items()}
+    for lid in sim.states:
+        read = sim.segment_densities(lid)
+        np.testing.assert_array_equal(read, recorded[lid])
+        read[:] = -1.0
+        np.testing.assert_array_equal(recorded[lid], before[lid])
+        recorded[lid][:] = -2.0
+        np.testing.assert_array_equal(sim.segment_densities(lid), before[lid])
 
 
 def test_replay_builds_one_kernel_per_link_and_period(config, monkeypatch):

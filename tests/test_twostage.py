@@ -19,6 +19,7 @@ from corridorflow.twostage import (
     objective_breakdown,
 )
 
+import lwr_oracle
 import model_oracle
 from test_acceptance import _states_for_certification
 
@@ -232,9 +233,9 @@ class TestStepDemandSupply:
                         for n in range(1, state.n_steps + 1):
                             t = n * state.T
                             worst_exit = max(worst_exit, state.T * np.sum(qout[:n])
-                                             - lwr.max_exit_count(vc, fd, link.geometry, t))
+                                             - lwr_oracle.max_exit_count(vc, fd, link.geometry, t))
                             worst_entry = max(worst_entry, state.T * np.sum(qin[:n])
-                                              - lwr.max_entry_count(vc, fd, link.geometry, t))
+                                              - lwr_oracle.max_entry_count(vc, fd, link.geometry, t))
         assert worst_exit <= 1e-6 and worst_entry <= 1e-6, (worst_exit, worst_entry)
 
 
