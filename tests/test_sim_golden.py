@@ -15,12 +15,18 @@ import hashlib
 import numpy as np
 
 from corridorflow import lwr
+from corridorflow.controller import Trajectory
+from corridorflow.experiments import compute_metrics
 from corridorflow.sim import CorridorSimulator
 
 GOLDEN = "319f3ff7b601ac648fcd726aa54fd7846b7f82aa7f9acb9bc0cdc5373baaa108"
 #: ``long_period_replay``'s digest, recorded from the simulator that summed
 #: completed flows with ``np.sum`` and computed every step on numpy scalars
 LONG_GOLDEN = "e1e0792099cc9d87265c65d99aba6207bf27db87ec06f07dd2818ec996867fa1"
+#: ``seeded_replay``'s ``Trajectory.to_csv`` bytes and ``compute_metrics``
+#: fields, recorded from the per-record metrics loop and the per-row CSV writer
+CSV_GOLDEN = "64a466e26b53fd8cc676de791df6da25b3e597c7f3012f6e0113a3ae48f93b40"
+METRICS_GOLDEN = "92b4a4785aec2a53b3f593affa0ac164278047cfe56e868664f14df0d3aff64d"
 
 
 def records_digest(records) -> str:
@@ -121,3 +127,40 @@ def test_replay_builds_one_kernel_per_link_and_period(config, monkeypatch):
     # 4 links at the start, then per horizon 1 at the mid-period M3 switch
     # and 4 at the horizon end
     assert len(built) == 4 + 3 * (1 + 4)
+
+
+def replay_trajectory(config) -> Trajectory:
+    """``seeded_replay`` as a trajectory, its level per horizon read back
+    from the entry demand of the horizon's first step."""
+    sim = seeded_replay(config)
+    n1 = config.n_project
+    levels = np.array([rec["demands"]["E"] for rec in sim.records[::n1]])
+    traj = Trajectory(config.horizon(), "golden", levels, sim.records)
+    traj.conservation_error = sim.conservation_error()
+    return traj
+
+
+def metrics_digest(m) -> str:
+    h = hashlib.sha256()
+    # repr keeps each scalar's type, sign of zero and every bit
+    h.update(repr((m.controller, m.seed, m.block_penalty, m.fluctuation, m.throughput,
+                   m.conservation_error, m.density_excess, m.queue_min)).encode())
+    h.update(repr((m.queue_series.dtype, m.queue_series.shape)).encode())
+    h.update(m.queue_series.tobytes())
+    for d in m.fluct_diffs:
+        h.update(repr((d.dtype, d.shape)).encode())
+        h.update(d.tobytes())
+    return h.hexdigest()
+
+
+def test_replay_csv_matches_golden_digest(config, tmp_path):
+    path = tmp_path / "replay.csv"
+    replay_trajectory(config).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_GOLDEN
+
+
+def test_replay_metrics_match_golden_digest(config):
+    traj = replay_trajectory(config)
+    m = compute_metrics(traj, config.weights(), config.horizon(), config.corridor())
+    assert len(m.fluct_diffs) == 3
+    assert metrics_digest(m) == METRICS_GOLDEN
