@@ -107,34 +107,44 @@ class Trajectory:
         return slice(h * n, (h + 1) * n)
 
     def to_csv(self, path) -> None:
-        link_ids = sorted(self.steps[0]["qin"]) if self.steps else []
-        entry_ids = sorted(self.steps[0]["queues"]) if self.steps else []
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["step", "t", "horizon", "demand_level"]
+        """One row per step; the columns come from the first record.  A
+        record whose speed or density links differ from the first record's
+        raises ``ValueError`` naming its step."""
+        first = self.steps[0] if self.steps else {}
+        link_ids = sorted(first.get("qin", ()))
+        entry_ids = sorted(first.get("queues", ()))
+        speed_ids = sorted(first.get("speeds", ()))
+        dens_ids = sorted(first.get("densities", ()))
+        header = ["step", "t", "horizon", "demand_level"]
+        for lid in link_ids:
+            header += [f"qin_{lid}", f"qout_{lid}"]
+        for eid in entry_ids:
+            header += [f"queue_{eid}", f"control_{eid}"]
+        header += [f"speed_{lid}" for lid in speed_ids]
+        for lid in dens_ids:
+            header += [f"rho_{lid}_{i + 1}" for i in range(len(first["densities"][lid]))]
+        rows = [header]
+        n1 = self.cfg.n_project
+        for rec in self.steps:
+            speeds, densities = rec["speeds"], rec["densities"]
+            if sorted(speeds) != speed_ids or sorted(densities) != dens_ids:
+                raise ValueError(f"step {rec['step']}: speed links {sorted(speeds)} and "
+                                 f"density links {sorted(densities)} differ from the "
+                                 f"first record's {speed_ids} and {dens_ids}")
+            h = rec["step"] // n1
+            qin, qout = rec["qin"], rec["qout"]
+            queues, controls = rec["queues"], rec["controls"]
+            row = [rec["step"], rec["t"], h, self.demand_levels[h]]
             for lid in link_ids:
-                header += [f"qin_{lid}", f"qout_{lid}"]
+                row += (qin.get(lid, 0.0), qout.get(lid, 0.0))
             for eid in entry_ids:
-                header += [f"queue_{eid}", f"control_{eid}"]
-            if self.steps:
-                for lid in sorted(self.steps[0]["speeds"]):
-                    header.append(f"speed_{lid}")
-                for lid in sorted(self.steps[0]["densities"]):
-                    k = len(self.steps[0]["densities"][lid])
-                    header += [f"rho_{lid}_{i + 1}" for i in range(k)]
-            writer.writerow(header)
-            for rec in self.steps:
-                h = rec["step"] // self.cfg.n_project
-                row = [rec["step"], rec["t"], h, self.demand_levels[h]]
-                for lid in link_ids:
-                    row += [rec["qin"].get(lid, 0.0), rec["qout"].get(lid, 0.0)]
-                for eid in entry_ids:
-                    row += [rec["queues"][eid], rec["controls"].get(eid, "")]
-                for lid in sorted(rec["speeds"]):
-                    row.append(rec["speeds"][lid])
-                for lid in sorted(rec["densities"]):
-                    row.extend(rec["densities"][lid])
-                writer.writerow(row)
+                row += (queues[eid], controls.get(eid, ""))
+            row += [speeds[lid] for lid in speed_ids]
+            for lid in dens_ids:
+                row += densities[lid].tolist()
+            rows.append(row)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 class ClosedLoopError(RuntimeError):

@@ -268,14 +268,19 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
         throughput += float(np.sum(traj.series("qout", lid))) * cfg.T
     queue_series = sum(traj.series("queues", lid) for lid in ctrl)
 
-    density_excess = 0.0
-    queue_min = 0.0
+    densities: dict[str, list] = {}
     for rec in traj.steps:
         for lid, dens in rec["densities"].items():
-            rho_m = corridor.link(lid).fd.rho_m
-            density_excess = max(density_excess, float(np.max(dens)) - rho_m,
-                                 -float(np.min(dens)))
-        queue_min = min(queue_min, min(rec["queues"].values()))
+            densities.setdefault(lid, []).append(dens)
+    density_excess = 0.0
+    for lid, stack in densities.items():
+        rows = np.array(stack)
+        # each record's extremes, with fmax/fmin over the records: a NaN
+        # hides only its own record, and a zero leaves the 0.0 start in place
+        high = float(np.fmax.reduce(rows.max(axis=1))) - corridor.link(lid).fd.rho_m
+        low = -float(np.fmin.reduce(rows.min(axis=1)))
+        density_excess = max(density_excess, high, low)
+    queue_min = min([0.0] + [min(rec["queues"].values()) for rec in traj.steps])
     return MetricsRecord(traj.controller, -1, block, fluct, throughput,
                          queue_series, diffs_per_horizon,
                          conservation_error=traj.conservation_error,

@@ -6,9 +6,10 @@ flows of the period's completed steps.  A step first opens itself by
 appending a zero flow to every kernel's inflow and outflow; each link's step
 demand and supply come from its boundary-evaluated cumulative-count
 components with the open step at zero, junction flows take the greedy min
-(ramp served first at merges), and the realized flows overwrite the open
-step's zeros.  The step then records each link's per-segment densities from
-exact cumulative-count differences; state reads and, at period boundaries
+(ramp served first at merges, over a junction plan resolved once at
+construction), and the realized flows overwrite the open step's zeros.  The
+step then records each link's per-segment densities from exact
+cumulative-count differences; state reads and, at period boundaries
 (speed-limit changes, horizon rolls), the fresh kernels start from those,
 so vehicles are conserved to float precision.
 """
@@ -50,6 +51,31 @@ def _step_rate(k: lwr.LaxHopfKernel, side: str) -> float:
     return max(rate, 0.0)
 
 
+def _refuse_unknown(values: dict, known: list, what: str, why: str) -> None:
+    for lid in values:
+        if lid not in known:
+            raise ValueError(f"initial {what} for link {lid!r}: {why}")
+
+
+def _junction_plan(corridor: Corridor) -> list:
+    """Each junction as (ramp, main, down) in corridor order: ``ramp`` the
+    entry link's spec that feeds it (None when none does), ``main`` the id of
+    the upstream link with a flux law (None when none does) and ``down`` the
+    downstream link's id.  A serial junction has one of ramp and main, a
+    merge both."""
+    plan = []
+    for jn in corridor.junctions:
+        if jn.kind not in (SERIAL, MERGE):
+            raise ValueError(f"unsupported junction kind {jn.kind}")
+        ramps = [corridor.link(i) for i in jn.incoming if corridor.link(i).kind == ENTRY]
+        mains = [i for i in jn.incoming if corridor.link(i).kind != ENTRY]
+        if jn.kind == MERGE and (len(ramps), len(mains)) != (1, 1):
+            raise ValueError(f"merge {jn.id} needs one entry-link ramp and one mainline link")
+        plan.append((ramps[0] if ramps else None, mains[0] if mains else None,
+                     jn.outgoing[0]))
+    return plan
+
+
 class CorridorSimulator:
     """Step-by-step corridor evolution under given controls and arrivals."""
 
@@ -61,29 +87,55 @@ class CorridorSimulator:
         initial_queues: dict | None = None,
         initial_speeds: dict | None = None,
     ):
+        """Start every link of ``corridor`` in its first period.
+
+        ``initial_densities`` maps a link with a flux law to its ``k_max``
+        segment densities (zeros otherwise), ``initial_queues`` an entry link
+        to its backlog (0 otherwise) and ``initial_speeds`` a link with speed
+        control to its speed (the fastest candidate otherwise).  An id that
+        does not fit its argument, or a density list of the wrong length,
+        raises ``ValueError``.
+        """
+        initial_densities = initial_densities or {}
+        initial_queues = initial_queues or {}
+        initial_speeds = initial_speeds or {}
+        fd_links = corridor.fd_links
+        self._entries = corridor.entry_links
+        self._exit_ids = [l.id for l in corridor.exit_links]
+        self._vsl_ids = [l.id for l in corridor.vsl_links]
+        _refuse_unknown(initial_densities, [l.id for l in fd_links], "densities",
+                        "it has no flux law")
+        _refuse_unknown(initial_queues, [l.id for l in self._entries], "queue",
+                        "it is not an entry link")
+        _refuse_unknown(initial_speeds, self._vsl_ids, "speed",
+                        "it has no speed control")
         self.corridor = corridor
         self.T = T
         self.global_step = 0
+        self._junctions = _junction_plan(corridor)
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
         #: link id -> the densities at the last step end, the simulator's own
         #: array: records and state reads get copies
         self._densities: dict[str, np.ndarray] = {}
-        for link in corridor.fd_links:
-            dens = np.zeros(link.geometry.k_max)
-            if initial_densities and link.id in initial_densities:
+        for link in fd_links:
+            k_max = link.geometry.k_max
+            dens = np.zeros(k_max)
+            if link.id in initial_densities:
                 dens = np.asarray(initial_densities[link.id], dtype=float).copy()
+                if dens.shape != (k_max,):
+                    raise ValueError(f"densities for link {link.id!r} have shape "
+                                     f"{dens.shape}, not its {k_max} segments")
             fd = link.fd
             if link.is_vsl:
-                speed = (initial_speeds or {}).get(link.id, max(link.vsl_set.speeds))
+                speed = initial_speeds.get(link.id, max(link.vsl_set.speeds))
                 fd = link.fd_for_speed(speed)
             self.states[link.id] = self._kernel(dens, fd, link.geometry)
             self._densities[link.id] = dens
-        self.queues = {l.id: 0.0 for l in corridor.entry_links}
-        if initial_queues:
-            self.queues.update({k: float(v) for k, v in initial_queues.items()})
-        self.total_admitted = {l.id: 0.0 for l in corridor.entry_links}
-        self.total_exited = {l.id: 0.0 for l in corridor.exit_links}
+        self.queues = {l.id: 0.0 for l in self._entries}
+        self.queues.update({k: float(v) for k, v in initial_queues.items()})
+        self.total_admitted = {l.id: 0.0 for l in self._entries}
+        self.total_exited = {lid: 0.0 for lid in self._exit_ids}
         self.initial_mass = self.stored_mass()
         self.records: list[dict] = []
 
@@ -127,50 +179,36 @@ class CorridorSimulator:
 
         qin: dict[str, float] = {}
         qout: dict[str, float] = {}
-        for jn in self.corridor.junctions:
-            down = jn.outgoing[0]
-            if jn.kind == SERIAL:
-                up = self.corridor.link(jn.incoming[0])
-                if up.kind == ENTRY:
-                    avail = self.queues[up.id] + demands.get(up.id, up.demand)
-                    flow = min(avail, S[down])
-                    if up.controlled:
-                        flow = min(flow, controls.get(up.id, np.inf))
-                    qin[up.id] = flow
-                else:
-                    flow = min(D[up.id], S[down])
-                    qout[up.id] = flow
+        for ramp, main, down in self._junctions:
+            if ramp is None:  # serial, from a link with a flux law
+                flow = min(D[main], S[down])
+                qout[main] = flow
                 qin[down] = flow
-            elif jn.kind == MERGE:
-                ramp = next(
-                    self.corridor.link(i) for i in jn.incoming
-                    if self.corridor.link(i).kind == ENTRY
-                )
-                main = next(i for i in jn.incoming if i != ramp.id)
-                avail = self.queues[ramp.id] + demands.get(ramp.id, ramp.demand)
-                q_ramp = min(avail, S[down])
-                if ramp.controlled:
-                    q_ramp = min(q_ramp, controls.get(ramp.id, np.inf))
+                continue
+            avail = self.queues[ramp.id] + demands.get(ramp.id, ramp.demand)
+            q_ramp = min(avail, S[down])
+            if ramp.controlled:
+                q_ramp = min(q_ramp, controls.get(ramp.id, np.inf))
+            qin[ramp.id] = q_ramp
+            if main is None:  # serial, from an entry
+                qin[down] = q_ramp
+            else:  # merge: the ramp is served first
                 q_main = min(D[main], S[down] - q_ramp)
-                qin[ramp.id] = q_ramp
                 qout[main] = q_main
                 qin[down] = q_ramp + q_main
-            else:
-                raise ValueError(f"unsupported junction kind {jn.kind}")
-        for link in self.corridor.exit_links:
-            cap = self.corridor.exit_cap(link.id, t_start)
-            qout[link.id] = min(D[link.id], cap)
+        for lid in self._exit_ids:
+            qout[lid] = min(D[lid], self.corridor.exit_cap(lid, t_start))
 
         for lid, k in self.states.items():
             k.inflow[-1] = qin.get(lid, 0.0)
             k.outflow[-1] = qout.get(lid, 0.0)
-        for link in self.corridor.entry_links:
-            arrived = demands.get(link.id, link.demand)
-            admitted = qin.get(link.id, 0.0)
-            self.queues[link.id] = max(self.queues[link.id] + arrived - admitted, 0.0)
-            self.total_admitted[link.id] += admitted * T
-        for link in self.corridor.exit_links:
-            self.total_exited[link.id] += qout[link.id] * T
+        arrivals = {l.id: demands.get(l.id, l.demand) for l in self._entries}
+        for lid, arrived in arrivals.items():
+            admitted = qin.get(lid, 0.0)
+            self.queues[lid] = max(self.queues[lid] + arrived - admitted, 0.0)
+            self.total_admitted[lid] += admitted * T
+        for lid in self._exit_ids:
+            self.total_exited[lid] += qout[lid] * T
 
         self.global_step += 1
         self._densities = {lid: k.segment_mean_densities(len(k.inflow) * T)
@@ -178,12 +216,12 @@ class CorridorSimulator:
         record = {
             "step": self.global_step - 1,
             "t": t_start,
-            "qin": dict(qin),
-            "qout": dict(qout),
+            "qin": qin,
+            "qout": qout,
             "queues": dict(self.queues),
-            "demands": {l.id: demands.get(l.id, l.demand) for l in self.corridor.entry_links},
+            "demands": arrivals,
             "controls": dict(controls),
-            "speeds": {l.id: self.active_speed(l.id) for l in self.corridor.vsl_links},
+            "speeds": {lid: self.states[lid].fd.vf for lid in self._vsl_ids},
             "densities": {lid: d.copy() for lid, d in self._densities.items()},
         }
         self.records.append(record)

@@ -131,6 +131,25 @@ class TestSimulator:
             sim.end_period(links=["M3", "M9"])
         assert len(sim.states["M3"].inflow) == 1
 
+    def test_refuses_initial_densities_of_a_link_without_a_flux_law(self, corridor, cfg):
+        with pytest.raises(ValueError, match="'E'"):
+            CorridorSimulator(corridor, cfg.T, {"E": [0.1, 0.1]})
+        with pytest.raises(ValueError, match="'M9'"):
+            CorridorSimulator(corridor, cfg.T, {"M9": [0.1, 0.1]})
+
+    @pytest.mark.parametrize("dens", [[0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]])
+    def test_refuses_initial_densities_of_the_wrong_length(self, corridor, cfg, dens):
+        with pytest.raises(ValueError, match="'M1'"):
+            CorridorSimulator(corridor, cfg.T, {"M1": dens})
+
+    def test_refuses_an_initial_queue_of_a_link_that_is_no_entry(self, corridor, cfg):
+        with pytest.raises(ValueError, match="'M2'"):
+            CorridorSimulator(corridor, cfg.T, initial_queues={"E": 1.0, "M2": 5.0})
+
+    def test_refuses_an_initial_speed_of_a_link_without_speed_control(self, corridor, cfg):
+        with pytest.raises(ValueError, match="'M2'"):
+            CorridorSimulator(corridor, cfg.T, initial_speeds={"M2": 20.0})
+
 
 class TestClosedLoop:
     def test_zero_demand_stream(self, config, cfg):
@@ -192,3 +211,15 @@ class TestClosedLoop:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + traj.n_steps
         assert "qin_M1" in lines[0] and "speed_M3" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["speeds", "densities"])
+    def test_csv_refuses_a_record_with_other_links(self, config, cfg, tmp_path, kind):
+        corridor = config.corridor()
+        sim = CorridorSimulator(corridor, cfg.T)
+        for _ in range(3):
+            sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+        traj = ctl.Trajectory(cfg, "stub", np.array([1.5]), sim.records)
+        moved = sim.records[2][kind]
+        moved["M9"] = moved.pop("M3")
+        with pytest.raises(ValueError, match="step 2"):
+            traj.to_csv(tmp_path / "traj.csv")
