@@ -23,31 +23,36 @@ from .linkmodel import ENTRY
 from .network import MERGE, SERIAL, Corridor
 
 
-def _step_rate(k: lwr.LaxHopfKernel, side: str) -> float:
-    """Largest constant rate the link can send (``side="demand"``) or
-    receive (``"supply"``) over its open step, the last of its flow lists.
+def _boundary_rates(k: lwr.LaxHopfKernel) -> tuple:
+    """The period-fixed arguments of ``_step_rate`` for the kernel's demand
+    and its supply: (capacity, count function, the side's flow list, the
+    segment-edge kinks, the wave lag).  The flow lists are the kernel's own,
+    so they follow the steps appended to them."""
+    demand = (k.Q, k.max_exit_count, k.outflow,
+              [(k.chi - e) / k.vf for e in k.edges[1:]], (k.chi - k.xi) / k.vf)
+    supply = (k.Q, k.max_entry_count, k.inflow,
+              [(k.xi - e) / k.w for e in k.edges[:-1]], (k.xi - k.chi) / k.w)
+    return demand, supply
 
-    Checked at the step end and at every wave-arrival kink inside the
-    step; a component can turn finite mid-step below the straight
-    boundary line, so step-end checks alone would overdraw.
+
+def _step_rate(T: float, Q: float, count_fn, flows: list, edge_kinks: list,
+               lag: float) -> float:
+    """Largest constant rate, at most ``Q``, at which the link can send
+    (demand) or receive (supply) over its open step, the last of ``flows``.
+
+    Checked at the step end and at every wave-arrival kink inside the step,
+    the ``edge_kinks`` and the times m*T + lag (m = 1..n); a component can
+    turn finite mid-step below the straight boundary line, so step-end
+    checks alone would overdraw.
     """
-    T = k.T
-    n = len(k.inflow)
-    if side == "supply":
-        count_fn, flows = k.max_entry_count, k.inflow
-        kinks = [(k.xi - e) / k.w for e in k.edges[:-1]]
-        lag = (k.xi - k.chi) / k.w
-    else:
-        count_fn, flows = k.max_exit_count, k.outflow
-        kinks = [(k.chi - e) / k.vf for e in k.edges[1:]]
-        lag = (k.chi - k.xi) / k.vf
-    kinks += [m * T + lag for m in range(1, n + 1)]
+    n = len(flows)
     cum_prev = lwr._fsum(flows[:-1]) * T
     t_prev = (n - 1) * T
     t_next = t_prev + T
-    rate = k.Q
-    for t in [t_next] + [t for t in kinks if t_prev < t < t_next]:
-        rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
+    rate = min(Q, (count_fn(t_next) - cum_prev) / (t_next - t_prev))
+    for t in edge_kinks + [m * T + lag for m in range(1, n + 1)]:
+        if t_prev < t < t_next:
+            rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
     return max(rate, 0.0)
 
 
@@ -115,6 +120,8 @@ class CorridorSimulator:
         self._junctions = _junction_plan(corridor)
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
+        #: link id -> ``_boundary_rates`` of its kernel
+        self._rates: dict[str, tuple] = {}
         #: link id -> the densities at the last step end, the simulator's own
         #: array: records and state reads get copies
         self._densities: dict[str, np.ndarray] = {}
@@ -130,7 +137,7 @@ class CorridorSimulator:
             if link.is_vsl:
                 speed = initial_speeds.get(link.id, max(link.vsl_set.speeds))
                 fd = link.fd_for_speed(speed)
-            self.states[link.id] = self._kernel(dens, fd, link.geometry)
+            self._start_period(link.id, dens, fd, link.geometry)
             self._densities[link.id] = dens
         self.queues = {l.id: 0.0 for l in self._entries}
         self.queues.update({k: float(v) for k, v in initial_queues.items()})
@@ -139,10 +146,11 @@ class CorridorSimulator:
         self.initial_mass = self.stored_mass()
         self.records: list[dict] = []
 
-    def _kernel(self, densities, fd, geom) -> lwr.LaxHopfKernel:
-        """A period's kernel: ``densities`` at its start, no steps yet."""
+    def _start_period(self, link_id, densities, fd, geom) -> None:
+        """Give the link a fresh kernel: ``densities`` at its start, no steps yet."""
         vc = lwr.ValueConditionSet(densities, [], [], self.T)
-        return lwr.LaxHopfKernel(vc, fd, geom)
+        k = self.states[link_id] = lwr.LaxHopfKernel(vc, fd, geom)
+        self._rates[link_id] = _boundary_rates(k)
 
     # -- state inspection ---------------------------------------------------
 
@@ -174,8 +182,8 @@ class CorridorSimulator:
         for k in self.states.values():
             k.inflow.append(0.0)
             k.outflow.append(0.0)
-        D = {lid: _step_rate(k, "demand") for lid, k in self.states.items()}
-        S = {lid: _step_rate(k, "supply") for lid, k in self.states.items()}
+        D = {lid: _step_rate(T, *demand) for lid, (demand, _) in self._rates.items()}
+        S = {lid: _step_rate(T, *supply) for lid, (_, supply) in self._rates.items()}
 
         qin: dict[str, float] = {}
         qout: dict[str, float] = {}
@@ -251,7 +259,7 @@ class CorridorSimulator:
             fd = k.fd
             if lid in new_speeds:
                 fd = self.corridor.link(lid).fd_for_speed(new_speeds[lid])
-            self.states[lid] = self._kernel(self._densities[lid], fd, k.geom)
+            self._start_period(lid, self._densities[lid], fd, k.geom)
 
     def conservation_error(self) -> float:
         """|initial + admitted - stored - exited| in vehicles."""
