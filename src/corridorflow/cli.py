@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solver, twostage
-from .controller import CONTROLLER_KINDS, TWO_STAGE, assumed_level
+from .controller import CONTROLLER_KINDS, TWO_STAGE, plan_model
 from .experiments import (
     ExperimentConfig,
     case_study,
@@ -113,21 +113,14 @@ def cmd_export_milp(args) -> int:
     config = _load(args)
     out = _prepare_dir(args, config)
     corridor = config.corridor()
-    dist = config.distribution()
     state = twostage.HorizonState(
         {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links},
         {l.id: 0.0 for l in corridor.entry_links},
         config.n_project,
         config.T,
     )
-    if args.controller == TWO_STAGE:
-        bundle = twostage.build_deterministic_equivalent(
-            corridor, state, dist, config.weights()
-        )
-    else:
-        bundle = twostage.build_deterministic_baseline(
-            corridor, state, assumed_level(args.controller, dist), config.weights()
-        )
+    bundle = plan_model(corridor, state, args.controller, config.distribution(),
+                        config.weights())
     path = out / f"horizon_{args.controller}.{args.format}"
     solver.export_model(bundle.lp, path, fmt=args.format)
     print(f"wrote {path} ({bundle.lp.n_vars} variables, "

@@ -62,16 +62,6 @@ def observed_demand_vector(
 
 
 @dataclass
-class ControlSchedule:
-    """What one project horizon commits to: boundary flows per controlled
-    entry for every step, plus one speed selection per speed-managed link."""
-
-    horizon: int
-    controls: dict  # entry id -> per-step control (n_project values)
-    speeds: dict  # vsl link id -> speed applied from the horizon midpoint
-
-
-@dataclass
 class HorizonLog:
     horizon: int
     stage: str  # "plan" or "update"
@@ -80,7 +70,7 @@ class HorizonLog:
     status: str
     nodes: int
     solve_time: float
-    speed: dict
+    speed: dict  # vsl link id -> speed an update selects; None in a plan
 
 
 @dataclass
@@ -92,7 +82,6 @@ class Trajectory:
     demand_levels: np.ndarray  # per project horizon
     steps: list = field(default_factory=list)  # simulator step records
     solves: list = field(default_factory=list)
-    schedules: list = field(default_factory=list)  # ControlSchedule per horizon
     conservation_error: float = 0.0
 
     @property
@@ -162,22 +151,16 @@ def assumed_level(kind: str, dist: DemandDistribution) -> float:
     raise ValueError(f"unknown controller kind {kind}")
 
 
-def _warm_map(lp, warm_keys: dict) -> dict:
-    warm = {}
-    for key, val in warm_keys.items():
-        if lp.has_var(key):
-            warm[lp.var_id(key)] = val
-    return warm
-
-
-def _solve(bundle, opts, warm_keys, context):
-    warm = _warm_map(bundle.lp, warm_keys) if warm_keys else None
-    t0 = time.monotonic()
-    sol = solver.branch_and_bound(bundle.lp, opts, warm_binaries=warm)
-    elapsed = time.monotonic() - t0
-    if not sol.ok:
-        raise ClosedLoopError(f"{context}: solver returned {sol.status}")
-    return sol, elapsed
+def plan_model(corridor: Corridor, state: HorizonState, kind: str,
+               dist: DemandDistribution, weights: ObjectiveWeights) -> twostage.ModelBundle:
+    """The here-and-now model of controller ``kind`` at ``state``: the
+    two-stage extensive form over ``dist``, or a baseline at
+    ``assumed_level``."""
+    if kind == TWO_STAGE:
+        return twostage.build_deterministic_equivalent(corridor, state, dist, weights)
+    return twostage.build_deterministic_baseline(
+        corridor, state, assumed_level(kind, dist), weights
+    )
 
 
 def run_closed_loop(
@@ -204,36 +187,38 @@ def run_closed_loop(
     traj = Trajectory(cfg, controller_kind, demand_stream)
     ctrl_entries = [l.id for l in corridor.controlled_entries]
     vsl_ids = [l.id for l in corridor.vsl_links]
-    warm_plan: dict = {}
-    warm_update: dict = {}
+    # each stage's last incumbent as {binary column id: 0/1}: a stage's
+    # models come from one template, so their columns are numbered alike
+    warm: dict = {"plan": {}, "update": {}}
 
+    def decide(h, stage, t0, build, *args):
+        """Solve ``build(corridor, state, *args)`` on the simulator's state
+        and log it; only an update reads speeds from its solution."""
+        state = HorizonState({lid: sim.segment_densities(lid) for lid in sim.states},
+                             dict(sim.queues), n1, T, t0)
+        bundle = build(corridor, state, *args)
+        start = time.monotonic()
+        sol = solver.branch_and_bound(bundle.lp, opts, warm_binaries=warm[stage])
+        elapsed = time.monotonic() - start
+        if not sol.ok:
+            raise ClosedLoopError(f"horizon {h} {stage}: solver returned {sol.status}")
+        warm[stage] = {vid: round(float(sol.x[vid])) for vid in bundle.lp.binary_ids()}
+        speeds = {lid: bundle.selected_speed(sol, lid) if stage == "update" else None
+                  for lid in vsl_ids}
+        traj.solves.append(HorizonLog(h, stage, bundle.total_objective(sol),
+                                      bundle.obj_const + sol.bound, sol.status, sol.nodes,
+                                      elapsed, speeds))
+        return bundle, sol
+
+    tail = dist.mean() if controller_kind == TWO_STAGE else assumed_level(controller_kind, dist)
     for h, level in enumerate(demand_stream):
         level = float(level)
         t0 = h * n1 * T
 
-        # plan solve at the horizon start, hedging over unknown demand; the
-        # whole horizon's boundary control is committed here
-        state = HorizonState(
-            {lid: sim.segment_densities(lid) for lid in sim.states},
-            dict(sim.queues),
-            n1,
-            T,
-            t0,
-        )
-        if controller_kind == TWO_STAGE:
-            bundle = twostage.build_deterministic_equivalent(corridor, state, dist, weights)
-        else:
-            bundle = twostage.build_deterministic_baseline(
-                corridor, state, assumed_level(controller_kind, dist), weights
-            )
-        sol, elapsed = _solve(bundle, opts, warm_plan, f"horizon {h} plan")
-        warm_plan = bundle.warm_start_keys(sol)
+        # plan at the horizon start, hedging over unknown demand; the whole
+        # horizon's boundary control is committed here
+        bundle, sol = decide(h, "plan", t0, plan_model, controller_kind, dist, weights)
         controls = {lid: bundle.published_control(sol, lid) for lid in ctrl_entries}
-        traj.solves.append(
-            HorizonLog(h, "plan", bundle.total_objective(sol), bundle.obj_const + sol.bound,
-                       sol.status, sol.nodes, elapsed, {lid: None for lid in vsl_ids})
-        )
-
         arrivals = {
             l.id: (level if l.controlled else l.demand)
             for l in corridor.entry_links
@@ -243,16 +228,6 @@ def run_closed_loop(
 
         # demand observed: only the speed limit is revised; the committed
         # boundary control caps the re-solve's control copy
-        state_b = HorizonState(
-            {lid: sim.segment_densities(lid) for lid in sim.states},
-            dict(sim.queues),
-            n1,
-            T,
-            t0 + n2 * T,
-        )
-        tail = dist.mean()
-        if controller_kind != TWO_STAGE:
-            tail = assumed_level(controller_kind, dist)
         vec = observed_demand_vector(level, dist, cfg, tail_level=tail)
         opts_b = ModelOptions(
             fluct_pairs=[(t, t + 1) for t in range(1, n1) if t != n1 - n2],
@@ -260,22 +235,9 @@ def run_closed_loop(
                 lid: controls[lid][n2:] for lid in ctrl_entries
             },
         )
-        bundle_b = twostage.build_deterministic_baseline(
-            corridor, state_b, vec, weights, opts_b
-        )
-        sol_b, elapsed = _solve(bundle_b, opts, warm_update, f"horizon {h} update")
-        warm_update = bundle_b.warm_start_keys(sol_b)
-        speeds = {lid: bundle_b.selected_speed(sol_b, lid) for lid in vsl_ids}
-        traj.solves.append(
-            HorizonLog(h, "update", bundle_b.total_objective(sol_b),
-                       bundle_b.obj_const + sol_b.bound, sol_b.status, sol_b.nodes,
-                       elapsed, dict(speeds))
-        )
-
-        traj.schedules.append(
-            ControlSchedule(h, {lid: controls[lid].copy() for lid in ctrl_entries},
-                            dict(speeds))
-        )
+        decide(h, "update", t0 + n2 * T, twostage.build_deterministic_baseline,
+               vec, weights, opts_b)
+        speeds = traj.solves[-1].speed
 
         # only links whose speed actually changes need a fresh period here
         changed = {

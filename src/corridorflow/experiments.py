@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import platform
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -163,10 +163,9 @@ _SCHEMA = {
     "experiment": ["n_horizons", "n_seeds", "capacity_drop", "capacity_drop_start"],
     "sweep": ["sweep_p_grid", "sweep_seeds", "sweep_horizons"],
 }
-_INT_FIELDS = {"lanes", "n_main_links", "segments_per_link", "vsl_link", "merge_into",
-               "n_project", "n_rolling", "n_horizons", "n_seeds", "sweep_seeds",
-               "sweep_horizons"}
-_TUPLE_FIELDS = {"speed_candidates", "demand_levels", "demand_probs", "sweep_p_grid"}
+# the annotations are strings under ``from __future__ import annotations``
+_INT_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
+_TUPLE_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "tuple"}
 
 
 def config_text(config: ExperimentConfig) -> str:
@@ -249,9 +248,11 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
     block = 0.0
     fluct = 0.0
     diffs_per_horizon = []
+    queues_per_entry = []
     for lid in ctrl:
         qin = traj.series("qin", lid)
         queues = traj.series("queues", lid)
+        queues_per_entry.append(queues)
         cap = entry_capacity(corridor, lid)
         for h in range(n_horizons):
             sl = traj.horizon_slice(h)
@@ -266,7 +267,7 @@ def compute_metrics(traj: Trajectory, weights: ObjectiveWeights,
     throughput = 0.0
     for lid in exits:
         throughput += float(np.sum(traj.series("qout", lid))) * cfg.T
-    queue_series = sum(traj.series("queues", lid) for lid in ctrl)
+    queue_series = sum(queues_per_entry)
 
     densities: dict[str, list] = {}
     for rec in traj.steps:
@@ -356,9 +357,7 @@ def run_single(config: ExperimentConfig, controller_kind: str, seed: int,
 
 
 def _comparison_task(args):
-    config, kind, seed, n_horizons, levels, probs, opt_fields = args
-    dist = DemandDistribution(levels, probs)
-    opts = solver.SolveOptions(**opt_fields) if opt_fields else None
+    config, kind, seed, n_horizons, dist, opts = args
     try:
         _, metrics = run_single(config, kind, seed, n_horizons, dist, opts)
         return seed, kind, metrics, None
@@ -384,9 +383,8 @@ def run_comparison(
     """All controllers on identical seeded streams."""
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
     dist = dist or config.distribution()
-    opt_fields = vars(solve_options) if solve_options else None
     tasks = [
-        (config, kind, seed, n_horizons, tuple(dist.levels), tuple(dist.probs), opt_fields)
+        (config, kind, seed, n_horizons, dist, solve_options)
         for seed in seeds
         for kind in controllers
     ]

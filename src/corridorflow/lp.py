@@ -154,12 +154,6 @@ class LinearProgram:
     def var_id(self, key) -> int:
         return self._index()[key]
 
-    def has_var(self, key) -> bool:
-        return key in self._index()
-
-    def key(self, vid: int):
-        return self.keys[vid]
-
     # -- views -------------------------------------------------------------
 
     @property

@@ -36,18 +36,21 @@ GAP_LIMIT = "gap-limit"
 NODE_LIMIT = "node-limit"
 TIME_LIMIT = "time-limit"
 
+#: a binary within this distance of an integer counts as integral
+INTEGRALITY_TOL = 1e-6
+#: the returned point may violate a row or bound by at most 10 times this
+FEASIBILITY_TOL = 1e-6
+
 
 @dataclass
 class SolveOptions:
-    feasibility_tol: float = 1e-6
-    integrality_tol: float = 1e-6
     mip_gap: float = 1e-4
     node_limit: int = 200000
     time_limit: float = math.inf
 
     def __post_init__(self):
-        if min(self.feasibility_tol, self.integrality_tol, self.mip_gap) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.mip_gap <= 0:
+            raise ValueError("mip_gap must be positive")
 
 
 @dataclass
@@ -241,7 +244,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
             continue
 
         values = node_sol.x.tolist()
-        branch_var = _most_fractional(values, binary_ids, opts.integrality_tol)
+        branch_var = _most_fractional(values, binary_ids, INTEGRALITY_TOL)
         if branch_var is None:
             x = node_sol.x.copy()
             for vid in binary_ids:
@@ -278,18 +281,12 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     x = fixed.x
     inc_obj = lp.objective_value(x)
 
-    remaining = [-node[0] for node in heap + stack]
-    best_open_bound = max(remaining) if remaining else -math.inf
-    proven = max(best_open_bound, pruned, inc_obj)
+    proven = max([-node[0] for node in heap + stack] + [pruned, inc_obj])
 
     viol = lp.max_violation(x)
-    if viol > 10 * opts.feasibility_tol:
+    if viol > 10 * FEASIBILITY_TOL:
         raise SolverError(f"incumbent violates constraints by {viol:.2e}")
-
-    status = status_cap
-    if status == OPTIMAL and best_open_bound > inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
-        status = GAP_LIMIT
-    return Solution(status, inc_obj, x, bound=proven, nodes=nodes)
+    return Solution(status_cap, inc_obj, x, bound=proven, nodes=nodes)
 
 
 # -- model file export ------------------------------------------------------

@@ -128,7 +128,7 @@ class ModelBundle:
             [solution.value(self.lp, ("qp", entry_id, t)) for t in range(1, n + 1)]
         )
 
-    def published_control(self, solution, entry_id: str, tol: float = 1e-7) -> np.ndarray:
+    def published_control(self, solution, entry_id: str) -> np.ndarray:
         """Control after the uniqueness push: wherever every scenario has
         exhausted its cumulative demand, the control is raised to capacity
         without changing any inflow (the first-stage reward makes this the
@@ -147,7 +147,7 @@ class ModelBundle:
                 ]
                 cum_d = float(np.sum(scenario.demand[entry_id][:t]))
                 level = max(level, qin[-1])
-                if sum(qin) < cum_d - max(tol, 1e-6 * max(cum_d, 1.0)):
+                if sum(qin) < cum_d - 1e-6 * max(cum_d, 1.0):
                     floatable = False
             ctrl[t - 1] = cap if floatable else level
         return ctrl
@@ -175,11 +175,6 @@ class ModelBundle:
                 )
                 out[link.id] = (qin, qout)
         return out
-
-    def warm_start_keys(self, solution) -> dict:
-        """Binary assignment of this solution, keyed for reuse on the next
-        horizon's model (same shape)."""
-        return {self.lp.key(vid): round(float(solution.x[vid])) for vid in self.lp.binary_ids()}
 
 
 def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
@@ -588,7 +583,7 @@ def objective_breakdown(bundle: ModelBundle, solution) -> dict:
     return out
 
 
-def certify_solution(bundle: ModelBundle, solution, tol: float = 1e-6) -> float:
+def certify_solution(bundle: ModelBundle, solution) -> float:
     """Worst compatibility violation over all scenarios and links when the
     solved flows are substituted back into the closed-form conditions."""
     worst = 0.0

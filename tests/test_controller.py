@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corridorflow import controller as ctl
-from corridorflow import demand, experiments
+from corridorflow import demand, solver
 from corridorflow.sim import CorridorSimulator
 from corridorflow.twostage import DemandDistribution
 
@@ -185,21 +185,57 @@ class TestClosedLoop:
                                 config.distribution(), config.weights(), cfg)
 
     def test_speed_membership_and_causality(self, config, cfg):
+        # the whole horizon's boundary control is committed at its start:
+        # streams that first differ at horizon h give it the same controls
         corridor = config.corridor()
         dist = config.distribution()
-        stream = experiments.sample_demand_stream(dist, 3, seed=4)
-        traj = ctl.run_closed_loop(corridor, stream, ctl.D_MAX, dist,
-                                   config.weights(), cfg)
-        speeds = set(traj.series("speeds", "M3"))
-        assert speeds <= set(config.speed_candidates)
-        # the whole horizon's boundary control is committed up front: every
-        # implemented step matches the published schedule
-        assert len(traj.schedules) == len(stream)
-        for sched in traj.schedules:
-            sl = traj.horizon_slice(sched.horizon)
-            implemented = [rec["controls"]["E"] for rec in traj.steps[sl]]
-            np.testing.assert_allclose(implemented, sched.controls["E"], atol=1e-12)
-            assert set(sched.speeds) == {"M3"}
+        for kind in ctl.CONTROLLER_KINDS:
+            for h in (1, 2):
+                trajs = [ctl.run_closed_loop(corridor, [1.5] * h + [last], kind, dist,
+                                             config.weights(), cfg)
+                         for last in (1.0, 2.0)]
+                a, b = ([rec["controls"] for rec in traj.steps[traj.horizon_slice(h)]]
+                        for traj in trajs)
+                assert a == b, (kind, h)
+                for traj in trajs:
+                    assert set(traj.series("speeds", "M3")) <= set(config.speed_candidates)
+
+    def test_each_stage_warm_starts_from_its_last_incumbent(self, config, cfg, monkeypatch):
+        search = solver.branch_and_bound
+        calls = []  # (warm start, incumbent's binaries) per solve
+
+        def spy(lp, opts=None, warm_binaries=None):
+            sol = search(lp, opts, warm_binaries=warm_binaries)
+            calls.append((dict(warm_binaries or {}),
+                          {vid: round(float(sol.x[vid])) for vid in lp.binary_ids()}))
+            return sol
+
+        monkeypatch.setattr(solver, "branch_and_bound", spy)
+        stream = [1.0, 2.0, 1.5]
+        for kind in (ctl.TWO_STAGE, ctl.D_MAX):
+            calls.clear()
+            ctl.run_closed_loop(config.corridor(), stream, kind, config.distribution(),
+                                config.weights(), cfg)
+            assert len(calls) == 2 * len(stream)
+            for stage in calls[0::2], calls[1::2]:
+                assert stage[0][0] == {}
+                for (warm, _), (_, previous) in zip(stage[1:], stage):
+                    assert warm == previous and warm
+
+    def test_stage_logs_alternate_and_updates_log_the_applied_speed(self, config, cfg):
+        stream = [1.0, 2.0, 1.5]
+        traj = ctl.run_closed_loop(config.corridor(), stream, ctl.D_MEAN,
+                                   config.distribution(), config.weights(), cfg)
+        assert [(log.horizon, log.stage) for log in traj.solves] == [
+            (h, stage) for h in range(len(stream)) for stage in ("plan", "update")
+        ]
+        n1, n2 = cfg.n_project, cfg.n_rolling
+        for log in traj.solves:
+            if log.stage == "plan":
+                assert log.speed == {"M3": None}
+                continue
+            applied = traj.steps[log.horizon * n1 + n2:(log.horizon + 1) * n1]
+            assert [rec["speeds"] for rec in applied] == [log.speed] * (n1 - n2)
 
     def test_csv_round_trip(self, config, cfg, tmp_path):
         corridor = config.corridor()

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ class TestConfigFile:
         loaded = load_config(path)
         assert loaded == config
         assert config_hash(loaded) == config_hash(config)
+
+    def test_every_field_is_in_one_section(self):
+        names = [name for section in experiments._SCHEMA.values() for name in section]
+        assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_every_field_off_its_default_round_trips(self, tmp_path):
+        def moved(value):  # off the default, and written exactly by "%g"
+            if isinstance(value, tuple):
+                return tuple(moved(v) for v in value) + (7.0,)
+            if isinstance(value, int):
+                return value + 1
+            return float(f"{2 * value + 1:g}")
+
+        default = case_study()
+        config = ExperimentConfig(**{f.name: moved(getattr(default, f.name))
+                                     for f in fields(ExperimentConfig)})
+        for f in fields(ExperimentConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        path = tmp_path / "config.ini"
+        save_config(config, path)
+        loaded = load_config(path)
+        assert loaded == config
+        assert ([type(getattr(loaded, f.name)) for f in fields(ExperimentConfig)]
+                == [type(getattr(config, f.name)) for f in fields(ExperimentConfig)])
 
     def test_modified_field_changes_hash(self, tmp_path):
         a = case_study()

@@ -97,7 +97,7 @@ class TestBranchAndBound:
     def test_fixed_binaries_reduce_to_relaxation(self):
         lp, *_ = random_knapsack(np.random.default_rng(1), 6)
         best = branch_and_bound(lp)
-        lp = with_fixed(lp, {lp.key(vid): round(best.x[vid]) for vid in lp.binary_ids()})
+        lp = with_fixed(lp, {lp.keys[vid]: round(best.x[vid]) for vid in lp.binary_ids()})
         relaxed = solve_lp_relaxation(lp)
         assert branch_and_bound(lp).objective == pytest.approx(
             relaxed.objective, abs=1e-9
@@ -180,7 +180,7 @@ def node_bound_sets(lp, rng, n_nodes=30):
     seventh node fixing two speeds of one link at once (infeasible) and the
     node after it freeing them again."""
     bins = lp.binary_ids()
-    deltas = [vid for vid in bins if lp.key(vid)[1] == "delta"]
+    deltas = [vid for vid in bins if lp.keys[vid][1] == "delta"]
     _, _, _, _, _, lb0, ub0 = lp.to_arrays()
     fixings: dict = {}
     for node in range(n_nodes):
