@@ -98,7 +98,9 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """One row per step; the columns come from the first record.  A
         record whose speed or density links differ from the first record's
-        raises ``ValueError`` naming its step."""
+        raises ``ValueError`` naming its step.  The header goes through
+        ``csv.writer``; the data cells are numbers or empty, which it would
+        write unquoted, so the rows are joined as text and written at once."""
         first = self.steps[0] if self.steps else {}
         link_ids = sorted(first.get("qin", ()))
         entry_ids = sorted(first.get("queues", ()))
@@ -112,7 +114,7 @@ class Trajectory:
         header += [f"speed_{lid}" for lid in speed_ids]
         for lid in dens_ids:
             header += [f"rho_{lid}_{i + 1}" for i in range(len(first["densities"][lid]))]
-        rows = [header]
+        rows = []
         n1 = self.cfg.n_project
         for rec in self.steps:
             speeds, densities = rec["speeds"], rec["densities"]
@@ -123,7 +125,7 @@ class Trajectory:
             h = rec["step"] // n1
             qin, qout = rec["qin"], rec["qout"]
             queues, controls = rec["queues"], rec["controls"]
-            row = [rec["step"], rec["t"], h, self.demand_levels[h]]
+            row = [str(rec["step"]), rec["t"], str(h), float(self.demand_levels[h])]
             for lid in link_ids:
                 row += (qin.get(lid, 0.0), qout.get(lid, 0.0))
             for eid in entry_ids:
@@ -132,8 +134,15 @@ class Trajectory:
             for lid in dens_ids:
                 row += densities[lid].tolist()
             rows.append(row)
+        # each distinct float is formatted once; zeros each time, because 0.0
+        # and -0.0 are one dict key
+        floats = dict.fromkeys([v for row in rows for v in row if v.__class__ is float and v])
+        text = dict(zip(floats, map(float.__repr__, floats)))
+        body = "".join([",".join([text[v] if v.__class__ is float and v else str(v)
+                                  for v in row]) + "\n" for row in rows])
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.write(body)
 
 
 class ClosedLoopError(RuntimeError):

@@ -311,130 +311,92 @@ class LaxHopfKernel:
         self.inflow = vc.inflow.tolist()
         self.outflow = vc.outflow.tolist()
 
-    def _initial(self, t: float, x: float) -> list:
-        """Values of the initial-density components at (t, x), by segment."""
-        vf, w, rc, X = self.vf, self.w, self.rho_c, self.X
-        xh = x - self.xi
+    def _count(self, t: float, x: float, best=None, up: bool = True,
+               down: bool = True) -> float:
+        """The cumulative count at (t, x): one running minimum over the
+        component values, the initial ones by segment, then the inflow and
+        outflow ones of each step in turn.  A value replaces the minimum only
+        when it is smaller, as ``min`` does, and ``best`` None starts it at
+        the first value (INF when there is none).  The boundary counts start
+        it at INF and leave out one side's components with ``up``/``down``."""
+        vf, w, rc, X, T, Q = self.vf, self.w, self.rho_c, self.X, self.T, self.Q
+        xh, xt = x - self.xi, x - self.chi
         tw, tvf, jam = t * w, vf * t, self.rho_m * t * w
-        vals = []
         for (left, right), head, rk in zip(self.spans, self.head, self.rho):
             if xh < left + tw - GUARD_TOL or xh > right + tvf + GUARD_TOL:
                 continue
             if rk <= rc + GUARD_TOL:
                 if xh >= left + tvf - GUARD_TOL:
-                    val = head + rk * (tvf + left - xh)
+                    v = head + rk * (tvf + left - xh) + 0.0
                 else:
-                    val = head + rc * (tvf + left - xh)
+                    v = head + rc * (tvf + left - xh) + 0.0
             elif xh <= right + tw + GUARD_TOL:
-                val = head + rk * (tw + left - xh) - jam
+                v = head + rk * (tw + left - xh) - jam + 0.0
             else:
-                val = head - rk * X + rc * (tw + right - xh) - jam
-            vals.append(val + 0.0)
-        return vals
-
-    def _upstream(self, t: float, xh: float) -> list:
-        """Values of the inflow components at (t, xi + xh) in step order;
-        None for a step whose free-flow characteristic has not arrived."""
-        T, vf, Q = self.T, self.vf, self.Q
-        lag = xh / vf
-        base = -self.rho_c * xh
-        Tq = [T * q for q in self.inflow]
-        vals = []
-        done = 0.0  # the earlier steps' terms, added in step order from 0.0
-        for n, q in enumerate(self.inflow, 1):
-            if t < (n - 1) * T + lag - GUARD_TOL:
-                vals.append(None)
-            elif t <= n * T + lag + GUARD_TOL:
-                v = done + (0.0 + (t - (n - 1) * T)) * q
-                vals.append(v + -xh * q / vf)
-            else:
-                v = base + (t - n * T) * Q
-                for a in Tq[:n]:
-                    v += a
-                vals.append(v)
-            done += Tq[n - 1]
-        return vals
-
-    def _downstream(self, t: float, xt: float) -> list:
-        """Values of the outflow components at (t, chi + xt) in step order;
-        None for a step whose backward wave has not arrived."""
-        T, Q = self.T, self.Q
-        lag = xt / self.w
-        base = -self.mass - self.rho_c * xt
-        Tq = [T * q for q in self.outflow]
-        vals = []
-        done = (-self.mass - self.rho_m * xt) + 0.0
-        for n, q in enumerate(self.outflow, 1):
-            if t < (n - 1) * T + lag - GUARD_TOL:
-                vals.append(None)
-            elif t <= n * T + lag + GUARD_TOL:
-                vals.append(done + (0.0 + (t - lag - (n - 1) * T)) * q)
-            else:
-                v = base + (t - n * T) * Q
-                for a in Tq[:n]:
-                    v += a
-                vals.append(v)
-            done += Tq[n - 1]
-        return vals
-
-    def _count(self, t: float, x: float) -> float:
-        vals = self._initial(t, x)
-        for up, down in zip(self._upstream(t, x - self.xi), self._downstream(t, x - self.chi)):
-            if up is not None:
-                vals.append(up)
-            if down is not None:
-                vals.append(down)
-        return min(vals) if vals else INF
+                v = head - rk * X + rc * (tw + right - xh) - jam + 0.0
+            if best is None or v < best:
+                best = v
+        # each side keeps its steps' T*q terms, added in step order; its waves
+        # arrive in step order, so it ends at the first step whose wave has not
+        up_lag, up_base, up_done, up_terms = xh / vf, -rc * xh, 0.0, []
+        dn_lag, dn_base, dn_terms = xt / w, -self.mass - rc * xt, []
+        dn_done = (-self.mass - self.rho_m * xt) + 0.0
+        for n, (qi, qo) in enumerate(zip(self.inflow, self.outflow), 1):
+            t0, t1 = (n - 1) * T, n * T
+            up = up and not t < t0 + up_lag - GUARD_TOL
+            down = down and not t < t0 + dn_lag - GUARD_TOL
+            if up:
+                up_terms.append(T * qi)
+                if t <= t1 + up_lag + GUARD_TOL:
+                    v = up_done + (0.0 + (t - t0)) * qi + -xh * qi / vf
+                else:
+                    v = up_base + (t - t1) * Q
+                    for a in up_terms:
+                        v += a
+                if best is None or v < best:
+                    best = v
+                up_done += up_terms[-1]
+            elif not down:
+                break
+            if down:
+                dn_terms.append(T * qo)
+                if t <= t1 + dn_lag + GUARD_TOL:
+                    v = dn_done + (0.0 + (t - dn_lag - t0)) * qo
+                else:
+                    v = dn_base + (t - t1) * Q
+                    for a in dn_terms:
+                        v += a
+                if best is None or v < best:
+                    best = v
+                dn_done += dn_terms[-1]
+        return INF if best is None else best
 
     def moskowitz(self, t: float, x: float) -> float:
         """Pointwise minimum over all value-condition components."""
         _check_domain(self.geom, t, x)
         return self._count(t, x)
 
-    def segment_mean_densities(self, t: float, resolution: int = 1) -> np.ndarray:
-        """Per-segment mean densities at time t from cumulative-count
-        differences over ``resolution`` equal pieces of each segment, clipped
-        to [0, rho_m]; subdividing telescopes to the same value and is kept
-        for spot-checking.  A point shared by two segments is evaluated once."""
-        r = max(1, int(resolution))
-        edges = self.edges
-        if r == 1:
-            xs = edges  # np.linspace(a, b, 2) is [a, b] bit for bit
-        else:
-            xs = [edges[0]]
-            for a, b in zip(edges, edges[1:]):
-                xs += np.linspace(a, b, r + 1)[1:].tolist()
-        counts = []
-        for x in xs:
-            _check_domain(self.geom, t, x)
-            counts.append(self._count(t, x))
+    def segment_mean_densities(self, t: float) -> np.ndarray:
+        """Per-segment mean densities at time t from the cumulative-count
+        differences at the segment edges, clipped to [0, rho_m].  The edges
+        lie in the link by construction, so only t is checked."""
+        _check_domain(self.geom, t, self.xi)
+        counts = [self._count(t, x) for x in self.edges]
         X, rho_m = self.X, self.rho_m
-        means = []
-        for k in range(0, len(xs) - 1, r):
-            total = 0.0
-            for j in range(k, k + r):
-                total += counts[j] - counts[j + 1]
-            # np.clip's result, NaN and -0.0 included
-            means.append(min(max(total / X, 0.0), rho_m))
-        return np.array(means)
+        # np.clip's result, NaN and -0.0 included
+        return np.array([min(max((0.0 + (a - b)) / X, 0.0), rho_m)
+                         for a, b in zip(counts, counts[1:])])
 
     def max_exit_count(self, t: float) -> float:
         """Most vehicles that could have left through chi by time t if the
         downstream were unrestricted (initial + upstream components only)."""
-        best = INF
-        for v in self._initial(t, self.chi) + self._upstream(t, self.chi - self.xi):
-            if v is not None:
-                best = min(best, v)
+        best = self._count(t, self.chi, INF, down=False)
         return best + self.mass if best < INF else INF
 
     def max_entry_count(self, t: float) -> float:
         """Most vehicles that could have entered through xi by time t if the
         upstream demand were unrestricted (initial + downstream components)."""
-        best = INF
-        for v in self._initial(t, self.xi) + self._downstream(t, self.xi - self.chi):
-            if v is not None:
-                best = min(best, v)
-        return best
+        return self._count(t, self.xi, INF, up=False)
 
 
 def _check_domain(geom: LinkGeometry, t: float, x: float):

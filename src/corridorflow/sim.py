@@ -41,17 +41,25 @@ def _step_rate(T: float, Q: float, count_fn, flows: list, edge_kinks: list,
     (demand) or receive (supply) over its open step, the last of ``flows``.
 
     Checked at the step end and at every wave-arrival kink inside the step,
-    the ``edge_kinks`` and the times m*T + lag (m = 1..n); a component can
-    turn finite mid-step below the straight boundary line, so step-end
-    checks alone would overdraw.
+    the ``edge_kinks`` and the times m*T + lag (m = 1..n), in that order; a
+    component can turn finite mid-step below the straight boundary line, so
+    step-end checks alone would overdraw.  m*T + lag does not decrease with
+    m, so the scan starts at most two below the first arrival past the step
+    start and stops at the step end.
     """
     n = len(flows)
     cum_prev = lwr._fsum(flows[:-1]) * T
     t_prev = (n - 1) * T
     t_next = t_prev + T
     rate = min(Q, (count_fn(t_next) - cum_prev) / (t_next - t_prev))
-    for t in edge_kinks + [m * T + lag for m in range(1, n + 1)]:
+    for t in edge_kinks:
         if t_prev < t < t_next:
+            rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
+    for m in range(max(1, int((t_prev - lag) / T)), n + 1):
+        t = m * T + lag
+        if not t < t_next:
+            break
+        if t_prev < t:
             rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
     return max(rate, 0.0)
 

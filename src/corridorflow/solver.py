@@ -93,15 +93,6 @@ def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
     return Solution(OPTIMAL, objective=-float(res.fun), x=np.asarray(res.x))
 
 
-def solve_lp_relaxation(lp: LinearProgram) -> Solution:
-    """Solve the LP with binaries relaxed to [0, 1]."""
-    _, _, _, _, _, lb, ub = lp.to_arrays()
-    sol = _solve_lp(lp, lb.copy(), ub.copy())
-    if sol.status == OPTIMAL:
-        sol = Solution(OPTIMAL, sol.objective, sol.x, bound=sol.objective, nodes=1)
-    return sol
-
-
 class _Relaxation:
     """The LP relaxation of ``lp`` held in one HiGHS instance.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as highs_core
 
-from corridorflow import lwr
+from corridorflow import lwr, solver
 from corridorflow.experiments import case_study
 from corridorflow.lp import Columns, Constraint, LinearProgram, pack_rows
 
@@ -104,3 +104,14 @@ def with_fixed(lp, values):
     for key, val in values.items():
         lb[lp.var_id(key)] = ub[lp.var_id(key)] = val
     return LinearProgram(lp.name, lp.keys, columns._replace(lb=lb, ub=ub), lp.row_arrays())
+
+
+def solve_lp_relaxation(lp):
+    """``lp`` with its binaries relaxed to [0, 1], solved cold by the solver's
+    LP routine; an optimum reports its objective as its bound, on one node."""
+    _, _, _, _, _, lb, ub = lp.to_arrays()
+    sol = solver._solve_lp(lp, lb.copy(), ub.copy())
+    if sol.status == solver.OPTIMAL:
+        sol = solver.Solution(solver.OPTIMAL, sol.objective, sol.x, bound=sol.objective,
+                              nodes=1)
+    return sol

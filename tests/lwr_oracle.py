@@ -62,7 +62,25 @@ def segment_mean_densities(
     t: float,
     resolution: int = 1,
 ) -> np.ndarray:
-    return LaxHopfKernel(vc, fd, geom).segment_mean_densities(t, resolution)
+    """The kernel's segment means, or with ``resolution`` > 1 the sums of the
+    count differences over that many equal pieces of each segment, clipped
+    as the kernel clips; subdividing telescopes to the same values."""
+    kernel = LaxHopfKernel(vc, fd, geom)
+    r = max(1, int(resolution))
+    if r == 1:
+        return kernel.segment_mean_densities(t)
+    edges = kernel.edges
+    xs = [edges[0]]
+    for a, b in zip(edges, edges[1:]):
+        xs += np.linspace(a, b, r + 1)[1:].tolist()
+    counts = [kernel.moskowitz(t, x) for x in xs]
+    means = []
+    for k in range(0, len(xs) - 1, r):
+        total = 0.0
+        for j in range(k, k + r):
+            total += counts[j] - counts[j + 1]
+        means.append(min(max(total / geom.X, 0.0), fd.rho_m))
+    return np.array(means)
 
 
 def max_exit_count(

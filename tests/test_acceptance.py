@@ -22,7 +22,7 @@ from corridorflow.experiments import (
 from corridorflow.twostage import DemandDistribution, HorizonState
 
 import lwr_oracle
-from conftest import build_lp, compatible_vc
+from conftest import build_lp, compatible_vc, solve_lp_relaxation
 
 CONTROLLERS = ctl.CONTROLLER_KINDS
 
@@ -172,7 +172,7 @@ class TestCriterion5SolverCorrectness:
         for corridor, state in _states_for_certification(config):
             bundle = twostage.build_deterministic_equivalent(
                 corridor, state, config.distribution(), config.weights())
-            relax = solver.solve_lp_relaxation(bundle.lp)
+            relax = solve_lp_relaxation(bundle.lp)
             incumbent = solver.branch_and_bound(bundle.lp)
             bound_ok = bound_ok and relax.objective >= incumbent.objective - 1e-7
         ok = worst_gap <= 1e-7 and bound_ok

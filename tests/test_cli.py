@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as highs_core
 
-from corridorflow import cli, solver, twostage
+from corridorflow import cli, twostage
 from corridorflow.controller import CONTROLLER_KINDS, TWO_STAGE, assumed_level
 from corridorflow.experiments import ExperimentConfig, load_config, save_config
 
-from conftest import read_with_highs
+from conftest import read_with_highs, solve_lp_relaxation
 
 
 @pytest.fixture
@@ -76,7 +76,7 @@ def test_export_milp_formats(controller, tiny_config, tmp_path):
         bundle = twostage.build_deterministic_baseline(
             corridor, state, assumed_level(controller, dist), config.weights())
     lp = bundle.lp
-    relaxed = solver.solve_lp_relaxation(lp).objective
+    relaxed = solve_lp_relaxation(lp).objective
     out = tmp_path / "milp"
     for fmt in ("lp", "mps"):
         rc = cli.main([

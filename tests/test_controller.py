@@ -259,3 +259,21 @@ class TestClosedLoop:
         moved["M9"] = moved.pop("M3")
         with pytest.raises(ValueError, match="step 2"):
             traj.to_csv(tmp_path / "traj.csv")
+
+    def test_csv_quotes_the_header_and_formats_each_cell_as_before(self, cfg, tmp_path):
+        # a link id that needs quoting, 0.0 and -0.0 in one file, an int speed
+        # equal to a float time, NaN, an absent control and numpy scalars
+        def record(step, t, q, speed, control):
+            return {"step": step, "t": t, "qin": {"A,1": q, "B": -0.0},
+                    "qout": {"A,1": 20.0, "B": 0.1}, "queues": {"E": 0.0},
+                    "controls": control, "speeds": {"B": speed},
+                    "densities": {"A,1": np.array([-0.0, 0.1]), "B": np.array([np.nan, 20.0])}}
+
+        steps = [record(0, 0.0, 0.0, 20, {}), record(1, 20.0, np.float64(0.1), 20.0, {"E": 0.5})]
+        path = tmp_path / "traj.csv"
+        ctl.Trajectory(cfg, "stub", np.array([1.5]), steps).to_csv(path)
+        assert path.read_text() == (
+            'step,t,horizon,demand_level,"qin_A,1","qout_A,1",qin_B,qout_B,queue_E,control_E,'
+            'speed_B,"rho_A,1_1","rho_A,1_2",rho_B_1,rho_B_2\n'
+            "0,0.0,0,1.5,0.0,20.0,-0.0,0.1,0.0,,20,-0.0,0.1,nan,20.0\n"
+            "1,20.0,0,1.5,0.1,20.0,-0.0,0.1,0.0,0.5,20.0,-0.0,0.1,nan,20.0\n")

@@ -6,7 +6,7 @@ from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
 from corridorflow.lp import EQ, GE, LE
 
 import lwr_oracle
-from conftest import build_lp, compatible_vc, with_fixed
+from conftest import build_lp, compatible_vc, solve_lp_relaxation, with_fixed
 
 T = 20.0
 N = 8
@@ -68,7 +68,7 @@ class TestCompatibilityRows:
     def test_jammed_link_blocks_inflow(self, link, fd):
         rows = linkmodel.build_compatibility(link, [fd.rho_m, fd.rho_m], N, T)
         lp = lp_with_rows(rows, "l", fd, objective={("qin", "l", 1): 1.0})
-        sol = solver.solve_lp_relaxation(lp)
+        sol = solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
         assert sol.value(lp, ("qin", "l", 1)) == pytest.approx(0.0, abs=1e-9)
         # cross-check: the finite-volume oracle admits nothing either
@@ -116,7 +116,7 @@ def _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=None, inflow_cost=0.0):
     if fixed_s is not None:
         lp = with_fixed(lp, {("delta", s): 1.0 if s == fixed_s else 0.0
                               for s in range(len(sls))})
-        sol = solver.solve_lp_relaxation(lp)
+        sol = solve_lp_relaxation(lp)
     else:
         sol = solver.branch_and_bound(lp)
     return lp, sol
@@ -131,7 +131,7 @@ class TestVSLLinearization:
         # fastest speed selected with inflow pinned at 2.1
         lp, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=4)
         lp = with_fixed(lp, {("qin", n): 2.1 for n in range(1, N + 1)})
-        sol = solver.solve_lp_relaxation(lp)
+        sol = solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
         for n in (1, 5, 8):
             assert sol.value(lp, ("ka", 4, n)) == pytest.approx(0.07, abs=1e-9)
@@ -142,7 +142,7 @@ class TestVSLLinearization:
     def test_zero_inflow_zeroes_aux(self, vsl_link, fd):
         lp, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=2)
         lp = with_fixed(lp, {("qin", n): 0.0 for n in range(1, N + 1)})
-        sol = solver.solve_lp_relaxation(lp)
+        sol = solve_lp_relaxation(lp)
         for n in (1, 4):
             assert sol.value(lp, ("kin", n)) == pytest.approx(0.0, abs=1e-9)
 
@@ -166,7 +166,7 @@ class TestVSLLinearization:
             rows, "s", fd_s,
             objective={("qout", "s", n): float(N - n + 1) for n in range(1, N + 1)},
         )
-        sol_static = solver.solve_lp_relaxation(lp)
+        sol_static = solve_lp_relaxation(lp)
         assert sol_vsl.objective == pytest.approx(sol_static.objective, abs=1e-6)
 
 

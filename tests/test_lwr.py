@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corridorflow import lwr
+from corridorflow import lwr, sim
 from corridorflow.lwr import (
     InvalidParameterError,
     LinkGeometry,
@@ -428,3 +429,71 @@ class TestKernelMatchesExpressions:
             lwr_oracle.moskowitz(vc, fd, geom, 10.0, geom.chi + 1.0)
         with pytest.raises(InvalidParameterError):
             lwr_oracle.segment_mean_densities(vc, fd, geom, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The kernel as the simulator drives it: flows appended and overwritten.
+# ---------------------------------------------------------------------------
+
+
+def full_scan_times(T, n, edge_kinks, lag):
+    """The times at which ``sim._step_rate`` reads the count, by scanning
+    every kink: the step end, then the edge kinks and the arrivals m*T + lag
+    (m = 1..n) strictly inside the open step n, in that order."""
+    t_prev = (n - 1) * T
+    t_next = t_prev + T
+    inner = edge_kinks + [m * T + lag for m in range(1, n + 1)]
+    return [t_next] + [t for t in inner if t_prev < t < t_next]
+
+
+class TestSimulatorStepSequence:
+    @given(link_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_stepped_kernel_matches_a_fresh_one(self, case):
+        # each step: open it at zero flow, read demand and supply, write the
+        # realized flows, read the segment means; every read must equal a
+        # fresh kernel's on the flows written so far
+        vc, fd, geom, _ = case
+        assume(vc.n_max >= 1)
+        T, rho = vc.T, vc.initial_density
+        kernel = lwr.LaxHopfKernel(ValueConditionSet(rho, [], [], T), fd, geom)
+        demand, supply = sim._boundary_rates(kernel)
+        for n in range(1, vc.n_max + 1):
+            kernel.inflow.append(0.0)
+            kernel.outflow.append(0.0)
+            opened = ValueConditionSet(rho, np.append(vc.inflow[:n - 1], 0.0),
+                                       np.append(vc.outflow[:n - 1], 0.0), T)
+            for rates, oracle in ((demand, lwr_oracle.max_exit_count),
+                                  (supply, lwr_oracle.max_entry_count)):
+                Q, _, flows, kinks, lag = rates
+                fresh = sim._step_rate(T, Q, lambda t: oracle(opened, fd, geom, t), flows,
+                                       kinks, lag)
+                assert _bits(sim._step_rate(T, *rates)) == _bits(fresh)
+            kernel.inflow[-1] = float(vc.inflow[n - 1])
+            kernel.outflow[-1] = float(vc.outflow[n - 1])
+            written = ValueConditionSet(rho, vc.inflow[:n], vc.outflow[:n], T)
+            got = kernel.segment_mean_densities(n * T)
+            want = lwr_oracle.segment_mean_densities(written, fd, geom, n * T)
+            assert got.tobytes() == want.tobytes()
+
+    def test_step_rate_reads_the_full_scans_times(self):
+        geom = LinkGeometry(0.0, 1200.0, 3)
+        kink_sets = ([], [(geom.chi - e) / 30.0 for e in geom.segment_edges()[1:]],
+                     [(geom.xi - e) / -4.9 for e in geom.segment_edges()[:-1]])
+        calls = []
+
+        def count(t):
+            calls.append(t)
+            return 0.0
+
+        for T in (3.1, 4.7, 10.0, 15.0, 20.0):
+            # a grid, and the arrivals that land on a step boundary or next to it
+            lags = np.linspace(0.0, 250.0, 126).tolist()
+            for j in range(int(250.0 / T) + 1):
+                lags += [j * T, math.nextafter(j * T, 0.0), math.nextafter(j * T, math.inf)]
+            for lag in lags:
+                for n, kinks in zip(range(1, 61), itertools.cycle(kink_sets)):
+                    calls.clear()
+                    sim._step_rate(T, 1.0, count, [0.5] * n, kinks, lag)
+                    want = full_scan_times(T, n, kinks, lag)
+                    assert np.array(calls).tobytes() == np.array(want).tobytes(), (T, lag, n)

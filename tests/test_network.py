@@ -7,7 +7,7 @@ from corridorflow.linkmodel import ENTRY, FD, LinkSpec
 from corridorflow.lwr import LinkGeometry
 from corridorflow.network import MERGE, SERIAL, Corridor, Junction
 
-from conftest import build_lp
+from conftest import build_lp, solve_lp_relaxation
 
 N = 8
 T = 20.0
@@ -130,7 +130,7 @@ class TestSerialJunction:
             columns.append((("qout", "M1", n), 0.0, 2.1, False, 0.0))
             columns.append((("qin", "M2", n), 0.0, 2.1, False, 1.0))
         lp = build_lp(columns, rows)
-        sol = solver.solve_lp_relaxation(lp)
+        sol = solve_lp_relaxation(lp)
         assert sol.objective == pytest.approx(2.1 * N, abs=1e-6)
         # conservation holds row by row
         for n in (1, 8):

@@ -20,11 +20,10 @@ from corridorflow.solver import (
     SolveOptions,
     branch_and_bound,
     export_model,
-    solve_lp_relaxation,
 )
 
 import export_oracle
-from conftest import build_lp, read_with_highs, with_fixed
+from conftest import build_lp, read_with_highs, solve_lp_relaxation, with_fixed
 from test_acceptance import _states_for_certification
 
 
