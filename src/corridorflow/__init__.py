@@ -12,7 +12,6 @@ from .lwr import (
     TriangularFD,
     ValueConditionSet,
     critical_density,
-    flux,
 )
 from .linkmodel import LinkSpec, SpeedLimitSet
 from .network import Corridor, Junction, validate_topology

@@ -27,9 +27,15 @@ from .experiments import (
 def _add_common(parser):
     parser.add_argument("--config", type=Path, help="experiment config file (INI)")
     parser.add_argument("--output-dir", type=Path, default=Path("runs"))
+
+
+def _add_solve(parser):
     parser.add_argument("--gap", type=float, default=1e-4, help="relative MIP gap")
     parser.add_argument("--time-limit", type=float, default=float("inf"),
                         help="per-solve time limit (s)")
+
+
+def _add_jobs(parser):
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
@@ -137,17 +143,22 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run one controller on one seeded stream")
     _add_common(p)
+    _add_solve(p)
     p.add_argument("--controller", choices=CONTROLLER_KINDS, default=TWO_STAGE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare all controllers over seeds")
     _add_common(p)
+    _add_solve(p)
+    _add_jobs(p)
     p.add_argument("--seeds", type=int, nargs="*", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="demand-variation sweep")
     _add_common(p)
+    _add_solve(p)
+    _add_jobs(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-milp", help="write one horizon's model file")

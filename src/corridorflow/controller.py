@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import demand as demand_ops
 from . import solver, twostage
 from .network import Corridor
 from .sim import CorridorSimulator
@@ -51,14 +50,15 @@ def observed_demand_vector(
     observed: float,
     dist: DemandDistribution,
     cfg: HorizonConfig,
-    tail_level: float | None = None,
+    tail_level: float,
 ) -> np.ndarray:
-    """``demand.observed_demand_vector`` over ``dist``'s levels and ``cfg``'s
-    step counts."""
-    return demand_ops.observed_demand_vector(
-        observed, dist.levels, dist.probs, cfg.n_project, cfg.n_rolling,
-        tail_level,
-    )
+    """Demand column used by the mid-horizon re-solve: the remaining
+    n_project - n_rolling steps carry the observed level, the lookahead tail
+    carries ``tail_level``.  The model folds each entry's backlog in itself.
+    ``dist``, the distribution ``observed`` was drawn from, is not read."""
+    vec = np.full(cfg.n_project, float(tail_level))
+    vec[: cfg.n_project - cfg.n_rolling] = observed
+    return vec
 
 
 @dataclass

@@ -25,11 +25,10 @@ import numpy as np
 from . import controller as ctl
 from . import solver
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
-from .demand import apply_queue_update
 from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
 from .lwr import LinkGeometry, TriangularFD
 from .network import MERGE, SERIAL, Corridor, Junction, validate_topology
-from .twostage import DemandDistribution, ObjectiveWeights, entry_capacity
+from .twostage import DemandDistribution, ObjectiveWeights, apply_queue_update, entry_capacity
 
 MASK64 = (1 << 64) - 1
 
@@ -49,12 +48,15 @@ def counter_uniform(seed: int, index: int) -> float:
 
 
 def sample_demand_stream(dist: DemandDistribution, n_horizons: int, seed: int) -> np.ndarray:
-    """I.i.d. levels drawn from the demand distribution, one per horizon."""
+    """I.i.d. levels drawn from the demand distribution, one per horizon.
+    The probabilities may sum to a little less than 1; a draw above their
+    sum takes the last level."""
     cum = np.cumsum(dist.probs)
+    last = len(dist.levels) - 1
     out = np.empty(n_horizons)
     for i in range(n_horizons):
         u = counter_uniform(seed, i)
-        out[i] = dist.levels[int(np.searchsorted(cum, u, side="right"))]
+        out[i] = dist.levels[min(int(np.searchsorted(cum, u, side="right")), last)]
     return out
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .lp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, RowBlock, pack_rows
 from . import lwr
@@ -148,8 +147,10 @@ _FIXED, _INITIAL, _OUTFLOW = range(3)
 def _initial_term(fd: TriangularFD, geom: LinkGeometry, k: int, t: float, x: float):
     """Constant of segment k's initial-density component at (t, x) as the
     (P, C, D) of ``head_k + rho_k*P + C - D``, first for a free-flow and then
-    for a congested rho_k (the four branches of lwr.initial_component_expr,
-    in the same floating-point order); None outside the component's cone."""
+    for a congested rho_k (the four branches of the initial component, in
+    the floating-point order of ``lwr.LaxHopfKernel`` and of the tests'
+    ``lwr_oracle.initial_component_expr``); None outside the component's
+    cone."""
     xh = x - geom.xi
     X = geom.X
     left = (k - 1) * X
@@ -279,8 +280,6 @@ class CompatTemplate:
         self.keys = [(kind, n) for n in range(1, n_max + 1) for kind in ("qin", "qout")]
         rows = _compat_rows(fd, geom, n_max, T)
         self.rows = pack_rows([Constraint(row[0], GE, 0.0) for row in rows if row[0]], self.keys)
-        self.matrix = sparse.csr_matrix((self.rows.data, self.rows.indices, self.rows.indptr),
-                                        shape=(self.rows.n_rows, len(self.keys)))
 
         self._live = np.array([bool(row[0]) for row in rows], dtype=bool)
         self._all_names = [row[1] for row in rows]
@@ -479,26 +478,3 @@ def build_vsl_linearization(link: LinkSpec, n_max: int) -> list[Constraint]:
         coeffs[("kin", n)] = -1.0
         rows.append(Constraint(coeffs, EQ, 0.0))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Post-solve certification.
-# ---------------------------------------------------------------------------
-
-
-def compatibility_violation(
-    fd: TriangularFD,
-    geom: LinkGeometry,
-    densities,
-    inflow,
-    outflow,
-    T: float,
-) -> float:
-    """Worst violation of the compatibility inequalities for realized flows
-    (0 when all rows hold): the largest entry of b(rho) - A q."""
-    inflow = np.asarray(inflow, dtype=float)
-    outflow = np.asarray(outflow, dtype=float)
-    tpl = compat_template(fd, geom, len(inflow), T)
-    q = np.column_stack([inflow, outflow]).ravel()
-    return float(np.max(tpl.rhs(_density_terms(densities, geom.X)) - tpl.matrix @ q,
-                        initial=0.0))

@@ -8,14 +8,15 @@ solution; the true cumulative count at any (t, x) is the pointwise minimum
 over all of them, and the density is the negative space-slope of whichever
 component attains the minimum.
 
-Components are evaluated on two paths.  ``ComponentExpr`` keeps a component
-affine in the boundary flows; ``linkmodel`` builds model rows from it, and
-the tests use it as the reference.  ``LaxHopfKernel`` computes the same
-values directly as floats for simulation: it reads a link's constants once
-and adds the terms in the order of ``ComponentExpr.value``, so its results
-are bit-identical.  The simulator reads every count through the kernel;
-the tests keep the expression-path reference and a finite-volume solution
-to compare it against.
+Components are evaluated on two paths.  ``upstream_component_expr`` and
+``downstream_component_expr`` give the boundary-flow components as
+``ComponentExpr`` records, affine in the flows, from which ``linkmodel``
+builds model rows.  ``LaxHopfKernel`` computes every component's value
+directly as a float; the simulator reads every count through it, and
+``twostage.certify_solution`` checks solved flows with it.  The tests keep
+the expression path's evaluation (the initial components, each expression's
+value) as the kernel's bit-for-bit reference, and a finite-volume solution
+to compare the closed form against.
 
 All quantities are SI and lane-aggregated: m, s, veh/m, veh/s.  Segment and
 step indices in the public functions are 1-based.
@@ -68,13 +69,6 @@ class TriangularFD:
         return self.vf * self.rho_c
 
 
-def flux(fd: TriangularFD, rho: float) -> float:
-    """Flow at a given density; concave, zero at rho=0 and rho=rho_m."""
-    if rho < -GUARD_TOL or rho > fd.rho_m + GUARD_TOL:
-        raise InvalidParameterError(f"density {rho} outside [0, {fd.rho_m}]")
-    return min(fd.vf * rho, fd.w * (rho - fd.rho_m))
-
-
 @dataclass(frozen=True)
 class LinkGeometry:
     """Spatial extent of a link split into k_max equal segments."""
@@ -123,19 +117,12 @@ class ValueConditionSet:
         if len(self.inflow) != len(self.outflow):
             raise InvalidParameterError("inflow/outflow must cover the same steps")
 
-    @property
-    def k_max(self) -> int:
-        return len(self.initial_density)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.inflow)
-
 
 # ---------------------------------------------------------------------------
-# Per-component solutions.  Each component is affine in the boundary flows,
-# which the constraint builders exploit; ``LaxHopfKernel`` below evaluates
-# the same components numerically.
+# Boundary-flow components as expressions.  Each is affine in the flows,
+# which the constraint builders exploit; the initial-density components enter
+# the rows as constants (``linkmodel._initial_term``), and ``LaxHopfKernel``
+# below evaluates every component numerically.
 # ---------------------------------------------------------------------------
 
 
@@ -156,44 +143,6 @@ class ComponentExpr:
     qout: dict = field(default_factory=dict)
     kin: dict = field(default_factory=dict)
     tag: str = ""
-
-    def value(self, fd: TriangularFD, inflow, outflow) -> float:
-        v = self.const + self.rcvf * fd.Q
-        for n, a in self.qin.items():
-            v += a * inflow[n - 1]
-        for n, a in self.kin.items():
-            v += a * inflow[n - 1] / fd.vf
-        for n, a in self.qout.items():
-            v += a * outflow[n - 1]
-        return v
-
-
-def initial_component_expr(
-    fd: TriangularFD, geom: LinkGeometry, densities, k: int, t: float, x: float
-) -> ComponentExpr | None:
-    """Component generated by the initial density of segment k (Eq. branch
-    selection per the triangular specialization); None outside its cone."""
-    rho = np.asarray(densities, dtype=float)
-    xh = x - geom.xi
-    X = geom.X
-    left = (k - 1) * X
-    right = k * X
-    if xh < left + t * fd.w - GUARD_TOL or xh > right + fd.vf * t + GUARD_TOL:
-        return None
-    head = -float(np.sum(rho[: k - 1])) * X
-    rk = float(rho[k - 1])
-    rc = fd.rho_c
-    if rk <= rc + GUARD_TOL:
-        if xh >= left + fd.vf * t - GUARD_TOL:
-            val = head + rk * (t * fd.vf + left - xh)
-            return ComponentExpr(const=val, tag=f"ic{k}b")
-        val = head + rc * (t * fd.vf + left - xh)
-        return ComponentExpr(const=val, tag=f"ic{k}c")
-    if xh <= right + t * fd.w + GUARD_TOL:
-        val = head + rk * (t * fd.w + left - xh) - fd.rho_m * t * fd.w
-        return ComponentExpr(const=val, tag=f"ic{k}d")
-    val = head - rk * X + rc * (t * fd.w + right - xh) - fd.rho_m * t * fd.w
-    return ComponentExpr(const=val, tag=f"ic{k}e")
 
 
 def upstream_component_expr(
@@ -272,20 +221,20 @@ def _fsum(values) -> float:
 
 class LaxHopfKernel:
     """Point evaluations of one link's value conditions without building
-    ``ComponentExpr`` objects.
+    expressions.
 
     The link's constants (edges, rho_c, Q, per-segment head sums, initial
     mass and the boundary flows) are read once, as Python floats: numpy
     scalars would make every operation several times slower without
     changing its result.  Every component value is computed with the same
-    floating-point operations, in the same order, as ``ComponentExpr.value``
-    of the matching component expression (const + rcvf*Q, the inflow terms in
-    step order, the kin term, the outflow terms), and minima are taken over
-    the components in the order of the tests' ``all_component_exprs``, so
-    results are bit-identical to the expression path.  The literal ``+ 0.0``
-    terms stand for the expressions' zero coefficients (``rcvf * Q`` with
-    rcvf = 0, a flow coefficient started from 0.0): they turn -0.0 into 0.0
-    just as the expressions do.
+    floating-point operations, in the same order, as the tests' evaluation
+    of the matching component expression (const + rcvf*Q, the inflow terms
+    in step order, the kin term, the outflow terms), and minima are taken
+    over the components in the order of the tests' ``all_component_exprs``,
+    so results are bit-identical to the expression path.  The literal
+    ``+ 0.0`` terms stand for the expressions' zero coefficients (``rcvf *
+    Q`` with rcvf = 0, a flow coefficient started from 0.0): they turn -0.0
+    into 0.0 just as the expressions do.
 
     The head sums and the mass depend only on the period's initial
     densities, so a caller may extend (or overwrite entries of) ``inflow``
@@ -371,11 +320,6 @@ class LaxHopfKernel:
                 dn_done += dn_terms[-1]
         return INF if best is None else best
 
-    def moskowitz(self, t: float, x: float) -> float:
-        """Pointwise minimum over all value-condition components."""
-        _check_domain(self.geom, t, x)
-        return self._count(t, x)
-
     def segment_mean_densities(self, t: float) -> np.ndarray:
         """Per-segment mean densities at time t from the cumulative-count
         differences at the segment edges, clipped to [0, rho_m].  The edges
@@ -397,6 +341,43 @@ class LaxHopfKernel:
         """Most vehicles that could have entered through xi by time t if the
         upstream demand were unrestricted (initial + downstream components)."""
         return self._count(t, self.xi, INF, up=False)
+
+    def boundaries(self) -> tuple:
+        """The period-fixed data of the link's two boundary checks, the exit
+        (demand) and then the entry (supply) side, each as (capacity, count
+        function, the side's flow list, the segment-edge kinks, the wave
+        lag); ``step_check_times`` takes the last two.  The flow lists are
+        the kernel's own, so they follow the steps appended to them."""
+        demand = (self.Q, self.max_exit_count, self.outflow,
+                  [(self.chi - e) / self.vf for e in self.edges[1:]],
+                  (self.chi - self.xi) / self.vf)
+        supply = (self.Q, self.max_entry_count, self.inflow,
+                  [(self.xi - e) / self.w for e in self.edges[:-1]],
+                  (self.xi - self.chi) / self.w)
+        return demand, supply
+
+
+def step_check_times(T: float, n: int, edge_kinks: list, lag: float) -> list:
+    """The times at which one side's boundary count can kink in step n: the
+    step end, then the ``edge_kinks`` and the wave arrivals m*T + lag
+    (m = 1..n) strictly inside the step, in that order.  A component can
+    turn finite mid-step below the straight boundary line, so the step end
+    alone does not bound a step's flow.  m*T + lag does not decrease with m,
+    so the scan starts at most two below the first arrival past the step
+    start and stops at the step end."""
+    t_prev = (n - 1) * T
+    t_next = t_prev + T
+    times = [t_next]
+    for t in edge_kinks:
+        if t_prev < t < t_next:
+            times.append(t)
+    for m in range(max(1, int((t_prev - lag) / T)), n + 1):
+        t = m * T + lag
+        if not t < t_next:
+            break
+        if t_prev < t:
+            times.append(t)
+    return times
 
 
 def _check_domain(geom: LinkGeometry, t: float, x: float):

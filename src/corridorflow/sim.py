@@ -23,44 +23,17 @@ from .linkmodel import ENTRY
 from .network import MERGE, SERIAL, Corridor
 
 
-def _boundary_rates(k: lwr.LaxHopfKernel) -> tuple:
-    """The period-fixed arguments of ``_step_rate`` for the kernel's demand
-    and its supply: (capacity, count function, the side's flow list, the
-    segment-edge kinks, the wave lag).  The flow lists are the kernel's own,
-    so they follow the steps appended to them."""
-    demand = (k.Q, k.max_exit_count, k.outflow,
-              [(k.chi - e) / k.vf for e in k.edges[1:]], (k.chi - k.xi) / k.vf)
-    supply = (k.Q, k.max_entry_count, k.inflow,
-              [(k.xi - e) / k.w for e in k.edges[:-1]], (k.xi - k.chi) / k.w)
-    return demand, supply
-
-
 def _step_rate(T: float, Q: float, count_fn, flows: list, edge_kinks: list,
                lag: float) -> float:
     """Largest constant rate, at most ``Q``, at which the link can send
-    (demand) or receive (supply) over its open step, the last of ``flows``.
-
-    Checked at the step end and at every wave-arrival kink inside the step,
-    the ``edge_kinks`` and the times m*T + lag (m = 1..n), in that order; a
-    component can turn finite mid-step below the straight boundary line, so
-    step-end checks alone would overdraw.  m*T + lag does not decrease with
-    m, so the scan starts at most two below the first arrival past the step
-    start and stops at the step end.
-    """
+    (demand) or receive (supply) over its open step, the last of ``flows``:
+    the count is read at each of the step's ``lwr.step_check_times``."""
     n = len(flows)
     cum_prev = lwr._fsum(flows[:-1]) * T
     t_prev = (n - 1) * T
-    t_next = t_prev + T
-    rate = min(Q, (count_fn(t_next) - cum_prev) / (t_next - t_prev))
-    for t in edge_kinks:
-        if t_prev < t < t_next:
-            rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
-    for m in range(max(1, int((t_prev - lag) / T)), n + 1):
-        t = m * T + lag
-        if not t < t_next:
-            break
-        if t_prev < t:
-            rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
+    rate = Q
+    for t in lwr.step_check_times(T, n, edge_kinks, lag):
+        rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
     return max(rate, 0.0)
 
 
@@ -128,7 +101,7 @@ class CorridorSimulator:
         self._junctions = _junction_plan(corridor)
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
-        #: link id -> ``_boundary_rates`` of its kernel
+        #: link id -> ``boundaries()`` of its kernel
         self._rates: dict[str, tuple] = {}
         #: link id -> the densities at the last step end, the simulator's own
         #: array: records and state reads get copies
@@ -158,7 +131,7 @@ class CorridorSimulator:
         """Give the link a fresh kernel: ``densities`` at its start, no steps yet."""
         vc = lwr.ValueConditionSet(densities, [], [], self.T)
         k = self.states[link_id] = lwr.LaxHopfKernel(vc, fd, geom)
-        self._rates[link_id] = _boundary_rates(k)
+        self._rates[link_id] = k.boundaries()
 
     # -- state inspection ---------------------------------------------------
 

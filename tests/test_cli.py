@@ -93,3 +93,16 @@ def test_export_milp_formats(controller, tiny_config, tmp_path):
         assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal, fmt
         value = highs.getInfo().objective_function_value
         assert abs(value - relaxed) <= 1e-9 * max(1.0, abs(relaxed)), fmt
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-milp", "--gap", "1e-3"],
+    ["export-milp", "--time-limit", "5"],
+    ["export-milp", "--jobs", "2"],
+    ["simulate", "--jobs", "2"],
+])
+def test_subcommands_refuse_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from corridorflow import controller as ctl
-from corridorflow import demand, solver
+from corridorflow import solver
 from corridorflow.sim import CorridorSimulator
-from corridorflow.twostage import DemandDistribution
+from corridorflow.twostage import DemandDistribution, apply_queue_update
 
 
 @pytest.fixture(scope="module")
@@ -20,20 +20,20 @@ def cfg(config):
 class TestDemandMatrix:
     def test_queue_update_noop(self):
         col = np.full(8, 1.0)
-        out, residual = demand.apply_queue_update(col, 0.0, 2.1)
+        out, residual = apply_queue_update(col, 0.0, 2.1)
         np.testing.assert_allclose(out, col)
         assert residual == 0.0
 
     def test_queue_update_single_row_absorbs(self):
         col = np.full(8, 1.0)
-        out, residual = demand.apply_queue_update(col, 0.7, 2.1)
+        out, residual = apply_queue_update(col, 0.7, 2.1)
         assert out[0] == pytest.approx(1.7)
         np.testing.assert_allclose(out[1:], 1.0)
         assert residual == pytest.approx(0.0)
 
     def test_queue_update_spreads_over_rows(self):
         col = np.full(8, 2.0)
-        out, residual = demand.apply_queue_update(col, 0.7, 2.1)
+        out, residual = apply_queue_update(col, 0.7, 2.1)
         np.testing.assert_allclose(out[:7], 2.1)
         assert out[7] == pytest.approx(2.0)
         assert residual == pytest.approx(0.0)
@@ -44,7 +44,7 @@ class TestDemandMatrix:
         for _ in range(20):
             col = rng.uniform(0.0, 2.1, 8)
             e = rng.uniform(0.0, 12.0)
-            out, residual = demand.apply_queue_update(col, e, 2.1)
+            out, residual = apply_queue_update(col, e, 2.1)
             if residual > 1e-12:
                 np.testing.assert_allclose(out, 2.1)
             assert np.all(out <= 2.1 + 1e-12)
@@ -52,12 +52,13 @@ class TestDemandMatrix:
 
     def test_observed_vector_case_study(self, config, cfg):
         dist = config.distribution()
-        vec = ctl.observed_demand_vector(2.0, dist, cfg)
+        vec = ctl.observed_demand_vector(2.0, dist, cfg, tail_level=dist.mean())
         np.testing.assert_allclose(vec, [2, 2, 2, 2, 1.5, 1.5, 1.5, 1.5])
 
     def test_observed_vector_degenerate(self, cfg):
         dist = DemandDistribution.point(1.5)
-        np.testing.assert_allclose(ctl.observed_demand_vector(1.5, dist, cfg), 1.5)
+        vec = ctl.observed_demand_vector(1.5, dist, cfg, tail_level=dist.mean())
+        np.testing.assert_allclose(vec, 1.5)
 
     def test_observed_vector_tail_override(self, config, cfg):
         dist = config.distribution()

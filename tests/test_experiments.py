@@ -29,6 +29,14 @@ class TestSampling:
         dist = DemandDistribution.point(1.5)
         np.testing.assert_allclose(sample_demand_stream(dist, 10, seed=3), 1.5)
 
+    def test_draw_above_the_probability_sum_takes_the_last_level(self, monkeypatch):
+        # the probabilities may sum to 1 - 1e-9; a draw past their sum must
+        # not index past the levels
+        dist = DemandDistribution((1.0, 2.0), (0.5, 0.4999999995))
+        draws = iter([0.9999999997, 0.25, 0.75])
+        monkeypatch.setattr(experiments, "counter_uniform", lambda seed, i: next(draws))
+        np.testing.assert_array_equal(sample_demand_stream(dist, 3, seed=0), [2.0, 1.0, 2.0])
+
     def test_same_seed_same_stream(self, config):
         dist = config.distribution()
         a = sample_demand_stream(dist, 50, seed=7)

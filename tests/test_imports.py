@@ -1,5 +1,5 @@
-"""Every module of the package (but ``__init__.py``, which re-exports) and of
-the tests uses each name it imports."""
+"""Every module of the package (but ``__init__.py``, which re-exports), of
+the tests and of the benchmark uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "corridorflow").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "perfbench").glob("*.py"))
 )
 
 

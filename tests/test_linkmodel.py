@@ -78,12 +78,12 @@ class TestCompatibilityRows:
 
     def test_simulated_flows_certify(self, link, fd, geom):
         rng = np.random.default_rng(31)
+        # flows the kernel allows satisfy the template's rows
         for _ in range(4):
             vc = compatible_vc(fd, geom, rng)
-            viol = linkmodel.compatibility_violation(
-                fd, geom, vc.initial_density, vc.inflow, vc.outflow, T
-            )
-            assert viol <= 1e-7
+            lp = lp_with_rows(linkmodel.build_compatibility(link, vc.initial_density, N, T),
+                              "l", fd)
+            assert lp.max_violation(flow_point(lp, "l", vc.inflow, vc.outflow)) <= 1e-7
 
     def test_all_rows_linear(self, link, vsl_link):
         for l in (link, vsl_link):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from corridorflow import lwr, solver
+from corridorflow import linkmodel, solver
 from corridorflow.twostage import (
     DemandDistribution,
     HorizonState,
@@ -19,7 +19,6 @@ from corridorflow.twostage import (
     objective_breakdown,
 )
 
-import lwr_oracle
 import model_oracle
 from test_acceptance import _states_for_certification
 
@@ -212,31 +211,47 @@ class TestStepDemandSupply:
         # the model states no demand or supply rows: its compatibility rows
         # must keep every link's cumulative outflow within what the link can
         # send and its cumulative inflow within what it can receive, checked
-        # here by the simulator's numeric kernel, not the model's templates
-        worst_exit = worst_entry = -np.inf
+        # by the simulator's numeric kernel, not the model's templates
+        worst = 0.0
         for corridor, state in _states_for_certification(config):
             for bundle in (
                 build_deterministic_equivalent(corridor, state, config.distribution(),
                                                config.weights()),
                 build_deterministic_baseline(corridor, state, 2.0, config.weights()),
             ):
-                sol = solve(bundle)
-                for j in range(len(bundle.scenarios)):
-                    flows = bundle.scenario_flows(sol, j)
-                    for link in corridor.fd_links:
-                        fd = link.fd
-                        if link.is_vsl:
-                            fd = link.fd_for_speed(bundle.selected_speed(sol, link.id, j))
-                        qin, qout = flows[link.id]
-                        vc = lwr.ValueConditionSet(state.densities[link.id], qin, qout,
-                                                   state.T)
-                        for n in range(1, state.n_steps + 1):
-                            t = n * state.T
-                            worst_exit = max(worst_exit, state.T * np.sum(qout[:n])
-                                             - lwr_oracle.max_exit_count(vc, fd, link.geometry, t))
-                            worst_entry = max(worst_entry, state.T * np.sum(qin[:n])
-                                              - lwr_oracle.max_entry_count(vc, fd, link.geometry, t))
-        assert worst_exit <= 1e-6 and worst_entry <= 1e-6, (worst_exit, worst_entry)
+                worst = max(worst, certify_solution(bundle, solve(bundle)))
+        assert worst <= 1e-6, worst
+
+    def test_certification_caps_each_step_at_capacity(self, corridor, config):
+        # every link at capacity, but the first sends nothing in step 1 and
+        # twice its capacity in step 2: its count never runs ahead of what it
+        # could have sent, yet step 2 overdraws its capacity by Q*T vehicles
+        first = corridor.fd_links[0]
+        bundle = build_deterministic_baseline(
+            corridor, make_state(corridor, densities=first.fd.rho_c), 1.0, config.weights())
+        lp = bundle.lp
+        x = np.zeros(lp.n_vars)
+        for link in corridor.fd_links:
+            for n in range(1, N + 1):
+                x[lp.var_id((0, "qin", link.id, n))] = link.fd.Q
+                x[lp.var_id((0, "qout", link.id, n))] = link.fd.Q
+            if link.is_vsl:
+                x[lp.var_id((0, "delta", link.id, link.vsl_set.speeds.index(link.fd.vf)))] = 1.0
+        x[lp.var_id((0, "qout", first.id, 1))] = 0.0
+        x[lp.var_id((0, "qout", first.id, 2))] = 2 * first.fd.Q
+        worst = certify_solution(bundle, solver.Solution(solver.OPTIMAL, x=x))
+        assert worst == pytest.approx(first.fd.Q * T, abs=1e-9)
+
+    def test_certification_sees_a_template_fault(self, config, monkeypatch):
+        # every compatibility row's right-hand side lowered by half a vehicle:
+        # the model still solves, and its flows overdraw the kernel's counts
+        rhs = linkmodel.CompatTemplate.rhs
+        monkeypatch.setattr(linkmodel.CompatTemplate, "rhs",
+                            lambda self, terms: rhs(self, terms) - 0.5)
+        corridor, state = next(_states_for_certification(config))  # empty links
+        bundle = build_deterministic_equivalent(corridor, state, config.distribution(),
+                                                config.weights())
+        assert certify_solution(bundle, solve(bundle)) > 1e-6
 
 
 @st.composite
