@@ -13,9 +13,10 @@ Columns are numbered in the order of their keys and addressed by integer
 id or by key, so models built from the same inputs number their columns
 identically (needed for reproducible solves and exports).  The objective
 sense is always maximize.  ``column_arrays`` and ``row_arrays`` hand out the
-read-only arrays themselves and ``to_arrays`` the solver's split of the
-rows into ``<=`` and ``=`` rows; ``constraints`` is a view of the rows as
-records, rebuilt on each access.
+read-only arrays themselves, and ``objective_value`` and ``max_violation``
+read them with numpy.  The row block is the only form of the rows outside
+``solver``, which alone lays them out as linprog and HiGHS take them;
+``constraints`` is a view of the rows as records, rebuilt on each access.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -142,7 +142,6 @@ class LinearProgram:
         if not self._rows.data.all():
             raise ValueError("rows hold a zero coefficient")
         self._by_key: dict | None = None  # key -> id, built on first lookup
-        self._arrays = None
 
     def _index(self) -> dict:
         if self._by_key is None:
@@ -186,48 +185,21 @@ class LinearProgram:
         return np.flatnonzero(self._cols.binary).tolist()
 
     def objective_value(self, x) -> float:
-        c, *_ = self.to_arrays()
-        return float(c @ x)
+        return float(self._cols.obj @ x)
 
     def row_arrays(self) -> RowBlock:
         """Every row in model order as one read-only CSR block."""
         return self._rows
 
-    def to_arrays(self):
-        """Return (c, A_ub, b_ub, A_eq, b_eq, lb, ub) with >= rows negated."""
-        if self._arrays is not None:
-            return self._arrays
-        n = self.n_vars
-        c, lb, ub, _ = self._cols
-
-        indptr, indices, data, sense, rhs = self._rows
-        sign = np.where(sense == GE_CODE, -1.0, 1.0)
-        entry_row = np.repeat(np.arange(len(sense)), np.diff(indptr))
-
-        def select(rows, scale):
-            take = rows[entry_row]
-            counts = np.diff(indptr)[rows]
-            A = sparse.csr_matrix(
-                ((data * scale[entry_row])[take], indices[take],
-                 np.concatenate(([0], np.cumsum(counts)))),
-                shape=(len(counts), n),
-            )
-            return A, (scale * rhs)[rows]
-
-        eq = sense == EQ_CODE
-        A_ub, b_ub = select(~eq, sign)
-        A_eq, b_eq = select(eq, np.ones(len(sense)))
-        self._arrays = (c, A_ub, b_ub, A_eq, b_eq, lb, ub)
-        return self._arrays
-
     def max_violation(self, x) -> float:
-        """Largest constraint/bound violation of a candidate point."""
-        _, A_ub, b_ub, A_eq, b_eq, lb, ub = self.to_arrays()
-        worst = 0.0
-        if b_ub.size:
-            worst = max(worst, float(np.max(A_ub @ x - b_ub, initial=0.0)))
-        if b_eq.size:
-            worst = max(worst, float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
-        worst = max(worst, float(np.max(lb - x, initial=0.0)))
-        worst = max(worst, float(np.max(x - ub, initial=0.0)))
-        return worst
+        """Largest violation of a candidate point: the worst ``<=`` excess,
+        ``>=`` shortfall, ``=`` residual or bound violation, or 0."""
+        indptr, indices, data, sense, rhs = self._rows
+        _, lb, ub, _ = self._cols
+        x = np.asarray(x, dtype=float)
+        entry_row = np.repeat(np.arange(len(sense)), np.diff(indptr))
+        excess = np.bincount(entry_row, data * x[indices], len(sense)) - rhs
+        excess = np.where(sense == LE_CODE, excess,
+                          np.where(sense == GE_CODE, -excess, np.abs(excess)))
+        return max(float(np.max(excess, initial=0.0)), float(np.max(lb - x, initial=0.0)),
+                   float(np.max(x - ub, initial=0.0)))

@@ -6,12 +6,17 @@ incumbents are fully deterministic: branch on the most fractional binary
 (ties broken by lowest variable id), dive depth-first, and restart from the
 best-bound open node after a prune.
 
-One search loads the LP relaxation once into a HiGHS instance (scipy's
-private ``_highspy`` binding, the one ``linprog`` drives) and solves every
-node by changing the binaries' column bounds, so each node is a dual simplex
-re-solve from the previous basis.  After the search, the incumbent's point is
-a cold ``linprog`` solve with every binary fixed at its value, so the
-returned solution does not depend on the path of warm starts.
+One search loads the LP relaxation once, by array, into a HiGHS instance
+(scipy's private ``_highspy`` binding, the one ``linprog`` drives) and solves
+every node by changing the binaries' column bounds, so each node is a dual
+simplex re-solve from the previous basis.  After the search, the incumbent's
+point is a cold ``linprog`` solve with every binary fixed at its value, so
+the returned solution does not depend on the path of warm starts.
+
+The model hands out its rows as one CSR block; this module alone lays them
+out as the solvers take them: linprog's split into ``<=`` and ``=`` rows
+(``_linprog_rows``) and the column-wise matrix (``_by_column``) that HiGHS
+and the MPS writer read.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import GE_CODE, LE_CODE, LinearProgram
+from .lp import EQ_CODE, GE_CODE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -73,10 +78,29 @@ class SolverError(RuntimeError):
     pass
 
 
+def _linprog_rows(lp: LinearProgram):
+    """The rows of ``lp`` as linprog takes them, (A_ub, b_ub, A_eq, b_eq):
+    ``<=`` rows and negated ``>=`` rows in A_ub, ``=`` rows in A_eq, each in
+    model order, the matrices CSR."""
+    indptr, indices, data, sense, rhs = lp.row_arrays()
+    sign = np.where(sense == GE_CODE, -1.0, 1.0)
+    signed = sparse.csr_matrix((data * np.repeat(sign, np.diff(indptr)), indices, indptr),
+                               shape=(len(sense), lp.n_vars))
+    eq = sense == EQ_CODE
+    return signed[~eq], (sign * rhs)[~eq], signed[eq], rhs[eq]
+
+
+def _by_column(lp: LinearProgram) -> sparse.csc_matrix:
+    """The rows of ``lp`` as one column-wise matrix, rows ascending within
+    each column."""
+    indptr, indices, data, sense, _ = lp.row_arrays()
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(sense), lp.n_vars)).tocsc()
+
+
 def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
-    c, A_ub, b_ub, A_eq, b_eq, _, _ = lp.to_arrays()
+    A_ub, b_ub, A_eq, b_eq = _linprog_rows(lp)
     res = linprog(
-        -c,
+        -lp.column_arrays().obj,
         A_ub=A_ub if b_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
         A_eq=A_eq if b_eq.size else None,
@@ -96,37 +120,32 @@ def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
 class _Relaxation:
     """The LP relaxation of ``lp`` held in one HiGHS instance.
 
-    The model is loaded once: minimize ``-c`` with dual simplex and no output,
-    as linprog asks, over the rows in model order as ``lo <= A x <= hi`` with
-    the bounds read from the sense codes.  ``solve`` changes only the
-    binaries' column bounds and re-runs, so HiGHS starts from the last basis.
+    The model is loaded once, by array: minimize ``-c`` with dual simplex and
+    no output, as linprog asks, over the rows in model order as
+    ``lo <= A x <= hi`` with the bounds read from the sense codes.  ``solve``
+    changes only the binaries' column bounds and re-runs, so HiGHS starts
+    from the last basis.
     """
 
     def __init__(self, lp: LinearProgram):
-        c, _, _, _, _, lb, ub = lp.to_arrays()
-        indptr, indices, data, sense, rhs = lp.row_arrays()
-        n_rows = len(sense)
-        by_col = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, lp.n_vars)).tocsc()
+        c, lb, ub, _ = lp.column_arrays()
+        _, _, _, sense, rhs = lp.row_arrays()
+        by_col = _by_column(lp)
         inf = _highs.kHighsInf
-        model = _highs.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = lp.n_vars
-        model.num_row_ = model.a_matrix_.num_row_ = n_rows
-        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        model.a_matrix_.start_ = by_col.indptr.astype(np.int32)
-        model.a_matrix_.index_ = by_col.indices.astype(np.int32)
-        model.a_matrix_.value_ = by_col.data
-        model.col_cost_ = -c
-        model.col_lower_ = np.maximum(lb, -inf)
-        model.col_upper_ = np.minimum(ub, inf)
-        model.row_lower_ = np.where(sense == LE_CODE, -inf, rhs)
-        model.row_upper_ = np.where(sense == GE_CODE, inf, rhs)
         self.lp = lp
         self.binary_ids = np.array(lp.binary_ids(), dtype=np.int32)
         self.highs = _highs._Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("simplex_strategy", int(
             _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-        if self.highs.passModel(model) == _highs.HighsStatus.kError:
+        # the binding reads each array to the counts passed, unchecked; all
+        # of them come from the model's own validated arrays
+        status = self.highs.passModel(
+            lp.n_vars, len(sense), by_col.nnz, int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0, -c, lb, ub,
+            np.where(sense == LE_CODE, -inf, rhs), np.where(sense == GE_CODE, inf, rhs),
+            by_col.indptr, by_col.indices, by_col.data, np.zeros(lp.n_vars, dtype=np.int32))
+        if status == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS refused the relaxation of {lp.name}")
 
     def solve(self, lb, ub) -> Solution:
@@ -137,7 +156,7 @@ class _Relaxation:
         highs.run()
         status = highs.getModelStatus()
         if status == _highs.HighsModelStatus.kOptimal:
-            return Solution(OPTIMAL, objective=-highs.getInfo().objective_function_value,
+            return Solution(OPTIMAL, objective=-highs.getObjectiveValue(),
                             x=np.array(highs.getSolution().col_value))
         if status == _highs.HighsModelStatus.kInfeasible:
             return Solution(INFEASIBLE)
@@ -171,7 +190,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     binary_ids = lp.binary_ids()
-    _, _, _, _, _, lb0, ub0 = lp.to_arrays()
+    _, lb0, ub0, _ = lp.column_arrays()
     t_start = time.monotonic()
     relaxation = _Relaxation(lp)
 
@@ -361,11 +380,10 @@ def _write_lp_text(lp: LinearProgram) -> str:
 
 def _write_mps_text(lp: LinearProgram) -> str:
     names, binary, cost, lb, ub = _columns(lp)
-    indptr, indices, data, sense, rhs = lp.row_arrays()
+    _, _, _, sense, rhs = lp.row_arrays()
     rows = _numbered(len(sense), "c")
     tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
-    # column-major entries, rows ascending within each column
-    by_col = sparse.csr_matrix((data, indices, indptr), shape=(len(sense), lp.n_vars)).tocsc()
+    by_col = _by_column(lp)
     counts = np.diff(by_col.indptr)
     line = "\n    " + names + "  "
     columns = _scatter(

@@ -53,10 +53,6 @@ class DemandDistribution:
     def max_level(self) -> float:
         return max(self.support)
 
-    @classmethod
-    def point(cls, level: float):
-        return cls((float(level),), (1.0,))
-
 
 @dataclass(frozen=True)
 class ObjectiveWeights:

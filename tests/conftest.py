@@ -5,6 +5,7 @@ from scipy.optimize._highspy import _core as highs_core
 from corridorflow import lwr, solver
 from corridorflow.experiments import case_study
 from corridorflow.lp import Columns, Constraint, LinearProgram, pack_rows
+from corridorflow.twostage import DemandDistribution
 
 import lwr_oracle
 
@@ -73,6 +74,11 @@ def compatible_vc(fd, geom, rng, n_steps=8, T=20.0, densities=None,
     return lwr.ValueConditionSet(densities, np.array(inflow), np.array(outflow), T)
 
 
+def point_distribution(level):
+    """The demand distribution that puts all its mass on ``level``."""
+    return DemandDistribution((float(level),), (1.0,))
+
+
 def read_with_highs(path):
     """A HiGHS instance holding the model file at ``path`` as HiGHS's own
     LP/MPS reader parses it (the binding ``solver`` drives)."""
@@ -109,7 +115,7 @@ def with_fixed(lp, values):
 def solve_lp_relaxation(lp):
     """``lp`` with its binaries relaxed to [0, 1], solved cold by the solver's
     LP routine; an optimum reports its objective as its bound, on one node."""
-    _, _, _, _, _, lb, ub = lp.to_arrays()
+    _, lb, ub, _ = lp.column_arrays()
     sol = solver._solve_lp(lp, lb.copy(), ub.copy())
     if sol.status == solver.OPTIMAL:
         sol = solver.Solution(solver.OPTIMAL, sol.objective, sol.x, bound=sol.objective,

@@ -19,10 +19,10 @@ from corridorflow.experiments import (
     run_comparison,
     symmetric_distribution,
 )
-from corridorflow.twostage import DemandDistribution, HorizonState
+from corridorflow.twostage import HorizonState
 
 import lwr_oracle
-from conftest import build_lp, compatible_vc, solve_lp_relaxation
+from conftest import build_lp, compatible_vc, point_distribution, solve_lp_relaxation
 
 CONTROLLERS = ctl.CONTROLLER_KINDS
 
@@ -129,7 +129,7 @@ class TestCriterion3CompatibilityCertification:
 class TestCriterion4DegenerateEquivalence:
     def test_point_distribution_matches_baseline(self, config):
         corridor = config.corridor()
-        dist = DemandDistribution.point(1.5)
+        dist = point_distribution(1.5)
         cfg = config.horizon()
         stream = [1.5] * 3
         traj_two = ctl.run_closed_loop(corridor, stream, ctl.TWO_STAGE, dist,

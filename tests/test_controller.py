@@ -6,6 +6,8 @@ from corridorflow import solver
 from corridorflow.sim import CorridorSimulator
 from corridorflow.twostage import DemandDistribution, apply_queue_update
 
+from conftest import point_distribution
+
 
 @pytest.fixture(scope="module")
 def corridor(config):
@@ -56,7 +58,7 @@ class TestDemandMatrix:
         np.testing.assert_allclose(vec, [2, 2, 2, 2, 1.5, 1.5, 1.5, 1.5])
 
     def test_observed_vector_degenerate(self, cfg):
-        dist = DemandDistribution.point(1.5)
+        dist = point_distribution(1.5)
         vec = ctl.observed_demand_vector(1.5, dist, cfg, tail_level=dist.mean())
         np.testing.assert_allclose(vec, 1.5)
 
@@ -166,7 +168,7 @@ class TestClosedLoop:
 
     def test_degenerate_stream_matches_baseline(self, config, cfg):
         corridor = config.corridor()
-        dist = DemandDistribution.point(1.5)
+        dist = point_distribution(1.5)
         stream = [1.5] * 3
         opts = None
         traj_two = ctl.run_closed_loop(corridor, stream, ctl.TWO_STAGE, dist,

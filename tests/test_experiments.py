@@ -23,10 +23,12 @@ from corridorflow.experiments import (
 )
 from corridorflow.twostage import DemandDistribution
 
+from conftest import point_distribution
+
 
 class TestSampling:
     def test_point_distribution_constant(self):
-        dist = DemandDistribution.point(1.5)
+        dist = point_distribution(1.5)
         np.testing.assert_allclose(sample_demand_stream(dist, 10, seed=3), 1.5)
 
     def test_draw_above_the_probability_sum_takes_the_last_level(self, monkeypatch):
@@ -180,7 +182,7 @@ def small_config():
 class TestComparison:
 
     def test_point_distribution_rows_identical(self, small_config):
-        dist = DemandDistribution.point(1.5)
+        dist = point_distribution(1.5)
         comp = run_comparison(small_config, seeds=[0], n_horizons=2, dist=dist)
         records = [comp.records[(0, kind)] for kind in ctl.CONTROLLER_KINDS]
         base = records[0]

@@ -1,5 +1,8 @@
 """Every module of the package (but ``__init__.py``, which re-exports), of
-the tests and of the benchmark uses each name it imports."""
+the tests and of the benchmark uses each name it imports; and the package
+keeps solver formats in ``solver``: the model container (``lp.py``) imports
+nothing from scipy, and no module but ``solver.py`` imports ``scipy.optimize``
+(which holds linprog and the ``_highspy`` binding)."""
 
 import ast
 from pathlib import Path
@@ -7,8 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "corridorflow"
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "corridorflow").glob("*.py") if p.name != "__init__.py"]
+    [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "perfbench").glob("*.py"))
 )
@@ -38,3 +42,37 @@ def test_the_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported(source: str) -> set[str]:
+    """The dotted names that the absolute imports of ``source`` name:
+    ``import a.b`` gives a.b, ``from a.b import c`` gives a.b and a.b.c."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def reaches(names, module: str) -> bool:
+    return any(name == module or name.startswith(module + ".") for name in names)
+
+
+def test_the_scan_finds_a_submodule_imported_by_name():
+    source = "from scipy import optimize\nfrom .lp import x\nimport numpy as np\n"
+    assert imported(source) == {"scipy", "scipy.optimize", "numpy"}
+    assert reaches(imported(source), "scipy.optimize")
+    assert not reaches(imported("import scipy.optimizer\n"), "scipy.optimize")
+
+
+def test_the_model_container_imports_no_scipy():
+    assert not reaches(imported((SRC / "lp.py").read_text()), "scipy")
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "solver.py"],
+                         ids=lambda p: p.name)
+def test_only_the_solver_drives_linprog_and_highs(path):
+    assert not reaches(imported(path.read_text()), "scipy.optimize")

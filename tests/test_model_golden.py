@@ -70,7 +70,8 @@ def _array_digest(arrays) -> str:
 
 
 def model_digests(lp, tmp_path) -> dict:
-    c, A_ub, b_ub, A_eq, b_eq, lb, ub = lp.to_arrays()
+    c, lb, ub, _ = lp.column_arrays()
+    A_ub, b_ub, A_eq, b_eq = solver._linprog_rows(lp)
     out = {"arrays": _array_digest([
         ("c", c), ("lb", lb), ("ub", ub), ("b_ub", b_ub), ("b_eq", b_eq),
         ("A_ub.data", A_ub.data), ("A_ub.indices", A_ub.indices),
@@ -148,10 +149,7 @@ def test_new_densities_build_no_new_template(config):
 
 def test_models_of_one_template_share_no_writable_state(config):
     def arrays(lp):
-        out = [*lp.row_arrays(), *lp.column_arrays()]
-        for a in lp.to_arrays():
-            out += [a.data, a.indices, a.indptr] if hasattr(a, "indptr") else [a]
-        return out
+        return [*lp.row_arrays(), *lp.column_arrays()]
 
     a = build_at(config, 0.03).lp
     before = [x.tobytes() for x in arrays(a)]

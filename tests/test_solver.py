@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from corridorflow.solver import (
 import export_oracle
 from conftest import build_lp, read_with_highs, solve_lp_relaxation, with_fixed
 from test_acceptance import _states_for_certification
+from test_twostage import drawn_models
 
 
 def toy_lp():
@@ -151,8 +153,9 @@ def certification_models(config):
 def milp_optimum(lp):
     """The optimum of ``lp`` found by ``scipy.optimize.milp`` at a relative
     gap of 1e-9 (a test oracle only)."""
-    c, A_ub, b_ub, A_eq, b_eq, lb, ub = lp.to_arrays()
-    res = milp(-c, integrality=lp.column_arrays().binary, bounds=Bounds(lb, ub),
+    c, lb, ub, binary = lp.column_arrays()
+    A_ub, b_ub, A_eq, b_eq = solver._linprog_rows(lp)
+    res = milp(-c, integrality=binary, bounds=Bounds(lb, ub),
                constraints=[LinearConstraint(A_ub, -np.inf, b_ub),
                             LinearConstraint(A_eq, b_eq, b_eq)],
                options={"mip_rel_gap": 1e-9})
@@ -174,13 +177,109 @@ class TestReportedBound:
             assert sol.bound - sol.objective <= gap * max(1.0, abs(sol.objective)) + 1e-9 * scale
 
 
+#: (status, nodes, objective, bound, sha256 of x) of each certification model
+#: solved cold, then warm-started from its own binaries
+SOLVES = [
+    [("optimal", 98, 0.49800000000000016, 0.49800000000000016,
+      "a21cd25218169e11a36c1adfa69ae55a93697823986c06f8c703e69f0d893398"),
+     ("optimal", 2, 0.49800000000000016, 0.49800000000000033,
+      "a21cd25218169e11a36c1adfa69ae55a93697823986c06f8c703e69f0d893398")],
+    [("optimal", 23, 0.498, 0.498,
+      "a82d0bc6767addfb884b3599b5ddb04ef5ec65458e9bac32ada4f833b8420160"),
+     ("optimal", 2, 0.498, 0.49800000000000977,
+      "a82d0bc6767addfb884b3599b5ddb04ef5ec65458e9bac32ada4f833b8420160")],
+    [("optimal", 20, 51.244052800000006, 51.248600813753576,
+      "6001ec8c4c740bbb3759dd150b0a10563680c11eb728ee39ad6159e7e61b5287"),
+     ("optimal", 2, 51.244052800000006, 51.248600813753576,
+      "6001ec8c4c740bbb3759dd150b0a10563680c11eb728ee39ad6159e7e61b5287")],
+    [("optimal", 13, 51.2440528, 51.248600813753576,
+      "cb161c1bc76e29b64ab5ee0673c0d227141a3d5642b6c0ec37f92d1a3eed5109"),
+     ("optimal", 2, 51.2440528, 51.248600813753576,
+      "cb161c1bc76e29b64ab5ee0673c0d227141a3d5642b6c0ec37f92d1a3eed5109")],
+    [("optimal", 20, 50.527575, 50.53221796203437,
+      "0218fcf6ba277fc8dc5a07fae59b942ea6c74599105075458e8f89a61082dbe0"),
+     ("optimal", 4, 50.527575, 50.53221796203437,
+      "0218fcf6ba277fc8dc5a07fae59b942ea6c74599105075458e8f89a61082dbe0")],
+    [("optimal", 15, 50.582975, 50.58730981375357,
+      "588058fa3407fbac824c61df47a90b186689aea7580ea0d3f970c20807b9ed44"),
+     ("optimal", 2, 50.582975, 50.58730981375357,
+      "588058fa3407fbac824c61df47a90b186689aea7580ea0d3f970c20807b9ed44")],
+]
+
+
+class TestPinnedSolves:
+    """The search's every observable, bit for bit: a change that moves a pin
+    moves the search, and must say why."""
+
+    def test_cold_and_warm_solves_repeat(self, certification_models):
+        def pin(sol):
+            return (sol.status, sol.nodes, sol.objective, sol.bound,
+                    hashlib.sha256(sol.x.tobytes()).hexdigest())
+
+        got = []
+        for lp in certification_models:
+            cold = branch_and_bound(lp)
+            warm = branch_and_bound(
+                lp, warm_binaries={vid: round(cold.x[vid]) for vid in lp.binary_ids()})
+            got.append([pin(cold), pin(warm)])
+        assert got == SOLVES
+
+
+def assert_relaxation_holds(lp):
+    """``solver._Relaxation(lp)``'s HiGHS instance holds exactly ``lp``,
+    compared with no tolerance: minimize ``-c`` over continuous columns with
+    the model's bounds (infinite ones as HiGHS's infinity), the row bounds
+    read from the sense codes, and the row block column by column, rows
+    ascending within each column.  HiGHS drops every coefficient of
+    magnitude below ``solver.SMALL_COEFFICIENT`` as it loads a model, so
+    those entries are left out of the expected matrix: some drawn states
+    give a speed-selection coefficient of rounding residue (2.8e-14)."""
+    model = solver._Relaxation(lp).highs.getLp()
+    c, lb, ub, _ = lp.column_arrays()
+    indptr, indices, data, sense, rhs = lp.row_arrays()
+    n, m, inf = lp.n_vars, lp.n_constraints, highs_core.kHighsInf
+    assert (model.num_col_, model.num_row_) == (n, m)
+    assert model.sense_ == highs_core.ObjSense.kMinimize
+    assert all(t == highs_core.HighsVarType.kContinuous for t in model.integrality_)
+
+    def same(actual, expected):
+        assert np.array_equal(np.asarray(actual), expected)
+
+    same(model.col_cost_, -c)
+    same(model.col_lower_, np.where(lb == -np.inf, -inf, lb))
+    same(model.col_upper_, np.where(ub == np.inf, inf, ub))
+    same(model.row_lower_, np.where(sense == LE_CODE, -inf, rhs))
+    same(model.row_upper_, np.where(sense == GE_CODE, inf, rhs))
+    matrix = model.a_matrix_
+    assert matrix.format_ == highs_core.MatrixFormat.kColwise
+    kept = np.abs(data) >= solver.SMALL_COEFFICIENT
+    entry_row = np.repeat(np.arange(m), np.diff(indptr))[kept]
+    indices, data = indices[kept], data[kept]
+    order = np.lexsort((entry_row, indices))
+    same(matrix.start_, np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n)))))
+    same(matrix.index_, entry_row[order])
+    same(matrix.value_, data[order])
+
+
+class TestRelaxationHoldsTheModel:
+    def test_certification_models(self, certification_models):
+        for lp in certification_models:
+            assert_relaxation_holds(lp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_models(self, data, config):
+        _, bundle = data.draw(drawn_models(config))
+        assert_relaxation_holds(bundle.lp)
+
+
 def node_bound_sets(lp, rng, n_nodes=30):
     """Seeded node bounds: binaries fixed, freed and re-fixed, with every
     seventh node fixing two speeds of one link at once (infeasible) and the
     node after it freeing them again."""
     bins = lp.binary_ids()
     deltas = [vid for vid in bins if lp.keys[vid][1] == "delta"]
-    _, _, _, _, _, lb0, ub0 = lp.to_arrays()
+    _, lb0, ub0, _ = lp.column_arrays()
     fixings: dict = {}
     for node in range(n_nodes):
         move = rng.integers(3) if fixings else 0
@@ -227,7 +326,7 @@ class TestWarmRelaxation:
             self, certification_models):
         for lp in certification_models:
             sol = branch_and_bound(lp)
-            _, _, _, _, _, lb, ub = lp.to_arrays()
+            _, lb, ub, _ = lp.column_arrays()
             lb, ub = lb.copy(), ub.copy()
             for vid in lp.binary_ids():
                 lb[vid] = ub[vid] = round(sol.x[vid])
@@ -238,8 +337,8 @@ class TestWarmRelaxation:
 
 def assert_reads_back(lp, path):
     """HiGHS's reader finds ``lp`` in the file at ``path``: maximize, and the
-    costs, bounds, integrality, row bounds and matrix of ``to_arrays()`` and
-    ``row_arrays()`` to 1e-11 relative, with columns matched by their names
+    costs, bounds, integrality, row bounds and matrix of ``column_arrays()``
+    and ``row_arrays()`` to 1e-11 relative, with columns matched by their names
     x<vid>/b<vid> and rows by c<i>."""
     model = read_with_highs(path).getLp()
     n, m = lp.n_vars, lp.n_constraints
@@ -257,7 +356,7 @@ def assert_reads_back(lp, path):
         np.testing.assert_allclose(np.asarray(actual, dtype=float), expected,
                                    rtol=1e-11, atol=0.0)
 
-    c, _, _, _, _, lb, ub = lp.to_arrays()
+    c, lb, ub, _ = lp.column_arrays()
     close(np.array(model.col_cost_)[col_pos], c)
     close(np.array(model.col_lower_)[col_pos], lb)
     close(np.array(model.col_upper_)[col_pos], ub)
@@ -438,7 +537,7 @@ class TestUnreadableValues:
     @settings(max_examples=200, deadline=None)
     @given(lp=small_programs(readable=False))
     def test_refused_exactly_when_unreadable(self, lp, tmp_path_factory):
-        c, _, _, _, _, lb, ub = lp.to_arrays()
+        c, lb, ub, _ = lp.column_arrays()
         _, _, data, _, rhs = lp.row_arrays()
         numbers = np.concatenate([c, lb, ub, rhs])
         unreadable = (np.any(np.isfinite(numbers) & (np.abs(numbers) >= 1e20))
