@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import importlib.metadata
 import io
 import json
 import math
@@ -458,16 +459,14 @@ def sweep_to_csv(rows: list, path) -> None:
 
 
 def write_manifest(config: ExperimentConfig, path, seeds, extra=None) -> None:
-    import numpy
-    import scipy
-
     manifest = {
         "config_hash": config_hash(config),
         "seeds": list(seeds),
         "versions": {
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "numpy": np.__version__,
+            # read from the installed package's metadata: only solver imports scipy
+            "scipy": importlib.metadata.version("scipy"),
         },
     }
     if extra:

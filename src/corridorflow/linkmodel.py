@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, RowBlock, pack_rows
+from .lp import (BINARY, CONTINUOUS, EQ, GE, LE, SMALL_COEFFICIENT, Constraint, RowBlock,
+                 pack_rows)
 from . import lwr
 from .lwr import (
     GUARD_TOL,
@@ -360,7 +361,9 @@ class BlockTemplate:
     candidate speed in disaggregated form: the rows act on per-candidate
     flow copies (the inflow copies are the k_a auxiliaries of the speed
     linearization, scaled by the candidate speed) with constants switched
-    by the selection binary, so the delta(s) coefficient is -b_s(rho); the
+    by the selection binary, so the delta(s) coefficient is -b_s(rho), or 0
+    where |b_s(rho)| is below ``lp.SMALL_COEFFICIENT`` (rounding residue of
+    an exact 0, which a model drops as it drops exact zeros); the
     aggregate flows are the sums of the copies.  The relaxation is then the
     convex hull of the per-speed flow sets, so no big-M slack is involved.
     The rows of build_vsl_linearization follow.
@@ -422,7 +425,8 @@ class BlockTemplate:
             return self.rows._replace(rhs=self._compat.rhs(terms))
         data = self.rows.data.copy()
         for tpl, pos in self._delta:
-            data[pos] = 0.0 - tpl.rhs(terms)
+            b = tpl.rhs(terms)
+            data[pos] = np.where(np.abs(b) < SMALL_COEFFICIENT, 0.0, 0.0 - b)
         return self.rows._replace(data=data)
 
 

@@ -36,6 +36,10 @@ EQ = "=="
 SENSES = (LE, GE, EQ)
 LE_CODE, GE_CODE, EQ_CODE = range(3)
 
+#: HiGHS drops nonzero coefficients of smaller magnitude when it loads a
+#: model, so a template writes a computed coefficient below it as 0
+SMALL_COEFFICIENT = 1e-9
+
 
 class Constraint(NamedTuple):
     """One row written out: coefficients by column key, sense, right-hand side."""

@@ -17,6 +17,10 @@ The model hands out its rows as one CSR block; this module alone lays them
 out as the solvers take them: linprog's split into ``<=`` and ``=`` rows
 (``_linprog_rows``) and the column-wise matrix (``_by_column``) that HiGHS
 and the MPS writer read.
+
+``export_model`` writes LP or MPS text through one layout per format and row
+pattern: everything in the file but its numbers, built on the pattern's first
+export and kept (``LAYOUTS_KEPT``), so each export formats only its numbers.
 """
 
 from __future__ import annotations
@@ -24,15 +28,17 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import EQ_CODE, GE_CODE, LE_CODE, LinearProgram
+from .lp import EQ_CODE, GE_CODE, LE_CODE, SMALL_COEFFICIENT, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -90,11 +96,13 @@ def _linprog_rows(lp: LinearProgram):
     return signed[~eq], (sign * rhs)[~eq], signed[eq], rhs[eq]
 
 
-def _by_column(lp: LinearProgram) -> sparse.csc_matrix:
+def _by_column(lp: LinearProgram, values=None) -> sparse.csc_matrix:
     """The rows of ``lp`` as one column-wise matrix, rows ascending within
-    each column."""
+    each column; it holds ``values``, one per entry of the row block, in
+    place of the coefficients when they are given."""
     indptr, indices, data, sense, _ = lp.row_arrays()
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(sense), lp.n_vars)).tocsc()
+    return sparse.csr_matrix((data if values is None else values, indices, indptr),
+                             shape=(len(sense), lp.n_vars)).tocsc()
 
 
 def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
@@ -300,6 +308,30 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 
 
 # -- model file export ------------------------------------------------------
+#
+# A file is its layout, the text that depends only on the model's row
+# pattern (names, labels, sense tags, markers, the order of the entries),
+# with the numbers put into the layout's slots.  Each format's layout is
+# built once per pattern and kept; an export formats only its numbers.
+
+#: layouts kept, the least recently used dropped first; a closed loop's
+#: models share one pattern per stage, so a few cover every export
+LAYOUTS_KEPT = 8
+
+_layouts: dict = {}  # (format, pattern) -> _Layout, least recently used first
+_layouts_lock = threading.Lock()  # guards _layouts and the pieces a fill writes
+
+
+class _Layout(NamedTuple):
+    """A file but its numbers: ``pieces`` in file order, a number's place
+    holding the last export's text, ``slots`` the places of each kind of
+    number in file order, the column names, and the row block's entries in
+    column order."""
+
+    pieces: np.ndarray
+    slots: tuple
+    names: np.ndarray
+    order: np.ndarray | None = None
 
 
 def _texts(values, fmt) -> np.ndarray:
@@ -332,86 +364,167 @@ def _lp_coef(v: float) -> str:
     return f" {'+' if v >= 0 else '-'} {abs(v):.12g} "
 
 
-def _scatter(indptr, heads, entries, tails) -> str:
-    """Rows of pieces joined: row i is its heads, the pieces of each of its
+def _scatter(indptr, heads, entries, tails):
+    """Rows of pieces laid out: row i is its heads, the pieces of each of its
     entries indptr[i]:indptr[i + 1] in turn, then its tails.  A piece is an
-    array over rows (heads, tails) or entries, or a string."""
+    array over rows (heads, tails) or entries, a string, or None for a slot.
+    Returns the pieces and the places of each piece, in argument order."""
     h, k, per_row = len(heads), len(entries), len(heads) + len(tails)
     counts = np.diff(indptr)
     first = indptr[:-1] * k + np.arange(len(counts)) * per_row
     out = np.empty(len(counts) * per_row + indptr[-1] * k, dtype=object)
     at = np.repeat(first + h - indptr[:-1] * k, counts) + np.arange(indptr[-1]) * k
+    places = []
     for start, pieces in ((first, heads), (at, entries), (first + h + counts * k, tails)):
         for p, piece in enumerate(pieces):
             out[start + p] = piece
-    return "".join(out.tolist())
+            places.append(start + p)
+    return out, places
 
 
-def _interleave(*columns) -> str:
-    """Equally long columns of pieces (a string is a constant one) joined row by row."""
+def _interleave(*columns):
+    """Equally long columns of pieces (a string is a constant one, None a
+    slot) laid out row by row; returns the pieces and each column's places."""
     out = np.empty((np.broadcast(*columns).size, len(columns)), dtype=object)
     for p, column in enumerate(columns):
         out[:, p] = column
-    return "".join(out.ravel().tolist())
+    return out.ravel(), [np.arange(p, out.size, len(columns)) for p in range(len(columns))]
+
+
+def _joined(*columns) -> str:
+    return "".join(_interleave(*columns)[0].tolist())
+
+
+def _lay_out(names, *parts, order=None) -> _Layout:
+    """The layout of ``parts`` in file order: a part is a string, None (a
+    slot of one piece) or the pieces of a section and its slots' places."""
+    pieces, slots, at = [], [], 0
+    for part in parts:
+        if isinstance(part, str):
+            part = np.array([part], dtype=object), []
+        elif part is None:
+            part = np.empty(1, dtype=object), [np.zeros(1, np.intp)]
+        section, places = part
+        pieces.append(section)
+        slots += [place + at for place in places]
+        at += len(section)
+    return _Layout(np.concatenate(pieces), tuple(slots), names, order)
+
+
+def _fill(layout: _Layout, *numbers) -> str:
+    """The layout's text with ``numbers``, one text or array of texts per
+    slot, put into its slots.  Every slot is written on every fill, so no
+    number of an earlier export stays in the text."""
+    with _layouts_lock:
+        for place, texts in zip(layout.slots, numbers, strict=True):
+            layout.pieces[place] = texts
+        pieces = layout.pieces.tolist()
+    return "".join(pieces)
 
 
 def _columns(lp: LinearProgram):
-    """Names (x<vid>, b<vid> for a binary), binary mask, costs and bounds of the columns."""
-    cost, lb, ub, binary = lp.column_arrays()
-    names = np.where(binary, "b", "x").astype(object) + _numbered(len(binary))
-    return names, binary, cost, lb, ub
+    """Names (x<vid>, b<vid> for a binary) and binary mask of the columns."""
+    binary = lp.column_arrays().binary
+    return np.where(binary, "b", "x").astype(object) + _numbered(len(binary)), binary
+
+
+def _layout_key(fmt: str, lp: LinearProgram) -> tuple:
+    """The content of ``lp``'s pattern in format ``fmt``: the row block's
+    structure, the sense codes, the binary mask and, for MPS, which columns
+    have costs."""
+    cost, _, _, binary = lp.column_arrays()
+    indptr, indices, _, sense, _ = lp.row_arrays()
+    masks = (binary, cost != 0.0) if fmt == "mps" else (binary,)
+    return (fmt, *(np.asarray(a, dtype=np.int64).tobytes() for a in (indptr, indices)),
+            *(np.asarray(a, dtype=np.int8).tobytes() for a in (sense, *masks)))
+
+
+def _layout(fmt: str, lp: LinearProgram) -> _Layout:
+    """The kept layout of ``lp``'s pattern in format ``fmt``, built on first
+    use."""
+    key = _layout_key(fmt, lp)
+    with _layouts_lock:
+        layout = _layouts.pop(key, None)
+        if layout is None:
+            layout = _lp_layout(lp) if fmt == "lp" else _mps_layout(lp)
+            if len(_layouts) >= LAYOUTS_KEPT:
+                del _layouts[next(iter(_layouts))]
+        _layouts[key] = layout
+    return layout
+
+
+def _lp_layout(lp: LinearProgram) -> _Layout:
+    names, binary = _columns(lp)
+    indptr, indices, _, sense, _ = lp.row_arrays()
+    ops = np.array([" <= ", " >= ", " = "], dtype=object)  # by sense code
+    rows, at = _scatter(indptr, [_numbered(len(sense), "\n c", ":")], [None, names[indices]],
+                        [ops[sense], None])
+    bounds, bound_at = _interleave(None, names, None)
+    binaries = "\nBinary\n " + " ".join(names[binary].tolist()) if binary.any() else ""
+    return _lay_out(names, "\\ ", None, "\nMaximize\n obj:", None, "\nSubject To",
+                    (rows, [at[1], at[4]]), "\nBounds", (bounds, [bound_at[0], bound_at[2]]),
+                    binaries + "\nEnd\n")
 
 
 def _write_lp_text(lp: LinearProgram) -> str:
-    names, binary, cost, lb, ub = _columns(lp)
-    indptr, indices, data, sense, rhs = lp.row_arrays()
-    objective = (_interleave(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
-                 or _interleave(" 0 ", names[:1]))
-    ops = np.array([" <= ", " >= ", " = "], dtype=object)  # by sense code
-    rows = _scatter(indptr, [_numbered(len(sense), "\n c", ":")],
-                    [_texts(data, _lp_coef), names[indices]],
-                    [ops[sense], _texts(rhs, "{:.12g}".format)])
-    bounds = _interleave(_texts(lb, "\n {:.12g} <= ".format), names, _texts(
-        ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
-    binaries = "\nBinary\n " + " ".join(names[binary].tolist()) if binary.any() else ""
-    return "".join(["\\ ", lp.name, "\nMaximize\n obj:", objective, "\nSubject To", rows,
-                    "\nBounds", bounds, binaries, "\nEnd\n"])
+    cost, lb, ub, _ = lp.column_arrays()
+    _, _, data, _, rhs = lp.row_arrays()
+    layout = _layout("lp", lp)
+    names = layout.names
+    objective = (_joined(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
+                 or _joined(" 0 ", names[:1]))
+    return _fill(layout, lp.name, objective, _texts(data, _lp_coef),
+                 _texts(rhs, "{:.12g}".format), _texts(lb, "\n {:.12g} <= ".format),
+                 _texts(ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
+
+
+def _mps_layout(lp: LinearProgram) -> _Layout:
+    names, binary = _columns(lp)
+    indptr, _, _, sense, _ = lp.row_arrays()
+    costed = lp.column_arrays().obj != 0.0
+    rows = _numbered(len(sense), "c")
+    tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
+    # the entries' places in the row block, in the column-wise matrix's order
+    by_col = _by_column(lp, np.arange(indptr[-1]))
+    counts = np.diff(by_col.indptr)
+    line = "\n    " + names + "  "
+    columns, at = _scatter(
+        by_col.indptr,
+        [np.where(binary, "\n    MARKER    'MARKER'    'INTORG'", ""),
+         np.where(costed, line + "obj  ", ""), np.where(costed, None, "")],
+        [np.repeat(line, counts), rows[by_col.indices], None],
+        [np.where(~costed & (counts == 0), line + "obj  0", ""),
+         np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
+    rhs, rhs_at = _interleave("\n    RHS  " + rows, None)
+    return _lay_out(names, "NAME          ", None,
+                    "".join(["\nOBJSENSE\n    MAX\nROWS\n N  obj", _joined(tags[sense], rows),
+                             "\nCOLUMNS"]),
+                    (columns, [at[2][costed], at[5]]), "\nRHS", (rhs, [rhs_at[1]]),
+                    "\nBOUNDS", None, "\nENDATA\n", order=by_col.data)
 
 
 def _write_mps_text(lp: LinearProgram) -> str:
-    names, binary, cost, lb, ub = _columns(lp)
-    _, _, _, sense, rhs = lp.row_arrays()
-    rows = _numbered(len(sense), "c")
-    tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
-    by_col = _by_column(lp)
-    counts = np.diff(by_col.indptr)
-    line = "\n    " + names + "  "
-    columns = _scatter(
-        by_col.indptr,
-        [np.where(binary, "\n    MARKER    'MARKER'    'INTORG'", ""),
-         np.where(cost != 0.0, line + _texts(cost, "obj  {:.12g}".format), "")],
-        [np.repeat(line, counts), rows[by_col.indices], _texts(by_col.data, "  {:.12g}".format)],
-        [np.where((cost == 0.0) & (counts == 0), line + "obj  0", ""),
-         np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
+    cost, lb, ub, _ = lp.column_arrays()
+    _, _, data, _, rhs = lp.row_arrays()
+    layout = _layout("mps", lp)
+    names = layout.names
     free, lower, upper = lb == -math.inf, (lb != 0.0) & (lb != -math.inf), ub != math.inf
-    bounds = _interleave(np.where(free, "\n MI BND  ", np.where(lower, "\n LO BND  ", "")),
-                         np.where(free | lower, names, ""),
-                         np.where(lower, _texts(lb, "  {:.12g}".format), ""),
-                         np.where(upper, "\n UP BND  ", ""), np.where(upper, names, ""),
-                         np.where(upper, _texts(ub, "  {:.12g}".format), ""))
-    return "".join(["NAME          ", lp.name, "\nOBJSENSE\n    MAX\nROWS\n N  obj",
-                    _interleave(tags[sense], rows), "\nCOLUMNS", columns, "\nRHS",
-                    _interleave("\n    RHS  ", rows, _texts(rhs, "  {:.12g}".format)),
-                    "\nBOUNDS", bounds, "\nENDATA\n"])
+    bounds = _joined(np.where(free, "\n MI BND  ", np.where(lower, "\n LO BND  ", "")),
+                     np.where(free | lower, names, ""),
+                     np.where(lower, _texts(lb, "  {:.12g}".format), ""),
+                     np.where(upper, "\n UP BND  ", ""), np.where(upper, names, ""),
+                     np.where(upper, _texts(ub, "  {:.12g}".format), ""))
+    return _fill(layout, lp.name, _texts(cost[cost != 0.0], "{:.12g}".format),
+                 _texts(data[layout.order], "  {:.12g}".format),
+                 _texts(rhs, "  {:.12g}".format), bounds)
 
 
 #: HiGHS's reader takes finite costs, bounds and right-hand sides of this
 #: magnitude or more as infinite ...
 INFINITE_VALUE = 1e20
-#: ... refuses a model with a matrix coefficient of this magnitude or more ...
+#: ... and refuses a model with a matrix coefficient of this magnitude or
+#: more; it drops nonzero ones below ``SMALL_COEFFICIENT``.
 LARGE_COEFFICIENT = 1e15
-#: ... and drops nonzero coefficients of magnitude below this one.
-SMALL_COEFFICIENT = 1e-9
 
 
 def _check_readable(lp: LinearProgram) -> None:

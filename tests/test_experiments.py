@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
 from corridorflow import controller as ctl
 from corridorflow import experiments, solver
@@ -221,7 +222,8 @@ class TestComparison:
         write_manifest(small_config, tmp_path / "manifest.json", [0])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(small_config)
-        assert "numpy" in manifest["versions"]
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["versions"]["scipy"] == scipy.__version__
 
     def test_sweep_rows_and_csv(self, small_config, tmp_path):
         rows = experiments.run_sd_sweep(small_config, p_grid=[0.0, 0.4],

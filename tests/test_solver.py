@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -5,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -229,11 +230,8 @@ def assert_relaxation_holds(lp):
     """``solver._Relaxation(lp)``'s HiGHS instance holds exactly ``lp``,
     compared with no tolerance: minimize ``-c`` over continuous columns with
     the model's bounds (infinite ones as HiGHS's infinity), the row bounds
-    read from the sense codes, and the row block column by column, rows
-    ascending within each column.  HiGHS drops every coefficient of
-    magnitude below ``solver.SMALL_COEFFICIENT`` as it loads a model, so
-    those entries are left out of the expected matrix: some drawn states
-    give a speed-selection coefficient of rounding residue (2.8e-14)."""
+    read from the sense codes, and every entry of the row block column by
+    column, rows ascending within each column."""
     model = solver._Relaxation(lp).highs.getLp()
     c, lb, ub, _ = lp.column_arrays()
     indptr, indices, data, sense, rhs = lp.row_arrays()
@@ -252,19 +250,34 @@ def assert_relaxation_holds(lp):
     same(model.row_upper_, np.where(sense == GE_CODE, inf, rhs))
     matrix = model.a_matrix_
     assert matrix.format_ == highs_core.MatrixFormat.kColwise
-    kept = np.abs(data) >= solver.SMALL_COEFFICIENT
-    entry_row = np.repeat(np.arange(m), np.diff(indptr))[kept]
-    indices, data = indices[kept], data[kept]
+    entry_row = np.repeat(np.arange(m), np.diff(indptr))
     order = np.lexsort((entry_row, indices))
     same(matrix.start_, np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n)))))
     same(matrix.index_, entry_row[order])
     same(matrix.value_, data[order])
 
 
+def residue_model(config):
+    """The two-stage model of a state whose speed-selection (``delta``)
+    coefficients compute to rounding residue of an exact 0, 2.84e-14 in
+    magnitude: the exit cap binding from t = 0, four steps, and every link
+    empty but M3."""
+    corridor = dataclasses.replace(config, capacity_drop_start=0.0).corridor()
+    densities = {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links}
+    densities["M3"] = np.array([0.37705676, 0.0])
+    state = twostage.HorizonState(densities, {l.id: 0.0 for l in corridor.entry_links}, 4,
+                                  config.T)
+    return twostage.build_deterministic_equivalent(corridor, state, config.distribution(),
+                                                   config.weights()).lp
+
+
 class TestRelaxationHoldsTheModel:
     def test_certification_models(self, certification_models):
         for lp in certification_models:
             assert_relaxation_holds(lp)
+
+    def test_state_with_rounding_residue(self, config):
+        assert_relaxation_holds(residue_model(config))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -403,6 +416,22 @@ class TestExport:
             assert_reads_back(lp, path)
 
     @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    def test_state_with_rounding_residue_reads_back(self, fmt, config, tmp_path):
+        lp = residue_model(config)
+        path = tmp_path / f"model.{fmt}"
+        export_model(lp, path, fmt=fmt)
+        assert_reads_back(lp, path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_drawn_models_export(self, data, config, tmp_path_factory):
+        _, bundle = data.draw(drawn_models(config))
+        for fmt in ("lp", "mps"):
+            path = tmp_path_factory.getbasetemp() / f"drawn-model.{fmt}"
+            export_model(bundle.lp, path, fmt=fmt)
+            assert_reads_back(bundle.lp, path)
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
     def test_export_bit_reproducible(self, fmt, tmp_path):
         lp, *_ = random_knapsack(np.random.default_rng(7), 8)
         p1, p2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
@@ -509,6 +538,66 @@ class TestExportMatchesLineWriters:
             export_model(lp, path, fmt=fmt)
             assert path.read_bytes() == oracle(lp).encode()
             assert_reads_back(lp, path)
+
+
+@st.composite
+def one_pattern_twice(draw):
+    """(A, B, other): readable models A and B with one pattern (the binary
+    flags, each row's columns and sense, and which columns have costs) and
+    numbers drawn apart, and a readable model ``other`` of another pattern."""
+    a = draw(small_programs(readable=True))
+    cost, lb, ub, binary = a.column_arrays()
+    indptr, indices, data, sense, rhs = a.row_arrays()
+
+    def numbers(values, size):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
+
+    readable = [v for v in VALUES if abs(v) < 1e20]
+    costed = cost != 0.0
+    cost = np.where(costed, numbers([v for v in readable if v != 0.0], len(cost)),
+                    numbers([-0.0, 0.0], len(cost)))
+    lb = numbers([-math.inf, -0.0, 0.0, 1e-13, -3.25], len(lb))
+    ub = np.maximum(lb, numbers([math.inf, 0.0, 1e-13, 4.5], len(ub)))
+    lb, ub = np.where(binary, numbers([0.0, 1.0], len(lb)), lb), np.where(binary, 1.0, ub)
+    data = numbers([v for v in readable if abs(v) >= 1e-9], len(data))
+    b = LinearProgram("same pattern", a.keys, (cost, lb, ub, binary),
+                      (indptr, indices, data, sense, numbers(readable, len(rhs))))
+    other = draw(small_programs(readable=True))
+    assume(any(solver._layout_key(fmt, other) != solver._layout_key(fmt, a)
+               for fmt in ("lp", "mps")))
+    return a, b, other
+
+
+class TestLayouts:
+    """Each format's layout is built once per pattern and reused; a reused
+    one carries no number of an earlier model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(models=one_pattern_twice())
+    def test_reused_layout_writes_each_models_numbers(self, models, tmp_path_factory):
+        a, b, other = models
+        solver._layouts.clear()
+        for lp in (a, b, other, a):
+            for fmt, oracle in (("lp", export_oracle.lp_text), ("mps", export_oracle.mps_text)):
+                path = tmp_path_factory.getbasetemp() / f"reused.{fmt}"
+                export_model(lp, path, fmt=fmt)
+                assert path.read_bytes() == oracle(lp).encode()
+        assert len(solver._layouts) == 2 + sum(
+            solver._layout_key(fmt, other) != solver._layout_key(fmt, a) for fmt in ("lp", "mps"))
+
+    def test_layouts_kept_are_bounded(self, tmp_path):
+        solver._layouts.clear()
+        models = [build_lp([(("x", j), 0.0, 1.0, False, 1.0) for j in range(n)],
+                           [({("x", 0): 1.0}, LE, 1.0)], f"n{n}")
+                  for n in range(1, solver.LAYOUTS_KEPT + 4)]
+        exported = []
+        for lp in models:
+            for fmt in ("lp", "mps"):
+                export_model(lp, tmp_path / f"model.{fmt}", fmt=fmt)
+                exported.append(solver._layout_key(fmt, lp))
+                assert len(solver._layouts) <= solver.LAYOUTS_KEPT
+        # the least recently used went first
+        assert list(solver._layouts) == exported[-solver.LAYOUTS_KEPT:]
 
 
 class TestUnreadableValues:
