@@ -377,8 +377,9 @@ def _scatter(indptr, heads, entries, tails):
     places = []
     for start, pieces in ((first, heads), (at, entries), (first + h + counts * k, tails)):
         for p, piece in enumerate(pieces):
-            out[start + p] = piece
             places.append(start + p)
+            if piece is not None:  # a new object array holds None already
+                out[places[-1]] = piece
     return out, places
 
 
@@ -495,11 +496,11 @@ def _mps_layout(lp: LinearProgram) -> _Layout:
         [np.repeat(line, counts), rows[by_col.indices], None],
         [np.where(~costed & (counts == 0), line + "obj  0", ""),
          np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
-    rhs, rhs_at = _interleave("\n    RHS  " + rows, None)
+    rhs, rhs_at = _interleave("\n    RHS  ", rows, None)
     return _lay_out(names, "NAME          ", None,
                     "".join(["\nOBJSENSE\n    MAX\nROWS\n N  obj", _joined(tags[sense], rows),
                              "\nCOLUMNS"]),
-                    (columns, [at[2][costed], at[5]]), "\nRHS", (rhs, [rhs_at[1]]),
+                    (columns, [at[2][costed], at[5]]), "\nRHS", (rhs, [rhs_at[2]]),
                     "\nBOUNDS", None, "\nENDATA\n", order=by_col.data)
 
 

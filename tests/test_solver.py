@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -598,6 +600,34 @@ class TestLayouts:
                 assert len(solver._layouts) <= solver.LAYOUTS_KEPT
         # the least recently used went first
         assert list(solver._layouts) == exported[-solver.LAYOUTS_KEPT:]
+
+    def test_threads_sharing_a_layout_write_their_own_numbers(self):
+        # eight threads fill one layout per format with their own model's
+        # numbers, switching as often as the interpreter allows
+        x, y = ("x",), ("y",)
+        models = [build_lp([(x, 0.0, 5.0, False, v), (y, 0.0, 1.0, True, -v)],
+                           [({x: v, y: 2.0}, LE, v), ({x: 1.0, y: -v}, GE, 0.5)], "shared")
+                  for v in np.arange(1.0, 9.0)]
+        wrong = []
+
+        def export(lp):
+            want = export_oracle.lp_text(lp), export_oracle.mps_text(lp)
+            for _ in range(200):
+                if (solver._write_lp_text(lp), solver._write_mps_text(lp)) != want:
+                    wrong.append(lp)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=export, args=(lp,)) for lp in models]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestUnreadableValues:
