@@ -314,8 +314,8 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 # with the numbers put into the layout's slots.  Each format's layout is
 # built once per pattern and kept; an export formats only its numbers.
 
-#: layouts kept, the least recently used dropped first; a closed loop's
-#: models share one pattern per stage, so a few cover every export
+#: layouts kept, the least recently used dropped first; the models of one
+#: template share one pattern, so a few layouts serve a run's exports
 LAYOUTS_KEPT = 8
 
 _layouts: dict = {}  # (format, pattern) -> _Layout, least recently used first
