@@ -171,6 +171,15 @@ _INT_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
 _TUPLE_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "tuple"}
 
 
+def _value_text(value) -> str:
+    """An int as ``str``; a float as ``"{:g}"`` when that reads back exactly
+    (so files that round-trip keep their text and hash), else ``repr``."""
+    if isinstance(value, int):
+        return str(value)
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def config_text(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
     for section, names in _SCHEMA.items():
@@ -178,9 +187,9 @@ def config_text(config: ExperimentConfig) -> str:
         for name in names:
             value = getattr(config, name)
             if name in _TUPLE_FIELDS:
-                parser[section][name] = ", ".join(f"{v:g}" for v in value)
+                parser[section][name] = ", ".join(_value_text(v) for v in value)
             else:
-                parser[section][name] = f"{value:g}"
+                parser[section][name] = _value_text(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

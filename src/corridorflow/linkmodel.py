@@ -31,13 +31,7 @@ import numpy as np
 
 from .lp import (BINARY, CONTINUOUS, EQ, GE, LE, SMALL_COEFFICIENT, Constraint, RowBlock,
                  pack_rows)
-from . import lwr
-from .lwr import (
-    GUARD_TOL,
-    ComponentExpr,
-    LinkGeometry,
-    TriangularFD,
-)
+from .lwr import GUARD_TOL, LinkGeometry, TriangularFD
 
 FD = "fd"
 ENTRY = "entry"
@@ -111,20 +105,6 @@ class LinkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _expr_coeffs(expr: ComponentExpr, fd: TriangularFD):
-    """Flatten a component into (coeffs, const) over link-local flow keys;
-    the 1/vf and rho_c*vf parts fold numerically with the given flux law."""
-    coeffs = {}
-    const = expr.const + expr.rcvf * fd.Q
-    for n, a in expr.qin.items():
-        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a
-    for n, a in expr.qout.items():
-        coeffs[("qout", n)] = coeffs.get(("qout", n), 0.0) + a
-    for n, a in expr.kin.items():
-        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a / fd.vf
-    return coeffs, const
-
-
 def _vc_coeffs(flow: str, T: float, p: int, t: float) -> dict:
     """Flow part of a boundary value condition at t in step p: the count
     through that boundary, over the keys (flow, 1..p)."""
@@ -171,6 +151,42 @@ def _initial_term(fd: TriangularFD, geom: LinkGeometry, k: int, t: float, x: flo
     return free + congested
 
 
+def _inflow_term(fd: TriangularFD, geom: LinkGeometry, T: float, n: int, t: float,
+                 x: float):
+    """Step n's inflow component at (t, x) as (flow coefficients, (_FIXED,
+    K)), the flux law folded in; None before its free-flow characteristic
+    reaches x.  The terms are those of ``lwr.LaxHopfKernel`` in its
+    floating-point order (the ``0.0 +`` turns -0.0 into 0.0)."""
+    xh = x - geom.xi
+    lag = xh / fd.vf
+    if t < (n - 1) * T + lag - GUARD_TOL:
+        return None
+    coeffs = {("qin", i): T for i in range(1, n)}
+    if t <= n * T + lag + GUARD_TOL:
+        coeffs[("qin", n)] = (0.0 + (t - (n - 1) * T)) + -xh / fd.vf
+        return coeffs, (_FIXED, 0.0)
+    coeffs[("qin", n)] = T
+    return coeffs, (_FIXED, -fd.rho_c * xh + (t - n * T) * fd.Q)
+
+
+def _outflow_term(fd: TriangularFD, geom: LinkGeometry, T: float, n: int, t: float,
+                  x: float):
+    """Step n's outflow component at (t, x) as (flow coefficients,
+    (_OUTFLOW, R, F)), its constant being ``-mass - R + F``; None before its
+    backward wave reaches x.  Same floating-point order as
+    ``_inflow_term``."""
+    xt = x - geom.chi
+    lag = xt / fd.w  # >= 0 for x <= chi
+    if t < (n - 1) * T + lag - GUARD_TOL:
+        return None
+    coeffs = {("qout", i): T for i in range(1, n)}
+    if t <= n * T + lag + GUARD_TOL:
+        coeffs[("qout", n)] = 0.0 + (t - lag - (n - 1) * T)
+        return coeffs, (_OUTFLOW, fd.rho_m * xt, 0.0)
+    coeffs[("qout", n)] = T
+    return coeffs, (_OUTFLOW, fd.rho_c * xt, (t - n * T) * fd.Q)
+
+
 def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> list:
     """Every row ``component >= value condition`` of one flux law as
     (flow coefficients, name, downstream boundary?, component constant).
@@ -180,13 +196,11 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> 
     coefficients cancel keep an empty dict."""
     rows = []
     edges = geom.segment_edges()
-    zero = np.zeros(geom.k_max)
 
     def add(name, comp, p, t, downstream):
         if comp is None:
             return
         coeffs, term = comp
-        coeffs = dict(coeffs)
         for key, v in _vc_coeffs("qout" if downstream else "qin", T, p, t).items():
             coeffs[key] = coeffs.get(key, 0.0) - v
         coeffs = {k: v for k, v in coeffs.items() if abs(v) > 1e-12}
@@ -196,20 +210,8 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> 
         term = _initial_term(fd, geom, k, t, x)
         return None if term is None else ({}, (_INITIAL, k - 1, *term))
 
-    def upstream(n, t, x):
-        c = lwr.upstream_component_expr(fd, geom, T, n, t, x)
-        if c is None:
-            return None
-        coeffs, const = _expr_coeffs(c, fd)
-        return coeffs, (_FIXED, const)
-
-    def downstream(n, t, x):
-        # at zero density the constant -mass - R of the outflow component is -R
-        c = lwr.downstream_component_expr(fd, geom, zero, T, n, t, x)
-        if c is None:
-            return None
-        coeffs, _ = _expr_coeffs(c, fd)
-        return coeffs, (_OUTFLOW, -c.const, c.rcvf * fd.Q)
+    inflow = functools.partial(_inflow_term, fd, geom, T)
+    outflow = functools.partial(_outflow_term, fd, geom, T)
 
     # initial components against both boundary conditions
     for k in range(1, geom.k_max + 1):
@@ -231,23 +233,23 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> 
     travel = geom.length / fd.vf
     for n in range(1, n_max + 1):
         for p in range(1, n_max + 1):
-            add(f"up{n}_gamma{p}", upstream(n, p * T, geom.xi), p, p * T, False)
-            add(f"up{n}_beta{p}", upstream(n, p * T, geom.chi), p, p * T, True)
+            add(f"up{n}_gamma{p}", inflow(n, p * T, geom.xi), p, p * T, False)
+            add(f"up{n}_beta{p}", inflow(n, p * T, geom.chi), p, p * T, True)
         t_star = n * T + travel
         p = _step_containing(t_star, T, n_max)
         if p is not None:
-            add(f"up{n}_beta_arr", upstream(n, t_star, geom.chi), p, t_star, True)
+            add(f"up{n}_beta_arr", inflow(n, t_star, geom.chi), p, t_star, True)
 
     # outflow components against both boundary conditions
     backtravel = (geom.xi - geom.chi) / fd.w
     for n in range(1, n_max + 1):
         for p in range(1, n_max + 1):
-            add(f"dn{n}_gamma{p}", downstream(n, p * T, geom.xi), p, p * T, False)
-            add(f"dn{n}_beta{p}", downstream(n, p * T, geom.chi), p, p * T, True)
+            add(f"dn{n}_gamma{p}", outflow(n, p * T, geom.xi), p, p * T, False)
+            add(f"dn{n}_beta{p}", outflow(n, p * T, geom.chi), p, p * T, True)
         t_star = n * T + backtravel
         p = _step_containing(t_star, T, n_max)
         if p is not None:
-            add(f"dn{n}_gamma_arr", downstream(n, t_star, geom.xi), p, t_star, False)
+            add(f"dn{n}_gamma_arr", outflow(n, t_star, geom.xi), p, t_star, False)
     return rows
 
 
@@ -272,8 +274,8 @@ class CompatTemplate:
     components), affine in the mass (outflow components) or, for segment k's
     initial density, affine in head_k and rho_k on a branch chosen by
     rho_k <= rho_c.  ``rhs`` evaluates b vectorized in the floating-point
-    order of the component expressions in ``lwr``.  Rows whose flow
-    coefficients cancel are not in A; their constants are checked instead.
+    order of ``lwr.LaxHopfKernel``.  Rows whose flow coefficients cancel are
+    not in A; their constants are checked instead.
     """
 
     def __init__(self, fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float):
@@ -319,12 +321,6 @@ class CompatTemplate:
             name = self._all_names[violated[0]]
             raise ValueError(f"constant compatibility row violated: {name}")
         return b[self._live]
-
-
-@functools.lru_cache(maxsize=None)
-def compat_template(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> CompatTemplate:
-    """The CompatTemplate of one flux law and geometry, built on first use."""
-    return CompatTemplate(fd, geom, n_max, T)
 
 
 def _link_columns(link: LinkSpec, n_max: int) -> list:
@@ -374,7 +370,7 @@ class BlockTemplate:
         self.columns = _link_columns(link, n_max)
         self._X = geom.X
         if vsl_set is None:
-            self._compat = compat_template(fd, geom, n_max, T)
+            self._compat = CompatTemplate(fd, geom, n_max, T)
             self._delta = None
             self.rows = self._compat.rows
             self.n_compat = self.rows.n_rows
@@ -382,7 +378,7 @@ class BlockTemplate:
 
         rows, parts = [], []
         for s, (v_s, fd_s) in enumerate(zip(vsl_set.speeds, vsl_set.fds)):
-            tpl = compat_template(fd_s, geom, n_max, T)
+            tpl = CompatTemplate(fd_s, geom, n_max, T)
             first = len(rows)
             for compat in tpl.rows.constraints(tpl.keys):
                 row = {("delta", s): 0.0}  # -b_s(rho), set by evaluate

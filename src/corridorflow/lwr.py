@@ -8,15 +8,13 @@ solution; the true cumulative count at any (t, x) is the pointwise minimum
 over all of them, and the density is the negative space-slope of whichever
 component attains the minimum.
 
-Components are evaluated on two paths.  ``upstream_component_expr`` and
-``downstream_component_expr`` give the boundary-flow components as
-``ComponentExpr`` records, affine in the flows, from which ``linkmodel``
-builds model rows.  ``LaxHopfKernel`` computes every component's value
-directly as a float; the simulator reads every count through it, and
-``twostage.certify_solution`` checks solved flows with it.  The tests keep
-the expression path's evaluation (the initial components, each expression's
-value) as the kernel's bit-for-bit reference, and a finite-volume solution
-to compare the closed form against.
+``LaxHopfKernel`` evaluates every component directly as a float: the
+simulator reads every count through it, and ``twostage.certify_solution``
+checks solved flows with it.  ``linkmodel`` writes the same components as
+model rows, affine in the boundary flows, in the kernel's floating-point
+order.  The tests keep the components as expressions in ``lwr_oracle``,
+the kernel's bit-for-bit reference, and a finite-volume solution to compare
+the closed form against.
 
 All quantities are SI and lane-aggregated: m, s, veh/m, veh/s.  Segment and
 step indices in the public functions are 1-based.
@@ -25,7 +23,7 @@ step indices in the public functions are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,90 +117,6 @@ class ValueConditionSet:
 
 
 # ---------------------------------------------------------------------------
-# Boundary-flow components as expressions.  Each is affine in the flows,
-# which the constraint builders exploit; the initial-density components enter
-# the rows as constants (``linkmodel._initial_term``), and ``LaxHopfKernel``
-# below evaluates every component numerically.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ComponentExpr:
-    """One value-condition component at a fixed (t, x), affine in the flows.
-
-    value = const + rcvf * (rho_c*vf) + sum qin[n]*q_in(n) + sum qout[n]*q_out(n)
-                  + sum kin[n] * (q_in(n)/vf)
-
-    ``rcvf`` and ``kin`` terms are kept separate so models with a selectable
-    free-flow speed can substitute their linearized counterparts.
-    """
-
-    const: float = 0.0
-    rcvf: float = 0.0
-    qin: dict = field(default_factory=dict)
-    qout: dict = field(default_factory=dict)
-    kin: dict = field(default_factory=dict)
-    tag: str = ""
-
-
-def upstream_component_expr(
-    fd: TriangularFD, geom: LinkGeometry, T: float, n: int, t: float, x: float
-) -> ComponentExpr | None:
-    """Component generated by the inflow of step n; None before its
-    free-flow characteristic reaches x."""
-    xh = x - geom.xi
-    lag = xh / fd.vf
-    if t < (n - 1) * T + lag - GUARD_TOL:
-        return None
-    expr = ComponentExpr(tag=f"up{n}")
-    for i in range(1, n):
-        expr.qin[i] = T
-    if t <= n * T + lag + GUARD_TOL:
-        # affine in the step-n inflow; the /vf part stays separate
-        expr.qin[n] = expr.qin.get(n, 0.0) + (t - (n - 1) * T)
-        expr.kin[n] = -xh
-        expr.tag += "b"
-        return expr
-    expr.qin[n] = expr.qin.get(n, 0.0) + T
-    expr.rcvf = t - n * T
-    expr.const = -fd.rho_c * xh
-    expr.tag += "c"
-    return expr
-
-
-def downstream_component_expr(
-    fd: TriangularFD,
-    geom: LinkGeometry,
-    densities,
-    T: float,
-    n: int,
-    t: float,
-    x: float,
-) -> ComponentExpr | None:
-    """Component generated by the outflow of step n; None before its
-    backward wave reaches x."""
-    rho = np.asarray(densities, dtype=float)
-    xt = x - geom.chi
-    lag = xt / fd.w  # >= 0 for x <= chi
-    mass = float(np.sum(rho)) * geom.X
-    if t < (n - 1) * T + lag - GUARD_TOL:
-        return None
-    expr = ComponentExpr(tag=f"dn{n}")
-    for i in range(1, n):
-        expr.qout[i] = T
-    if t <= n * T + lag + GUARD_TOL:
-        expr.qout[n] = expr.qout.get(n, 0.0) + (t - lag - (n - 1) * T)
-        expr.const = -mass - fd.rho_m * xt
-        expr.tag += "b"
-        return expr
-    expr.qout[n] = expr.qout.get(n, 0.0) + T
-    expr.rcvf = t - n * T
-    expr.const = -mass - fd.rho_c * xt
-    expr.tag += "c"
-    return expr
-
-
-# ---------------------------------------------------------------------------
 # Numeric kernel: the component values as floats, for simulation.
 # ---------------------------------------------------------------------------
 
@@ -220,21 +134,20 @@ def _fsum(values) -> float:
 
 
 class LaxHopfKernel:
-    """Point evaluations of one link's value conditions without building
-    expressions.
+    """Point evaluations of one link's value conditions.
 
     The link's constants (edges, rho_c, Q, per-segment head sums, initial
     mass and the boundary flows) are read once, as Python floats: numpy
     scalars would make every operation several times slower without
     changing its result.  Every component value is computed with the same
     floating-point operations, in the same order, as the tests' evaluation
-    of the matching component expression (const + rcvf*Q, the inflow terms
-    in step order, the kin term, the outflow terms), and minima are taken
-    over the components in the order of the tests' ``all_component_exprs``,
-    so results are bit-identical to the expression path.  The literal
-    ``+ 0.0`` terms stand for the expressions' zero coefficients (``rcvf *
-    Q`` with rcvf = 0, a flow coefficient started from 0.0): they turn -0.0
-    into 0.0 just as the expressions do.
+    of the matching component expression (``lwr_oracle.component_value``:
+    const + rcvf*Q, the inflow terms in step order, the kin term, the
+    outflow terms), and minima are taken over the components in the order
+    of ``lwr_oracle.all_component_exprs``, so results are bit-identical to
+    that reference.  The literal ``+ 0.0`` terms stand for the expressions'
+    zero coefficients (``rcvf * Q`` with rcvf = 0, a flow coefficient
+    started from 0.0): they turn -0.0 into 0.0 just as the expressions do.
 
     The head sums and the mass depend only on the period's initial
     densities, so a caller may extend (or overwrite entries of) ``inflow``

@@ -2,11 +2,15 @@
 ``corridorflow.lwr`` because no run reaches them.
 
 - ``flux`` is the triangular flux law at a density.
-- ``initial_component_expr`` gives an initial-density component as a
-  ``ComponentExpr``, ``component_value`` evaluates any component expression,
-  and ``all_component_exprs`` lists every component at a point in the order
-  the kernel takes its minima; the kernel tests compare against them bit for
-  bit.
+- ``ComponentExpr`` holds one value-condition component at a point, affine
+  in the boundary flows.  ``initial_component_expr``,
+  ``upstream_component_expr`` and ``downstream_component_expr`` give the
+  initial-density, inflow and outflow components as such records,
+  ``component_value`` evaluates any of them, and ``all_component_exprs``
+  lists every component at a point in the order the kernel takes its
+  minima.  They are the one reference both evaluation paths in
+  ``corridorflow`` are checked against bit for bit: ``LaxHopfKernel``'s
+  counts, and the model-row terms ``linkmodel`` folds with the flux law.
 - ``moskowitz``, ``segment_mean_densities``, ``max_exit_count`` and
   ``max_entry_count`` evaluate one set of value conditions through a fresh
   ``LaxHopfKernel``.
@@ -14,21 +18,18 @@
   volume scheme, the independent check of the closed-form solution.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from corridorflow.lwr import (
     GUARD_TOL,
-    ComponentExpr,
     InvalidParameterError,
     LaxHopfKernel,
     LinkGeometry,
     TriangularFD,
     ValueConditionSet,
     _check_domain,
-    downstream_component_expr,
-    upstream_component_expr,
 )
 
 
@@ -37,6 +38,83 @@ def flux(fd: TriangularFD, rho: float) -> float:
     if rho < -GUARD_TOL or rho > fd.rho_m + GUARD_TOL:
         raise InvalidParameterError(f"density {rho} outside [0, {fd.rho_m}]")
     return min(fd.vf * rho, fd.w * (rho - fd.rho_m))
+
+
+@dataclass
+class ComponentExpr:
+    """One value-condition component at a fixed (t, x), affine in the flows.
+
+    value = const + rcvf * (rho_c*vf) + sum qin[n]*q_in(n) + sum qout[n]*q_out(n)
+                  + sum kin[n] * (q_in(n)/vf)
+
+    ``rcvf`` and ``kin`` terms are kept separate because the kernel adds
+    them as terms of their own; ``linkmodel`` folds them into the row's
+    constant and inflow coefficient.
+    """
+
+    const: float = 0.0
+    rcvf: float = 0.0
+    qin: dict = field(default_factory=dict)
+    qout: dict = field(default_factory=dict)
+    kin: dict = field(default_factory=dict)
+    tag: str = ""
+
+
+def upstream_component_expr(
+    fd: TriangularFD, geom: LinkGeometry, T: float, n: int, t: float, x: float
+) -> ComponentExpr | None:
+    """Component generated by the inflow of step n; None before its
+    free-flow characteristic reaches x."""
+    xh = x - geom.xi
+    lag = xh / fd.vf
+    if t < (n - 1) * T + lag - GUARD_TOL:
+        return None
+    expr = ComponentExpr(tag=f"up{n}")
+    for i in range(1, n):
+        expr.qin[i] = T
+    if t <= n * T + lag + GUARD_TOL:
+        # affine in the step-n inflow; the /vf part stays separate
+        expr.qin[n] = expr.qin.get(n, 0.0) + (t - (n - 1) * T)
+        expr.kin[n] = -xh
+        expr.tag += "b"
+        return expr
+    expr.qin[n] = expr.qin.get(n, 0.0) + T
+    expr.rcvf = t - n * T
+    expr.const = -fd.rho_c * xh
+    expr.tag += "c"
+    return expr
+
+
+def downstream_component_expr(
+    fd: TriangularFD,
+    geom: LinkGeometry,
+    densities,
+    T: float,
+    n: int,
+    t: float,
+    x: float,
+) -> ComponentExpr | None:
+    """Component generated by the outflow of step n; None before its
+    backward wave reaches x."""
+    rho = np.asarray(densities, dtype=float)
+    xt = x - geom.chi
+    lag = xt / fd.w  # >= 0 for x <= chi
+    mass = float(np.sum(rho)) * geom.X
+    if t < (n - 1) * T + lag - GUARD_TOL:
+        return None
+    expr = ComponentExpr(tag=f"dn{n}")
+    for i in range(1, n):
+        expr.qout[i] = T
+    if t <= n * T + lag + GUARD_TOL:
+        expr.qout[n] = expr.qout.get(n, 0.0) + (t - lag - (n - 1) * T)
+        expr.const = -mass - fd.rho_m * xt
+        expr.tag += "b"
+        return expr
+    expr.qout[n] = expr.qout.get(n, 0.0) + T
+    expr.rcvf = t - n * T
+    expr.const = -mass - fd.rho_c * xt
+    expr.tag += "c"
+    return expr
 
 
 def component_value(expr: ComponentExpr, fd: TriangularFD, inflow, outflow) -> float:

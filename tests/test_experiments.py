@@ -94,21 +94,29 @@ class TestConfigFile:
             return float(f"{2 * value + 1:g}")
 
         default = case_study()
-        config = ExperimentConfig(**{f.name: moved(getattr(default, f.name))
-                                     for f in fields(ExperimentConfig)})
-        for f in fields(ExperimentConfig):
-            assert getattr(config, f.name) != getattr(default, f.name), f.name
-        path = tmp_path / "config.ini"
-        save_config(config, path)
-        loaded = load_config(path)
-        assert loaded == config
-        assert ([type(getattr(loaded, f.name)) for f in fields(ExperimentConfig)]
-                == [type(getattr(config, f.name)) for f in fields(ExperimentConfig)])
+        off_default = {f.name: moved(getattr(default, f.name)) for f in fields(ExperimentConfig)}
+        # values "%g" cannot write exactly: 6 significant digits would change them
+        inexact = [{}, {"ramp_demand": 0.05123456},
+                   {"demand_probs": (0.4, 0.2000001, 0.3999999)},
+                   {"n_horizons": 1234567}, {"sweep_p_grid": (0.0, 1 / 3, 0.5)}]
+        for changes in inexact:
+            config = ExperimentConfig(**{**off_default, **changes})
+            for f in fields(ExperimentConfig):
+                assert getattr(config, f.name) != getattr(default, f.name), f.name
+            path = tmp_path / "config.ini"
+            save_config(config, path)
+            loaded = load_config(path)
+            assert loaded == config, changes
+            assert ([type(getattr(loaded, f.name)) for f in fields(ExperimentConfig)]
+                    == [type(getattr(config, f.name)) for f in fields(ExperimentConfig)])
 
     def test_modified_field_changes_hash(self, tmp_path):
         a = case_study()
         b = ExperimentConfig(w4=5.0)
         assert config_hash(a) != config_hash(b)
+        # equal in 6 significant digits
+        assert (config_hash(ExperimentConfig(ramp_demand=0.05123456))
+                != config_hash(ExperimentConfig(ramp_demand=0.05123461)))
 
     def test_corridor_construction(self, config):
         corridor = config.corridor()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corridorflow import linkmodel, lwr, solver
 from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
@@ -92,6 +94,65 @@ class TestCompatibilityRows:
                 assert row.sense in (LE, GE, EQ)
                 for coef in row.coeffs.values():
                     assert np.isfinite(coef)
+
+
+def _folded(expr, fd):
+    """A component expression as (flow coefficients, constant), its 1/vf and
+    rho_c*vf parts folded with the flux law in the order the model rows take
+    them."""
+    coeffs = {}
+    const = expr.const + expr.rcvf * fd.Q
+    for n, a in expr.qin.items():
+        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a
+    for n, a in expr.qout.items():
+        coeffs[("qout", n)] = coeffs.get(("qout", n), 0.0) + a
+    for n, a in expr.kin.items():
+        coeffs[("qin", n)] = coeffs.get(("qin", n), 0.0) + a / fd.vf
+    return coeffs, const
+
+
+def _term_bits(term):
+    """A row term's keys, constant kind and every float's bytes, so -0.0 and
+    0.0 differ."""
+    if term is None:
+        return None
+    coeffs, (kind, *const) = term
+    return list(coeffs), kind, np.array([*coeffs.values(), *const]).tobytes()
+
+
+class TestRowTermsMatchOracle:
+    @given(xi=st.floats(-3000.0, 3000.0).filter(lambda v: v != 0.0),
+           length=st.floats(100.0, 3000.0), k_max=st.integers(1, 4),
+           T=st.floats(1.0, 60.0), n_max=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_inflow_and_outflow_terms_equal_folded_expressions(self, fd, xi, length, k_max,
+                                                               T, n_max):
+        geom = lwr.LinkGeometry(xi, xi + length, k_max)
+        zero = np.zeros(k_max)
+        sls = SpeedLimitSet((10.0, 15.0, 20.0, 25.0, 30.0), fd.w, fd.rho_m)
+        for law in (fd, *sls.fds):
+            ends = [p * T for p in range(1, n_max + 1)]
+            arrivals = [n * T + geom.length / law.vf for n in range(1, n_max + 1)]
+            arrivals += [n * T + (geom.xi - geom.chi) / law.w for n in range(1, n_max + 1)]
+            for x in (geom.xi, geom.chi):
+                for t in ends + arrivals:
+                    for n in range(1, n_max + 1):
+                        up = lwr_oracle.upstream_component_expr(law, geom, T, n, t, x)
+                        want = None
+                        if up is not None:
+                            coeffs, const = _folded(up, law)
+                            want = coeffs, (linkmodel._FIXED, const)
+                        got = linkmodel._inflow_term(law, geom, T, n, t, x)
+                        assert _term_bits(got) == _term_bits(want), (law, n, t, x)
+
+                        dn = lwr_oracle.downstream_component_expr(law, geom, zero, T, n, t, x)
+                        want = None
+                        if dn is not None:
+                            # at zero density the expression's constant is -R
+                            coeffs, _ = _folded(dn, law)
+                            want = coeffs, (linkmodel._OUTFLOW, -dn.const, dn.rcvf * law.Q)
+                        got = linkmodel._outflow_term(law, geom, T, n, t, x)
+                        assert _term_bits(got) == _term_bits(want), (law, n, t, x)
 
 
 def _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=None, inflow_cost=0.0):

@@ -102,34 +102,35 @@ class TestUpstreamComponent:
     def test_boundary_value_is_cumulative_count(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[0] * 8), T)
         for n in range(1, 9):
-            c = lwr.upstream_component_expr(fd, geom, T, n, n * T, geom.xi)
+            c = lwr_oracle.upstream_component_expr(fd, geom, T, n, n * T, geom.xi)
             assert value(c, fd, vc) == pytest.approx(2.1 * n * T, abs=1e-9)
 
     def test_translated_count_along_characteristic(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[2.1] * 8), steps(*[0] * 8), T)
         # 20 s of inflow at 2.1 observed 600 m downstream
-        c = lwr.upstream_component_expr(fd, geom, T, 1, 40.0, geom.xi + 600.0)
+        c = lwr_oracle.upstream_component_expr(fd, geom, T, 1, 40.0, geom.xi + 600.0)
         assert value(c, fd, vc) == pytest.approx(42.0, abs=1e-9)
 
     def test_before_characteristic_infinite(self, fd, geom):
-        assert lwr.upstream_component_expr(fd, geom, T, 1, 5.0, geom.chi) is None
+        assert lwr_oracle.upstream_component_expr(fd, geom, T, 1, 5.0, geom.chi) is None
 
 
 class TestDownstreamComponent:
     def test_boundary_value_subtracts_initial_mass(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[1.0] * 8), T)
         for n in (1, 4, 8):
-            c = lwr.downstream_component_expr(fd, geom, vc.initial_density, T, n, n * T,
-                                              geom.chi)
+            c = lwr_oracle.downstream_component_expr(fd, geom, vc.initial_density, T, n,
+                                                     n * T, geom.chi)
             assert value(c, fd, vc) == pytest.approx(1.0 * n * T, abs=1e-9)
 
     def test_before_backwave_infinite(self, fd, geom):
-        assert lwr.downstream_component_expr(fd, geom, [0.1, 0.1], T, 1, 1.0, geom.xi) is None
+        c = lwr_oracle.downstream_component_expr(fd, geom, [0.1, 0.1], T, 1, 1.0, geom.xi)
+        assert c is None
 
     def test_blocked_outflow_jam_accumulation(self, fd, geom):
         vc = ValueConditionSet([0.0, 0.0], steps(*[0] * 8), steps(*[0] * 8), T)
-        c = lwr.downstream_component_expr(fd, geom, vc.initial_density, T, 5, 100.0,
-                                          geom.chi - 49.0)
+        c = lwr_oracle.downstream_component_expr(fd, geom, vc.initial_density, T, 5, 100.0,
+                                                 geom.chi - 49.0)
         assert value(c, fd, vc) == pytest.approx(24.5, abs=1e-9)
 
 
@@ -324,7 +325,7 @@ def _initial_exprs(vc, fd, geom, t, x):
 
 def expr_max_exit(vc, fd, geom, t):
     best = _min_value(_initial_exprs(vc, fd, geom, t, geom.chi), vc, fd)
-    best = _min_value((lwr.upstream_component_expr(fd, geom, vc.T, n, t, geom.chi)
+    best = _min_value((lwr_oracle.upstream_component_expr(fd, geom, vc.T, n, t, geom.chi)
                        for n in range(1, len(vc.inflow) + 1)), vc, fd, best)
     mass = float(np.sum(vc.initial_density)) * geom.X
     return best + mass if best < math.inf else math.inf
@@ -333,7 +334,8 @@ def expr_max_exit(vc, fd, geom, t):
 def expr_max_entry(vc, fd, geom, t):
     best = _min_value(_initial_exprs(vc, fd, geom, t, geom.xi), vc, fd)
     return _min_value(
-        (lwr.downstream_component_expr(fd, geom, vc.initial_density, vc.T, n, t, geom.xi)
+        (lwr_oracle.downstream_component_expr(fd, geom, vc.initial_density, vc.T, n, t,
+                                              geom.xi)
          for n in range(1, len(vc.inflow) + 1)), vc, fd, best)
 
 

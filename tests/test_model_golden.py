@@ -136,8 +136,7 @@ def build_at(config, value):
 
 def test_new_densities_build_no_new_template(config):
     def caches():
-        return (linkmodel.compat_template.cache_info(), linkmodel.block_template.cache_info(),
-                twostage.model_template.cache_info())
+        return linkmodel.block_template.cache_info(), twostage.model_template.cache_info()
 
     build_at(config, 0.03)
     before = caches()
