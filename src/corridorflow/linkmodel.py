@@ -358,8 +358,9 @@ class BlockTemplate:
     flow copies (the inflow copies are the k_a auxiliaries of the speed
     linearization, scaled by the candidate speed) with constants switched
     by the selection binary, so the delta(s) coefficient is -b_s(rho), or 0
-    where |b_s(rho)| is below ``lp.SMALL_COEFFICIENT`` (rounding residue of
-    an exact 0, which a model drops as it drops exact zeros); the
+    where |b_s(rho)| is ``lp.SMALL_COEFFICIENT`` or less (what HiGHS would
+    drop, such as rounding residue of an exact 0, which a model drops as it
+    drops exact zeros); the
     aggregate flows are the sums of the copies.  The relaxation is then the
     convex hull of the per-speed flow sets, so no big-M slack is involved.
     The rows of build_vsl_linearization follow.
@@ -422,7 +423,7 @@ class BlockTemplate:
         data = self.rows.data.copy()
         for tpl, pos in self._delta:
             b = tpl.rhs(terms)
-            data[pos] = np.where(np.abs(b) < SMALL_COEFFICIENT, 0.0, 0.0 - b)
+            data[pos] = np.where(np.abs(b) <= SMALL_COEFFICIENT, 0.0, 0.0 - b)
         return self.rows._replace(data=data)
 
 

@@ -36,8 +36,8 @@ EQ = "=="
 SENSES = (LE, GE, EQ)
 LE_CODE, GE_CODE, EQ_CODE = range(3)
 
-#: HiGHS drops nonzero coefficients of smaller magnitude when it loads a
-#: model, so a template writes a computed coefficient below it as 0
+#: HiGHS drops nonzero coefficients of this magnitude or less when it loads a
+#: model, so a template writes a computed coefficient of at most it as 0
 SMALL_COEFFICIENT = 1e-9
 
 

@@ -20,7 +20,9 @@ and the MPS writer read.
 
 ``export_model`` writes LP or MPS text through one layout per format and row
 pattern: everything in the file but its numbers, built on the pattern's first
-export and kept (``LAYOUTS_KEPT``), so each export formats only its numbers.
+export and kept (``LAYOUTS_KEPT``) with the numbers its last export wrote, so
+an export formats and places only the numbers that changed since then (bit
+for bit; all of them on the first export of a pattern).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -312,26 +313,32 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 # A file is its layout, the text that depends only on the model's row
 # pattern (names, labels, sense tags, markers, the order of the entries),
 # with the numbers put into the layout's slots.  Each format's layout is
-# built once per pattern and kept; an export formats only its numbers.
+# built once per pattern and kept with the bit patterns of the numbers it
+# holds; an export formats and places only the numbers that differ from them.
 
 #: layouts kept, the least recently used dropped first; the models of one
 #: template share one pattern, so a few layouts serve a run's exports
 LAYOUTS_KEPT = 8
 
 _layouts: dict = {}  # (format, pattern) -> _Layout, least recently used first
-_layouts_lock = threading.Lock()  # guards _layouts and the pieces a fill writes
+_layouts_lock = threading.Lock()  # guards _layouts and each layout's pieces and kept
 
 
-class _Layout(NamedTuple):
-    """A file but its numbers: ``pieces`` in file order, a number's place
-    holding the last export's text, ``slots`` the places of each kind of
-    number in file order, the column names, and the row block's entries in
-    column order."""
+@dataclass(eq=False)
+class _Layout:
+    """A file but its numbers: ``pieces`` in file order (an object array
+    until the first fill, a list after it), a number's place holding the
+    last fill's text, ``slots`` the places of each kind of number in file
+    order (an index for a text slot, an array of them for an array slot),
+    the column names, the row block's entries in column order and, once
+    filled, ``kept``: the bit patterns (int64) the last fill wrote into each
+    array slot."""
 
-    pieces: np.ndarray
+    pieces: np.ndarray | list
     slots: tuple
     names: np.ndarray
     order: np.ndarray | None = None
+    kept: list | None = None
 
 
 def _texts(values, fmt) -> np.ndarray:
@@ -404,7 +411,7 @@ def _lay_out(names, *parts, order=None) -> _Layout:
         if isinstance(part, str):
             part = np.array([part], dtype=object), []
         elif part is None:
-            part = np.empty(1, dtype=object), [np.zeros(1, np.intp)]
+            part = np.empty(1, dtype=object), [0]
         section, places = part
         pieces.append(section)
         slots += [place + at for place in places]
@@ -413,14 +420,34 @@ def _lay_out(names, *parts, order=None) -> _Layout:
 
 
 def _fill(layout: _Layout, *numbers) -> str:
-    """The layout's text with ``numbers``, one text or array of texts per
-    slot, put into its slots.  Every slot is written on every fill, so no
-    number of an earlier export stays in the text."""
+    """The layout's text with ``numbers`` put into its slots, one per slot: a
+    text, or ``(values, fmt)`` for an array slot.  The first fill formats
+    every value; a later one formats and writes only the values whose bit
+    patterns differ from the ones the last fill wrote, so the places left
+    alone already hold the same text and no number of another model stays."""
     with _layouts_lock:
-        for place, texts in zip(layout.slots, numbers, strict=True):
-            layout.pieces[place] = texts
-        pieces = layout.pieces.tolist()
-    return "".join(pieces)
+        pieces, kept = layout.pieces, layout.kept
+        first = kept is None
+        for s, (place, number) in enumerate(zip(layout.slots, numbers, strict=True)):
+            if isinstance(number, str):
+                pieces[place] = number
+                continue
+            values, fmt = number
+            if first:
+                pieces[place] = _texts(values, fmt)
+                continue
+            bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+            changed = np.flatnonzero(bits != kept[s])
+            texts = _texts(bits[changed].view(float), fmt).tolist()
+            for at, text in zip(place[changed].tolist(), texts):
+                pieces[at] = text
+            kept[s][changed] = bits[changed]
+        if first:
+            layout.kept = [None if isinstance(number, str) else
+                           np.array(number[0], dtype=float).view(np.int64)
+                           for number in numbers]
+            layout.pieces = pieces = pieces.tolist()
+        return "".join(pieces)
 
 
 def _columns(lp: LinearProgram):
@@ -474,9 +501,9 @@ def _write_lp_text(lp: LinearProgram) -> str:
     names = layout.names
     objective = (_joined(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
                  or _joined(" 0 ", names[:1]))
-    return _fill(layout, lp.name, objective, _texts(data, _lp_coef),
-                 _texts(rhs, "{:.12g}".format), _texts(lb, "\n {:.12g} <= ".format),
-                 _texts(ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
+    return _fill(layout, lp.name, objective, (data, _lp_coef), (rhs, "{:.12g}".format),
+                 (lb, "\n {:.12g} <= ".format),
+                 (ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
 
 
 def _mps_layout(lp: LinearProgram) -> _Layout:
@@ -515,22 +542,30 @@ def _write_mps_text(lp: LinearProgram) -> str:
                      np.where(lower, _texts(lb, "  {:.12g}".format), ""),
                      np.where(upper, "\n UP BND  ", ""), np.where(upper, names, ""),
                      np.where(upper, _texts(ub, "  {:.12g}".format), ""))
-    return _fill(layout, lp.name, _texts(cost[cost != 0.0], "{:.12g}".format),
-                 _texts(data[layout.order], "  {:.12g}".format),
-                 _texts(rhs, "  {:.12g}".format), bounds)
+    return _fill(layout, lp.name, (cost[cost != 0.0], "{:.12g}".format),
+                 (data[layout.order], "  {:.12g}".format), (rhs, "  {:.12g}".format), bounds)
 
 
 #: HiGHS's reader takes finite costs, bounds and right-hand sides of this
 #: magnitude or more as infinite ...
 INFINITE_VALUE = 1e20
 #: ... and refuses a model with a matrix coefficient of this magnitude or
-#: more; it drops nonzero ones below ``SMALL_COEFFICIENT``.
+#: more; it drops nonzero ones of ``SMALL_COEFFICIENT`` or less.
 LARGE_COEFFICIENT = 1e15
+#: 12 significant digits move a value by less than this share of it, so the
+#: file's text can carry a value across a limit only from this close to it
+ROUNDING = 1e-11
+
+
+def _as_read(value: float) -> float:
+    """The magnitude HiGHS reads from the file's 12-digit text of ``value``."""
+    return abs(float(f"{value:.12g}"))
 
 
 def _check_readable(lp: LinearProgram) -> None:
     """Raise ValueError, naming the row or column, at the first value that
-    HiGHS's reader would not read back as written."""
+    HiGHS's reader would not read back as written.  The text of a value is
+    built only for the few that NaN or nearness to a limit makes suspect."""
     cost, lb, ub, binary = lp.column_arrays()
     indptr, indices, data, _, rhs = lp.row_arrays()
 
@@ -540,27 +575,35 @@ def _check_readable(lp: LinearProgram) -> None:
     for what, values, name in (("cost", cost, column), ("lower bound", lb, column),
                                ("upper bound", ub, column),
                                ("right-hand side", rhs, "c{}".format)):
-        bad = np.flatnonzero(np.isfinite(values) & (np.abs(values) >= INFINITE_VALUE))
-        if bad.size:
-            raise ValueError(f"{name(bad[0])}: {what} {values[bad[0]]:.12g} would read "
-                             f"back as infinite (magnitude >= {INFINITE_VALUE:g})")
+        size = np.abs(values)
+        suspect = ~(size < INFINITE_VALUE * (1 - ROUNDING)) & (size != math.inf)
+        for at in np.flatnonzero(suspect).tolist():
+            value = values[at]
+            if not _as_read(value) < INFINITE_VALUE:
+                raise ValueError(f"{name(at)}: {what} {value:.12g} " + (
+                    "is not a number" if math.isnan(value) else
+                    f"would read back as infinite (magnitude >= {INFINITE_VALUE:g})"))
+    # a LinearProgram holds no zero coefficients: each one at the floor is nonzero
     size = np.abs(data)
-    # a LinearProgram holds no zero coefficients: each one below the floor is nonzero
-    bad = np.flatnonzero((size >= LARGE_COEFFICIENT) | (size < SMALL_COEFFICIENT))
-    if bad.size:
-        at = bad[0]
-        row = np.searchsorted(indptr, at, side="right") - 1
-        raise ValueError(f"c{row}, {column(indices[at])}: coefficient {data[at]:.12g} is "
-                         f"outside the magnitudes HiGHS reads back, "
-                         f"[{SMALL_COEFFICIENT:g}, {LARGE_COEFFICIENT:g})")
+    inside = ((size > SMALL_COEFFICIENT * (1 + ROUNDING))
+              & (size < LARGE_COEFFICIENT * (1 - ROUNDING)))
+    for at in np.flatnonzero(~inside).tolist():
+        value = data[at]
+        if not SMALL_COEFFICIENT < _as_read(value) < LARGE_COEFFICIENT:
+            row = np.searchsorted(indptr, at, side="right") - 1
+            raise ValueError(f"c{row}, {column(indices[at])}: coefficient {value:.12g} " + (
+                "is not a number" if math.isnan(value) else
+                f"is outside the magnitudes HiGHS reads back, "
+                f"({SMALL_COEFFICIENT:g}, {LARGE_COEFFICIENT:g})"))
 
 
 def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:
     """Write the model as UTF-8 text with LF endings; fmt is 'lp' or 'mps'.
 
     Raises ValueError when the model holds a value HiGHS's reader would not
-    read back: a finite cost, bound or right-hand side of magnitude 1e20 or
-    more, or a nonzero coefficient of magnitude 1e15 or more or below 1e-9.
+    read back: NaN, a finite cost, bound or right-hand side of magnitude 1e20
+    or more, or a nonzero coefficient of magnitude 1e15 or more or 1e-9 or
+    less, each as the file writes it (12 significant digits).
     """
     if fmt not in ("lp", "mps"):
         raise ValueError(f"unknown format {fmt!r}")

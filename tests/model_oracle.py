@@ -8,8 +8,8 @@ backlog, so it is added here to the rows ``network.build_node_constraints``
 lists for the ramp; and the lists are built into a model once at the end
 (``conftest.build_lp``) where columns and rows were added to a mutable model
 one at a time.  The link rows are ``BlockTemplate.evaluate``'s, as in the
-template, so a speed-selection coefficient of rounding residue (magnitude
-below ``lp.SMALL_COEFFICIENT``) is 0 here too and dropped with the zeros.
+template, so a speed-selection coefficient of magnitude
+``lp.SMALL_COEFFICIENT`` or less is 0 here too and dropped with the zeros.
 """
 
 import numpy as np

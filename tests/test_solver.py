@@ -259,14 +259,14 @@ def assert_relaxation_holds(lp):
     same(matrix.value_, data[order])
 
 
-def residue_model(config):
-    """The two-stage model of a state whose speed-selection (``delta``)
-    coefficients compute to rounding residue of an exact 0, 2.84e-14 in
-    magnitude: the exit cap binding from t = 0, four steps, and every link
-    empty but M3."""
+def residue_model(config, m3=(0.37705676, 0.0)):
+    """The two-stage model of a state with the exit cap binding from t = 0,
+    four steps, and every link empty but M3, whose segment densities are
+    ``m3``.  The default ones make speed-selection (``delta``) coefficients
+    of rounding residue of an exact 0, 2.84e-14 in magnitude."""
     corridor = dataclasses.replace(config, capacity_drop_start=0.0).corridor()
     densities = {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links}
-    densities["M3"] = np.array([0.37705676, 0.0])
+    densities["M3"] = np.array(m3)
     state = twostage.HorizonState(densities, {l.id: 0.0 for l in corridor.entry_links}, 4,
                                   config.T)
     return twostage.build_deterministic_equivalent(corridor, state, config.distribution(),
@@ -280,6 +280,11 @@ class TestRelaxationHoldsTheModel:
 
     def test_state_with_rounding_residue(self, config):
         assert_relaxation_holds(residue_model(config))
+
+    def test_state_with_coefficients_at_the_floor(self, config):
+        # M3 at 1e-12 makes three delta coefficients of exactly 1e-9, which
+        # HiGHS drops on load
+        assert_relaxation_holds(residue_model(config, m3=(1e-12, 1e-12)))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -424,6 +429,13 @@ class TestExport:
         export_model(lp, path, fmt=fmt)
         assert_reads_back(lp, path)
 
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    def test_state_with_coefficients_at_the_floor_reads_back(self, fmt, config, tmp_path):
+        lp = residue_model(config, m3=(1e-12, 1e-12))
+        path = tmp_path / f"model.{fmt}"
+        export_model(lp, path, fmt=fmt)
+        assert_reads_back(lp, path)
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_drawn_models_export(self, data, config, tmp_path_factory):
@@ -484,14 +496,14 @@ def small_programs(draw, readable):
 
     ``readable`` keeps to the values HiGHS's reader keeps as written: it
     reads finite costs, bounds and right-hand sides of 1e20 or more as
-    infinite, drops coefficients below 1e-9 and rejects those of 1e15 and
-    above.
+    infinite, drops coefficients of 1e-9 or less and rejects those of 1e15
+    and above.
     ``build_lp`` drops zero coefficients, so a row may have no entries and a
     column may have none.
     """
     def pick(values, least=0.0):
         kept = [v for v in values if not readable
-                or ((math.isinf(v) or abs(v) < 1e20) and not 0.0 < abs(v) < least)]
+                or ((math.isinf(v) or abs(v) < 1e20) and not 0.0 < abs(v) <= least)]
         return draw(st.sampled_from(kept))
 
     columns = []
@@ -587,6 +599,45 @@ class TestLayouts:
         assert len(solver._layouts) == 2 + sum(
             solver._layout_key(fmt, other) != solver._layout_key(fmt, a) for fmt in ("lp", "mps"))
 
+    def test_export_formats_only_the_numbers_that_changed(self, tmp_path, monkeypatch):
+        # B differs from A in one coefficient, one right-hand side (0.0 to
+        # -0.0, equal as floats) and one upper bound
+        x, y = ("x",), ("y",)
+
+        def model(coef, rhs, ub):
+            return build_lp([(x, 0.0, ub, False, 1.5), (y, -1.0, 4.0, False, -2.0)],
+                            [({x: coef, y: 2.0}, LE, 3.0), ({x: 1.0, y: -1.0}, GE, rhs)],
+                            "one pattern")
+
+        a, b = model(0.25, 0.0, 5.0), model(-7.5, -0.0, 4.5)
+        assert ">= -0\n" in export_oracle.lp_text(b) and ">= 0\n" in export_oracle.lp_text(a)
+        formatted = []
+        texts = solver._texts
+
+        def counted(values, fmt):
+            formatted.append(len(values))
+            return texts(values, fmt)
+
+        monkeypatch.setattr(solver, "_texts", counted)
+        # the LP objective (2 costs) and the MPS bounds section (2 lower and 2
+        # upper bounds) are text slots, formatted whole on every export
+        whole = {"lp": 2, "mps": 4}
+        solver._layouts.clear()
+        counts = {"lp": [], "mps": []}
+        for lp in (a, a, b, a, b, b):
+            for fmt, oracle in (("lp", export_oracle.lp_text), ("mps", export_oracle.mps_text)):
+                formatted.clear()
+                path = tmp_path / f"model.{fmt}"
+                export_model(lp, path, fmt=fmt)
+                assert path.read_bytes() == oracle(lp).encode()
+                counts[fmt].append(sum(formatted) - whole[fmt])
+        # the first export formats every number of the array slots (LP: 4
+        # coefficients, 2 right-hand sides, 2 lower and 2 upper bounds; MPS:
+        # 2 costs, 4 coefficients, 2 right-hand sides), a re-export none, and
+        # a switch between A and B the coefficient, the right-hand side and,
+        # in LP, the bound
+        assert counts == {"lp": [10, 0, 3, 3, 3, 0], "mps": [8, 0, 2, 2, 2, 0]}
+
     def test_layouts_kept_are_bounded(self, tmp_path):
         solver._layouts.clear()
         models = [build_lp([(("x", j), 0.0, 1.0, False, 1.0) for j in range(n)],
@@ -642,6 +693,18 @@ class TestUnreadableValues:
         ({}, (1.0, 1e20), "c0: right-hand side 1e+20"),
         ({}, (1e15, 1.0), "c0, x0: coefficient 1e+15"),
         ({}, (1e-13, 1.0), "c0, x0: coefficient 1e-13"),
+        ({}, (1e-9, 1.0), "c0, x0: coefficient 1e-09 is outside"),
+        # values the file's 12 digits carry onto a limit
+        ({}, (float(np.nextafter(1e-9, 1.0)), 1.0), "c0, x0: coefficient 1e-09 is outside"),
+        ({}, (float(np.nextafter(1e15, 0.0)), 1.0), "c0, x0: coefficient 1e+15 is outside"),
+        ({"obj": float(np.nextafter(1e20, 0.0))}, None, "x0: cost 1e+20 would read"),
+        ({"ub": float(np.nextafter(1e20, 0.0))}, None, "x0: upper bound 1e+20 would read"),
+        ({}, (1.0, float(np.nextafter(-1e20, 0.0))), "c0: right-hand side -1e+20 would read"),
+        ({"obj": math.nan}, None, "x0: cost nan is not a number"),
+        ({"lb": math.nan}, None, "x0: lower bound nan is not a number"),
+        ({"ub": math.nan}, None, "x0: upper bound nan is not a number"),
+        ({}, (1.0, math.nan), "c0: right-hand side nan is not a number"),
+        ({}, (math.nan, 1.0), "c0, x0: coefficient nan is not a number"),
     ])
     def test_value_is_named(self, fmt, column, row, message, tmp_path):
         column = {"lb": 0.0, "ub": 5.0, "obj": 1.0, **column}
@@ -660,7 +723,7 @@ class TestUnreadableValues:
         _, _, data, _, rhs = lp.row_arrays()
         numbers = np.concatenate([c, lb, ub, rhs])
         unreadable = (np.any(np.isfinite(numbers) & (np.abs(numbers) >= 1e20))
-                      or np.any((np.abs(data) >= 1e15) | (np.abs(data) < 1e-9)))
+                      or np.any((np.abs(data) >= 1e15) | (np.abs(data) <= 1e-9)))
         for fmt in ("lp", "mps"):
             path = tmp_path_factory.getbasetemp() / f"refused.{fmt}"
             if unreadable:
