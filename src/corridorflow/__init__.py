@@ -14,7 +14,7 @@ from .lwr import (
     critical_density,
 )
 from .linkmodel import LinkSpec, SpeedLimitSet
-from .network import Corridor, Junction, validate_topology
+from .network import Corridor, Junction, TopologyError
 from .twostage import (
     DemandDistribution,
     HorizonState,

@@ -28,7 +28,7 @@ from . import solver
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
 from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
 from .lwr import LinkGeometry, TriangularFD
-from .network import MERGE, SERIAL, Corridor, Junction, validate_topology
+from .network import MERGE, SERIAL, Corridor, Junction
 from .twostage import DemandDistribution, ObjectiveWeights, apply_queue_update, entry_capacity
 
 MASK64 = (1 << 64) - 1
@@ -121,6 +121,13 @@ class ExperimentConfig:
         return HorizonConfig(self.n_project, self.n_rolling, self.T)
 
     def corridor(self) -> Corridor:
+        """The configured layout.  Raises ``ValueError`` naming ``vsl_link``
+        when it is not a mainline link, and ``network.TopologyError`` when the
+        corridor refuses the layout, such as a ``merge_into`` that leaves the
+        ramp feeding no junction."""
+        if not 1 <= self.vsl_link <= self.n_main_links:
+            raise ValueError(f"vsl_link {self.vsl_link} is not a mainline link "
+                             f"(1..{self.n_main_links})")
         fd = self.fd()
         links = [LinkSpec("E", ENTRY, controlled=True)]
         junctions = []
@@ -141,13 +148,8 @@ class ExperimentConfig:
                 junctions.append(Junction(f"j{i}", (f"M{i}", "R"), (down,), MERGE))
             else:
                 junctions.append(Junction(f"j{i}", (f"M{i}",), (down,), SERIAL))
-        exit_id = f"M{self.n_main_links}"
-        corridor = Corridor(links, junctions,
-                            {exit_id: (self.capacity_drop, self.capacity_drop_start)})
-        errors = validate_topology(corridor)
-        if errors:
-            raise ValueError("invalid corridor: " + "; ".join(errors))
-        return corridor
+        exit_caps = {f"M{self.n_main_links}": (self.capacity_drop, self.capacity_drop_start)}
+        return Corridor(links, junctions, exit_caps)
 
 
 def case_study() -> ExperimentConfig:

@@ -66,7 +66,7 @@ class SpeedLimitSet:
         return len(self.speeds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSpec:
     """Static description of one link."""
 

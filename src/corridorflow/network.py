@@ -1,15 +1,21 @@
 """Corridor topology and junction-level flow coupling.
 
 A corridor is a directed path of links with optional merge junctions where
-an on-ramp joins the mainline.  Junction constraints tie one link's outflow
-to the next link's inflow; at a merge the ramp is served before the mainline
-(one binary per step flags the rare case where the ramp itself is
-supply-limited, in which case the mainline yields entirely).
+an on-ramp joins the mainline.  ``Corridor`` is a frozen value that checks
+itself on construction and resolves each junction once into its ``Roles``,
+so the simulator and the control model read the topology from it and check
+nothing themselves; this is the one module that reads junction kinds.
+Junction constraints tie one link's outflow to the next link's inflow; at a
+merge the ramp is served before the mainline (one binary per step flags the
+rare case where the ramp itself is supply-limited, in which case the
+mainline yields entirely).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linkmodel import ENTRY, FD, LinkSpec
 from .lp import EQ, GE, LE, Constraint
@@ -18,7 +24,22 @@ SERIAL = "serial"
 MERGE = "merge"
 
 
-@dataclass
+class TopologyError(ValueError):
+    pass
+
+
+class Roles(NamedTuple):
+    """One junction's links: ``ramp`` the spec of the entry link that feeds
+    it (None when none does), ``main`` the id of the upstream link with a
+    flux law (None when none does) and ``down`` the downstream link's id.  A
+    serial junction has one of ramp and main, a merge both."""
+
+    ramp: LinkSpec | None
+    main: str | None
+    down: str
+
+
+@dataclass(frozen=True)
 class Junction:
     id: str
     incoming: tuple
@@ -26,19 +47,38 @@ class Junction:
     kind: str = SERIAL
 
     def __post_init__(self):
-        self.incoming = tuple(self.incoming)
-        self.outgoing = tuple(self.outgoing)
+        object.__setattr__(self, "incoming", tuple(self.incoming))
+        object.__setattr__(self, "outgoing", tuple(self.outgoing))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corridor:
-    links: list
-    junctions: list
-    #: exit link id -> (downstream supply cap, active-from time)
-    exit_caps: dict = field(default_factory=dict)
+    """Links, junctions and exit caps, checked on construction.
+
+    ``links`` and ``junctions`` are held as tuples and ``exit_caps`` (exit
+    link id -> (downstream supply cap, active-from time), given as a dict or
+    as such pairs) as pairs sorted by id, so corridors built alike compare
+    and hash equal.  A corridor that breaks a rule of ``_resolve`` raises
+    ``TopologyError`` listing every problem.  ``roles`` holds each junction's
+    Roles, in the order of ``junctions``.
+    """
+
+    links: tuple
+    junctions: tuple
+    exit_caps: tuple = ()
 
     def __post_init__(self):
-        self._by_id = {l.id: l for l in self.links}
+        caps = {lid: (value, t_start) for lid, (value, t_start) in dict(self.exit_caps).items()}
+        object.__setattr__(self, "links", tuple(self.links))
+        object.__setattr__(self, "junctions", tuple(self.junctions))
+        object.__setattr__(self, "exit_caps", tuple(sorted(caps.items())))
+        # not fields: equality and hashing see links, junctions and exit caps only
+        object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
+        object.__setattr__(self, "_caps", caps)
+        roles, errors = _resolve(self)
+        if errors:
+            raise TopologyError("; ".join(errors))
+        object.__setattr__(self, "roles", tuple(roles))
 
     def link(self, link_id: str) -> LinkSpec:
         return self._by_id[link_id]
@@ -67,70 +107,62 @@ class Corridor:
         return [self._by_id[i] for i in sorted(downstream_of) if self._by_id[i].kind == FD]
 
     def exit_cap(self, link_id: str, t: float) -> float:
-        cap = self.exit_caps.get(link_id)
+        cap = self._caps.get(link_id)
         if cap is None:
             return self.link(link_id).capacity
         value, t_start = cap
         return float(value) if t >= t_start else self.link(link_id).capacity
 
 
-class TopologyError(ValueError):
-    pass
-
-
-def validate_topology(corridor: Corridor) -> list[str]:
-    """Structural checks; returns a list of problems (empty when valid)."""
+def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
+    """Each junction's Roles and every problem of ``corridor``: unknown or
+    duplicate link ids, a serial junction that is not 1-in/1-out, a merge
+    that does not join one entry-link ramp and one mainline link into one
+    link, a link in two junction roles, an entry link that is a junction
+    outflow or feeds no junction, an inconsistent flux law, and no entry or
+    no exit link."""
     errors = []
-    ids = [l.id for l in corridor.links]
-    if len(set(ids)) != len(ids):
+    by_id = corridor._by_id
+    if len(by_id) != len(corridor.links):
         errors.append("duplicate link ids")
-    known = set(ids)
 
-    in_roles: dict[str, int] = {i: 0 for i in ids}
-    out_roles: dict[str, int] = {i: 0 for i in ids}
+    roles = []
+    in_roles = Counter(lid for jn in corridor.junctions for lid in jn.incoming)
+    out_roles = Counter(lid for jn in corridor.junctions for lid in jn.outgoing)
     for jn in corridor.junctions:
         for lid in jn.incoming + jn.outgoing:
-            if lid not in known:
+            if lid not in by_id:
                 errors.append(f"junction {jn.id} references unknown link {lid}")
+        ramps = [by_id[i] for i in jn.incoming if i in by_id and by_id[i].kind == ENTRY]
+        mains = [i for i in jn.incoming if i in by_id and by_id[i].kind != ENTRY]
         if jn.kind == SERIAL and (len(jn.incoming), len(jn.outgoing)) != (1, 1):
             errors.append(f"junction {jn.id}: serial junctions are 1-in/1-out")
-        if jn.kind == MERGE and (len(jn.incoming), len(jn.outgoing)) != (2, 1):
-            errors.append(f"junction {jn.id}: merge junctions are 2-in/1-out")
-        if jn.kind not in (SERIAL, MERGE):
+        elif jn.kind == MERGE and (len(ramps), len(mains), len(jn.outgoing)) != (1, 1, 1):
+            errors.append(f"junction {jn.id}: a merge joins one entry-link ramp and one "
+                          "mainline link into one link")
+        elif jn.kind not in (SERIAL, MERGE):
             errors.append(f"junction {jn.id}: unsupported kind {jn.kind}")
-        for lid in jn.incoming:
-            if lid in in_roles:
-                in_roles[lid] += 1
-        for lid in jn.outgoing:
-            if lid in out_roles:
-                out_roles[lid] += 1
+        roles.append(Roles(ramps[0] if ramps else None, mains[0] if mains else None,
+                           jn.outgoing[0] if jn.outgoing else None))
 
     for l in corridor.links:
         if in_roles[l.id] > 1 or out_roles[l.id] > 1:
             errors.append(f"link {l.id} appears in multiple junction roles")
         if l.kind == ENTRY and out_roles[l.id] > 0:
             errors.append(f"entry link {l.id} cannot be a junction outflow")
+        if l.kind == ENTRY and in_roles[l.id] == 0:
+            errors.append(f"entry link {l.id} feeds no junction")
         if l.kind == FD:
             fd = l.fd
             rc_expected = -fd.rho_m * fd.w / (fd.vf - fd.w)
             if abs(fd.rho_c - rc_expected) > 1e-9:
                 errors.append(f"link {l.id}: FD inconsistency")
-            if l.is_vsl:
-                sls = l.vsl_set
-                if sls is None:
-                    errors.append(f"link {l.id}: VSL link missing speed set")
-                else:
-                    for v, rc, Q in zip(sls.speeds, sls.rho_cs, sls.capacities):
-                        if abs(rc + sls.rho_m * sls.w / (v - sls.w)) > 1e-9:
-                            errors.append(f"link {l.id}: speed set inconsistent at {v}")
-                        if abs(Q - v * rc) > 1e-9:
-                            errors.append(f"link {l.id}: capacity inconsistent at {v}")
 
     if not corridor.entry_links:
         errors.append("no entry links")
     if not corridor.exit_links:
         errors.append("no exit link")
-    return errors
+    return roles, errors
 
 
 def merge_big_m(corridor: Corridor, junction: Junction, n_max: int, T: float) -> float:
@@ -152,48 +184,36 @@ def build_node_constraints(corridor: Corridor, junction: Junction, n_max: int,
     sides count arrivals only; the ramp's backlog at the horizon start adds to
     them.
     """
-    rows: list[Constraint] = []
-    down_id = junction.outgoing[0]
-
-    def out_key(link_id, n):
+    ramp, main_id, down_id = corridor.roles[corridor.junctions.index(junction)]
+    if ramp is None or main_id is None:
         # entry links are point queues: what leaves them is what was admitted
-        return ("qin" if corridor.link(link_id).kind == ENTRY else "qout", link_id, n)
-
-    if junction.kind == SERIAL:
-        up_id = junction.incoming[0]
-        for n in range(1, n_max + 1):
-            rows.append(Constraint({out_key(up_id, n): 1.0, ("qin", down_id, n): -1.0}, EQ, 0.0))
+        up = ("qout", main_id) if ramp is None else ("qin", ramp.id)
+        rows = [Constraint({(*up, n): 1.0, ("qin", down_id, n): -1.0}, EQ, 0.0)
+                for n in range(1, n_max + 1)]
         return rows, {}
 
-    if junction.kind != MERGE:
-        raise TopologyError(f"unsupported junction kind {junction.kind}")
-
-    ramp_candidates = [i for i in junction.incoming if corridor.link(i).kind == ENTRY]
-    if len(ramp_candidates) != 1:
-        raise TopologyError(f"merge {junction.id} needs exactly one entry-link ramp")
-    ramp_id = ramp_candidates[0]
-    main_id = next(i for i in junction.incoming if i != ramp_id)
-    ramp = corridor.link(ramp_id)
     big_m = merge_big_m(corridor, junction, n_max, T)
     main_cap = corridor.link(main_id).capacity
-
-    backlog = []
+    rows, backlog = [], []
     for n in range(1, n_max + 1):
-        admitted = {("qin", ramp_id, i): 1.0 for i in range(1, n + 1)}
+        admitted = {("qin", ramp.id, i): 1.0 for i in range(1, n + 1)}
         z = ("merge", junction.id, n)
         backlog += [len(rows) + 1, len(rows) + 2]
         rows += [
-            Constraint({out_key(main_id, n): 1.0, ("qin", ramp_id, n): 1.0,
+            Constraint({("qout", main_id, n): 1.0, ("qin", ramp.id, n): 1.0,
                         ("qin", down_id, n): -1.0}, EQ, 0.0),
             # ramp availability: cumulative admissions capped by arrivals + backlog
             Constraint(admitted, LE, ramp.demand * n),
             # ramp served first: demand-limited unless flagged supply-limited,
             # in which case the mainline yields the junction entirely
             Constraint({**admitted, z: big_m}, GE, ramp.demand * n),
-            Constraint({out_key(main_id, n): 1.0, z: main_cap}, LE, main_cap),
+            Constraint({("qout", main_id, n): 1.0, z: main_cap}, LE, main_cap),
         ]
-    return rows, {ramp_id: backlog}
+    return rows, {ramp.id: backlog}
 
 
 def merge_binary_keys(junction: Junction, n_max: int) -> list:
+    """The merge's regime binaries; a serial junction has none."""
+    if junction.kind != MERGE:
+        return []
     return [("merge", junction.id, n) for n in range(1, n_max + 1)]

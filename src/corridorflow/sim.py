@@ -6,8 +6,8 @@ flows of the period's completed steps.  A step first opens itself by
 appending a zero flow to every kernel's inflow and outflow; each link's step
 demand and supply come from its boundary-evaluated cumulative-count
 components with the open step at zero, junction flows take the greedy min
-(ramp served first at merges, over a junction plan resolved once at
-construction), and the realized flows overwrite the open step's zeros.  The
+(ramp served first at merges, over the junction roles the corridor
+resolved), and the realized flows overwrite the open step's zeros.  The
 step then records each link's per-segment densities from exact
 cumulative-count differences; state reads and, at period boundaries
 (speed-limit changes, horizon rolls), the fresh kernels start from those,
@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lwr
-from .linkmodel import ENTRY
-from .network import MERGE, SERIAL, Corridor
+from .network import Corridor
 
 
 def _step_rate(T: float, Q: float, count_fn, flows: list, edge_kinks: list,
@@ -41,25 +40,6 @@ def _refuse_unknown(values: dict, known: list, what: str, why: str) -> None:
     for lid in values:
         if lid not in known:
             raise ValueError(f"initial {what} for link {lid!r}: {why}")
-
-
-def _junction_plan(corridor: Corridor) -> list:
-    """Each junction as (ramp, main, down) in corridor order: ``ramp`` the
-    entry link's spec that feeds it (None when none does), ``main`` the id of
-    the upstream link with a flux law (None when none does) and ``down`` the
-    downstream link's id.  A serial junction has one of ramp and main, a
-    merge both."""
-    plan = []
-    for jn in corridor.junctions:
-        if jn.kind not in (SERIAL, MERGE):
-            raise ValueError(f"unsupported junction kind {jn.kind}")
-        ramps = [corridor.link(i) for i in jn.incoming if corridor.link(i).kind == ENTRY]
-        mains = [i for i in jn.incoming if corridor.link(i).kind != ENTRY]
-        if jn.kind == MERGE and (len(ramps), len(mains)) != (1, 1):
-            raise ValueError(f"merge {jn.id} needs one entry-link ramp and one mainline link")
-        plan.append((ramps[0] if ramps else None, mains[0] if mains else None,
-                     jn.outgoing[0]))
-    return plan
 
 
 class CorridorSimulator:
@@ -98,7 +78,7 @@ class CorridorSimulator:
         self.corridor = corridor
         self.T = T
         self.global_step = 0
-        self._junctions = _junction_plan(corridor)
+        self._junctions = corridor.roles
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
         #: link id -> ``boundaries()`` of its kernel

@@ -174,33 +174,10 @@ class ModelBundle:
 
 def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
     """Capacity of the link an entry feeds; bounds its control and inflow."""
-    for jn in corridor.junctions:
-        if entry_id in jn.incoming:
-            return corridor.link(jn.outgoing[0]).capacity
-    raise network.TopologyError(f"entry link {entry_id} feeds no junction")
-
-
-class CorridorShape:
-    """A corridor compared and hashed by what its model's rows read from it:
-    the links, the junctions and the exit caps.  Corridors built alike share
-    their model templates."""
-
-    __slots__ = ("corridor", "_key")
-
-    def __init__(self, corridor: network.Corridor):
-        self.corridor = corridor
-        self._key = (
-            tuple((l.id, l.kind, l.geometry, l.fd, l.is_vsl, l.vsl_set, l.controlled, l.demand)
-                  for l in corridor.links),
-            tuple((jn.id, jn.incoming, jn.outgoing, jn.kind) for jn in corridor.junctions),
-            tuple(sorted(corridor.exit_caps.items())),
-        )
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __eq__(self, other):
-        return isinstance(other, CorridorShape) and self._key == other._key
+    for ramp, _, down in corridor.roles:
+        if ramp is not None and ramp.id == entry_id:
+            return corridor.link(down).capacity
+    raise ValueError(f"{entry_id!r} is not an entry link of the corridor")
 
 
 class ModelTemplate:
@@ -228,9 +205,6 @@ class ModelTemplate:
 
     def __init__(self, corridor: network.Corridor, n_steps: int, T: float,
                  n_scenarios: int, fluct_pairs: tuple):
-        errors = network.validate_topology(corridor)
-        if errors:
-            raise network.TopologyError("; ".join(errors))
         self.corridor, self.n_steps, self.T = corridor, n_steps, T
         steps = range(1, n_steps + 1)
         controlled = corridor.controlled_entries
@@ -255,9 +229,8 @@ class ModelTemplate:
                     exit_out.append(len(block))
                     exit_left.append(n_steps - idx[0] + 1)
                 block.append(((kind, link.id, *idx), lb, ub, var_kind == BINARY))
-        for jn in corridor.junctions:
-            if jn.kind == network.MERGE:
-                block += [(key, 0.0, 1.0, True) for key in network.merge_binary_keys(jn, n_steps)]
+        block += [(key, 0.0, 1.0, True) for jn in corridor.junctions
+                  for key in network.merge_binary_keys(jn, n_steps)]
         u_cols = []
         for link in controlled:
             block += [(("force", link.id, t), 0.0, 1.0, True) for t in steps]
@@ -432,11 +405,12 @@ class ModelTemplate:
 
 
 @functools.lru_cache(maxsize=None)
-def model_template(shape: CorridorShape, n_steps: int, T: float, n_scenarios: int,
+def model_template(corridor: network.Corridor, n_steps: int, T: float, n_scenarios: int,
                    fluct_pairs: tuple) -> ModelTemplate:
     """The ModelTemplate of one shape, built on first use.  The key holds no
-    state, so every horizon of a closed loop that keeps the shape reuses it."""
-    return ModelTemplate(shape.corridor, n_steps, T, n_scenarios, fluct_pairs)
+    state, so every horizon of a closed loop that keeps the shape reuses it,
+    and equal corridors share one template."""
+    return ModelTemplate(corridor, n_steps, T, n_scenarios, fluct_pairs)
 
 
 def assemble_model(
@@ -453,7 +427,7 @@ def assemble_model(
     pairs = options.fluct_pairs
     if pairs is None:
         pairs = [(t, t + 1) for t in range(1, state.n_steps)]
-    template = model_template(CorridorShape(corridor), state.n_steps, state.T, len(scenarios),
+    template = model_template(corridor, state.n_steps, state.T, len(scenarios),
                               tuple((int(t1), int(t2)) for t1, t2 in pairs))
     for link in corridor.fd_links:
         dens = np.asarray(state.densities[link.id], dtype=float)

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,17 @@ class TestConfigFile:
         assert corridor.link("M3").is_vsl
         assert [l.id for l in corridor.exit_links] == ["M4"]
         assert corridor.exit_cap("M4", 0.0) == pytest.approx(1.4)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vsl_link", 0, r"vsl_link 0 is not a mainline link \(1..4\)"),
+        ("vsl_link", 7, r"vsl_link 7 is not a mainline link \(1..4\)"),
+        ("merge_into", 1, "entry link R feeds no junction"),
+        ("merge_into", 9, "entry link R feeds no junction"),
+    ], ids=["vsl_link=0", "vsl_link=7", "merge_into=1", "merge_into=9"])
+    def test_corridor_refuses_a_link_index_off_the_mainline(self, config, field, value,
+                                                             message):
+        with pytest.raises(ValueError, match=message):
+            replace(config, **{field: value}).corridor()
 
 
 def _fake_trajectory(config, inflow_by_horizon, levels):

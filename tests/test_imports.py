@@ -1,8 +1,10 @@
 """Every module of the package (but ``__init__.py``, which re-exports), of
-the tests and of the benchmark uses each name it imports; and the package
-keeps solver formats in ``solver``: no module but ``solver.py`` imports any
-scipy module, so linprog, the ``_highspy`` binding and the column-wise
-layouts of the rows (``scipy.sparse``) stay there."""
+the tests and of the benchmark uses each name it imports; the package keeps
+solver formats in ``solver``: no module but ``solver.py`` imports any scipy
+module, so linprog, the ``_highspy`` binding and the column-wise layouts of
+the rows (``scipy.sparse``) stay there; and it keeps junction roles in
+``network``: no module but ``network.py`` compares anything with a junction
+kind, so the others read the roles a ``Corridor`` resolved."""
 
 import ast
 from pathlib import Path
@@ -77,3 +79,28 @@ def test_the_model_container_imports_no_scipy():
 def test_only_the_solver_drives_linprog_and_highs(path):
     # nor does any other module lay out rows with scipy.sparse
     assert not reaches(imported(path.read_text()), "scipy")
+
+
+def kind_comparisons(source: str) -> list[int]:
+    """Lines of ``source`` where a comparison reads the name ``MERGE`` or
+    ``SERIAL``, bare or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & {"MERGE", "SERIAL"}:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_scan_finds_a_junction_kind_compared():
+    source = ("j = Junction('j', a, b, MERGE)\nif jn.kind == network.MERGE:\n    pass\n"
+              "ok = kind not in (SERIAL, MERGE)\nsame = kind == other\n")
+    assert kind_comparisons(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "network.py"],
+                         ids=lambda p: p.name)
+def test_only_the_corridor_reads_junction_kinds(path):
+    assert kind_comparisons(path.read_text()) == []

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from corridorflow import network, solver
 from corridorflow.linkmodel import ENTRY, FD, LinkSpec
 from corridorflow.lwr import LinkGeometry
-from corridorflow.network import MERGE, SERIAL, Corridor, Junction
+from corridorflow.network import MERGE, SERIAL, Corridor, Junction, TopologyError
 
 from conftest import build_lp, solve_lp_relaxation
 
@@ -18,16 +19,18 @@ def corridor(config):
     return config.corridor()
 
 
-class TestValidateTopology:
+class TestCorridor:
     def test_case_study_layout_is_valid(self, corridor):
-        assert network.validate_topology(corridor) == []
+        # built without a TopologyError; each junction resolves to its roles
+        assert [(r.ramp and r.ramp.id, r.main, r.down) for r in corridor.roles] == [
+            ("E", None, "M1"), (None, "M1", "M2"), ("R", "M2", "M3"), (None, "M3", "M4")]
 
     def test_unknown_link_reference(self, fd):
         geom = LinkGeometry(0.0, 1200.0, 2)
         links = [LinkSpec("a", FD, geom, fd), LinkSpec("e", ENTRY, controlled=True)]
         junctions = [Junction("j", ("e",), ("ghost",), SERIAL)]
-        errors = network.validate_topology(Corridor(links, junctions))
-        assert any("unknown link" in e for e in errors)
+        with pytest.raises(TopologyError, match="junction j references unknown link ghost"):
+            Corridor(links, junctions)
 
     def test_serial_arity(self, fd):
         geom = LinkGeometry(0.0, 1200.0, 2)
@@ -37,27 +40,59 @@ class TestValidateTopology:
             LinkSpec("e", ENTRY, controlled=True),
         ]
         junctions = [Junction("j", ("e", "a"), ("b",), SERIAL)]
-        errors = network.validate_topology(Corridor(links, junctions))
-        assert any("1-in/1-out" in e for e in errors)
+        with pytest.raises(TopologyError, match="junction j: serial junctions are 1-in/1-out"):
+            Corridor(links, junctions)
 
     def test_flux_law_inconsistency_detected(self, corridor):
         bad = SimpleNamespace(vf=30.0, w=-4.9, rho_m=0.5, rho_c=0.123, Q=2.1)
-        links = [
-            LinkSpec.__new__(LinkSpec)
-        ]
-        link = links[0]
-        link.id = "bad"
-        link.kind = FD
-        link.geometry = LinkGeometry(0.0, 1200.0, 2)
-        link.fd = bad
-        link.is_vsl = False
-        link.vsl_set = None
-        link.controlled = False
-        link.demand = 0.0
+        link = replace(corridor.link("M1"), id="bad", fd=bad)
         entry = LinkSpec("e", ENTRY, controlled=True)
-        c = Corridor([entry, link], [Junction("j", ("e",), ("bad",), SERIAL)])
-        errors = network.validate_topology(c)
-        assert any("FD inconsistency" in e for e in errors)
+        with pytest.raises(TopologyError, match="link bad: FD inconsistency"):
+            Corridor([entry, link], [Junction("j", ("e",), ("bad",), SERIAL)])
+
+    def test_merge_of_two_mainline_links(self, fd, geom):
+        links = [LinkSpec("e", ENTRY, controlled=True)] + [
+            LinkSpec(i, FD, geom, fd) for i in ("a", "b", "c")]
+        junctions = [Junction("jE", ("e",), ("a",)), Junction("j", ("a", "b"), ("c",), MERGE)]
+        with pytest.raises(TopologyError, match="junction j: a merge joins one entry-link ramp"):
+            Corridor(links, junctions)
+
+    def test_merge_of_two_ramps(self, fd, geom):
+        links = [LinkSpec("e", ENTRY, controlled=True), LinkSpec("r", ENTRY, demand=0.05),
+                 LinkSpec("a", FD, geom, fd)]
+        with pytest.raises(TopologyError, match="junction j: a merge joins one entry-link ramp"):
+            Corridor(links, [Junction("j", ("e", "r"), ("a",), MERGE)])
+
+    def test_dangling_entry_link(self, corridor):
+        junctions = [jn for jn in corridor.junctions if jn.kind == SERIAL]
+        junctions.insert(2, Junction("j2", ("M2",), ("M3",)))
+        with pytest.raises(TopologyError, match="entry link R feeds no junction"):
+            replace(corridor, junctions=junctions)
+
+    def test_every_problem_is_listed(self, corridor):
+        junctions = corridor.junctions[:2] + (Junction("j2", ("M2", "M3"), ("M9",), MERGE),)
+        with pytest.raises(TopologyError) as err:
+            replace(corridor, junctions=junctions)
+        assert str(err.value) == (
+            "junction j2 references unknown link M9; junction j2: a merge joins one entry-link "
+            "ramp and one mainline link into one link; entry link R feeds no junction")
+
+    def test_fields_cannot_be_assigned(self, corridor):
+        for name in ("links", "junctions", "exit_caps"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(corridor, name, ())
+        with pytest.raises(TypeError):
+            corridor.links[0] = corridor.links[1]
+        with pytest.raises(FrozenInstanceError):
+            corridor.link("R").demand = 0.1
+        with pytest.raises(FrozenInstanceError):
+            corridor.junctions[0].incoming = ("R",)
+        assert corridor.exit_caps == (("M4", (1.4, 0.0)),)
+
+    def test_serial_junctions_have_no_merge_binaries(self, corridor):
+        keys = [network.merge_binary_keys(jn, N) for jn in corridor.junctions]
+        assert keys[0] == keys[1] == keys[3] == []
+        assert keys[2] == [("merge", "j2", n) for n in range(1, N + 1)]
 
 
 def _merge_lp(corridor, supply_cap, ramp_demand=None, objective="main", backlog=0.0):
@@ -66,7 +101,8 @@ def _merge_lp(corridor, supply_cap, ramp_demand=None, objective="main", backlog=
     ``build_node_constraints`` flags for the ramp."""
     jn = next(j for j in corridor.junctions if j.kind == MERGE)
     if ramp_demand is not None:
-        corridor.link("R").demand = ramp_demand
+        links = [replace(l, demand=ramp_demand) if l.id == "R" else l for l in corridor.links]
+        corridor = replace(corridor, links=links)
     rows, ramp_rows = network.build_node_constraints(corridor, jn, N, T)
     assert list(ramp_rows) == ["R"]
     for pos in ramp_rows["R"]:
@@ -142,6 +178,6 @@ class TestSerialJunction:
         corridor = config.corridor()
         assert corridor.exit_cap("M4", 0.0) == pytest.approx(1.4)
         assert corridor.exit_cap("M4", 6000.0) == pytest.approx(1.4)
-        corridor.exit_caps["M4"] = (1.4, 100.0)
+        corridor = replace(corridor, exit_caps={"M4": (1.4, 100.0)})
         assert corridor.exit_cap("M4", 0.0) == pytest.approx(corridor.link("M4").capacity)
         assert corridor.exit_cap("M4", 100.0) == pytest.approx(1.4)

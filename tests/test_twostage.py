@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corridorflow import linkmodel, solver
+from corridorflow import linkmodel, solver, twostage
 from corridorflow.twostage import (
     DemandDistribution,
     HorizonState,
@@ -82,6 +82,30 @@ class TestDegenerateEquivalence:
             base.published_control(sol_base, "E"),
             atol=1e-6,
         )
+
+
+class TestTemplateCache:
+    def test_corridors_built_alike_share_a_template(self, config):
+        def exit_cap_steps(bundle):
+            """The steps t of scenario 0's rows qout(M4, t) <= 1.4."""
+            keys = [[bundle.lp.keys[i] for i in row.coeffs] for row in bundle.lp.constraints
+                    if row.rhs == 1.4]
+            return [key[0][3] for key in keys if len(key) == 1 and key[0][:3] == (0, "qout", "M4")]
+
+        def build(corridor):
+            return build_deterministic_equivalent(corridor, make_state(corridor, 0.1),
+                                                  config.distribution(), config.weights())
+
+        build(config.corridor())
+        before = twostage.model_template.cache_info()
+        alike = build(config.corridor())
+        after = twostage.model_template.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        later = build(dataclasses.replace(config, capacity_drop_start=100.0).corridor())
+        assert twostage.model_template.cache_info().misses == before.misses + 1
+        # t0 = 0: the drop caps every step at first, and steps from t = 100 s later
+        assert exit_cap_steps(alike) == list(range(1, N + 1))
+        assert exit_cap_steps(later) == list(range(6, N + 1))
 
 
 class TestObjectiveStructure:
