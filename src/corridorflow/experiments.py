@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import platform
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -355,14 +355,13 @@ class ComparisonResult:
 
 
 def run_single(config: ExperimentConfig, controller_kind: str, seed: int,
-               n_horizons: int | None = None,
-               dist: DemandDistribution | None = None,
                solve_options: solver.SolveOptions | None = None):
-    """One controller on one seeded stream; returns (trajectory, metrics)."""
+    """One controller on one seeded stream of ``config.n_horizons`` levels
+    drawn from ``config.distribution()``; returns (trajectory, metrics)."""
     corridor = config.corridor()
-    dist = dist or config.distribution()
+    dist = config.distribution()
     cfg = config.horizon()
-    stream = sample_demand_stream(dist, n_horizons or config.n_horizons, seed)
+    stream = sample_demand_stream(dist, config.n_horizons, seed)
     traj = ctl.run_closed_loop(corridor, stream, controller_kind, dist,
                                config.weights(), cfg, solve_options)
     metrics = compute_metrics(traj, config.weights(), cfg, corridor)
@@ -371,9 +370,9 @@ def run_single(config: ExperimentConfig, controller_kind: str, seed: int,
 
 
 def _comparison_task(args):
-    config, kind, seed, n_horizons, dist, opts = args
+    config, kind, seed, opts = args
     try:
-        _, metrics = run_single(config, kind, seed, n_horizons, dist, opts)
+        _, metrics = run_single(config, kind, seed, opts)
         return seed, kind, metrics, None
     except Exception as err:  # individual runs may fail; the table continues
         return seed, kind, None, _failure_text(err)
@@ -389,19 +388,16 @@ def run_comparison(
     config: ExperimentConfig,
     seeds=None,
     n_horizons: int | None = None,
-    dist: DemandDistribution | None = None,
     solve_options: solver.SolveOptions | None = None,
     jobs: int = 1,
     controllers=CONTROLLER_KINDS,
 ) -> ComparisonResult:
-    """All controllers on identical seeded streams."""
+    """All controllers on identical seeded streams; ``n_horizons``, when
+    given, replaces ``config.n_horizons``."""
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
-    dist = dist or config.distribution()
-    tasks = [
-        (config, kind, seed, n_horizons, dist, solve_options)
-        for seed in seeds
-        for kind in controllers
-    ]
+    if n_horizons is not None:
+        config = replace(config, n_horizons=n_horizons)
+    tasks = [(config, kind, seed, solve_options) for seed in seeds for kind in controllers]
     if jobs > 1:
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             outcomes = pool.map(_comparison_task, tasks)
@@ -430,23 +426,18 @@ def distribution_sd(dist: DemandDistribution) -> float:
     return math.sqrt(sum(p * (l - mean) ** 2 for l, p in zip(dist.levels, dist.probs)))
 
 
-def run_sd_sweep(
-    config: ExperimentConfig,
-    p_grid=None,
-    seeds=None,
-    n_horizons: int | None = None,
-    solve_options: solver.SolveOptions | None = None,
-    jobs: int = 1,
-) -> list:
-    """Controller comparison across symmetric demand distributions; returns
-    one row per grid point with the seed-summed metrics."""
-    p_grid = list(p_grid if p_grid is not None else config.sweep_p_grid)
-    seeds = list(seeds if seeds is not None else range(config.sweep_seeds))
-    n_horizons = n_horizons or config.sweep_horizons
+def run_sd_sweep(config: ExperimentConfig, solve_options: solver.SolveOptions | None = None,
+                 jobs: int = 1) -> list:
+    """Controller comparison across the symmetric demand distributions of
+    ``config.sweep_p_grid``, each point over ``config.sweep_seeds`` seeds of
+    ``config.sweep_horizons`` horizons; returns one row per grid point with
+    the seed-summed metrics."""
     rows = []
-    for p in p_grid:
+    for p in config.sweep_p_grid:
         dist = symmetric_distribution(config.demand_levels, p)
-        comp = run_comparison(config, seeds, n_horizons, dist, solve_options, jobs)
+        point = replace(config, demand_probs=dist.probs, n_horizons=config.sweep_horizons)
+        comp = run_comparison(point, range(config.sweep_seeds), solve_options=solve_options,
+                              jobs=jobs)
         row = {"p": p, "sd": distribution_sd(dist)}
         for kind in CONTROLLER_KINDS:
             agg = comp.aggregate(kind)

@@ -10,11 +10,12 @@ coefficients by key, sense and right-hand side), and ``pack_rows`` turns such
 rows into a block and ``RowBlock.constraints`` a block back into them.
 
 Columns are numbered in the order of their keys and addressed by integer
-id or by key, so models built from the same inputs number their columns
-identically (needed for reproducible solves and exports).  The objective
-sense is always maximize.  ``column_arrays`` and ``row_arrays`` hand out the
-read-only arrays themselves, and ``objective_value`` and ``max_violation``
-read them with numpy.  The row block is the only form of the rows outside
+id, so models built from the same inputs number their columns identically
+(needed for reproducible solves and exports); a key names its column for a
+reader of the model.  The objective sense is always maximize.
+``column_arrays`` and ``row_arrays`` hand out the read-only arrays
+themselves, and ``objective_value`` and ``max_violation`` read them with
+numpy.  The row block is the only form of the rows outside
 ``solver``, which alone lays them out as linprog and HiGHS take them;
 ``constraints`` is a view of the rows as records, rebuilt on each access.
 """
@@ -129,7 +130,7 @@ class Columns(NamedTuple):
 class LinearProgram:
     """Sparse-row MILP with maximize objective, fixed once built.
 
-    ``keys`` name the columns (distinct, any hashable but int); ``columns``
+    ``keys`` name the columns (distinct, any hashable); ``columns``
     holds their costs, bounds and binary flags and ``rows`` every row, with
     no zero coefficients.  The arrays are held as read-only views."""
 
@@ -145,17 +146,6 @@ class LinearProgram:
             raise KeyError("rows refer to columns outside the model")
         if not self._rows.data.all():
             raise ValueError("rows hold a zero coefficient")
-        self._by_key: dict | None = None  # key -> id, built on first lookup
-
-    def _index(self) -> dict:
-        if self._by_key is None:
-            self._by_key = {key: vid for vid, key in enumerate(self.keys)}
-            if len(self._by_key) != len(self.keys):
-                raise ValueError("duplicate variable key")
-        return self._by_key
-
-    def var_id(self, key) -> int:
-        return self._index()[key]
 
     # -- views -------------------------------------------------------------
 

@@ -116,15 +116,18 @@ class Corridor:
 
 def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
     """Each junction's Roles and every problem of ``corridor``: unknown or
-    duplicate link ids, a serial junction that is not 1-in/1-out, a merge
-    that does not join one entry-link ramp and one mainline link into one
-    link, a link in two junction roles, an entry link that is a junction
-    outflow or feeds no junction, an inconsistent flux law, and no entry or
-    no exit link."""
+    duplicate link or junction ids, a serial junction that is not
+    1-in/1-out, a merge that does not join one entry-link ramp and one
+    mainline link into one link, a link in two junction roles, an entry link
+    that is a junction outflow or feeds no junction, an inconsistent flux
+    law, no entry or no exit link, and an exit cap on a link that is not an
+    exit link or that is not a nonnegative number."""
     errors = []
     by_id = corridor._by_id
     if len(by_id) != len(corridor.links):
         errors.append("duplicate link ids")
+    if len({jn.id for jn in corridor.junctions}) != len(corridor.junctions):
+        errors.append("duplicate junction ids")
 
     roles = []
     in_roles = Counter(lid for jn in corridor.junctions for lid in jn.incoming)
@@ -160,8 +163,14 @@ def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
 
     if not corridor.entry_links:
         errors.append("no entry links")
-    if not corridor.exit_links:
+    exit_ids = {l.id for l in corridor.exit_links}
+    if not exit_ids:
         errors.append("no exit link")
+    for lid, (value, _) in corridor.exit_caps:
+        if lid not in exit_ids:
+            errors.append(f"exit cap on {lid}, which is not an exit link")
+        elif not value >= 0.0:  # also refuses NaN
+            errors.append(f"exit cap on {lid} is {value}, not a nonnegative number")
     return roles, errors
 
 

@@ -52,12 +52,13 @@ TIME_LIMIT = "time-limit"
 INTEGRALITY_TOL = 1e-6
 #: the returned point may violate a row or bound by at most 10 times this
 FEASIBILITY_TOL = 1e-6
+#: a search stops with status NODE_LIMIT after this many node solves
+MAX_NODES = 200000
 
 
 @dataclass
 class SolveOptions:
     mip_gap: float = 1e-4
-    node_limit: int = 200000
     time_limit: float = math.inf
 
     def __post_init__(self):
@@ -76,9 +77,6 @@ class Solution:
     @property
     def ok(self) -> bool:
         return self.status in (OPTIMAL, GAP_LIMIT)
-
-    def value(self, lp: LinearProgram, key) -> float:
-        return float(self.x[lp.var_id(key) if not isinstance(key, int) else key])
 
 
 class SolverError(RuntimeError):
@@ -233,7 +231,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
 
     status_cap = OPTIMAL
     while stack or heap:
-        if nodes >= opts.node_limit:
+        if nodes >= MAX_NODES:
             status_cap = NODE_LIMIT
             break
         if time.monotonic() - t_start > opts.time_limit:

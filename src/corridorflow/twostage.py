@@ -102,9 +102,12 @@ class Scenario:
 
 @dataclass
 class ModelBundle:
-    """A built MILP plus the metadata needed to read a solution back."""
+    """A built MILP plus the metadata needed to read a solution back.  The
+    readers take each quantity from the columns ``template`` laid out for
+    it; scenario j's block starts at column ``n_first + j * width``."""
 
     lp: LinearProgram
+    template: ModelTemplate
     corridor: network.Corridor
     state: HorizonState
     weights: ObjectiveWeights
@@ -117,11 +120,12 @@ class ModelBundle:
 
     # -- solution readers ---------------------------------------------------
 
+    def _read(self, solution, j: int, offsets) -> np.ndarray:
+        """Scenario j's values of the block columns at ``offsets``."""
+        return solution.x[self.template.n_first + j * self.template.width + offsets]
+
     def control(self, solution, entry_id: str) -> np.ndarray:
-        n = self.state.n_steps
-        return np.array(
-            [solution.value(self.lp, ("qp", entry_id, t)) for t in range(1, n + 1)]
-        )
+        return solution.x[self.template.controls[entry_id]]
 
     def published_control(self, solution, entry_id: str) -> np.ndarray:
         """Control after the uniqueness push: wherever every scenario has
@@ -132,44 +136,28 @@ class ModelBundle:
         n = self.state.n_steps
         cap = entry_capacity(self.corridor, entry_id)
         ctrl = self.control(solution, entry_id)
+        inflows = [self._read(solution, j, self.template.flows[entry_id][0]).tolist()
+                   for j in range(len(self.scenarios))]
         for t in range(1, n + 1):
             floatable = True
             level = ctrl[t - 1]
-            for j, scenario in enumerate(self.scenarios):
-                qin = [
-                    solution.value(self.lp, (j, "qin", entry_id, i))
-                    for i in range(1, t + 1)
-                ]
+            for qin, scenario in zip(inflows, self.scenarios):
                 cum_d = float(np.sum(scenario.demand[entry_id][:t]))
-                level = max(level, qin[-1])
-                if sum(qin) < cum_d - 1e-6 * max(cum_d, 1.0):
+                level = max(level, qin[t - 1])
+                if sum(qin[:t]) < cum_d - 1e-6 * max(cum_d, 1.0):
                     floatable = False
             ctrl[t - 1] = cap if floatable else level
         return ctrl
 
     def selected_speed(self, solution, link_id: str, j: int = 0) -> float:
-        link = self.corridor.link(link_id)
-        best_s = max(
-            range(len(link.vsl_set)),
-            key=lambda s: solution.value(self.lp, (j, "delta", link_id, s)),
-        )
-        return link.vsl_set.speeds[best_s]
+        """The candidate speed of the largest ``delta``, the first on a tie."""
+        deltas = self._read(solution, j, self.template.deltas[link_id])
+        return self.corridor.link(link_id).vsl_set.speeds[int(np.argmax(deltas))]
 
     def scenario_flows(self, solution, j: int = 0) -> dict:
-        out = {}
-        n = self.state.n_steps
-        for link in self.corridor.links:
-            qin = np.array(
-                [solution.value(self.lp, (j, "qin", link.id, t)) for t in range(1, n + 1)]
-            )
-            if link.kind == ENTRY:
-                out[link.id] = (qin, qin.copy())
-            else:
-                qout = np.array(
-                    [solution.value(self.lp, (j, "qout", link.id, t)) for t in range(1, n + 1)]
-                )
-                out[link.id] = (qin, qout)
-        return out
+        """Link id -> (inflows, outflows) of scenario j, in link order."""
+        return {lid: (self._read(solution, j, qin), self._read(solution, j, qout))
+                for lid, (qin, qout) in self.template.flows.items()}
 
 
 def entry_capacity(corridor: network.Corridor, entry_id: str) -> float:
@@ -201,6 +189,12 @@ class ModelTemplate:
     ``delta`` coefficients), ramp backlogs, scenario demand (cumulative
     demand as a right-hand side and as the forcing binary's coefficient),
     ``t0`` (which exit caps bind) and committed controls (bounds).
+
+    The columns a closed loop reads are kept as index arrays: ``controls``
+    maps each controlled entry to its "qp" column ids, ``flows`` each link to
+    the offsets in a scenario block of its inflow and outflow columns (an
+    entry link's outflow is its inflow), and ``deltas`` each VSL link to the
+    offsets of its speed binaries.
     """
 
     def __init__(self, corridor: network.Corridor, n_steps: int, T: float,
@@ -208,27 +202,27 @@ class ModelTemplate:
         self.corridor, self.n_steps, self.T = corridor, n_steps, T
         steps = range(1, n_steps + 1)
         controlled = corridor.controlled_entries
-        exit_ids = {l.id for l in corridor.exit_links}
         caps = {l.id: entry_capacity(corridor, l.id) for l in corridor.entry_links}
 
         # one scenario's columns: (key without the scenario index, lb, ub, binary)
         block, fd_links = [], []
-        entry_in, vsl_in, exit_out, exit_left = [], [], [], []
+        self.flows, self.deltas = {}, {}  # link id -> column offsets in a block
         for link in corridor.links:
+            at = len(block)
             if link.kind == ENTRY:
-                if link.controlled:
-                    entry_in.append((link.id, np.arange(len(block), len(block) + n_steps)))
+                cols = np.arange(at, at + n_steps)
+                self.flows[link.id] = (cols, cols)  # a point queue: what enters leaves
                 block += [(("qin", link.id, t), 0.0, caps[link.id], False) for t in steps]
                 continue
             template = linkmodel.link_template(link, n_steps, T)
-            fd_links.append((link.id, template, len(block)))
+            fd_links.append((link.id, template, at))
+            offsets = {}  # kind -> offsets, in index order
             for (kind, *idx), lb, ub, var_kind in template.columns:
-                if kind == "qin" and link.is_vsl:
-                    vsl_in.append(len(block))
-                elif kind == "qout" and link.id in exit_ids:
-                    exit_out.append(len(block))
-                    exit_left.append(n_steps - idx[0] + 1)
+                offsets.setdefault(kind, []).append(len(block))
                 block.append(((kind, link.id, *idx), lb, ub, var_kind == BINARY))
+            self.flows[link.id] = (np.array(offsets["qin"]), np.array(offsets["qout"]))
+            if link.is_vsl:
+                self.deltas[link.id] = np.array(offsets["delta"])
         block += [(key, 0.0, 1.0, True) for jn in corridor.junctions
                   for key in network.merge_binary_keys(jn, n_steps)]
         u_cols = []
@@ -247,15 +241,15 @@ class ModelTemplate:
         self.keys = keys
         self.lb, self.ub = np.array(lb, dtype=float), np.array(ub, dtype=float)
         self.binary = np.array(binary, dtype=bool)
-        self._controls = [(l.id, np.arange(k * n_steps, (k + 1) * n_steps), caps[l.id])
-                          for k, l in enumerate(controlled)]
-        self._entry_in = entry_in
+        self.controls = {l.id: np.arange(k * n_steps, (k + 1) * n_steps)
+                         for k, l in enumerate(controlled)}
         self._left = np.array([n_steps - t + 1 for t in steps], dtype=float)
-        self._vsl_in, self._u = np.array(vsl_in, dtype=int), np.array(u_cols, dtype=int)
-        self._exit_out = np.array(exit_out, dtype=int)
-        self._exit_left = np.array(exit_left, dtype=float)
-        self._costed = np.sort(np.concatenate(
-            [cols for _, cols in entry_in] + [self._vsl_in, self._exit_out, self._u]))
+        self._vsl_in = np.array([c for l in corridor.vsl_links for c in self.flows[l.id][0]],
+                                dtype=int)
+        self._u = np.array(u_cols, dtype=int)
+        self._exit_out = np.array([c for l in corridor.exit_links for c in self.flows[l.id][1]],
+                                  dtype=int)
+        self._exit_left = np.tile(self._left, len(corridor.exit_links))
 
         # scenario 0's rows over its own and the first-stage columns, with the
         # places a state fills; the other scenarios repeat them
@@ -329,7 +323,8 @@ class ModelTemplate:
         shift = np.where(block.indices >= self.n_first, self.width, 0)
         self.rows = stack_rows(
             [block._replace(indices=block.indices + j * shift) for j in range(n_scenarios)])
-        for array in (self.lb, self.ub, self.binary, *self.rows):
+        for array in (self.lb, self.ub, self.binary, *self.rows, *self.controls.values(),
+                      *self.deltas.values(), *(c for pair in self.flows.values() for c in pair)):
             array.setflags(write=False)
 
     def evaluate(self, state: HorizonState, scenarios: list, weights: ObjectiveWeights,
@@ -345,19 +340,22 @@ class ModelTemplate:
 
         # costs: one scenario block's coefficients, scaled by each probability
         block_cost = np.zeros(self.width)
-        for lid, cols in self._entry_in:
-            block_cost[cols] = -w.w2 + w.w3 * (1.0 + state.queues.get(lid, 0.0)) * self._left
+        for lid in self.controls:
+            e0 = state.queues.get(lid, 0.0)
+            block_cost[self.flows[lid][0]] = -w.w2 + w.w3 * (1.0 + e0) * self._left
         block_cost[self._vsl_in] = -w.w1
         block_cost[self._exit_out] = self._exit_left
         block_cost[self._u] = -w.w4
         obj = np.zeros(len(self.keys))
         obj[:self.n_first] = w.w0
 
-        # the committed controls cap the first-stage controls they cover
+        # the committed controls cap the first-stage controls they cover, whose
+        # bounds are the entry capacity
         ub = self.ub.copy()
-        for lid, cols, cap in self._controls:
+        for lid, cols in self.controls.items():
             committed = options.committed_controls.get(lid, ())[:n]
-            ub[cols[:len(committed)]] = np.minimum(np.asarray(committed, dtype=float), cap)
+            cols = cols[:len(committed)]
+            ub[cols] = np.minimum(np.asarray(committed, dtype=float), self.ub[cols])
 
         # rows as (scenario, row) and (scenario, entry) views
         data, rhs = self.rows.data.copy(), self.rows.rhs.copy()
@@ -380,7 +378,8 @@ class ModelTemplate:
         const = 0.0
         for j, scenario in enumerate(scenarios):
             p, scenario_const = scenario.prob, 0.0
-            obj[self.n_first + j * self.width + self._costed] = p * block_cost[self._costed]
+            at = self.n_first + j * self.width
+            obj[at:at + self.width] = p * block_cost
             for lid, cum_rows, force_at in self._forcing:
                 cum_d = np.cumsum(np.asarray(scenario.demand[lid], dtype=float))
                 rhs_of[j, cum_rows] = cum_d[:n]
@@ -438,7 +437,7 @@ def assemble_model(
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError("scenario probabilities must sum to 1")
     lp, const = template.evaluate(state, scenarios, weights, options, name)
-    return ModelBundle(lp, corridor, state, weights, list(scenarios), options, const)
+    return ModelBundle(lp, template, corridor, state, weights, list(scenarios), options, const)
 
 
 def apply_queue_update(column: np.ndarray, e: float, capacity: float):
@@ -520,13 +519,12 @@ def objective_breakdown(bundle: ModelBundle, solution) -> dict:
     w = bundle.weights
     state = bundle.state
     n = state.n_steps
-    lp = bundle.lp
     corridor = bundle.corridor
     out = {"scenarios": [], "w0_control": 0.0}
 
-    for link in corridor.controlled_entries:
-        for t in range(1, n + 1):
-            out["w0_control"] += w.w0 * solution.value(lp, ("qp", link.id, t))
+    for cols in bundle.template.controls.values():
+        for value in solution.x[cols].tolist():
+            out["w0_control"] += w.w0 * value
 
     total = out["w0_control"]
     for j, scenario in enumerate(bundle.scenarios):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as highs_core
@@ -102,13 +104,29 @@ def build_lp(columns, rows, name="model"):
                          pack_rows(rows, keys))
 
 
+@functools.lru_cache(maxsize=8)
+def _column_ids(lp) -> dict:
+    """``lp``'s column ids by key, built once per model."""
+    return {key: vid for vid, key in enumerate(lp.keys)}
+
+
+def var_id(lp, key) -> int:
+    """The id of the column named ``key`` in ``lp``."""
+    return _column_ids(lp)[key]
+
+
+def value(solution, lp, key) -> float:
+    """The solved value of the column named ``key`` in ``lp``."""
+    return float(solution.x[var_id(lp, key)])
+
+
 def with_fixed(lp, values):
     """A copy of ``lp`` with the columns of ``values`` (key -> value) fixed
     at their value."""
     columns = lp.column_arrays()
     lb, ub = columns.lb.copy(), columns.ub.copy()
     for key, val in values.items():
-        lb[lp.var_id(key)] = ub[lp.var_id(key)] = val
+        lb[var_id(lp, key)] = ub[var_id(lp, key)] = val
     return LinearProgram(lp.name, lp.keys, columns._replace(lb=lb, ub=ub), lp.row_arrays())
 
 

@@ -7,7 +7,11 @@ from the replaced code: the junction rows no longer carry the ramp's
 backlog, so it is added here to the rows ``network.build_node_constraints``
 lists for the ramp; and the lists are built into a model once at the end
 (``conftest.build_lp``) where columns and rows were added to a mutable model
-one at a time.  The link rows are ``BlockTemplate.evaluate``'s, as in the
+one at a time.
+
+The solution readers at the end are the ones ``twostage.ModelBundle`` had
+before it read a solved model by its template's column arrays: each value is
+looked up by its column key.  The link rows are ``BlockTemplate.evaluate``'s, as in the
 template, so a speed-selection coefficient of magnitude
 ``lp.SMALL_COEFFICIENT`` or less is 0 here too and dropped with the zeros.
 """
@@ -19,7 +23,7 @@ from corridorflow.linkmodel import ENTRY
 from corridorflow.lp import BINARY, GE, LE
 from corridorflow.twostage import ModelOptions, entry_capacity
 
-from conftest import build_lp
+from conftest import build_lp, value
 
 
 def _add_scenario_block(columns, rows, corridor, state, scenario, weights, options, j,
@@ -135,3 +139,59 @@ def assemble_model(corridor, state, scenarios, weights, options=None,
         const += _add_scenario_block(columns, rows, corridor, state, scenario, weights,
                                      options, j, link_rows)
     return build_lp(columns, rows, name), const
+
+
+# -- keyed solution readers -----------------------------------------------
+
+
+def control(bundle, solution, entry_id):
+    n = bundle.state.n_steps
+    return np.array([value(solution, bundle.lp, ("qp", entry_id, t)) for t in range(1, n + 1)])
+
+
+def published_control(bundle, solution, entry_id):
+    n = bundle.state.n_steps
+    cap = entry_capacity(bundle.corridor, entry_id)
+    ctrl = control(bundle, solution, entry_id)
+    for t in range(1, n + 1):
+        floatable = True
+        level = ctrl[t - 1]
+        for j, scenario in enumerate(bundle.scenarios):
+            qin = [value(solution, bundle.lp, (j, "qin", entry_id, i)) for i in range(1, t + 1)]
+            cum_d = float(np.sum(scenario.demand[entry_id][:t]))
+            level = max(level, qin[-1])
+            if sum(qin) < cum_d - 1e-6 * max(cum_d, 1.0):
+                floatable = False
+        ctrl[t - 1] = cap if floatable else level
+    return ctrl
+
+
+def selected_speed(bundle, solution, link_id, j=0):
+    link = bundle.corridor.link(link_id)
+    best_s = max(range(len(link.vsl_set)),
+                 key=lambda s: value(solution, bundle.lp, (j, "delta", link_id, s)))
+    return link.vsl_set.speeds[best_s]
+
+
+def scenario_flows(bundle, solution, j=0):
+    out = {}
+    n = bundle.state.n_steps
+    for link in bundle.corridor.links:
+        qin = np.array([value(solution, bundle.lp, (j, "qin", link.id, t))
+                        for t in range(1, n + 1)])
+        if link.kind == ENTRY:
+            out[link.id] = (qin, qin.copy())
+        else:
+            qout = np.array([value(solution, bundle.lp, (j, "qout", link.id, t))
+                             for t in range(1, n + 1)])
+            out[link.id] = (qin, qout)
+    return out
+
+
+def w0_control(bundle, solution):
+    """The first-stage term of ``twostage.objective_breakdown``."""
+    total = 0.0
+    for link in bundle.corridor.controlled_entries:
+        for t in range(1, bundle.state.n_steps + 1):
+            total += bundle.weights.w0 * value(solution, bundle.lp, ("qp", link.id, t))
+    return total

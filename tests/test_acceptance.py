@@ -6,6 +6,7 @@ results also feed the conservation suite.  Each criterion prints one
 PASS/FAIL line (visible with ``pytest -s``).
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -222,7 +223,8 @@ class TestCriterion6CaseStudy:
 class TestCriterion7SweepEndpoints:
     def test_zero_variance_point_and_sd_grid(self, config):
         dist0 = symmetric_distribution(config.demand_levels, 0.0)
-        comp = run_comparison(config, seeds=[0, 1], n_horizons=6, dist=dist0, jobs=2)
+        config = dataclasses.replace(config, demand_probs=dist0.probs)
+        comp = run_comparison(config, seeds=[0, 1], n_horizons=6, jobs=2)
         base = comp.records[(0, CONTROLLERS[0])]
         spread = 0.0
         for seed in (0, 1):

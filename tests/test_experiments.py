@@ -203,7 +203,8 @@ class TestComparison:
 
     def test_point_distribution_rows_identical(self, small_config):
         dist = point_distribution(1.5)
-        comp = run_comparison(small_config, seeds=[0], n_horizons=2, dist=dist)
+        config = replace(small_config, demand_levels=dist.levels, demand_probs=dist.probs)
+        comp = run_comparison(config, seeds=[0], n_horizons=2)
         records = [comp.records[(0, kind)] for kind in ctl.CONTROLLER_KINDS]
         base = records[0]
         for rec in records[1:]:
@@ -245,8 +246,8 @@ class TestComparison:
         assert manifest["versions"]["scipy"] == scipy.__version__
 
     def test_sweep_rows_and_csv(self, small_config, tmp_path):
-        rows = experiments.run_sd_sweep(small_config, p_grid=[0.0, 0.4],
-                                        seeds=[0], n_horizons=2)
+        config = replace(small_config, sweep_p_grid=(0.0, 0.4))
+        rows = experiments.run_sd_sweep(config)
         assert rows[0]["sd"] == pytest.approx(0.0)
         assert rows[1]["sd"] == pytest.approx(0.4472, abs=1e-3)
         sweep_to_csv(rows, tmp_path / "sweep.csv")

@@ -8,7 +8,7 @@ from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
 from corridorflow.lp import EQ, GE, LE
 
 import lwr_oracle
-from conftest import build_lp, compatible_vc, solve_lp_relaxation, with_fixed
+from conftest import build_lp, compatible_vc, solve_lp_relaxation, value, var_id, with_fixed
 
 T = 20.0
 N = 8
@@ -29,8 +29,8 @@ def flow_point(lp, link_id, inflow, outflow):
     """The point of ``lp`` with the given per-step boundary flows."""
     x = np.zeros(lp.n_vars)
     for n in range(1, len(inflow) + 1):
-        x[lp.var_id(("qin", link_id, n))] = inflow[n - 1]
-        x[lp.var_id(("qout", link_id, n))] = outflow[n - 1]
+        x[var_id(lp, ("qin", link_id, n))] = inflow[n - 1]
+        x[var_id(lp, ("qout", link_id, n))] = outflow[n - 1]
     return x
 
 
@@ -72,7 +72,7 @@ class TestCompatibilityRows:
         lp = lp_with_rows(rows, "l", fd, objective={("qin", "l", 1): 1.0})
         sol = solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
-        assert sol.value(lp, ("qin", "l", 1)) == pytest.approx(0.0, abs=1e-9)
+        assert value(sol, lp, ("qin", "l", 1)) == pytest.approx(0.0, abs=1e-9)
         # cross-check: the finite-volume oracle admits nothing either
         vc = lwr.ValueConditionSet([fd.rho_m, fd.rho_m], [fd.Q] * N, [0.0] * N, T)
         field = lwr_oracle.godunov_oracle(vc, fd, link.geometry, 2.5, 150.0)
@@ -195,17 +195,17 @@ class TestVSLLinearization:
         sol = solve_lp_relaxation(lp)
         assert sol.status == solver.OPTIMAL
         for n in (1, 5, 8):
-            assert sol.value(lp, ("ka", 4, n)) == pytest.approx(0.07, abs=1e-9)
+            assert value(sol, lp, ("ka", 4, n)) == pytest.approx(0.07, abs=1e-9)
             for s in range(4):
-                assert sol.value(lp, ("ka", s, n)) == pytest.approx(0.0, abs=1e-9)
-            assert sol.value(lp, ("kin", n)) == pytest.approx(0.07, abs=1e-9)
+                assert value(sol, lp, ("ka", s, n)) == pytest.approx(0.0, abs=1e-9)
+            assert value(sol, lp, ("kin", n)) == pytest.approx(0.07, abs=1e-9)
 
     def test_zero_inflow_zeroes_aux(self, vsl_link, fd):
         lp, _ = _solve_vsl_maxflow(vsl_link, fd, [0.0, 0.0], fixed_s=2)
         lp = with_fixed(lp, {("qin", n): 0.0 for n in range(1, N + 1)})
         sol = solve_lp_relaxation(lp)
         for n in (1, 4):
-            assert sol.value(lp, ("kin", n)) == pytest.approx(0.0, abs=1e-9)
+            assert value(sol, lp, ("kin", n)) == pytest.approx(0.0, abs=1e-9)
 
     def test_exactly_one_candidate_bound_active(self, vsl_link):
         rows = linkmodel.build_vsl_linearization(vsl_link, N)

@@ -8,7 +8,7 @@ from corridorflow.linkmodel import ENTRY, FD, LinkSpec
 from corridorflow.lwr import LinkGeometry
 from corridorflow.network import MERGE, SERIAL, Corridor, Junction, TopologyError
 
-from conftest import build_lp, solve_lp_relaxation
+from conftest import build_lp, solve_lp_relaxation, value
 
 N = 8
 T = 20.0
@@ -89,6 +89,25 @@ class TestCorridor:
             corridor.junctions[0].incoming = ("R",)
         assert corridor.exit_caps == (("M4", (1.4, 0.0)),)
 
+    @pytest.mark.parametrize("lid, cap, problem", [
+        ("M9", 1.4, "exit cap on M9, which is not an exit link"),
+        ("M2", 1.4, "exit cap on M2, which is not an exit link"),
+        ("M4", -1.0, "exit cap on M4 is -1.0, not a nonnegative number"),
+        ("M4", float("nan"), "exit cap on M4 is nan, not a nonnegative number"),
+    ], ids=["unknown link", "inner link", "negative", "nan"])
+    def test_bad_exit_cap_is_refused(self, corridor, lid, cap, problem):
+        # such a cap would otherwise be dropped (off an exit link) or read as
+        # a negative supply or as no cap at all, by the model and simulator
+        with pytest.raises(TopologyError) as err:
+            replace(corridor, exit_caps={lid: (cap, 0.0)})
+        assert str(err.value) == problem
+
+    def test_duplicate_junction_ids(self, corridor):
+        # two merges sharing an id would share their ("merge", id, n) binaries
+        junctions = [replace(jn, id="j2") if jn.id == "j1" else jn for jn in corridor.junctions]
+        with pytest.raises(TopologyError, match="^duplicate junction ids$"):
+            replace(corridor, junctions=junctions)
+
     def test_serial_junctions_have_no_merge_binaries(self, corridor):
         keys = [network.merge_binary_keys(jn, N) for jn in corridor.junctions]
         assert keys[0] == keys[1] == keys[3] == []
@@ -126,33 +145,33 @@ class TestMergePriority:
         corridor = config.corridor()
         lp, sol = _merge_lp(corridor, supply_cap=1.4)
         for n in (1, 4, 8):
-            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
-            assert sol.value(lp, ("qout", "M2", n)) <= 1.35 + 1e-6
+            assert value(sol, lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
+            assert value(sol, lp, ("qout", "M2", n)) <= 1.35 + 1e-6
         # maximizing junction flow drives the mainline to the residual
-        assert sol.value(lp, ("qout", "M2", 1)) == pytest.approx(1.35, abs=1e-6)
+        assert value(sol, lp, ("qout", "M2", 1)) == pytest.approx(1.35, abs=1e-6)
 
     def test_zero_supply_blocks_everything(self, config):
         corridor = config.corridor()
         lp, sol = _merge_lp(corridor, supply_cap=0.0)
         for n in (1, 5):
-            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.0, abs=1e-9)
-            assert sol.value(lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-9)
+            assert value(sol, lp, ("qin", "R", n)) == pytest.approx(0.0, abs=1e-9)
+            assert value(sol, lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-9)
 
     def test_supply_limited_ramp_preempts_mainline(self, config):
         corridor = config.corridor()
         lp, sol = _merge_lp(corridor, supply_cap=0.03, ramp_demand=0.05)
         for n in (1, 8):
-            assert sol.value(lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-6)
-            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.03, abs=1e-6)
+            assert value(sol, lp, ("qout", "M2", n)) == pytest.approx(0.0, abs=1e-6)
+            assert value(sol, lp, ("qin", "R", n)) == pytest.approx(0.03, abs=1e-6)
 
     def test_backlog_is_served_first(self, config):
         # the flagged rows cap and force the ramp's cumulative admissions at
         # arrivals plus backlog, so the whole backlog leaves in the first step
         corridor = config.corridor()
         lp, sol = _merge_lp(corridor, supply_cap=5.0, ramp_demand=0.05, backlog=0.5)
-        assert sol.value(lp, ("qin", "R", 1)) == pytest.approx(0.55, abs=1e-6)
+        assert value(sol, lp, ("qin", "R", 1)) == pytest.approx(0.55, abs=1e-6)
         for n in range(2, N + 1):
-            assert sol.value(lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
+            assert value(sol, lp, ("qin", "R", n)) == pytest.approx(0.05, abs=1e-6)
 
 
 class TestSerialJunction:
@@ -170,8 +189,8 @@ class TestSerialJunction:
         assert sol.objective == pytest.approx(2.1 * N, abs=1e-6)
         # conservation holds row by row
         for n in (1, 8):
-            assert sol.value(lp, ("qout", "M1", n)) == pytest.approx(
-                sol.value(lp, ("qin", "M2", n)), abs=1e-9
+            assert value(sol, lp, ("qout", "M1", n)) == pytest.approx(
+                value(sol, lp, ("qin", "M2", n)), abs=1e-9
             )
 
     def test_exit_cap_schedule(self, config):

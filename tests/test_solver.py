@@ -128,9 +128,10 @@ class TestBranchAndBound:
                       [({("b1",): 1.0, ("b2",): 1.0}, EQ, 0.5)])
         assert branch_and_bound(lp).status == INFEASIBLE
 
-    def test_node_limit_status(self):
+    def test_node_limit_status(self, monkeypatch):
         lp, *_ = random_knapsack(np.random.default_rng(2), 12)
-        sol = branch_and_bound(lp, SolveOptions(node_limit=1))
+        monkeypatch.setattr(solver, "MAX_NODES", 1)
+        sol = branch_and_bound(lp)
         assert sol.status in (NODE_LIMIT, OPTIMAL, GAP_LIMIT)
 
     def test_warm_start_accepted(self):

@@ -19,7 +19,7 @@ from corridorflow.twostage import (
 )
 
 import model_oracle
-from conftest import point_distribution
+from conftest import point_distribution, value, var_id
 from test_acceptance import _states_for_certification
 
 N = 8
@@ -155,7 +155,7 @@ class TestObjectiveStructure:
         for j in range(len(bundle.scenarios)):
             qin = bundle.scenario_flows(sol, j)["E"][0]
             for t in range(1, N):
-                u = sol.value(lp, (j, "u", "E", t))
+                u = value(sol, lp, (j, "u", "E", t))
                 assert u == pytest.approx(abs(qin[t - 1] - qin[t]), abs=1e-6)
 
     def test_forcing_invariant(self, corridor, config):
@@ -253,12 +253,12 @@ class TestStepDemandSupply:
         x = np.zeros(lp.n_vars)
         for link in corridor.fd_links:
             for n in range(1, N + 1):
-                x[lp.var_id((0, "qin", link.id, n))] = link.fd.Q
-                x[lp.var_id((0, "qout", link.id, n))] = link.fd.Q
+                x[var_id(lp, (0, "qin", link.id, n))] = link.fd.Q
+                x[var_id(lp, (0, "qout", link.id, n))] = link.fd.Q
             if link.is_vsl:
-                x[lp.var_id((0, "delta", link.id, link.vsl_set.speeds.index(link.fd.vf)))] = 1.0
-        x[lp.var_id((0, "qout", first.id, 1))] = 0.0
-        x[lp.var_id((0, "qout", first.id, 2))] = 2 * first.fd.Q
+                x[var_id(lp, (0, "delta", link.id, link.vsl_set.speeds.index(link.fd.vf)))] = 1.0
+        x[var_id(lp, (0, "qout", first.id, 1))] = 0.0
+        x[var_id(lp, (0, "qout", first.id, 2))] = 2 * first.fd.Q
         worst = certify_solution(bundle, solver.Solution(solver.OPTIMAL, x=x))
         assert worst == pytest.approx(first.fd.Q * T, abs=1e-9)
 
@@ -332,3 +332,45 @@ class TestTemplateMatchesRowBuilder:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert solver._write_lp_text(lp) == solver._write_lp_text(oracle)
         assert solver._write_mps_text(lp) == solver._write_mps_text(oracle)
+
+
+class TestTemplateReaders:
+    """The readers of a solved model take each quantity from the columns its
+    template laid out; they equal the keyed readers of ``model_oracle`` bit
+    for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_same_values_as_keyed_readers(self, data, config):
+        corridor, drawn = data.draw(drawn_models(config))
+        state, weights, options = drawn.state, drawn.weights, drawn.options
+        bundles = [
+            drawn,
+            build_deterministic_equivalent(corridor, state, config.distribution(), weights,
+                                           options),
+            # every scenario has exhausted its demand: the control floats to capacity
+            build_deterministic_baseline(corridor, state, 0.0, weights, options),
+        ]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for bundle in bundles:
+            n_vars = bundle.lp.n_vars
+            # few distinct values, so the speed binaries tie, up to all at once
+            for x in (rng.choice([0.0, 0.5, 1.0, 1.25], n_vars), np.full(n_vars, 0.5)):
+                sol = solver.Solution(solver.OPTIMAL, x=x)
+                for link in corridor.controlled_entries:
+                    for read in ("control", "published_control"):
+                        got = getattr(bundle, read)(sol, link.id)
+                        want = getattr(model_oracle, read)(bundle, sol, link.id)
+                        assert got.dtype == want.dtype and np.array_equal(got, want), read
+                for j in range(len(bundle.scenarios)):
+                    for link in corridor.vsl_links:
+                        assert (bundle.selected_speed(sol, link.id, j)
+                                == model_oracle.selected_speed(bundle, sol, link.id, j))
+                    got = bundle.scenario_flows(sol, j)
+                    want = model_oracle.scenario_flows(bundle, sol, j)
+                    assert list(got) == list(want)
+                    for lid, (qin, qout) in want.items():
+                        assert np.array_equal(got[lid][0], qin)
+                        assert np.array_equal(got[lid][1], qout)
+                assert (objective_breakdown(bundle, sol)["w0_control"]
+                        == model_oracle.w0_control(bundle, sol))
