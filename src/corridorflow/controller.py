@@ -42,8 +42,8 @@ class HorizonConfig:
     T: float
 
     def __post_init__(self):
-        if not 0 < self.n_rolling <= self.n_project:
-            raise ValueError("need 0 < n_rolling <= n_project")
+        if not (0 < self.n_rolling <= self.n_project and 0 < self.T < np.inf):
+            raise ValueError(f"need 0 < n_rolling <= n_project and a positive T: {self}")
 
 
 def observed_demand_vector(
@@ -196,9 +196,9 @@ def run_closed_loop(
     traj = Trajectory(cfg, controller_kind, demand_stream)
     ctrl_entries = [l.id for l in corridor.controlled_entries]
     vsl_ids = [l.id for l in corridor.vsl_links]
-    # each stage's last incumbent as {binary column id: 0/1}: a stage's
+    # each stage's last incumbent's binaries in binary_ids() order: a stage's
     # models come from one template, so their columns are numbered alike
-    warm: dict = {"plan": {}, "update": {}}
+    warm: dict = {"plan": None, "update": None}
 
     def decide(h, stage, t0, build, *args):
         """Solve ``build(corridor, state, *args)`` on the simulator's state
@@ -211,7 +211,7 @@ def run_closed_loop(
         elapsed = time.monotonic() - start
         if not sol.ok:
             raise ClosedLoopError(f"horizon {h} {stage}: solver returned {sol.status}")
-        warm[stage] = {vid: round(float(sol.x[vid])) for vid in bundle.lp.binary_ids()}
+        warm[stage] = sol.x[bundle.lp.binary_ids()]
         speeds = {lid: bundle.selected_speed(sol, lid) if stage == "update" else None
                   for lid in vsl_ids}
         traj.solves.append(HorizonLog(h, stage, bundle.total_objective(sol),

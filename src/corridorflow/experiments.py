@@ -203,20 +203,24 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    """Raises ValueError naming an unknown section or key, or a fractional count."""
+    parser = configparser.ConfigParser(default_section="")
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     kwargs = {}
-    for section, names in _SCHEMA.items():
-        if section not in parser:
-            continue
-        for name in names:
-            if name not in parser[section]:
-                continue
-            raw = parser[section][name]
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ValueError(f"{path}: [{section}] is not a known section")
+        names = {name.lower(): name for name in _SCHEMA[section]}  # keys read lowercased
+        for key, raw in parser[section].items():
+            name = names.get(key)
+            if name is None:
+                raise ValueError(f"{path}: [{section}] {key} = {raw} is not a known key")
             if name in _TUPLE_FIELDS:
                 kwargs[name] = tuple(float(tok) for tok in raw.replace(",", " ").split())
             elif name in _INT_FIELDS:
+                if not float(raw).is_integer():
+                    raise ValueError(f"{path}: [{section}] {name} = {raw} is not a whole number")
                 kwargs[name] = int(float(raw))
             else:
                 kwargs[name] = float(raw)

@@ -15,8 +15,8 @@ id, so models built from the same inputs number their columns identically
 reader of the model.  The objective sense is always maximize.
 ``column_arrays`` and ``row_arrays`` hand out the read-only arrays
 themselves, and ``objective_value`` and ``max_violation`` read them with
-numpy.  The row block is the only form of the rows outside
-``solver``, which alone lays them out as linprog and HiGHS take them;
+numpy.  The row block is the only form of the rows; HiGHS takes it as it
+is, and ``solver`` alone lays it out as linprog and the MPS writer take it;
 ``constraints`` is a view of the rows as records, rebuilt on each access.
 """
 

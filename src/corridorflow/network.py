@@ -121,7 +121,7 @@ def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
     mainline link into one link, a link in two junction roles, an entry link
     that is a junction outflow or feeds no junction, an inconsistent flux
     law, no entry or no exit link, and an exit cap on a link that is not an
-    exit link or that is not a nonnegative number."""
+    exit link, that is not a nonnegative number or whose start is NaN."""
     errors = []
     by_id = corridor._by_id
     if len(by_id) != len(corridor.links):
@@ -166,11 +166,13 @@ def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
     exit_ids = {l.id for l in corridor.exit_links}
     if not exit_ids:
         errors.append("no exit link")
-    for lid, (value, _) in corridor.exit_caps:
+    for lid, (value, t_start) in corridor.exit_caps:
         if lid not in exit_ids:
             errors.append(f"exit cap on {lid}, which is not an exit link")
         elif not value >= 0.0:  # also refuses NaN
             errors.append(f"exit cap on {lid} is {value}, not a nonnegative number")
+        elif t_start != t_start:
+            errors.append(f"exit cap on {lid} starts at {t_start}, not a number")
     return roles, errors
 
 

@@ -4,19 +4,16 @@ LPs are solved by HiGHS, the simplex code that scipy ships.  The tree search
 on binary variables is implemented here so that branching order and
 incumbents are fully deterministic: branch on the most fractional binary
 (ties broken by lowest variable id), dive depth-first, and restart from the
-best-bound open node after a prune.
+best-bound open node after a prune.  A node is the binaries' lower and upper
+bounds, two arrays in ``lp.binary_ids()`` order.
 
-One search loads the LP relaxation once, by array, into a HiGHS instance
-(scipy's private ``_highspy`` binding, the one ``linprog`` drives) and solves
-every node by changing the binaries' column bounds, so each node is a dual
-simplex re-solve from the previous basis.  After the search, the incumbent's
-point is a cold ``linprog`` solve with every binary fixed at its value, so
-the returned solution does not depend on the path of warm starts.
-
-The model hands out its rows as one CSR block; this module alone lays them
-out as the solvers take them: linprog's split into ``<=`` and ``=`` rows
-(``_linprog_rows``) and the column-wise matrix (``_by_column``) that HiGHS
-and the MPS writer read.
+One search loads the LP relaxation once, by array and with the rows as the
+model's CSR block holds them, into a HiGHS instance (scipy's private
+``_highspy`` binding, the one ``linprog`` drives) and solves every node by
+changing the binaries' column bounds, so each node is a dual simplex
+re-solve from the previous basis.  After the search, the incumbent's point is
+a cold ``linprog`` solve (rows split by ``_linprog_rows``) with every binary
+fixed at its value, so it does not depend on the path of warm starts.
 
 ``export_model`` writes LP or MPS text through one layout per format and row
 pattern: everything in the file but its numbers, built on the pattern's first
@@ -62,7 +59,7 @@ class SolveOptions:
     time_limit: float = math.inf
 
     def __post_init__(self):
-        if self.mip_gap <= 0:
+        if not self.mip_gap > 0:  # also refuses NaN
             raise ValueError("mip_gap must be positive")
 
 
@@ -95,15 +92,6 @@ def _linprog_rows(lp: LinearProgram):
     return signed[~eq], (sign * rhs)[~eq], signed[eq], rhs[eq]
 
 
-def _by_column(lp: LinearProgram, values=None) -> sparse.csc_matrix:
-    """The rows of ``lp`` as one column-wise matrix, rows ascending within
-    each column; it holds ``values``, one per entry of the row block, in
-    place of the coefficients when they are given."""
-    indptr, indices, data, sense, _ = lp.row_arrays()
-    return sparse.csr_matrix((data if values is None else values, indices, indptr),
-                             shape=(len(sense), lp.n_vars)).tocsc()
-
-
 def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
     A_ub, b_ub, A_eq, b_eq = _linprog_rows(lp)
     res = linprog(
@@ -127,17 +115,18 @@ def _solve_lp(lp: LinearProgram, lb, ub) -> Solution:
 class _Relaxation:
     """The LP relaxation of ``lp`` held in one HiGHS instance.
 
-    The model is loaded once, by array: minimize ``-c`` with dual simplex and
-    no output, as linprog asks, over the rows in model order as
-    ``lo <= A x <= hi`` with the bounds read from the sense codes.  ``solve``
-    changes only the binaries' column bounds and re-runs, so HiGHS starts
-    from the last basis.
+    The model is loaded once, by array and with the row block row-wise as
+    the model holds it: minimize ``-c`` with dual simplex and no output, as
+    linprog asks, over the rows in model order as ``lo <= A x <= hi`` with
+    the bounds read from the sense codes.  ``solve`` changes only the
+    binaries' column bounds and re-runs, so HiGHS starts from the last basis.
+    A model HiGHS would misread (``_check_numbers``) raises ``SolverError``.
     """
 
     def __init__(self, lp: LinearProgram):
         c, lb, ub, _ = lp.column_arrays()
-        _, _, _, sense, rhs = lp.row_arrays()
-        by_col = _by_column(lp)
+        indptr, indices, data, sense, rhs = lp.row_arrays()
+        _check_numbers(lp)
         inf = _highs.kHighsInf
         self.lp = lp
         self.binary_ids = np.array(lp.binary_ids(), dtype=np.int32)
@@ -148,18 +137,19 @@ class _Relaxation:
         # the binding reads each array to the counts passed, unchecked; all
         # of them come from the model's own validated arrays
         status = self.highs.passModel(
-            lp.n_vars, len(sense), by_col.nnz, int(_highs.MatrixFormat.kColwise),
+            lp.n_vars, len(sense), len(data), int(_highs.MatrixFormat.kRowwise),
             int(_highs.ObjSense.kMinimize), 0.0, -c, lb, ub,
             np.where(sense == LE_CODE, -inf, rhs), np.where(sense == GE_CODE, inf, rhs),
-            by_col.indptr, by_col.indices, by_col.data, np.zeros(lp.n_vars, dtype=np.int32))
+            indptr, indices, data, np.zeros(lp.n_vars, dtype=np.int32))
         if status == _highs.HighsStatus.kError:
             raise SolverError(f"HiGHS refused the relaxation of {lp.name}")
 
-    def solve(self, lb, ub) -> Solution:
-        """Solve with the binaries bounded by ``lb``/``ub`` (other columns
-        keep the model's bounds)."""
+    def solve(self, lo, hi) -> Solution:
+        """Solve with the binaries bounded by ``lo``/``hi``, one bound per
+        binary in ``lp.binary_ids()`` order (other columns keep the model's
+        bounds)."""
         bins, highs = self.binary_ids, self.highs
-        highs.changeColsBounds(len(bins), bins, lb[bins], ub[bins])
+        highs.changeColsBounds(len(bins), bins, lo, hi)
         highs.run()
         status = highs.getModelStatus()
         if status == _highs.HighsModelStatus.kOptimal:
@@ -170,86 +160,93 @@ class _Relaxation:
         if status == _highs.HighsModelStatus.kUnbounded:
             return Solution(UNBOUNDED, objective=math.inf)
         # any other outcome is settled, or reported, by a cold solve
+        lb, ub = (bounds.copy() for bounds in self.lp.column_arrays()[1:3])
+        lb[bins], ub[bins] = lo, hi
         return _solve_lp(self.lp, lb, ub)
 
 
-def _most_fractional(x: list, binary_ids, tol):
-    """The binary farthest from an integer, by more than ``tol``; ``x`` is a
-    list of floats, which reads far faster than numpy scalars."""
+def _check_numbers(lp: LinearProgram) -> None:
+    """Raise SolverError naming the model and the first column or row with a
+    cost or coefficient that is not finite, or a NaN bound or right-hand side."""
+    c, lb, ub, _ = lp.column_arrays()
+    indptr, _, data, _, rhs = lp.row_arrays()
+    for what, values, bad in (("cost", c, ~np.isfinite(c)), ("lower bound", lb, np.isnan(lb)),
+                              ("upper bound", ub, np.isnan(ub)),
+                              ("coefficient", data, ~np.isfinite(data)),
+                              ("right-hand side", rhs, np.isnan(rhs))):
+        for at in np.flatnonzero(bad)[:1].tolist():
+            place = (f"row {np.searchsorted(indptr, at, side='right') - 1}" if values is data
+                     else f"row {at}" if values is rhs else f"column {at} {lp.keys[at]}")
+            raise SolverError(f"{lp.name}: {place} has {what} {values[at]}")
+
+
+def _most_fractional(values: list, tol):
+    """The first position of the value farthest from an integer, by more than
+    ``tol``, in a list of floats, which reads far faster than numpy scalars."""
     pick, best = None, tol
-    for vid in binary_ids:
-        frac = abs(x[vid] - round(x[vid]))
+    for at, v in enumerate(values):
+        frac = abs(v - round(v))
         if frac > best + 1e-15:
-            pick, best = vid, frac
+            pick, best = at, frac
     return pick
 
 
 def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
-                     warm_binaries: dict | None = None) -> Solution:
+                     warm_binaries=None) -> Solution:
     """Depth-first branch and bound with best-bound restarts.
 
-    ``warm_binaries`` maps binary variable ids to 0/1; if the assignment is
-    feasible its LP solution seeds the incumbent before the search starts.
+    ``warm_binaries`` holds one value per binary in ``lp.binary_ids()``
+    order (anything else raises ValueError); rounded and fixed, if they are
+    feasible their LP solution seeds the incumbent before the search starts.
     Nodes are warm re-solves of one ``_Relaxation``; the returned point is a
     cold solve with every binary fixed at the incumbent's value.  ``bound``
     is the largest LP bound of the incumbent and of the nodes left open or
     discarded by the gap test, so no feasible point scores above it.
     """
     opts = opts or SolveOptions()
-    binary_ids = lp.binary_ids()
-    _, lb0, ub0, _ = lp.column_arrays()
+    _, lb0, ub0, binary = lp.column_arrays()
+    bins = np.flatnonzero(binary)
+    if warm_binaries is not None and np.shape(warm_binaries) != bins.shape:
+        raise ValueError(f"warm_binaries must hold one value per binary of {lp.name}, "
+                         f"{len(bins)} in all, in binary_ids() order")
     t_start = time.monotonic()
     relaxation = _Relaxation(lp)
 
-    incumbent: Solution | None = None
-    inc_obj = -math.inf
+    inc_bins, inc_obj = None, -math.inf  # the incumbent's binaries and objective
     nodes = 0
 
-    if warm_binaries:
-        lb = lb0.copy()
-        ub = ub0.copy()
-        usable = True
-        binary = lp.column_arrays().binary
-        for vid, val in warm_binaries.items():
-            if not binary[vid]:
-                usable = False
-                break
-            lb[vid] = ub[vid] = float(round(val))
-        if usable:
-            warm = relaxation.solve(lb, ub)
-            nodes += 1
-            if warm.status == OPTIMAL:
-                incumbent, inc_obj = warm, warm.objective
+    if warm_binaries is not None and len(bins):
+        # + 0.0 turns the -0.0 that np.round gives a tiny negative into 0.0
+        start = np.round(np.asarray(warm_binaries, dtype=float)) + 0.0
+        warm = relaxation.solve(start, start)
+        nodes += 1
+        if warm.status == OPTIMAL:
+            inc_bins, inc_obj = start, warm.objective
 
-    # node: (negated parent bound for heap order, tiebreak counter, fixings dict);
-    # the root has no parent, so its bound is +inf until it is solved
-    root = (-math.inf, 0, {})
+    # the pending dive is (-parent bound, lo, hi), the root's bound +inf until
+    # it is solved; open nodes wait as (-parent bound, nodes at push, lo, hi)
+    dive = (-math.inf, lb0[bins], ub0[bins])
     heap: list = []
     pruned = -math.inf  # largest bound of the nodes the gap test discarded
-    counter = 1
-    stack = [root]
 
     status_cap = OPTIMAL
-    while stack or heap:
+    while dive or heap:
         if nodes >= MAX_NODES:
             status_cap = NODE_LIMIT
             break
         if time.monotonic() - t_start > opts.time_limit:
             status_cap = TIME_LIMIT
             break
-        if stack:
-            _, _, fixings = stack.pop()
+        if dive:
+            _, lo, hi = dive
+            dive = None
         else:
-            neg_bound, _, fixings = heapq.heappop(heap)
+            neg_bound, _, lo, hi = heapq.heappop(heap)
             if -neg_bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
                 pruned = max(pruned, -neg_bound)
                 continue
 
-        lb = lb0.copy()
-        ub = ub0.copy()
-        for vid, val in fixings.items():
-            lb[vid] = ub[vid] = val
-        node_sol = relaxation.solve(lb, ub)
+        node_sol = relaxation.solve(lo, hi)
         nodes += 1
         if node_sol.status == UNBOUNDED:
             return Solution(UNBOUNDED, objective=math.inf, nodes=nodes)
@@ -260,45 +257,36 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
             pruned = max(pruned, bound)
             continue
 
-        values = node_sol.x.tolist()
-        branch_var = _most_fractional(values, binary_ids, INTEGRALITY_TOL)
-        if branch_var is None:
-            x = node_sol.x.copy()
-            for vid in binary_ids:
-                x[vid] = round(values[vid])
+        values = node_sol.x[bins].tolist()
+        at = _most_fractional(values, INTEGRALITY_TOL)
+        if at is None:
+            x = node_sol.x
+            x[bins] = np.round(values) + 0.0
             obj = lp.objective_value(x)
             if obj > inc_obj:
-                incumbent = Solution(OPTIMAL, obj, x, nodes=nodes)
-                inc_obj = obj
+                inc_bins, inc_obj = x[bins], obj
             continue
 
-        near = int(round(values[branch_var]))
-        far_fix = dict(fixings)
-        far_fix[branch_var] = float(1 - near)
-        near_fix = dict(fixings)
-        near_fix[branch_var] = float(near)
-        heapq.heappush(heap, (-bound, counter, far_fix))
-        counter += 1
-        stack.append((-bound, counter, near_fix))
-        counter += 1
+        near = round(values[at])
+        far_lo, far_hi = lo.copy(), hi.copy()
+        far_lo[at] = far_hi[at] = 1 - near
+        heapq.heappush(heap, (-bound, nodes, far_lo, far_hi))
+        lo[at] = hi[at] = near
+        dive = (-bound, lo, hi)
 
     del relaxation  # release the warm instance before the cold solve
-    if incumbent is None:
-        if status_cap != OPTIMAL:
-            return Solution(status_cap, nodes=nodes)
-        return Solution(INFEASIBLE, nodes=nodes)
+    if inc_bins is None:
+        return Solution(INFEASIBLE if status_cap == OPTIMAL else status_cap, nodes=nodes)
 
-    lb = lb0.copy()
-    ub = ub0.copy()
-    for vid in binary_ids:
-        lb[vid] = ub[vid] = float(round(incumbent.x[vid]))
+    lb, ub = lb0.copy(), ub0.copy()
+    lb[bins] = ub[bins] = inc_bins
     fixed = _solve_lp(lp, lb, ub)
     if fixed.status != OPTIMAL:
         raise SolverError(f"incumbent's binaries are {fixed.status} on a cold re-solve")
     x = fixed.x
     inc_obj = lp.objective_value(x)
 
-    proven = max([-node[0] for node in heap + stack] + [pruned, inc_obj])
+    proven = max([-node[0] for node in heap + [dive] if node] + [pruned, inc_obj])
 
     viol = lp.max_violation(x)
     if viol > 10 * FEASIBILITY_TOL:
@@ -506,19 +494,21 @@ def _write_lp_text(lp: LinearProgram) -> str:
 
 def _mps_layout(lp: LinearProgram) -> _Layout:
     names, binary = _columns(lp)
-    indptr, _, _, sense, _ = lp.row_arrays()
+    indptr, indices, _, sense, _ = lp.row_arrays()
     costed = lp.column_arrays().obj != 0.0
     rows = _numbered(len(sense), "c")
     tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
-    # the entries' places in the row block, in the column-wise matrix's order
-    by_col = _by_column(lp, np.arange(indptr[-1]))
-    counts = np.diff(by_col.indptr)
+    # the entries' places in the row block, column by column and rows
+    # ascending within each column
+    order = np.argsort(indices, kind="stable")
+    counts = np.bincount(indices, minlength=len(names))
     line = "\n    " + names + "  "
     columns, at = _scatter(
-        by_col.indptr,
+        np.concatenate(([0], np.cumsum(counts))),
         [np.where(binary, "\n    MARKER    'MARKER'    'INTORG'", ""),
          np.where(costed, line + "obj  ", ""), np.where(costed, None, "")],
-        [np.repeat(line, counts), rows[by_col.indices], None],
+        [np.repeat(line, counts), rows[np.repeat(np.arange(len(sense)), np.diff(indptr))[order]],
+         None],
         [np.where(~costed & (counts == 0), line + "obj  0", ""),
          np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
     rhs, rhs_at = _interleave("\n    RHS  ", rows, None)
@@ -526,7 +516,7 @@ def _mps_layout(lp: LinearProgram) -> _Layout:
                     "".join(["\nOBJSENSE\n    MAX\nROWS\n N  obj", _joined(tags[sense], rows),
                              "\nCOLUMNS"]),
                     (columns, [at[2][costed], at[5]]), "\nRHS", (rhs, [rhs_at[2]]),
-                    "\nBOUNDS", None, "\nENDATA\n", order=by_col.data)
+                    "\nBOUNDS", None, "\nENDATA\n", order=order)
 
 
 def _write_mps_text(lp: LinearProgram) -> str:

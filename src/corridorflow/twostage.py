@@ -35,8 +35,10 @@ class DemandDistribution:
     def __post_init__(self):
         if len(self.levels) != len(self.probs):
             raise ValueError("levels and probs must align")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative probability")
+        if not all(0 <= level < np.inf for level in self.levels):
+            raise ValueError(f"levels {self.levels} are not all finite nonnegative numbers")
+        if not all(p >= 0 for p in self.probs):  # also refuses NaN
+            raise ValueError(f"probs {self.probs} are not all nonnegative numbers")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
 
@@ -63,8 +65,9 @@ class ObjectiveWeights:
     w4: float = 10.0
 
     def __post_init__(self):
-        if min(self.w0, self.w1, self.w2, self.w3, self.w4) < 0:
-            raise ValueError("weights must be nonnegative")
+        for name, value in vars(self).items():
+            if not value >= 0:  # also refuses NaN
+                raise ValueError(f"weight {name} is {value}, not a nonnegative number")
 
 
 @dataclass
@@ -78,9 +81,9 @@ class HorizonState:
     t0: float = 0.0
 
     def __post_init__(self):
-        for q in self.queues.values():
-            if q < -1e-9:
-                raise ValueError("negative queue")
+        for lid, q in self.queues.items():
+            if not q >= -1e-9:  # also refuses NaN
+                raise ValueError(f"queue of {lid} is {q}, not a nonnegative number")
 
 
 @dataclass
@@ -431,7 +434,7 @@ def assemble_model(
     for link in corridor.fd_links:
         dens = np.asarray(state.densities[link.id], dtype=float)
         rho_m = link.fd.rho_m
-        if np.any(dens < -1e-9) or np.any(dens > rho_m + 1e-9):
+        if not (np.all(dens >= -1e-9) and np.all(dens <= rho_m + 1e-9)):  # refuses NaN
             raise ValueError(f"initial densities of {link.id} outside [0, rho_m]")
     total_p = sum(s.prob for s in scenarios)
     if abs(total_p - 1.0) > 1e-9:

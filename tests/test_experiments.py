@@ -110,6 +110,37 @@ class TestConfigFile:
             assert ([type(getattr(loaded, f.name)) for f in fields(ExperimentConfig)]
                     == [type(getattr(config, f.name)) for f in fields(ExperimentConfig)])
 
+    def test_case_study_file_loads_with_its_hash(self, tmp_path):
+        path = tmp_path / "config.ini"
+        save_config(case_study(), path)
+        assert load_config(path) == case_study()
+        assert config_hash(load_config(path)) == "3e07ce2baed318ef"
+
+    @pytest.mark.parametrize("edit, problem", [
+        (("w3 = 0.003", "w33 = 5"), "[weights] w33 = 5 is not a known key"),
+        (("[sweep]", "[typo_section]\n\n[sweep]"), "[typo_section] is not a known section"),
+        (("[sweep]", "[DEFAULT]\nw3 = 1\n\n[sweep]"), "[DEFAULT] is not a known section"),
+        (("n_project = 8", "n_project = 8.5"),
+         "[horizon] n_project = 8.5 is not a whole number"),
+    ], ids=["key", "section", "default-section", "fractional-count"])
+    def test_typos_are_refused(self, tmp_path, edit, problem):
+        path = tmp_path / "config.ini"
+        save_config(case_study(), path)
+        text = path.read_text(encoding="utf-8")
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_config(path)
+
+    def test_nan_weight_is_refused(self, tmp_path):
+        # a run with it did not return: its models held NaN costs
+        path = tmp_path / "config.ini"
+        save_config(case_study(), path)
+        text = path.read_text(encoding="utf-8").replace("w3 = 0.003", "w3 = nan")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="weight w3 is nan"):
+            load_config(path).weights()
+
     def test_modified_field_changes_hash(self, tmp_path):
         a = case_study()
         b = ExperimentConfig(w4=5.0)

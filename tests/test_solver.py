@@ -27,6 +27,7 @@ from corridorflow.solver import (
 )
 
 import export_oracle
+import reference_search
 from conftest import build_lp, read_with_highs, solve_lp_relaxation, with_fixed
 from test_acceptance import _states_for_certification
 from test_twostage import drawn_models
@@ -137,8 +138,7 @@ class TestBranchAndBound:
     def test_warm_start_accepted(self):
         lp, values, weights, budget = random_knapsack(np.random.default_rng(3), 10)
         cold = branch_and_bound(lp)
-        warm = {vid: round(cold.x[vid]) for vid in lp.binary_ids()}
-        sol = branch_and_bound(lp, warm_binaries=warm)
+        sol = branch_and_bound(lp, warm_binaries=cold.x[lp.binary_ids()])
         assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
@@ -223,8 +223,7 @@ class TestPinnedSolves:
         got = []
         for lp in certification_models:
             cold = branch_and_bound(lp)
-            warm = branch_and_bound(
-                lp, warm_binaries={vid: round(cold.x[vid]) for vid in lp.binary_ids()})
+            warm = branch_and_bound(lp, warm_binaries=cold.x[lp.binary_ids()])
             got.append([pin(cold), pin(warm)])
         assert got == SOLVES
 
@@ -332,9 +331,10 @@ class TestWarmRelaxation:
         rng = np.random.default_rng(2018)
         for lp in certification_models:
             relaxation = solver._Relaxation(lp)
+            bins = lp.binary_ids()
             statuses = set()
             for lb, ub in node_bound_sets(lp, rng):
-                warm = relaxation.solve(lb, ub)
+                warm = relaxation.solve(lb[bins], ub[bins])
                 cold = solver._solve_lp(lp, lb, ub)
                 assert warm.status == cold.status
                 statuses.add(cold.status)
@@ -354,6 +354,107 @@ class TestWarmRelaxation:
             cold = solver._solve_lp(lp, lb, ub)
             assert sol.x.tobytes() == cold.x.tobytes()
             assert sol.objective == lp.objective_value(cold.x)
+
+
+def searched(search, lp, max_nodes=solver.MAX_NODES, **kwargs):
+    """``search(lp, **kwargs)``'s (status, nodes, objective, bound, x bytes)
+    and the binaries' bounds, as bytes, of each ``_Relaxation.solve`` call."""
+    calls = []
+    solve = solver._Relaxation.solve
+
+    def spy(relaxation, lo, hi):
+        calls.append((np.asarray(lo, dtype=float).tobytes(),
+                      np.asarray(hi, dtype=float).tobytes()))
+        return solve(relaxation, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._Relaxation, "solve", spy)
+        patch.setattr(solver, "MAX_NODES", max_nodes)
+        sol = search(lp, **kwargs)
+    x = None if sol.x is None else sol.x.tobytes()
+    return (sol.status, sol.nodes, sol.objective, sol.bound, x), calls
+
+
+def assert_matches_reference(lp, warm=None, max_nodes=solver.MAX_NODES):
+    """The array search and the loop search of ``reference_search`` solve the
+    same node LPs in the same order and return the same solution, bit for
+    bit; ``warm`` is a warm start in binary_ids() order."""
+    warm_map = None if warm is None else dict(zip(lp.binary_ids(), warm))
+    got = searched(branch_and_bound, lp, max_nodes, warm_binaries=warm)
+    expected = searched(reference_search.branch_and_bound, lp, max_nodes,
+                        warm_binaries=warm_map)
+    assert got[1] == expected[1]  # the node LPs, in order
+    assert got[0] == expected[0]
+
+
+@st.composite
+def knapsacks(draw):
+    """Knapsacks of one or two budget rows, some with a continuous column
+    that a row caps, and a warm start: none, 0/1 values, or values in
+    [0, 1] that the search rounds."""
+    n = draw(st.integers(1, 9))
+    ints = st.integers(1, 20)
+    keys = [(f"item{i}",) for i in range(n)]
+    columns = [(key, 0.0, 1.0, True, float(draw(ints))) for key in keys]
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        weights = [float(draw(ints)) for _ in keys]
+        rows.append(({k: w for k, w in zip(keys, weights)}, LE,
+                     float(draw(st.integers(1, int(sum(weights)))))))
+    if draw(st.booleans()):
+        columns.append((("slack",), 0.0, math.inf, False, draw(st.sampled_from([0.5, 1.5]))))
+        rows.append(({("slack",): 1.0, keys[0]: 2.0}, LE, 1.5))
+    lp = build_lp(columns, rows, "knapsack")
+    warm = draw(st.none() | st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)
+                | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return lp, warm
+
+
+class TestArraySearchMatchesReference:
+    """The array search against the loop search it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=knapsacks(), max_nodes=st.sampled_from([solver.MAX_NODES, 1, 2, 5]))
+    def test_drawn_knapsacks(self, drawn, max_nodes):
+        lp, warm = drawn
+        assert_matches_reference(lp, warm, max_nodes)
+
+    def test_certification_models(self, certification_models):
+        for lp in certification_models:
+            cold = branch_and_bound(lp)
+            assert_matches_reference(lp)
+            assert_matches_reference(lp, cold.x[lp.binary_ids()])
+
+    def test_warm_start_must_be_one_value_per_binary(self):
+        lp, *_ = random_knapsack(np.random.default_rng(3), 4)
+        cold = branch_and_bound(lp)
+        for warm in ({vid: round(cold.x[vid]) for vid in lp.binary_ids()},
+                     cold.x[lp.binary_ids()][:-1], [1.0] * 5, [], 1.0):
+            with pytest.raises(ValueError, match="warm_binaries"):
+                branch_and_bound(lp, warm_binaries=warm)
+
+
+class TestNumbersHiGHSMisreads:
+    """A model value HiGHS would misread is refused before HiGHS sees it."""
+
+    @pytest.mark.parametrize("column, row, place", [
+        ((math.nan, 0.0, 1.0), (1.0, 2.1), "column 0 ('x',) has cost nan"),
+        ((math.inf, 0.0, 1.0), (1.0, 2.1), "column 0 ('x',) has cost inf"),
+        ((1.0, math.nan, 1.0), (1.0, 2.1), "column 0 ('x',) has lower bound nan"),
+        ((1.0, 0.0, math.nan), (1.0, 2.1), "column 0 ('x',) has upper bound nan"),
+        ((1.0, 0.0, 1.0), (math.nan, 2.1), "row 1 has coefficient nan"),
+        ((1.0, 0.0, 1.0), (-math.inf, 2.1), "row 1 has coefficient -inf"),
+        ((1.0, 0.0, 1.0), (1.0, math.nan), "row 1 has right-hand side nan"),
+    ], ids=["cost-nan", "cost-inf", "lower-nan", "upper-nan", "coefficient-nan",
+            "coefficient-inf", "rhs-nan"])
+    def test_toy_lp(self, column, row, place):
+        cost, lb, ub = column
+        coefficient, rhs = row
+        lp = build_lp([(("x",), lb, ub, False, cost), (("y",), 0.0, 1.0, False, 1.0)],
+                      [({("y",): 1.0}, LE, 1.0), ({("x",): coefficient, ("y",): 1.0}, LE, rhs)],
+                      "toy")
+        with pytest.raises(solver.SolverError, match=re.escape(f"toy: {place}")):
+            branch_and_bound(lp)
 
 
 def assert_reads_back(lp, path):

@@ -1,11 +1,14 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corridorflow import controller as ctl
 from corridorflow import linkmodel, solver, twostage
+from corridorflow.network import TopologyError
 from corridorflow.twostage import (
     DemandDistribution,
     HorizonState,
@@ -63,6 +66,43 @@ class TestDistribution:
             DemandDistribution((1.0, 2.0), (0.7, 0.7))
         with pytest.raises(ValueError):
             ObjectiveWeights(w4=-1.0)
+
+
+NAN = float("nan")
+
+
+def nan_density_model(config):
+    state = make_state(config.corridor())
+    state.densities["M2"] = np.array([0.1, NAN])
+    return build_deterministic_baseline(config.corridor(), state, 1.5, config.weights())
+
+
+class TestValueTypesRefuseNaN:
+    """Each value type refuses NaN (and the other values it cannot hold),
+    naming the field, where a NaN would pass its comparisons and fail later
+    or not at all."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda config: DemandDistribution((1.0, NAN), (0.5, 0.5)), "levels"),
+        (lambda config: DemandDistribution((1.0, -1.0), (0.5, 0.5)), "levels"),
+        (lambda config: DemandDistribution((1.0, 2.0), (NAN, 1.0)), "probs"),
+        (lambda config: ctl.HorizonConfig(8, 4, NAN), "T=nan"),
+        (lambda config: ctl.HorizonConfig(8, 4, 0.0), "T=0.0"),
+        (lambda config: ctl.HorizonConfig(8, 4, -20.0), "T=-20.0"),
+        (lambda config: HorizonState({}, {"E": NAN}, N, T), "queue of E"),
+        (nan_density_model, "initial densities of M2"),
+        (lambda config: ObjectiveWeights(w3=NAN), "weight w3 is nan"),
+        (lambda config: ObjectiveWeights(w0=-1e-4), "weight w0 is -0.0001"),
+    ], ids=["level-nan", "level-negative", "prob-nan", "T-nan", "T-zero", "T-negative",
+            "queue-nan", "density-nan", "weight-nan", "weight-negative"])
+    def test_refused(self, config, build, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            build(config)
+
+    def test_exit_cap_from_a_nan_time(self, config):
+        corridor = config.corridor()
+        with pytest.raises(TopologyError, match="exit cap on M4 starts at nan"):
+            dataclasses.replace(corridor, exit_caps={"M4": (1.4, NAN)})
 
 
 class TestDegenerateEquivalence:
