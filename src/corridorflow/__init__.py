@@ -25,7 +25,7 @@ from .twostage import (
     objective_breakdown,
 )
 from .lp import LinearProgram
-from .solver import SolveOptions, Solution, branch_and_bound, export_model
+from .solver import Solution, branch_and_bound, export_model
 from .controller import HorizonConfig, Trajectory, run_closed_loop
 from .experiments import ExperimentConfig, case_study, run_comparison, run_sd_sweep
 

@@ -29,24 +29,21 @@ def _add_common(parser):
     parser.add_argument("--output-dir", type=Path, default=Path("runs"))
 
 
-def _add_solve(parser):
-    parser.add_argument("--gap", type=float, default=1e-4, help="relative MIP gap")
-    parser.add_argument("--time-limit", type=float, default=float("inf"),
-                        help="per-solve time limit (s)")
+def _worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _add_jobs(parser):
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=_worker_count, default=1, help="parallel workers")
 
 
 def _load(args) -> ExperimentConfig:
     if args.config:
         return load_config(args.config)
     return case_study()
-
-
-def _options(args) -> solver.SolveOptions:
-    return solver.SolveOptions(mip_gap=args.gap, time_limit=args.time_limit)
 
 
 def _prepare_dir(args, config) -> Path:
@@ -59,8 +56,7 @@ def _prepare_dir(args, config) -> Path:
 def cmd_simulate(args) -> int:
     config = _load(args)
     out = _prepare_dir(args, config)
-    traj, metrics = run_single(config, args.controller, args.seed,
-                               solve_options=_options(args))
+    traj, metrics = run_single(config, args.controller, args.seed)
     traj.to_csv(out / f"trajectory_{args.controller}_seed{args.seed}.csv")
     solve_log = [
         {"horizon": s.horizon, "stage": s.stage, "status": s.status,
@@ -85,7 +81,7 @@ def cmd_compare(args) -> int:
     config = _load(args)
     out = _prepare_dir(args, config)
     seeds = args.seeds if args.seeds else list(range(config.n_seeds))
-    comp = run_comparison(config, seeds, solve_options=_options(args), jobs=args.jobs)
+    comp = run_comparison(config, seeds, jobs=args.jobs)
     comp.to_csv(out / "comparison.csv")
     write_manifest(config, out / "manifest.json", seeds, {"command": "compare"})
     for kind in CONTROLLER_KINDS:
@@ -105,7 +101,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out = _prepare_dir(args, config)
-    rows = run_sd_sweep(config, solve_options=_options(args), jobs=args.jobs)
+    rows = run_sd_sweep(config, jobs=args.jobs)
     sweep_to_csv(rows, out / "sweep.csv")
     write_manifest(config, out / "manifest.json",
                    list(range(config.sweep_seeds)), {"command": "sweep"})
@@ -143,21 +139,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="run one controller on one seeded stream")
     _add_common(p)
-    _add_solve(p)
     p.add_argument("--controller", choices=CONTROLLER_KINDS, default=TWO_STAGE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare all controllers over seeds")
     _add_common(p)
-    _add_solve(p)
     _add_jobs(p)
     p.add_argument("--seeds", type=int, nargs="*", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="demand-variation sweep")
     _add_common(p)
-    _add_solve(p)
     _add_jobs(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -7,7 +7,9 @@ observed at the rolling-horizon mark, a re-solve over a shifted window
 re-decides only the speed limit, which takes effect immediately; the
 committed control merely caps the re-solve's internal control copy.  Traffic
 itself always evolves through the analytic engine with the realized demand,
-and queues and densities carry forward between horizons.
+and queues and densities carry forward between horizons.  A decision follows
+from its model and the stage's warm start alone: the search takes no options
+and reads no clock (a solve's wall time is only logged).
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ def run_closed_loop(
     dist: DemandDistribution,
     weights: ObjectiveWeights,
     cfg: HorizonConfig,
-    solve_options: solver.SolveOptions | None = None,
 ) -> Trajectory:
     """Simulate the whole demand stream under one controller."""
     if controller_kind not in CONTROLLER_KINDS:
@@ -190,7 +191,6 @@ def run_closed_loop(
         if round(float(lvl), 12) not in levels:
             raise ValueError(f"stream level {lvl} not in the demand support")
 
-    opts = solve_options or solver.SolveOptions()
     n1, n2, T = cfg.n_project, cfg.n_rolling, cfg.T
     sim = CorridorSimulator(corridor, T)
     traj = Trajectory(cfg, controller_kind, demand_stream)
@@ -207,7 +207,7 @@ def run_closed_loop(
                              dict(sim.queues), n1, T, t0)
         bundle = build(corridor, state, *args)
         start = time.monotonic()
-        sol = solver.branch_and_bound(bundle.lp, opts, warm_binaries=warm[stage])
+        sol = solver.branch_and_bound(bundle.lp, warm_binaries=warm[stage])
         elapsed = time.monotonic() - start
         if not sol.ok:
             raise ClosedLoopError(f"horizon {h} {stage}: solver returned {sol.status}")

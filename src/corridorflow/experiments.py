@@ -3,7 +3,10 @@ and the demand-variation sweep, plus config file handling.
 
 Streams are drawn with a counter-based 64-bit generator so the same seed
 produces the same stream on any platform.  All tables are emitted as CSV;
-each run writes a manifest with the config hash for reproducibility.
+each run writes a manifest with the config hash for reproducibility.  The
+config and the seeds fix every result: no solver setting is passed through,
+and the worker count (``jobs``) changes only how runs are spread over
+processes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import controller as ctl
-from . import solver
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
 from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
 from .lwr import LinkGeometry, TriangularFD
@@ -358,8 +360,7 @@ class ComparisonResult:
                                  f"{agg['throughput']:.6f}"])
 
 
-def run_single(config: ExperimentConfig, controller_kind: str, seed: int,
-               solve_options: solver.SolveOptions | None = None):
+def run_single(config: ExperimentConfig, controller_kind: str, seed: int):
     """One controller on one seeded stream of ``config.n_horizons`` levels
     drawn from ``config.distribution()``; returns (trajectory, metrics)."""
     corridor = config.corridor()
@@ -367,16 +368,16 @@ def run_single(config: ExperimentConfig, controller_kind: str, seed: int,
     cfg = config.horizon()
     stream = sample_demand_stream(dist, config.n_horizons, seed)
     traj = ctl.run_closed_loop(corridor, stream, controller_kind, dist,
-                               config.weights(), cfg, solve_options)
+                               config.weights(), cfg)
     metrics = compute_metrics(traj, config.weights(), cfg, corridor)
     metrics.seed = seed
     return traj, metrics
 
 
 def _comparison_task(args):
-    config, kind, seed, opts = args
+    config, kind, seed = args
     try:
-        _, metrics = run_single(config, kind, seed, opts)
+        _, metrics = run_single(config, kind, seed)
         return seed, kind, metrics, None
     except Exception as err:  # individual runs may fail; the table continues
         return seed, kind, None, _failure_text(err)
@@ -392,18 +393,22 @@ def run_comparison(
     config: ExperimentConfig,
     seeds=None,
     n_horizons: int | None = None,
-    solve_options: solver.SolveOptions | None = None,
     jobs: int = 1,
     controllers=CONTROLLER_KINDS,
 ) -> ComparisonResult:
     """All controllers on identical seeded streams; ``n_horizons``, when
-    given, replaces ``config.n_horizons``."""
+    given, replaces ``config.n_horizons``.  The runs are spread over at most
+    ``jobs`` worker processes, no more than there are runs; ``jobs`` below 1
+    raises ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
     if n_horizons is not None:
         config = replace(config, n_horizons=n_horizons)
-    tasks = [(config, kind, seed, solve_options) for seed in seeds for kind in controllers]
-    if jobs > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+    tasks = [(config, kind, seed) for seed in seeds for kind in controllers]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             outcomes = pool.map(_comparison_task, tasks)
     else:
         outcomes = [_comparison_task(t) for t in tasks]
@@ -430,18 +435,17 @@ def distribution_sd(dist: DemandDistribution) -> float:
     return math.sqrt(sum(p * (l - mean) ** 2 for l, p in zip(dist.levels, dist.probs)))
 
 
-def run_sd_sweep(config: ExperimentConfig, solve_options: solver.SolveOptions | None = None,
-                 jobs: int = 1) -> list:
+def run_sd_sweep(config: ExperimentConfig, jobs: int = 1) -> list:
     """Controller comparison across the symmetric demand distributions of
     ``config.sweep_p_grid``, each point over ``config.sweep_seeds`` seeds of
     ``config.sweep_horizons`` horizons; returns one row per grid point with
-    the seed-summed metrics."""
+    the seed-summed metrics.  Every point's distribution is built before the
+    first comparison runs, so a bad point raises ValueError before any work."""
+    dists = [symmetric_distribution(config.demand_levels, p) for p in config.sweep_p_grid]
     rows = []
-    for p in config.sweep_p_grid:
-        dist = symmetric_distribution(config.demand_levels, p)
+    for p, dist in zip(config.sweep_p_grid, dists):
         point = replace(config, demand_probs=dist.probs, n_horizons=config.sweep_horizons)
-        comp = run_comparison(point, range(config.sweep_seeds), solve_options=solve_options,
-                              jobs=jobs)
+        comp = run_comparison(point, range(config.sweep_seeds), jobs=jobs)
         row = {"p": p, "sd": distribution_sd(dist)}
         for kind in CONTROLLER_KINDS:
             agg = comp.aggregate(kind)

@@ -13,7 +13,10 @@ model's CSR block holds them, into a HiGHS instance (scipy's private
 changing the binaries' column bounds, so each node is a dual simplex
 re-solve from the previous basis.  After the search, the incumbent's point is
 a cold ``linprog`` solve (rows split by ``_linprog_rows``) with every binary
-fixed at its value, so it does not depend on the path of warm starts.
+fixed at its value, so it does not depend on the path of warm starts.  A
+search reads no clock and takes no options: its gap (``MIP_GAP``) and node
+cap (``MAX_NODES``) are module constants, so its answer depends on the model
+alone.
 
 ``export_model`` writes LP or MPS text through one layout per format and row
 pattern: everything in the file but its numbers, built on the pattern's first
@@ -28,7 +31,6 @@ import functools
 import heapq
 import math
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap-limit"
 NODE_LIMIT = "node-limit"
-TIME_LIMIT = "time-limit"
 
 #: a binary within this distance of an integer counts as integral
 INTEGRALITY_TOL = 1e-6
@@ -51,16 +52,9 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
 #: a search stops with status NODE_LIMIT after this many node solves
 MAX_NODES = 200000
-
-
-@dataclass
-class SolveOptions:
-    mip_gap: float = 1e-4
-    time_limit: float = math.inf
-
-    def __post_init__(self):
-        if not self.mip_gap > 0:  # also refuses NaN
-            raise ValueError("mip_gap must be positive")
+#: a node whose LP bound exceeds the incumbent's objective by no more than
+#: this much, relative to max(1, |objective|), is not searched
+MIP_GAP = 1e-4
 
 
 @dataclass
@@ -191,8 +185,7 @@ def _most_fractional(values: list, tol):
     return pick
 
 
-def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
-                     warm_binaries=None) -> Solution:
+def branch_and_bound(lp: LinearProgram, *, warm_binaries=None) -> Solution:
     """Depth-first branch and bound with best-bound restarts.
 
     ``warm_binaries`` holds one value per binary in ``lp.binary_ids()``
@@ -201,15 +194,14 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
     Nodes are warm re-solves of one ``_Relaxation``; the returned point is a
     cold solve with every binary fixed at the incumbent's value.  ``bound``
     is the largest LP bound of the incumbent and of the nodes left open or
-    discarded by the gap test, so no feasible point scores above it.
+    discarded by the gap test (``MIP_GAP``), so no feasible point scores
+    above it.
     """
-    opts = opts or SolveOptions()
     _, lb0, ub0, binary = lp.column_arrays()
     bins = np.flatnonzero(binary)
     if warm_binaries is not None and np.shape(warm_binaries) != bins.shape:
         raise ValueError(f"warm_binaries must hold one value per binary of {lp.name}, "
                          f"{len(bins)} in all, in binary_ids() order")
-    t_start = time.monotonic()
     relaxation = _Relaxation(lp)
 
     inc_bins, inc_obj = None, -math.inf  # the incumbent's binaries and objective
@@ -234,15 +226,12 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         if nodes >= MAX_NODES:
             status_cap = NODE_LIMIT
             break
-        if time.monotonic() - t_start > opts.time_limit:
-            status_cap = TIME_LIMIT
-            break
         if dive:
             _, lo, hi = dive
             dive = None
         else:
             neg_bound, _, lo, hi = heapq.heappop(heap)
-            if -neg_bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+            if -neg_bound <= inc_obj + MIP_GAP * max(1.0, abs(inc_obj)):
                 pruned = max(pruned, -neg_bound)
                 continue
 
@@ -253,7 +242,7 @@ def branch_and_bound(lp: LinearProgram, opts: SolveOptions | None = None,
         if node_sol.status != OPTIMAL:
             continue
         bound = node_sol.objective
-        if bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+        if bound <= inc_obj + MIP_GAP * max(1.0, abs(inc_obj)):
             pruned = max(pruned, bound)
             continue
 

@@ -10,7 +10,6 @@ it the binaries' bounds in ``lp.binary_ids()`` order, so a spy on
 
 import heapq
 import math
-import time
 
 from corridorflow import solver
 from corridorflow.solver import (
@@ -18,10 +17,8 @@ from corridorflow.solver import (
     INTEGRALITY_TOL,
     NODE_LIMIT,
     OPTIMAL,
-    TIME_LIMIT,
     UNBOUNDED,
     Solution,
-    SolveOptions,
     SolverError,
 )
 
@@ -36,14 +33,13 @@ def most_fractional(x: list, binary_ids, tol):
     return pick
 
 
-def branch_and_bound(lp, opts: SolveOptions | None = None,
-                     warm_binaries: dict | None = None) -> Solution:
+def branch_and_bound(lp, warm_binaries: dict | None = None) -> Solution:
     """Depth-first branch and bound with best-bound restarts, searching over
-    fixings dicts; ``warm_binaries`` maps binary column ids to 0/1."""
-    opts = opts or SolveOptions()
+    fixings dicts; ``warm_binaries`` maps binary column ids to 0/1.  The gap
+    and the node cap are read from ``solver`` at call time."""
+    gap = solver.MIP_GAP
     binary_ids = lp.binary_ids()
     _, lb0, ub0, _ = lp.column_arrays()
-    t_start = time.monotonic()
     relaxation = solver._Relaxation(lp)
 
     def solve(lb, ub):
@@ -82,14 +78,11 @@ def branch_and_bound(lp, opts: SolveOptions | None = None,
         if nodes >= solver.MAX_NODES:
             status_cap = NODE_LIMIT
             break
-        if time.monotonic() - t_start > opts.time_limit:
-            status_cap = TIME_LIMIT
-            break
         if stack:
             _, _, fixings = stack.pop()
         else:
             neg_bound, _, fixings = heapq.heappop(heap)
-            if -neg_bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+            if -neg_bound <= inc_obj + gap * max(1.0, abs(inc_obj)):
                 pruned = max(pruned, -neg_bound)
                 continue
 
@@ -104,7 +97,7 @@ def branch_and_bound(lp, opts: SolveOptions | None = None,
         if node_sol.status != OPTIMAL:
             continue
         bound = node_sol.objective
-        if bound <= inc_obj + opts.mip_gap * max(1.0, abs(inc_obj)):
+        if bound <= inc_obj + gap * max(1.0, abs(inc_obj)):
             pruned = max(pruned, bound)
             continue
 

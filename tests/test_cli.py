@@ -100,9 +100,22 @@ def test_export_milp_formats(controller, tiny_config, tmp_path):
     ["export-milp", "--time-limit", "5"],
     ["export-milp", "--jobs", "2"],
     ["simulate", "--jobs", "2"],
+    # a decision depends on the model alone: no command sets the gap or a clock
+    *([command, flag, value] for command in ("simulate", "compare", "sweep")
+      for flag, value in (("--gap", "1e-3"), ("--time-limit", "5"))),
 ])
 def test_subcommands_refuse_options_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_worker_count_below_one_is_refused(command, jobs, tiny_config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(tiny_config), "--output-dir", str(tmp_path),
+                  "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err

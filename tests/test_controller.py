@@ -170,11 +170,10 @@ class TestClosedLoop:
         corridor = config.corridor()
         dist = point_distribution(1.5)
         stream = [1.5] * 3
-        opts = None
         traj_two = ctl.run_closed_loop(corridor, stream, ctl.TWO_STAGE, dist,
-                                       config.weights(), cfg, opts)
+                                       config.weights(), cfg)
         traj_mean = ctl.run_closed_loop(corridor, stream, ctl.D_MEAN, dist,
-                                        config.weights(), cfg, opts)
+                                        config.weights(), cfg)
         for key in ("qin", "qout"):
             for lid in ("E", "M1", "M4"):
                 np.testing.assert_allclose(
@@ -207,8 +206,8 @@ class TestClosedLoop:
         search = solver.branch_and_bound
         calls = []  # (warm start, incumbent's binaries) per solve
 
-        def spy(lp, opts=None, warm_binaries=None):
-            sol = search(lp, opts, warm_binaries=warm_binaries)
+        def spy(lp, warm_binaries=None):
+            sol = search(lp, warm_binaries=warm_binaries)
             calls.append((warm_binaries, sol.x[lp.binary_ids()]))
             return sol
 

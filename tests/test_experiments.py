@@ -264,6 +264,38 @@ class TestComparison:
             comp.failures[(0, "d-min")],
         )
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_a_worker_count_below_one_is_refused(self, small_config, jobs):
+        with pytest.raises(ValueError, match=f"got {jobs}"):
+            run_comparison(small_config, seeds=[0], n_horizons=1, jobs=jobs)
+
+    def test_the_pool_is_no_larger_than_the_runs(self, small_config, monkeypatch):
+        sizes = []
+
+        class FakePool:  # records its size and starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, tasks):
+                return [(args[2], args[1], None, "not run") for args in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(experiments.multiprocessing, "get_context",
+                            lambda method: FakeContext)
+        for jobs, controllers in ((64, ("d-min", "d-max")), (3, ctl.CONTROLLER_KINDS)):
+            comp = run_comparison(small_config, seeds=[0], n_horizons=1, jobs=jobs,
+                                  controllers=controllers)
+            assert sorted(comp.failures) == sorted((0, kind) for kind in controllers)
+        assert sizes == [2, 3]
+
     def test_csv_and_manifest(self, small_config, tmp_path):
         comp = run_comparison(small_config, seeds=[0], n_horizons=2)
         comp.to_csv(tmp_path / "cmp.csv")
@@ -284,3 +316,17 @@ class TestComparison:
         sweep_to_csv(rows, tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_a_bad_sweep_point_is_refused_before_any_comparison(self, small_config,
+                                                                monkeypatch):
+        calls = []
+
+        def spy(config, *args, **kwargs):
+            calls.append(config.demand_probs)
+            return experiments.ComparisonResult(config, [], {})
+
+        monkeypatch.setattr(experiments, "run_comparison", spy)
+        config = replace(small_config, sweep_p_grid=(0.0, 0.7))
+        with pytest.raises(ValueError, match="p must lie"):
+            experiments.run_sd_sweep(config)
+        assert calls == []

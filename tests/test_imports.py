@@ -4,7 +4,8 @@ solver formats in ``solver``: no module but ``solver.py`` imports any scipy
 module, so linprog, the ``_highspy`` binding and the column-wise layouts of
 the rows (``scipy.sparse``) stay there; and it keeps junction roles in
 ``network``: no module but ``network.py`` compares anything with a junction
-kind, so the others read the roles a ``Corridor`` resolved."""
+kind, so the others read the roles a ``Corridor`` resolved; and the search
+reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,12 @@ def test_the_scan_finds_a_submodule_imported_by_name():
     assert imported(source) == {"scipy", "scipy.optimize", "numpy"}
     assert reaches(imported(source), "scipy.optimize")
     assert not reaches(imported("import scipy.optimizer\n"), "scipy.optimize")
+
+
+def test_the_search_reads_no_clock():
+    # a search's answer depends on the model alone, never on how long it ran
+    names = imported((SRC / "solver.py").read_text())
+    assert not reaches(names, "time") and not reaches(names, "datetime")
 
 
 def test_the_model_container_imports_no_scipy():

@@ -21,7 +21,6 @@ from corridorflow.solver import (
     INFEASIBLE,
     NODE_LIMIT,
     OPTIMAL,
-    SolveOptions,
     branch_and_bound,
     export_model,
 )
@@ -171,7 +170,7 @@ class TestReportedBound:
     def test_bound_holds_the_optimum_within_the_gap(self, certification_models):
         # the search discards nodes whose LP bound lies within the gap above
         # the incumbent; their bounds must still count in the reported one
-        gap = SolveOptions().mip_gap
+        gap = solver.MIP_GAP
         for lp in certification_models:
             sol = branch_and_bound(lp)
             optimum = milp_optimum(lp)

@@ -46,7 +46,9 @@ def make_state(corridor, densities=0.0, queue=0.0, t0=0.0):
 
 
 def solve(bundle, gap=1e-4):
-    sol = solver.branch_and_bound(bundle.lp, solver.SolveOptions(mip_gap=gap))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "MIP_GAP", gap)
+        sol = solver.branch_and_bound(bundle.lp)
     assert sol.ok
     return sol
 
