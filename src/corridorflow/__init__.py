@@ -13,7 +13,7 @@ from .lwr import (
     ValueConditionSet,
     critical_density,
 )
-from .linkmodel import LinkSpec, SpeedLimitSet
+from .linkmodel import LinkSpec
 from .network import Corridor, Junction, TopologyError
 from .twostage import (
     DemandDistribution,

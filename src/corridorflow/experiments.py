@@ -28,7 +28,7 @@ import numpy as np
 
 from . import controller as ctl
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
-from .linkmodel import ENTRY, FD, LinkSpec, SpeedLimitSet
+from .linkmodel import ENTRY, FD, LinkSpec
 from .lwr import LinkGeometry, TriangularFD
 from .network import MERGE, SERIAL, Corridor, Junction
 from .twostage import DemandDistribution, ObjectiveWeights, apply_queue_update, entry_capacity
@@ -133,15 +133,14 @@ class ExperimentConfig:
         fd = self.fd()
         links = [LinkSpec("E", ENTRY, controlled=True)]
         junctions = []
-        vsl_set = SpeedLimitSet(tuple(self.speed_candidates), self.w, self.rho_m)
+        vsl_fd = TriangularFD(max(self.speed_candidates), self.w, self.rho_m)
         for i in range(1, self.n_main_links + 1):
             geom = LinkGeometry((i - 1) * self.link_length, i * self.link_length,
                                 self.segments_per_link)
-            is_vsl = i == self.vsl_link
-            links.append(
-                LinkSpec(f"M{i}", FD, geom, fd, is_vsl=is_vsl,
-                         vsl_set=vsl_set if is_vsl else None)
-            )
+            if i == self.vsl_link:
+                links.append(LinkSpec(f"M{i}", FD, geom, vsl_fd, self.speed_candidates))
+            else:
+                links.append(LinkSpec(f"M{i}", FD, geom, fd))
         links.append(LinkSpec("R", ENTRY, controlled=False, demand=self.ramp_demand))
         junctions.append(Junction("jE", ("E",), ("M1",), SERIAL))
         for i in range(1, self.n_main_links):

@@ -17,7 +17,7 @@ link-locally, as (kind, *index): ("qin", n), ("qout", n), ("kin", n),
 ("delta", s), ("ka", s, n), ("qa", s, n) and ("rcvf",).  The control model
 places them at (scenario, kind, link_id, *index), and build_compatibility at
 (kind, link_id, *index).  The control model takes each link's rows from a
-BlockTemplate: a CSR block built once per (flux law, geometry, speed set,
+BlockTemplate: a CSR block built once per (flux law, geometry, speeds,
 n_steps, T), whose only density-dependent parts are evaluated vectorized.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,63 +38,63 @@ ENTRY = "entry"
 
 
 @dataclass(frozen=True)
-class SpeedLimitSet:
-    """Candidate free-flow speeds with the induced critical densities and
-    capacities (backwave speed and jam density stay fixed)."""
-
-    speeds: tuple
-    w: float
-    rho_m: float
-
-    @property
-    def fds(self) -> tuple:
-        return tuple(TriangularFD(v, self.w, self.rho_m) for v in self.speeds)
-
-    @property
-    def rho_cs(self) -> tuple:
-        return tuple(fd.rho_c for fd in self.fds)
-
-    @property
-    def capacities(self) -> tuple:
-        return tuple(fd.Q for fd in self.fds)
-
-    @property
-    def Q_max(self) -> float:
-        return max(self.capacities)
-
-    def __len__(self) -> int:
-        return len(self.speeds)
-
-
-@dataclass(frozen=True)
 class LinkSpec:
-    """Static description of one link."""
+    """Static description of one link.
+
+    A link of kind ``FD`` has a ``geometry`` and a flux law ``fd``; with
+    speed control, ``speeds`` lists its candidate free-flow speeds in order,
+    each with the law ``TriangularFD(v, fd.w, fd.rho_m)`` (``speed_fds``),
+    and ``fd`` is the fastest candidate's law.  A link of kind ``ENTRY`` is a
+    point queue fed at rate ``demand``, with a boundary control when
+    ``controlled``.  A fact that does not belong to the link's kind, or an
+    ``fd`` that is not the fastest candidate's law, raises ``ValueError``
+    naming the link and the field.
+    """
 
     id: str
     kind: str = FD
     geometry: LinkGeometry | None = None
     fd: TriangularFD | None = None
-    is_vsl: bool = False
-    vsl_set: SpeedLimitSet | None = None
-    controlled: bool = False  # entry links: carries a boundary control
-    demand: float = 0.0  # entry links: exogenous arrival rate (veh/s)
+    speeds: tuple | None = None
+    controlled: bool = False
+    demand: float = 0.0
 
     def __post_init__(self):
-        if self.kind == FD and (self.geometry is None or self.fd is None):
-            raise ValueError(f"link {self.id}: FD links need geometry and fd")
-        if self.is_vsl and self.vsl_set is None:
-            raise ValueError(f"link {self.id}: VSL link without a speed set")
+        if self.kind not in (FD, ENTRY):
+            raise ValueError(f"link {self.id}: kind {self.kind!r} is neither {FD!r} nor {ENTRY!r}")
+        if self.kind == FD and (self.geometry is None or not isinstance(self.fd, TriangularFD)):
+            raise ValueError(f"link {self.id}: a link with a flux law needs a geometry and "
+                             f"a TriangularFD fd, got fd={self.fd!r}")
+        foreign = ("geometry", "fd", "speeds") if self.kind == ENTRY else ("controlled", "demand")
+        given = [f.name for f in fields(self)
+                 if f.name in foreign and getattr(self, f.name) != f.default]
+        if given:
+            raise ValueError(f"link {self.id}: {', '.join(given)} cannot be set on a link "
+                             f"of kind {self.kind!r}")
+        speeds = None if self.speeds is None else tuple(self.speeds)
+        object.__setattr__(self, "speeds", speeds)
+        if speeds is not None and (
+                not speeds or self.fd != TriangularFD(max(speeds), self.fd.w, self.fd.rho_m)):
+            raise ValueError(f"link {self.id}: fd {self.fd} is not the law of the fastest "
+                             f"of speeds {speeds}")
+        # not a field: equality and hashing see the speeds alone
+        object.__setattr__(self, "speed_fds", tuple(
+            TriangularFD(v, self.fd.w, self.fd.rho_m) for v in speeds or ()))
+
+    @property
+    def is_vsl(self) -> bool:
+        return self.speeds is not None
 
     @property
     def capacity(self) -> float:
         if self.kind != FD:
-            raise ValueError("entry links have no capacity of their own")
-        return self.vsl_set.Q_max if self.is_vsl else self.fd.Q
+            raise ValueError(f"entry link {self.id} has no capacity of its own")
+        return self.fd.Q
 
     def fd_for_speed(self, speed: float) -> TriangularFD:
         if not self.is_vsl:
             return self.fd
-        for v, fd in zip(self.vsl_set.speeds, self.vsl_set.fds):
+        for v, fd in zip(self.speeds, self.speed_fds):
             if abs(v - speed) < 1e-9:
                 return fd
         raise ValueError(f"speed {speed} not in candidate set of link {self.id}")
@@ -330,16 +330,16 @@ def _link_columns(link: LinkSpec, n_max: int) -> list:
     cols = []
     for t in range(1, n_max + 1):
         cols += [(("qin", t), 0.0, cap, CONTINUOUS), (("qout", t), 0.0, cap, CONTINUOUS)]
-    if link.is_vsl:
-        sls = link.vsl_set
-        cols += [(("delta", s), 0.0, 1.0, BINARY) for s in range(len(sls))]
-        cols.append((("rcvf",), 0.0, sls.Q_max, CONTINUOUS))
-        rc_hi = max(sls.rho_cs)
+    fds = link.speed_fds
+    if fds:
+        cols += [(("delta", s), 0.0, 1.0, BINARY) for s in range(len(fds))]
+        cols.append((("rcvf",), 0.0, cap, CONTINUOUS))
+        rc_hi = max(fd.rho_c for fd in fds)
         for t in range(1, n_max + 1):
             cols.append((("kin", t), 0.0, rc_hi, CONTINUOUS))
-            for s in range(len(sls)):
-                cols.append((("ka", s, t), 0.0, sls.rho_cs[s], CONTINUOUS))
-                cols.append((("qa", s, t), 0.0, sls.capacities[s], CONTINUOUS))
+            for s, fd in enumerate(fds):
+                cols.append((("ka", s, t), 0.0, fd.rho_c, CONTINUOUS))
+                cols.append((("qa", s, t), 0.0, fd.Q, CONTINUOUS))
     return cols
 
 
@@ -366,11 +366,11 @@ class BlockTemplate:
     The rows of build_vsl_linearization follow.
     """
 
-    def __init__(self, fd: TriangularFD, geom: LinkGeometry, vsl_set, n_max: int, T: float):
-        link = LinkSpec("", FD, geom, fd, is_vsl=vsl_set is not None, vsl_set=vsl_set)
+    def __init__(self, fd: TriangularFD, geom: LinkGeometry, speeds, n_max: int, T: float):
+        link = LinkSpec("", FD, geom, fd, speeds)
         self.columns = _link_columns(link, n_max)
         self._X = geom.X
-        if vsl_set is None:
+        if speeds is None:
             self._compat = CompatTemplate(fd, geom, n_max, T)
             self._delta = None
             self.rows = self._compat.rows
@@ -378,7 +378,7 @@ class BlockTemplate:
             return
 
         rows, parts = [], []
-        for s, (v_s, fd_s) in enumerate(zip(vsl_set.speeds, vsl_set.fds)):
+        for s, (v_s, fd_s) in enumerate(zip(speeds, link.speed_fds)):
             tpl = CompatTemplate(fd_s, geom, n_max, T)
             first = len(rows)
             for compat in tpl.rows.constraints(tpl.keys):
@@ -396,11 +396,11 @@ class BlockTemplate:
         # aggregate flows are the sums of the candidate copies
         for n in range(1, n_max + 1):
             coeffs = {("qin", n): 1.0}
-            for s, v_s in enumerate(vsl_set.speeds):
+            for s, v_s in enumerate(speeds):
                 coeffs[("ka", s, n)] = -v_s
             rows.append(Constraint(coeffs, EQ, 0.0))
             coeffs = {("qout", n): 1.0}
-            for s in range(len(vsl_set)):
+            for s in range(len(speeds)):
                 coeffs[("qa", s, n)] = -1.0
             rows.append(Constraint(coeffs, EQ, 0.0))
         self.n_compat = len(rows)
@@ -428,16 +428,15 @@ class BlockTemplate:
 
 
 @functools.lru_cache(maxsize=None)
-def block_template(fd: TriangularFD, geom: LinkGeometry, vsl_set, n_max: int,
+def block_template(fd: TriangularFD, geom: LinkGeometry, speeds, n_max: int,
                    T: float) -> BlockTemplate:
     """The BlockTemplate of one link shape, built on first use.  The key
     holds no state, so every horizon of a closed loop reuses it."""
-    return BlockTemplate(fd, geom, vsl_set, n_max, T)
+    return BlockTemplate(fd, geom, speeds, n_max, T)
 
 
 def link_template(link: LinkSpec, n_max: int, T: float) -> BlockTemplate:
-    return block_template(link.fd, link.geometry, link.vsl_set if link.is_vsl else None,
-                          n_max, T)
+    return block_template(link.fd, link.geometry, link.speeds, n_max, T)
 
 
 def build_compatibility(link: LinkSpec, initial_density, n_max: int,
@@ -460,22 +459,22 @@ def build_vsl_linearization(link: LinkSpec, n_max: int) -> list[Constraint]:
     so k_in equals q_in over the active speed."""
     if not link.is_vsl:
         raise ValueError(f"link {link.id} has no speed-limit control")
-    sls = link.vsl_set
-    rows = [Constraint({("delta", s): 1.0 for s in range(len(sls))}, EQ, 1.0)]
+    fds = link.speed_fds
+    rows = [Constraint({("delta", s): 1.0 for s in range(len(fds))}, EQ, 1.0)]
     coeffs = {("rcvf",): 1.0}
-    for s, (rc, v) in enumerate(zip(sls.rho_cs, sls.speeds)):
-        coeffs[("delta", s)] = -rc * v
+    for s, fd in enumerate(fds):
+        coeffs[("delta", s)] = -fd.rho_c * fd.vf
     rows.append(Constraint(coeffs, EQ, 0.0))
-    q_max = sls.Q_max
+    q_max = link.capacity
     for n in range(1, n_max + 1):
-        for s, (v, Q_s) in enumerate(zip(sls.speeds, sls.capacities)):
-            ka, qin, delta = ("ka", s, n), ("qin", n), ("delta", s)
+        for s, fd in enumerate(fds):
+            ka, qin, delta, v = ("ka", s, n), ("qin", n), ("delta", s), fd.vf
             rows += [
-                Constraint({ka: 1.0, delta: -Q_s / v}, LE, 0.0),
+                Constraint({ka: 1.0, delta: -fd.Q / v}, LE, 0.0),
                 Constraint({ka: 1.0, qin: -1.0 / v}, LE, 0.0),
                 Constraint({ka: 1.0, qin: -1.0 / v, delta: -q_max / v}, GE, -q_max / v),
             ]
-        coeffs = {("ka", s, n): 1.0 for s in range(len(sls))}
+        coeffs = {("ka", s, n): 1.0 for s in range(len(fds))}
         coeffs[("kin", n)] = -1.0
         rows.append(Constraint(coeffs, EQ, 0.0))
     return rows

@@ -40,9 +40,9 @@ class InvalidParameterError(ValueError):
 
 def critical_density(vf: float, w: float, rho_m: float) -> float:
     """Density at which a triangular flux law reaches capacity."""
-    if vf <= 0 or w >= 0 or rho_m <= 0:
+    if not (0 < vf < INF and -INF < w < 0 and 0 < rho_m < INF):  # also refuses NaN
         raise InvalidParameterError(
-            f"need vf > 0, w < 0, rho_m > 0; got vf={vf}, w={w}, rho_m={rho_m}"
+            f"need finite vf > 0, w < 0, rho_m > 0; got vf={vf}, w={w}, rho_m={rho_m}"
         )
     return -rho_m * w / (vf - w)
 
@@ -76,8 +76,9 @@ class LinkGeometry:
     k_max: int
 
     def __post_init__(self):
-        if self.chi <= self.xi or self.k_max < 1:
-            raise InvalidParameterError("need chi > xi and k_max >= 1")
+        if not (-INF < self.xi < self.chi < INF) or self.k_max < 1:  # also refuses NaN
+            raise InvalidParameterError(f"need finite xi < chi and k_max >= 1; got "
+                                        f"xi={self.xi}, chi={self.chi}, k_max={self.k_max}")
         # not a field: equality and hashing (linkmodel's caches key on the
         # geometry) see xi, chi and k_max only
         edges = self.xi + self.X * np.arange(self.k_max + 1)

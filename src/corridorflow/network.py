@@ -1,8 +1,9 @@
 """Corridor topology and junction-level flow coupling.
 
 A corridor is a directed path of links with optional merge junctions where
-an on-ramp joins the mainline.  ``Corridor`` is a frozen value that checks
-itself on construction and resolves each junction once into its ``Roles``,
+an on-ramp joins the mainline.  Each ``LinkSpec`` checks its own fields;
+``Corridor`` is a frozen value that checks how its links fit together on
+construction and resolves each junction once into its ``Roles``,
 so the simulator and the control model read the topology from it and check
 nothing themselves; this is the one module that reads junction kinds.
 Junction constraints tie one link's outflow to the next link's inflow; at a
@@ -119,9 +120,9 @@ def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
     duplicate link or junction ids, a serial junction that is not
     1-in/1-out, a merge that does not join one entry-link ramp and one
     mainline link into one link, a link in two junction roles, an entry link
-    that is a junction outflow or feeds no junction, an inconsistent flux
-    law, no entry or no exit link, and an exit cap on a link that is not an
-    exit link, that is not a nonnegative number or whose start is NaN."""
+    that is a junction outflow or feeds no junction, no entry or no exit
+    link, and an exit cap on a link that is not an exit link, that is not a
+    nonnegative number or whose start is NaN."""
     errors = []
     by_id = corridor._by_id
     if len(by_id) != len(corridor.links):
@@ -155,11 +156,6 @@ def _resolve(corridor: Corridor) -> tuple[list, list[str]]:
             errors.append(f"entry link {l.id} cannot be a junction outflow")
         if l.kind == ENTRY and in_roles[l.id] == 0:
             errors.append(f"entry link {l.id} feeds no junction")
-        if l.kind == FD:
-            fd = l.fd
-            rc_expected = -fd.rho_m * fd.w / (fd.vf - fd.w)
-            if abs(fd.rho_c - rc_expected) > 1e-9:
-                errors.append(f"link {l.id}: FD inconsistency")
 
     if not corridor.entry_links:
         errors.append("no entry links")

@@ -94,10 +94,7 @@ class CorridorSimulator:
                 if dens.shape != (k_max,):
                     raise ValueError(f"densities for link {link.id!r} have shape "
                                      f"{dens.shape}, not its {k_max} segments")
-            fd = link.fd
-            if link.is_vsl:
-                speed = initial_speeds.get(link.id, max(link.vsl_set.speeds))
-                fd = link.fd_for_speed(speed)
+            fd = link.fd_for_speed(initial_speeds.get(link.id, link.fd.vf))
             self._start_period(link.id, dens, fd, link.geometry)
             self._densities[link.id] = dens
         self.queues = {l.id: 0.0 for l in self._entries}

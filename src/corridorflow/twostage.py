@@ -155,7 +155,7 @@ class ModelBundle:
     def selected_speed(self, solution, link_id: str, j: int = 0) -> float:
         """The candidate speed of the largest ``delta``, the first on a tie."""
         deltas = self._read(solution, j, self.template.deltas[link_id])
-        return self.corridor.link(link_id).vsl_set.speeds[int(np.argmax(deltas))]
+        return self.corridor.link(link_id).speeds[int(np.argmax(deltas))]
 
     def scenario_flows(self, solution, j: int = 0) -> dict:
         """Link id -> (inflows, outflows) of scenario j, in link order."""
@@ -176,7 +176,7 @@ class ModelTemplate:
     ``n_steps`` steps of length ``T``, a scenario count and the penalized
     inflow-change pairs.  Only numbers differ between the models of one
     shape, so the pattern is assembled once and ``evaluate`` fills in a
-    state's numbers.
+    state's numbers.  ``fluct_pairs`` keeps the pairs it penalizes.
 
     The columns are the shared first-stage controls ("qp", entry, t), then
     one block per scenario j, each key prefixed by j: the links' flows (an FD
@@ -203,6 +203,7 @@ class ModelTemplate:
     def __init__(self, corridor: network.Corridor, n_steps: int, T: float,
                  n_scenarios: int, fluct_pairs: tuple):
         self.corridor, self.n_steps, self.T = corridor, n_steps, T
+        self.fluct_pairs = fluct_pairs
         steps = range(1, n_steps + 1)
         controlled = corridor.controlled_entries
         caps = {l.id: entry_capacity(corridor, l.id) for l in corridor.entry_links}
@@ -553,10 +554,7 @@ def objective_breakdown(bundle: ModelBundle, solution) -> dict:
             terms["w2_entry_inflow"] += w.w2 * float(np.sum(qin))
             shortfall = np.cumsum(d) - np.cumsum(qin)
             terms["w3_block"] += w.w3 * (1.0 + e0) * float(np.sum(shortfall))
-            pairs = bundle.options.fluct_pairs
-            if pairs is None:
-                pairs = [(t, t + 1) for t in range(1, n)]
-            for t1, t2 in pairs:
+            for t1, t2 in bundle.template.fluct_pairs:
                 terms["w4_fluctuation"] += w.w4 * abs(qin[t1 - 1] - qin[t2 - 1])
         terms["recourse"] = (
             terms["weighted_outflow"]

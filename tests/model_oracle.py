@@ -168,9 +168,9 @@ def published_control(bundle, solution, entry_id):
 
 def selected_speed(bundle, solution, link_id, j=0):
     link = bundle.corridor.link(link_id)
-    best_s = max(range(len(link.vsl_set)),
+    best_s = max(range(len(link.speeds)),
                  key=lambda s: value(solution, bundle.lp, (j, "delta", link_id, s)))
-    return link.vsl_set.speeds[best_s]
+    return link.speeds[best_s]
 
 
 def scenario_flows(bundle, solution, j=0):

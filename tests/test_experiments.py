@@ -22,6 +22,7 @@ from corridorflow.experiments import (
     symmetric_distribution,
     write_manifest,
 )
+from corridorflow.lwr import InvalidParameterError
 from corridorflow.twostage import DemandDistribution
 
 from conftest import point_distribution
@@ -166,6 +167,16 @@ class TestConfigFile:
                                                              message):
         with pytest.raises(ValueError, match=message):
             replace(config, **{field: value}).corridor()
+
+    @pytest.mark.parametrize("field", ["vf", "link_length"])
+    def test_corridor_refuses_a_nan_flux_law_or_length(self, config, field):
+        with pytest.raises(InvalidParameterError, match="nan"):
+            replace(config, **{field: float("nan")}).corridor()
+
+    def test_the_speed_limited_link_runs_at_its_fastest_candidate(self):
+        link = ExperimentConfig(speed_candidates=(10.0, 20.0)).corridor().link("M3")
+        assert link.fd.vf == 20.0 and link.speeds == (10.0, 20.0)
+        assert link.capacity == 1.9678714859437754
 
 
 def _fake_trajectory(config, inflow_by_horizon, levels):

@@ -1,10 +1,13 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corridorflow import linkmodel, lwr, solver
-from corridorflow.linkmodel import LinkSpec, SpeedLimitSet
+from corridorflow.linkmodel import LinkSpec
 from corridorflow.lp import EQ, GE, LE
 
 import lwr_oracle
@@ -21,8 +24,34 @@ def link(fd, geom):
 
 @pytest.fixture(scope="module")
 def vsl_link(fd, geom):
-    sls = SpeedLimitSet((10.0, 15.0, 20.0, 25.0, 30.0), fd.w, fd.rho_m)
-    return LinkSpec("v", "fd", geom, fd, is_vsl=True, vsl_set=sls)
+    return LinkSpec("v", "fd", geom, fd, (10.0, 15.0, 20.0, 25.0, 30.0))
+
+
+class TestLinkSpec:
+    @pytest.mark.parametrize("link_id, change, field", [
+        ("M1", {"kind": "FD"}, "kind"),
+        ("E", {"speeds": (10.0, 30.0)}, "speeds"),
+        ("M1", {"controlled": True}, "controlled"),
+        ("M1", {"demand": 0.3}, "demand"),
+        ("E", {"geometry": lwr.LinkGeometry(0.0, 1200.0, 2)}, "geometry"),
+        ("E", {"fd": lwr.TriangularFD(30.0, -4.9, 0.5)}, "fd"),
+        ("M1", {"fd": SimpleNamespace(vf=30.0, w=-4.9, rho_m=0.5)}, "fd"),
+    ], ids=["kind typo", "speeds on entry", "controlled on fd", "demand on fd",
+            "geometry on entry", "fd on entry", "fd not triangular"])
+    def test_a_fact_foreign_to_the_kind_is_refused(self, config, link_id, change, field):
+        link = config.corridor().link(link_id)
+        with pytest.raises(ValueError, match=f"link {link_id}: .*{field}"):
+            replace(link, **change)
+
+    @pytest.mark.parametrize("vf", [25.0, 35.0])
+    def test_fd_must_be_the_fastest_candidates_law(self, geom, vf):
+        with pytest.raises(ValueError, match="link v: fd .* is not the law of the fastest"):
+            LinkSpec("v", "fd", geom, lwr.TriangularFD(vf, -4.9, 0.5), (10.0, 30.0))
+
+    def test_every_candidate_shares_the_backward_wave_and_jam_density(self, vsl_link, fd):
+        assert [law.vf for law in vsl_link.speed_fds] == list(vsl_link.speeds)
+        assert {(law.w, law.rho_m) for law in vsl_link.speed_fds} == {(fd.w, fd.rho_m)}
+        assert vsl_link.capacity == fd.Q
 
 
 def flow_point(lp, link_id, inflow, outflow):
@@ -129,8 +158,8 @@ class TestRowTermsMatchOracle:
                                                                T, n_max):
         geom = lwr.LinkGeometry(xi, xi + length, k_max)
         zero = np.zeros(k_max)
-        sls = SpeedLimitSet((10.0, 15.0, 20.0, 25.0, 30.0), fd.w, fd.rho_m)
-        for law in (fd, *sls.fds):
+        speeds = (10.0, 15.0, 20.0, 25.0, 30.0)
+        for law in (fd, *LinkSpec("v", "fd", geom, fd, speeds).speed_fds):
             ends = [p * T for p in range(1, n_max + 1)]
             arrivals = [n * T + geom.length / law.vf for n in range(1, n_max + 1)]
             arrivals += [n * T + (geom.xi - geom.chi) / law.w for n in range(1, n_max + 1)]
@@ -161,22 +190,22 @@ def _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=None, inflow_cost=0.0):
     rows = [row._replace(coeffs={(kind, *idx): v for (kind, _, *idx), v in row.coeffs.items()})
             for row in linkmodel.build_compatibility(vsl_link, densities, N, T)]
     rows += linkmodel.build_vsl_linearization(vsl_link, N)
-    sls = vsl_link.vsl_set
+    fds, q_max = vsl_link.speed_fds, vsl_link.capacity
     columns = []
     for n in range(1, N + 1):
-        columns.append((("qin", n), 0.0, sls.Q_max, False, -inflow_cost))
-        columns.append((("qout", n), 0.0, sls.Q_max, False, float(N - n + 1)))
-    columns += [(("delta", s), 0.0, 1.0, True, 0.0) for s in range(len(sls))]
-    columns.append((("rcvf",), 0.0, sls.Q_max, False, 0.0))
+        columns.append((("qin", n), 0.0, q_max, False, -inflow_cost))
+        columns.append((("qout", n), 0.0, q_max, False, float(N - n + 1)))
+    columns += [(("delta", s), 0.0, 1.0, True, 0.0) for s in range(len(fds))]
+    columns.append((("rcvf",), 0.0, q_max, False, 0.0))
     for n in range(1, N + 1):
-        columns.append((("kin", n), 0.0, max(sls.rho_cs), False, 0.0))
-        for s in range(len(sls)):
-            columns.append((("ka", s, n), 0.0, sls.rho_cs[s], False, 0.0))
-            columns.append((("qa", s, n), 0.0, sls.capacities[s], False, 0.0))
+        columns.append((("kin", n), 0.0, max(fd_s.rho_c for fd_s in fds), False, 0.0))
+        for s, fd_s in enumerate(fds):
+            columns.append((("ka", s, n), 0.0, fd_s.rho_c, False, 0.0))
+            columns.append((("qa", s, n), 0.0, fd_s.Q, False, 0.0))
     lp = build_lp(columns, rows)
     if fixed_s is not None:
         lp = with_fixed(lp, {("delta", s): 1.0 if s == fixed_s else 0.0
-                              for s in range(len(sls))})
+                              for s in range(len(fds))})
         sol = solve_lp_relaxation(lp)
     else:
         sol = solver.branch_and_bound(lp)
@@ -211,7 +240,7 @@ class TestVSLLinearization:
         rows = linkmodel.build_vsl_linearization(vsl_link, N)
         pick = [r for r in rows if r.sense == EQ and r.rhs == 1.0]
         assert len(pick) == 1
-        assert pick[0].coeffs == {("delta", s): 1.0 for s in range(len(vsl_link.vsl_set))}
+        assert pick[0].coeffs == {("delta", s): 1.0 for s in range(len(vsl_link.speeds))}
 
     @pytest.mark.parametrize("s", [0, 2, 4])
     def test_fixed_selection_equals_static_model(self, vsl_link, fd, geom, s):
@@ -220,7 +249,7 @@ class TestVSLLinearization:
         densities = [0.15, 0.05]
         _, sol_vsl = _solve_vsl_maxflow(vsl_link, fd, densities, fixed_s=s)
 
-        fd_s = vsl_link.vsl_set.fds[s]
+        fd_s = vsl_link.speed_fds[s]
         static = LinkSpec("s", "fd", geom, fd_s)
         rows = linkmodel.build_compatibility(static, densities, N, T)
         lp = lp_with_rows(

@@ -50,6 +50,14 @@ class TestCriticalDensity:
         with pytest.raises(InvalidParameterError):
             lwr.critical_density(*bad)
 
+    @pytest.mark.parametrize("bad", [
+        (math.nan, -4.9, 0.5), (math.inf, -4.9, 0.5), (30.0, math.nan, 0.5),
+        (30.0, -math.inf, 0.5), (30.0, -4.9, math.nan), (30.0, -4.9, math.inf),
+    ], ids=["vf=nan", "vf=inf", "w=nan", "w=-inf", "rho_m=nan", "rho_m=inf"])
+    def test_a_flux_law_needs_finite_values(self, bad):
+        with pytest.raises(InvalidParameterError, match="need finite vf > 0"):
+            TriangularFD(*bad)
+
 
 class TestFlux:
     def test_empty_and_jammed(self, fd):
@@ -264,6 +272,12 @@ class TestLinkGeometry:
         twin = LinkGeometry(xi, chi, k_max)
         assert twin == geom and hash(twin) == hash(geom)
         assert repr(geom) == f"LinkGeometry(xi={xi!r}, chi={chi!r}, k_max={k_max!r})"
+
+    @pytest.mark.parametrize("xi, chi", [(math.nan, 1200.0), (0.0, math.nan),
+                                         (-math.inf, 0.0), (0.0, math.inf)])
+    def test_a_geometry_needs_finite_ends(self, xi, chi):
+        with pytest.raises(InvalidParameterError, match=f"xi={xi}, chi={chi}"):
+            LinkGeometry(xi, chi, 2)
 
 
 class TestSegmentMeans:

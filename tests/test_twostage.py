@@ -298,7 +298,7 @@ class TestStepDemandSupply:
                 x[var_id(lp, (0, "qin", link.id, n))] = link.fd.Q
                 x[var_id(lp, (0, "qout", link.id, n))] = link.fd.Q
             if link.is_vsl:
-                x[var_id(lp, (0, "delta", link.id, link.vsl_set.speeds.index(link.fd.vf)))] = 1.0
+                x[var_id(lp, (0, "delta", link.id, link.speeds.index(link.fd.vf)))] = 1.0
         x[var_id(lp, (0, "qout", first.id, 1))] = 0.0
         x[var_id(lp, (0, "qout", first.id, 2))] = 2 * first.fd.Q
         worst = certify_solution(bundle, solver.Solution(solver.OPTIMAL, x=x))
