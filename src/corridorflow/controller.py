@@ -182,11 +182,13 @@ def run_closed_loop(
     weights: ObjectiveWeights,
     cfg: HorizonConfig,
 ) -> Trajectory:
-    """Simulate the whole demand stream under one controller."""
+    """Simulate the whole demand stream under one controller.  A stream
+    level outside ``dist.support`` raises ValueError: the two-stage plan
+    holds no scenario for it."""
     if controller_kind not in CONTROLLER_KINDS:
         raise ValueError(f"unknown controller kind {controller_kind}")
     demand_stream = np.asarray(demand_stream, dtype=float)
-    levels = set(np.round(dist.levels, 12))
+    levels = set(np.round(dist.support, 12))
     for lvl in demand_stream:
         if round(float(lvl), 12) not in levels:
             raise ValueError(f"stream level {lvl} not in the demand support")

@@ -53,13 +53,12 @@ def counter_uniform(seed: int, index: int) -> float:
 def sample_demand_stream(dist: DemandDistribution, n_horizons: int, seed: int) -> np.ndarray:
     """I.i.d. levels drawn from the demand distribution, one per horizon.
     The probabilities may sum to a little less than 1; a draw above their
-    sum takes the last level."""
+    sum takes the last level of the support."""
     cum = np.cumsum(dist.probs)
-    last = len(dist.levels) - 1
     out = np.empty(n_horizons)
     for i in range(n_horizons):
-        u = counter_uniform(seed, i)
-        out[i] = dist.levels[min(int(np.searchsorted(cum, u, side="right")), last)]
+        at = int(np.searchsorted(cum, counter_uniform(seed, i), side="right"))
+        out[i] = dist.levels[at] if at < len(cum) else dist.support[-1]
     return out
 
 
@@ -124,12 +123,16 @@ class ExperimentConfig:
 
     def corridor(self) -> Corridor:
         """The configured layout.  Raises ``ValueError`` naming ``vsl_link``
-        when it is not a mainline link, and ``network.TopologyError`` when the
+        when it is not a mainline link or ``speed_candidates`` when it is
+        empty, and ``network.TopologyError`` when the
         corridor refuses the layout, such as a ``merge_into`` that leaves the
         ramp feeding no junction."""
         if not 1 <= self.vsl_link <= self.n_main_links:
             raise ValueError(f"vsl_link {self.vsl_link} is not a mainline link "
                              f"(1..{self.n_main_links})")
+        if not self.speed_candidates:
+            raise ValueError("speed_candidates is empty: the speed-limit link needs a "
+                             "candidate speed")
         fd = self.fd()
         links = [LinkSpec("E", ENTRY, controlled=True)]
         junctions = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lp import (BINARY, CONTINUOUS, EQ, GE, LE, SMALL_COEFFICIENT, Constraint, RowBlock,
+from .lp import (BINARY, CONTINUOUS, COEFFICIENT_FLOOR, EQ, GE, LE, Constraint, RowBlock,
                  pack_rows)
 from .lwr import GUARD_TOL, LinkGeometry, TriangularFD
 
@@ -46,9 +46,10 @@ class LinkSpec:
     each with the law ``TriangularFD(v, fd.w, fd.rho_m)`` (``speed_fds``),
     and ``fd`` is the fastest candidate's law.  A link of kind ``ENTRY`` is a
     point queue fed at rate ``demand``, with a boundary control when
-    ``controlled``.  A fact that does not belong to the link's kind, or an
-    ``fd`` that is not the fastest candidate's law, raises ``ValueError``
-    naming the link and the field.
+    ``controlled``.  A fact that does not belong to the link's kind, a
+    ``demand`` that is not a finite nonnegative number, ``speeds`` that are
+    empty or repeat a speed, or an ``fd`` that is not the fastest
+    candidate's law raises ``ValueError`` naming the link and the field.
     """
 
     id: str
@@ -71,10 +72,14 @@ class LinkSpec:
         if given:
             raise ValueError(f"link {self.id}: {', '.join(given)} cannot be set on a link "
                              f"of kind {self.kind!r}")
+        if not 0 <= self.demand < math.inf:  # also refuses NaN
+            raise ValueError(f"link {self.id}: demand {self.demand} is not a finite "
+                             "nonnegative number")
         speeds = None if self.speeds is None else tuple(self.speeds)
         object.__setattr__(self, "speeds", speeds)
-        if speeds is not None and (
-                not speeds or self.fd != TriangularFD(max(speeds), self.fd.w, self.fd.rho_m)):
+        if speeds is not None and (not speeds or len(set(speeds)) < len(speeds)):
+            raise ValueError(f"link {self.id}: speeds {speeds} are empty or repeat a speed")
+        if speeds is not None and self.fd != TriangularFD(max(speeds), self.fd.w, self.fd.rho_m):
             raise ValueError(f"link {self.id}: fd {self.fd} is not the law of the fastest "
                              f"of speeds {speeds}")
         # not a field: equality and hashing see the speeds alone
@@ -203,7 +208,7 @@ def _compat_rows(fd: TriangularFD, geom: LinkGeometry, n_max: int, T: float) -> 
         coeffs, term = comp
         for key, v in _vc_coeffs("qout" if downstream else "qin", T, p, t).items():
             coeffs[key] = coeffs.get(key, 0.0) - v
-        coeffs = {k: v for k, v in coeffs.items() if abs(v) > 1e-12}
+        coeffs = {k: v for k, v in coeffs.items() if abs(v) > COEFFICIENT_FLOOR}
         rows.append((coeffs, name, downstream, term))
 
     def initial(k, t, x):
@@ -358,9 +363,9 @@ class BlockTemplate:
     flow copies (the inflow copies are the k_a auxiliaries of the speed
     linearization, scaled by the candidate speed) with constants switched
     by the selection binary, so the delta(s) coefficient is -b_s(rho), or 0
-    where |b_s(rho)| is ``lp.SMALL_COEFFICIENT`` or less (what HiGHS would
-    drop, such as rounding residue of an exact 0, which a model drops as it
-    drops exact zeros); the
+    where |b_s(rho)| is ``lp.COEFFICIENT_FLOOR`` or less (what a model
+    refuses, since HiGHS would drop it: rounding residue of an exact 0, say,
+    which the model then drops as it drops exact zeros); the
     aggregate flows are the sums of the copies.  The relaxation is then the
     convex hull of the per-speed flow sets, so no big-M slack is involved.
     The rows of build_vsl_linearization follow.
@@ -423,7 +428,7 @@ class BlockTemplate:
         data = self.rows.data.copy()
         for tpl, pos in self._delta:
             b = tpl.rhs(terms)
-            data[pos] = np.where(np.abs(b) <= SMALL_COEFFICIENT, 0.0, 0.0 - b)
+            data[pos] = np.where(np.abs(b) <= COEFFICIENT_FLOOR, 0.0, 0.0 - b)
         return self.rows._replace(data=data)
 
 

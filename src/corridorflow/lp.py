@@ -18,6 +18,10 @@ themselves, and ``objective_value`` and ``max_violation`` read them with
 numpy.  The row block is the only form of the rows; HiGHS takes it as it
 is, and ``solver`` alone lays it out as linprog and the MPS writer take it;
 ``constraints`` is a view of the rows as records, rebuilt on each access.
+
+A model holds only numbers HiGHS reads as written, from the arrays or from
+a model file's 12-digit text of them (``LinearProgram._check_numbers``), so
+HiGHS's load-time limits are stated here alone.
 """
 
 from __future__ import annotations
@@ -38,8 +42,19 @@ SENSES = (LE, GE, EQ)
 LE_CODE, GE_CODE, EQ_CODE = range(3)
 
 #: HiGHS drops nonzero coefficients of this magnitude or less when it loads a
-#: model, so a template writes a computed coefficient of at most it as 0
+#: model ...
 SMALL_COEFFICIENT = 1e-9
+#: ... its reader refuses a model with a coefficient of this magnitude or more
+LARGE_COEFFICIENT = 1e15
+#: ... and takes finite costs, bounds and right-hand sides of this magnitude
+#: or more as infinite
+INFINITE_VALUE = 1e20
+#: a model file writes 12 significant digits, which move a value by less than
+#: this share of it, so its text can cross a limit only from this close to it
+ROUNDING = 1e-11
+#: a model refuses a coefficient of this magnitude or less, so a template
+#: writes a computed coefficient of at most it as 0
+COEFFICIENT_FLOOR = SMALL_COEFFICIENT * (1 + ROUNDING)
 
 
 class Constraint(NamedTuple):
@@ -139,8 +154,9 @@ class LinearProgram:
     """Sparse-row MILP with maximize objective, fixed once built.
 
     ``keys`` name the columns (distinct, any hashable); ``columns``
-    holds their costs, bounds and binary flags and ``rows`` every row, with
-    no zero coefficients.  The arrays are held as read-only views."""
+    holds their costs, bounds and binary flags and ``rows`` every row.  A
+    value HiGHS would not read as written, such as a zero coefficient,
+    raises ValueError.  The arrays are held as read-only views."""
 
     def __init__(self, name: str, keys, columns: Columns, rows: RowBlock):
         self.name = name
@@ -152,8 +168,35 @@ class LinearProgram:
         indices = self._rows.indices
         if indices.size and (indices.min() < 0 or indices.max() >= len(self.keys)):
             raise KeyError("rows refer to columns outside the model")
-        if not self._rows.data.all():
-            raise ValueError("rows hold a zero coefficient")
+        self._check_numbers()
+
+    def _check_numbers(self) -> None:
+        """Raise ValueError naming the model, the first column or row holding
+        a value HiGHS would not read as written, and the value: NaN, a cost
+        that is not finite, a finite cost, bound or right-hand side that a
+        file's text could carry to ``INFINITE_VALUE``, or a coefficient it
+        could carry to ``SMALL_COEFFICIENT`` (0 among them) or
+        ``LARGE_COEFFICIENT``.  Only magnitudes are compared."""
+        cost, lb, ub, _ = self._cols
+        indptr, indices, data, _, rhs = self._rows
+        finite = INFINITE_VALUE * (1 - ROUNDING)
+        for what, values in (("cost", cost), ("lower bound", lb), ("upper bound", ub),
+                             ("right-hand side", rhs), ("coefficient", data)):
+            size = np.abs(values)  # NaN fails every comparison below
+            if values is data:
+                ok = (size > COEFFICIENT_FLOOR) & (size < LARGE_COEFFICIENT * (1 - ROUNDING))
+            else:
+                ok = (size < finite) | ((size == np.inf) & (values is not cost))
+            if ok.all():
+                continue
+            at = int(np.argmin(ok))  # the first value refused
+            if values is data:
+                row, col = np.searchsorted(indptr, at, side="right") - 1, indices[at]
+                place = f"row {row}, column {col} {self.keys[col]}"
+            else:
+                place = f"row {at}" if values is rhs else f"column {at} {self.keys[at]}"
+            raise ValueError(f"{self.name}: {place} has {what} {values[at]}, "
+                             "which HiGHS would not read as written")
 
     # -- views -------------------------------------------------------------
 

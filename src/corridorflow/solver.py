@@ -16,7 +16,8 @@ a cold ``linprog`` solve (rows split by ``_linprog_rows``) with every binary
 fixed at its value, so it does not depend on the path of warm starts.  A
 search reads no clock and takes no options: its gap (``MIP_GAP``) and node
 cap (``MAX_NODES``) are module constants, so its answer depends on the model
-alone.
+alone.  Neither the search nor the export checks a model's numbers:
+``lp.LinearProgram`` refuses any that HiGHS would not read as written.
 
 ``export_model`` writes LP or MPS text through one layout per format and row
 pattern: everything in the file but its numbers, built on the pattern's first
@@ -38,7 +39,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .lp import EQ_CODE, GE_CODE, LE_CODE, SMALL_COEFFICIENT, LinearProgram
+from .lp import EQ_CODE, GE_CODE, LE_CODE, LinearProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -114,13 +115,13 @@ class _Relaxation:
     linprog asks, over the rows in model order as ``lo <= A x <= hi`` with
     the bounds read from the sense codes.  ``solve`` changes only the
     binaries' column bounds and re-runs, so HiGHS starts from the last basis.
-    A model HiGHS would misread (``_check_numbers``) raises ``SolverError``.
+    The model's numbers are as HiGHS reads them: ``LinearProgram`` refuses
+    any other.
     """
 
     def __init__(self, lp: LinearProgram):
         c, lb, ub, _ = lp.column_arrays()
         indptr, indices, data, sense, rhs = lp.row_arrays()
-        _check_numbers(lp)
         inf = _highs.kHighsInf
         self.lp = lp
         self.binary_ids = np.array(lp.binary_ids(), dtype=np.int32)
@@ -157,21 +158,6 @@ class _Relaxation:
         lb, ub = (bounds.copy() for bounds in self.lp.column_arrays()[1:3])
         lb[bins], ub[bins] = lo, hi
         return _solve_lp(self.lp, lb, ub)
-
-
-def _check_numbers(lp: LinearProgram) -> None:
-    """Raise SolverError naming the model and the first column or row with a
-    cost or coefficient that is not finite, or a NaN bound or right-hand side."""
-    c, lb, ub, _ = lp.column_arrays()
-    indptr, _, data, _, rhs = lp.row_arrays()
-    for what, values, bad in (("cost", c, ~np.isfinite(c)), ("lower bound", lb, np.isnan(lb)),
-                              ("upper bound", ub, np.isnan(ub)),
-                              ("coefficient", data, ~np.isfinite(data)),
-                              ("right-hand side", rhs, np.isnan(rhs))):
-        for at in np.flatnonzero(bad)[:1].tolist():
-            place = (f"row {np.searchsorted(indptr, at, side='right') - 1}" if values is data
-                     else f"row {at}" if values is rhs else f"column {at} {lp.keys[at]}")
-            raise SolverError(f"{lp.name}: {place} has {what} {values[at]}")
 
 
 def _most_fractional(values: list, tol):
@@ -523,68 +509,15 @@ def _write_mps_text(lp: LinearProgram) -> str:
                  (data[layout.order], "  {:.12g}".format), (rhs, "  {:.12g}".format), bounds)
 
 
-#: HiGHS's reader takes finite costs, bounds and right-hand sides of this
-#: magnitude or more as infinite ...
-INFINITE_VALUE = 1e20
-#: ... and refuses a model with a matrix coefficient of this magnitude or
-#: more; it drops nonzero ones of ``SMALL_COEFFICIENT`` or less.
-LARGE_COEFFICIENT = 1e15
-#: 12 significant digits move a value by less than this share of it, so the
-#: file's text can carry a value across a limit only from this close to it
-ROUNDING = 1e-11
-
-
-def _as_read(value: float) -> float:
-    """The magnitude HiGHS reads from the file's 12-digit text of ``value``."""
-    return abs(float(f"{value:.12g}"))
-
-
-def _check_readable(lp: LinearProgram) -> None:
-    """Raise ValueError, naming the row or column, at the first value that
-    HiGHS's reader would not read back as written.  The text of a value is
-    built only for the few that NaN or nearness to a limit makes suspect."""
-    cost, lb, ub, binary = lp.column_arrays()
-    indptr, indices, data, _, rhs = lp.row_arrays()
-
-    def column(vid):
-        return ("b" if binary[vid] else "x") + str(vid)
-
-    for what, values, name in (("cost", cost, column), ("lower bound", lb, column),
-                               ("upper bound", ub, column),
-                               ("right-hand side", rhs, "c{}".format)):
-        size = np.abs(values)
-        suspect = ~(size < INFINITE_VALUE * (1 - ROUNDING)) & (size != math.inf)
-        for at in np.flatnonzero(suspect).tolist():
-            value = values[at]
-            if not _as_read(value) < INFINITE_VALUE:
-                raise ValueError(f"{name(at)}: {what} {value:.12g} " + (
-                    "is not a number" if math.isnan(value) else
-                    f"would read back as infinite (magnitude >= {INFINITE_VALUE:g})"))
-    # a LinearProgram holds no zero coefficients: each one at the floor is nonzero
-    size = np.abs(data)
-    inside = ((size > SMALL_COEFFICIENT * (1 + ROUNDING))
-              & (size < LARGE_COEFFICIENT * (1 - ROUNDING)))
-    for at in np.flatnonzero(~inside).tolist():
-        value = data[at]
-        if not SMALL_COEFFICIENT < _as_read(value) < LARGE_COEFFICIENT:
-            row = np.searchsorted(indptr, at, side="right") - 1
-            raise ValueError(f"c{row}, {column(indices[at])}: coefficient {value:.12g} " + (
-                "is not a number" if math.isnan(value) else
-                f"is outside the magnitudes HiGHS reads back, "
-                f"({SMALL_COEFFICIENT:g}, {LARGE_COEFFICIENT:g})"))
-
-
 def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:
     """Write the model as UTF-8 text with LF endings; fmt is 'lp' or 'mps'.
 
-    Raises ValueError when the model holds a value HiGHS's reader would not
-    read back: NaN, a finite cost, bound or right-hand side of magnitude 1e20
-    or more, or a nonzero coefficient of magnitude 1e15 or more or 1e-9 or
-    less, each as the file writes it (12 significant digits).
+    Every value is written with 12 significant digits, which HiGHS's reader
+    reads back to 1e-11 relative: ``LinearProgram`` refuses a value whose
+    text could reach one of the reader's limits.
     """
     if fmt not in ("lp", "mps"):
         raise ValueError(f"unknown format {fmt!r}")
-    _check_readable(lp)
     text = _write_lp_text(lp) if fmt == "lp" else _write_mps_text(lp)
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

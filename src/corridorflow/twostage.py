@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linkmodel, lwr, network
 from .linkmodel import ENTRY
-from .lp import BINARY, GE, LE, Columns, Constraint, LinearProgram, RowBlock, pack_rows, stack_rows
+from .lp import (BINARY, COEFFICIENT_FLOOR, GE, LE, Columns, Constraint, LinearProgram, RowBlock,
+                 pack_rows, stack_rows)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ class ModelTemplate:
 
     A state enters as link densities (BlockTemplate right-hand sides and VSL
     ``delta`` coefficients), ramp backlogs, scenario demand (cumulative
-    demand as a right-hand side and as the forcing binary's coefficient),
+    demand as a right-hand side and as the forcing binary's coefficient, 0
+    at ``lp.COEFFICIENT_FLOOR`` or less),
     ``t0`` (which exit caps bind) and committed controls (bounds).
 
     The columns a closed loop reads are kept as index arrays: ``controls``
@@ -387,7 +389,7 @@ class ModelTemplate:
             for lid, cum_rows, force_at in self._forcing:
                 cum_d = np.cumsum(np.asarray(scenario.demand[lid], dtype=float))
                 rhs_of[j, cum_rows] = cum_d[:n]
-                data_of[j, force_at] = -cum_d[:n]
+                data_of[j, force_at] = np.where(cum_d[:n] <= COEFFICIENT_FLOOR, 0.0, -cum_d[:n])
                 # backlog-penalty constant: -w3 (1+e) sum_t cum_d(t)
                 e0 = state.queues.get(lid, 0.0)
                 scenario_const += -p * w.w3 * (1.0 + e0) * float(np.sum(cum_d))

@@ -13,14 +13,15 @@ The solution readers at the end are the ones ``twostage.ModelBundle`` had
 before it read a solved model by its template's column arrays: each value is
 looked up by its column key.  The link rows are ``BlockTemplate.evaluate``'s, as in the
 template, so a speed-selection coefficient of magnitude
-``lp.SMALL_COEFFICIENT`` or less is 0 here too and dropped with the zeros.
+``lp.COEFFICIENT_FLOOR`` or less is 0 here too and dropped with the zeros, as
+is a forcing coefficient of a cumulative demand that small.
 """
 
 import numpy as np
 
 from corridorflow import linkmodel, network
 from corridorflow.linkmodel import ENTRY
-from corridorflow.lp import BINARY, GE, LE
+from corridorflow.lp import BINARY, COEFFICIENT_FLOOR, GE, LE
 from corridorflow.twostage import ModelOptions, entry_capacity
 
 from conftest import build_lp, value
@@ -98,7 +99,7 @@ def _add_scenario_block(columns, rows, corridor, state, scenario, weights, optio
             rows.append((cum_coeffs, LE, float(cum_d[t - 1])))
             rows.append(({qin(link.id, t): 1.0, force: cap, control: -1.0}, GE, 0.0))
             coeffs = dict(cum_coeffs)
-            coeffs[force] = -float(cum_d[t - 1])
+            coeffs[force] = 0.0 if cum_d[t - 1] <= COEFFICIENT_FLOOR else -float(cum_d[t - 1])
             rows.append((coeffs, GE, 0.0))
         e0 = state.queues.get(link.id, 0.0)
         const_total += -p * w.w3 * (1.0 + e0) * float(np.sum(cum_d))

@@ -186,6 +186,13 @@ class TestClosedLoop:
             ctl.run_closed_loop(corridor, [1.7], ctl.TWO_STAGE,
                                 config.distribution(), config.weights(), cfg)
 
+    def test_a_level_of_zero_probability_is_not_supported(self, config, cfg):
+        # the two-stage plan holds no scenario for it
+        dist = DemandDistribution((1.0, 1.5, 2.0), (0.5, 0.5, 0.0))
+        with pytest.raises(ValueError, match="stream level 2.0 not in the demand support"):
+            ctl.run_closed_loop(config.corridor(), [2.0], ctl.TWO_STAGE, dist,
+                                config.weights(), cfg)
+
     def test_speed_membership_and_causality(self, config, cfg):
         # the whole horizon's boundary control is committed at its start:
         # streams that first differ at horizon h give it the same controls

@@ -41,6 +41,11 @@ class TestSampling:
         monkeypatch.setattr(experiments, "counter_uniform", lambda seed, i: next(draws))
         np.testing.assert_array_equal(sample_demand_stream(dist, 3, seed=0), [2.0, 1.0, 2.0])
 
+    def test_draw_above_the_probability_sum_takes_a_level_of_the_support(self, monkeypatch):
+        dist = DemandDistribution((1.0, 1.5, 2.0), (0.5, 0.4999999995, 0.0))
+        monkeypatch.setattr(experiments, "counter_uniform", lambda seed, i: 0.9999999997)
+        np.testing.assert_array_equal(sample_demand_stream(dist, 2, seed=0), [1.5, 1.5])
+
     def test_same_seed_same_stream(self, config):
         dist = config.distribution()
         a = sample_demand_stream(dist, 50, seed=7)
@@ -167,6 +172,10 @@ class TestConfigFile:
                                                              message):
         with pytest.raises(ValueError, match=message):
             replace(config, **{field: value}).corridor()
+
+    def test_corridor_refuses_empty_speed_candidates(self, config):
+        with pytest.raises(ValueError, match="speed_candidates is empty"):
+            replace(config, speed_candidates=()).corridor()
 
     @pytest.mark.parametrize("field", ["vf", "link_length"])
     def test_corridor_refuses_a_nan_flux_law_or_length(self, config, field):

@@ -4,8 +4,11 @@ solver formats in ``solver``: no module but ``solver.py`` imports any scipy
 module, so linprog, the ``_highspy`` binding and the column-wise layouts of
 the rows (``scipy.sparse``) stay there; and it keeps junction roles in
 ``network``: no module but ``network.py`` compares anything with a junction
-kind, so the others read the roles a ``Corridor`` resolved; and the search
-reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``."""
+kind, so the others read the roles a ``Corridor`` resolved; the search
+reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``; and
+HiGHS's load-time limits are stated in ``lp`` alone: no other module of the
+package defines or reads ``INFINITE_VALUE``, ``LARGE_COEFFICIENT`` or
+``ROUNDING``."""
 
 import ast
 from pathlib import Path
@@ -111,3 +114,31 @@ def test_the_scan_finds_a_junction_kind_compared():
                          ids=lambda p: p.name)
 def test_only_the_corridor_reads_junction_kinds(path):
     assert kind_comparisons(path.read_text()) == []
+
+
+LIMITS = {"INFINITE_VALUE", "LARGE_COEFFICIENT", "ROUNDING"}
+
+
+def limit_uses(source: str) -> list[int]:
+    """Lines of ``source`` that define, import or read a name in LIMITS,
+    bare or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if name in LIMITS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_a_limit_used():
+    source = ("from .lp import ROUNDING\nbig = lp.LARGE_COEFFICIENT * 2\n"
+              "INFINITE_VALUE = 1e20\nfloor = SMALL_COEFFICIENT\nrounding = 1e-11\n")
+    assert limit_uses(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "lp.py"],
+                         ids=lambda p: p.name)
+def test_only_the_model_container_states_highs_limits(path):
+    assert limit_uses(path.read_text()) == []

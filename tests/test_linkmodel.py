@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,6 +48,17 @@ class TestLinkSpec:
     def test_fd_must_be_the_fastest_candidates_law(self, geom, vf):
         with pytest.raises(ValueError, match="link v: fd .* is not the law of the fastest"):
             LinkSpec("v", "fd", geom, lwr.TriangularFD(vf, -4.9, 0.5), (10.0, 30.0))
+
+    @pytest.mark.parametrize("demand", [float("nan"), -0.5, float("inf")])
+    def test_entry_demand_must_be_a_finite_nonnegative_number(self, config, demand):
+        with pytest.raises(ValueError, match=f"link R: demand {demand} is not a finite"):
+            replace(config, ramp_demand=demand).corridor()
+
+    @pytest.mark.parametrize("speeds", [(), (10.0, 10.0, 30.0)])
+    def test_speeds_must_be_distinct_and_some(self, geom, speeds):
+        with pytest.raises(ValueError, match=re.escape(
+                f"link v: speeds {speeds} are empty or repeat a speed")):
+            LinkSpec("v", "fd", geom, lwr.TriangularFD(30.0, -4.9, 0.5), speeds)
 
     def test_every_candidate_shares_the_backward_wave_and_jam_density(self, vsl_link, fd):
         assert [law.vf for law in vsl_link.speed_fds] == list(vsl_link.speeds)

@@ -272,6 +272,17 @@ def residue_model(config, m3=(0.37705676, 0.0)):
                                                    config.weights()).lp
 
 
+def tiny_demand_model(config):
+    """The two-stage model of the empty corridor, eight steps, with the
+    entry's demand at 1e-10 or at the case study's top level."""
+    corridor = config.corridor()
+    densities = {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links}
+    state = twostage.HorizonState(densities, {l.id: 0.0 for l in corridor.entry_links}, 8,
+                                  config.T)
+    dist = twostage.DemandDistribution((1e-10, max(config.demand_levels)), (0.5, 0.5))
+    return twostage.build_deterministic_equivalent(corridor, state, dist, config.weights()).lp
+
+
 class TestRelaxationHoldsTheModel:
     def test_certification_models(self, certification_models):
         for lp in certification_models:
@@ -433,29 +444,6 @@ class TestArraySearchMatchesReference:
                 branch_and_bound(lp, warm_binaries=warm)
 
 
-class TestNumbersHiGHSMisreads:
-    """A model value HiGHS would misread is refused before HiGHS sees it."""
-
-    @pytest.mark.parametrize("column, row, place", [
-        ((math.nan, 0.0, 1.0), (1.0, 2.1), "column 0 ('x',) has cost nan"),
-        ((math.inf, 0.0, 1.0), (1.0, 2.1), "column 0 ('x',) has cost inf"),
-        ((1.0, math.nan, 1.0), (1.0, 2.1), "column 0 ('x',) has lower bound nan"),
-        ((1.0, 0.0, math.nan), (1.0, 2.1), "column 0 ('x',) has upper bound nan"),
-        ((1.0, 0.0, 1.0), (math.nan, 2.1), "row 1 has coefficient nan"),
-        ((1.0, 0.0, 1.0), (-math.inf, 2.1), "row 1 has coefficient -inf"),
-        ((1.0, 0.0, 1.0), (1.0, math.nan), "row 1 has right-hand side nan"),
-    ], ids=["cost-nan", "cost-inf", "lower-nan", "upper-nan", "coefficient-nan",
-            "coefficient-inf", "rhs-nan"])
-    def test_toy_lp(self, column, row, place):
-        cost, lb, ub = column
-        coefficient, rhs = row
-        lp = build_lp([(("x",), lb, ub, False, cost), (("y",), 0.0, 1.0, False, 1.0)],
-                      [({("y",): 1.0}, LE, 1.0), ({("x",): coefficient, ("y",): 1.0}, LE, rhs)],
-                      "toy")
-        with pytest.raises(solver.SolverError, match=re.escape(f"toy: {place}")):
-            branch_and_bound(lp)
-
-
 def assert_reads_back(lp, path):
     """HiGHS's reader finds ``lp`` in the file at ``path``: maximize, and the
     costs, bounds, integrality, row bounds and matrix of ``column_arrays()``
@@ -537,6 +525,16 @@ class TestExport:
         export_model(lp, path, fmt=fmt)
         assert_reads_back(lp, path)
 
+    def test_state_with_a_tiny_demand_level_solves_and_reads_back(self, config, tmp_path):
+        # its cumulative demand, at most 8e-10 over the horizon, is a forcing
+        # coefficient HiGHS would drop, so the model writes it as 0
+        lp = tiny_demand_model(config)
+        assert branch_and_bound(lp).status == OPTIMAL
+        for fmt in ("lp", "mps"):
+            path = tmp_path / f"model.{fmt}"
+            export_model(lp, path, fmt=fmt)
+            assert_reads_back(lp, path)
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_drawn_models_export(self, data, config, tmp_path_factory):
@@ -591,9 +589,10 @@ VALUES = (-0.0, 0.0, 1e-13, 1e20, -2.5, 1.0 / 3.0, -1e-7, 1e14)
 
 
 @st.composite
-def small_programs(draw, readable):
-    """Models of 1-5 columns (binaries among them) and 0-4 rows of every
-    sense, with costs, coefficients and right-hand sides from VALUES.
+def program_parts(draw, readable):
+    """``build_lp``'s columns and rows of models of 1-5 columns (binaries
+    among them) and 0-4 rows of every sense, with costs, coefficients and
+    right-hand sides from VALUES.
 
     ``readable`` keeps to the values HiGHS's reader keeps as written: it
     reads finite costs, bounds and right-hand sides of 1e20 or more as
@@ -620,12 +619,17 @@ def small_programs(draw, readable):
         cols = draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, unique=True))
         rows.append(({columns[c][0]: pick(VALUES, least=1e-9) for c in cols},
                      draw(st.sampled_from([LE, GE, EQ])), pick(VALUES)))
-    return build_lp(columns, rows, "drawn")
+    return columns, rows
+
+
+def small_programs():
+    """Models built from ``program_parts(readable=True)``."""
+    return program_parts(readable=True).map(lambda parts: build_lp(*parts, "drawn"))
 
 
 class TestConstraintView:
     @settings(max_examples=300, deadline=None)
-    @given(lp=small_programs(readable=False))
+    @given(lp=small_programs())
     def test_packing_the_records_gives_the_rows_back(self, lp):
         # Constraint is both pack_rows' input and the constraints view's output
         packed, rows = pack_rows(lp.constraints, range(lp.n_vars)), lp.row_arrays()
@@ -640,13 +644,13 @@ class TestExportMatchesLineWriters:
     zeros and exponent notation."""
 
     @settings(max_examples=300, deadline=None)
-    @given(lp=small_programs(readable=False))
+    @given(lp=small_programs())
     def test_same_text(self, lp):
         assert solver._write_lp_text(lp) == export_oracle.lp_text(lp)
         assert solver._write_mps_text(lp) == export_oracle.mps_text(lp)
 
     @settings(max_examples=300, deadline=None)
-    @given(lp=small_programs(readable=True))
+    @given(lp=small_programs())
     def test_same_bytes_read_back(self, lp, tmp_path_factory):
         for fmt, oracle in (("lp", export_oracle.lp_text), ("mps", export_oracle.mps_text)):
             path = tmp_path_factory.getbasetemp() / f"drawn.{fmt}"
@@ -660,7 +664,7 @@ def one_pattern_twice(draw):
     """(A, B, other): readable models A and B with one pattern (the binary
     flags, each row's columns and sense, and which columns have costs) and
     numbers drawn apart, and a readable model ``other`` of another pattern."""
-    a = draw(small_programs(readable=True))
+    a = draw(small_programs())
     cost, lb, ub, binary = a.column_arrays()
     indptr, indices, data, sense, rhs = a.row_arrays()
 
@@ -677,7 +681,7 @@ def one_pattern_twice(draw):
     data = numbers([v for v in readable if abs(v) >= 1e-9], len(data))
     b = LinearProgram("same pattern", a.keys, (cost, lb, ub, binary),
                       (indptr, indices, data, sense, numbers(readable, len(rhs))))
-    other = draw(small_programs(readable=True))
+    other = draw(small_programs())
     assume(any(solver._layout_key(fmt, other) != solver._layout_key(fmt, a)
                for fmt in ("lp", "mps")))
     return a, b, other
@@ -783,53 +787,74 @@ class TestLayouts:
 
 
 class TestUnreadableValues:
-    """``export_model`` refuses the values HiGHS's reader would not read back
-    as written (the ones ``small_programs(readable=True)`` leaves out)."""
+    """``LinearProgram`` refuses the values HiGHS would not read as written,
+    from the arrays or from a file's 12-digit text (the ones
+    ``program_parts(readable=True)`` leaves out)."""
 
-    @pytest.mark.parametrize("fmt", ["lp", "mps"])
-    @pytest.mark.parametrize("column, row, message", [
-        ({"obj": 1e20}, None, "x0: cost 1e+20"),
-        ({"lb": -1e20}, None, "x0: lower bound -1e+20"),
-        ({"ub": 1e20}, None, "x0: upper bound 1e+20"),
-        ({}, (1.0, 1e20), "c0: right-hand side 1e+20"),
-        ({}, (1e15, 1.0), "c0, x0: coefficient 1e+15"),
-        ({}, (1e-13, 1.0), "c0, x0: coefficient 1e-13"),
-        ({}, (1e-9, 1.0), "c0, x0: coefficient 1e-09 is outside"),
+    @pytest.mark.parametrize("column, row, place", [
+        ({"obj": math.nan}, None, "column 0 ('x',) has cost nan"),
+        ({"obj": math.inf}, None, "column 0 ('x',) has cost inf"),
+        ({"obj": -math.inf}, None, "column 0 ('x',) has cost -inf"),
+        ({"obj": 1e20}, None, "column 0 ('x',) has cost 1e+20"),
+        ({"lb": math.nan}, None, "column 0 ('x',) has lower bound nan"),
+        ({"lb": -1e20}, None, "column 0 ('x',) has lower bound -1e+20"),
+        ({"ub": math.nan}, None, "column 0 ('x',) has upper bound nan"),
+        ({"ub": 1e20}, None, "column 0 ('x',) has upper bound 1e+20"),
+        ({}, (1.0, math.nan), "row 1 has right-hand side nan"),
+        ({}, (1.0, 1e20), "row 1 has right-hand side 1e+20"),
+        ({}, (math.nan, 1.0), "row 1, column 0 ('x',) has coefficient nan"),
+        ({}, (-math.inf, 1.0), "row 1, column 0 ('x',) has coefficient -inf"),
+        ({}, (1e15, 1.0), "row 1, column 0 ('x',) has coefficient 1000000000000000.0"),
+        ({}, (1e-13, 1.0), "row 1, column 0 ('x',) has coefficient 1e-13"),
+        ({}, (1e-9, 1.0), "row 1, column 0 ('x',) has coefficient 1e-09"),
         # values the file's 12 digits carry onto a limit
-        ({}, (float(np.nextafter(1e-9, 1.0)), 1.0), "c0, x0: coefficient 1e-09 is outside"),
-        ({}, (float(np.nextafter(1e15, 0.0)), 1.0), "c0, x0: coefficient 1e+15 is outside"),
-        ({"obj": float(np.nextafter(1e20, 0.0))}, None, "x0: cost 1e+20 would read"),
-        ({"ub": float(np.nextafter(1e20, 0.0))}, None, "x0: upper bound 1e+20 would read"),
-        ({}, (1.0, float(np.nextafter(-1e20, 0.0))), "c0: right-hand side -1e+20 would read"),
-        ({"obj": math.nan}, None, "x0: cost nan is not a number"),
-        ({"lb": math.nan}, None, "x0: lower bound nan is not a number"),
-        ({"ub": math.nan}, None, "x0: upper bound nan is not a number"),
-        ({}, (1.0, math.nan), "c0: right-hand side nan is not a number"),
-        ({}, (math.nan, 1.0), "c0, x0: coefficient nan is not a number"),
-    ])
-    def test_value_is_named(self, fmt, column, row, message, tmp_path):
+        ({"obj": float(np.nextafter(1e20, 0.0))}, None,
+         "column 0 ('x',) has cost 9.999999999999998e+19"),
+        ({"ub": float(np.nextafter(1e20, 0.0))}, None,
+         "column 0 ('x',) has upper bound 9.999999999999998e+19"),
+        ({}, (1.0, float(np.nextafter(-1e20, 0.0))),
+         "row 1 has right-hand side -9.999999999999998e+19"),
+        ({}, (float(np.nextafter(1e-9, 1.0)), 1.0),
+         "row 1, column 0 ('x',) has coefficient 1.0000000000000003e-09"),
+        ({}, (float(np.nextafter(1e15, 0.0)), 1.0),
+         "row 1, column 0 ('x',) has coefficient 999999999999999.9"),
+    ], ids=["cost-nan", "cost-inf", "cost--inf", "cost-1e20", "lower-nan", "lower-1e20",
+            "upper-nan", "upper-1e20", "rhs-nan", "rhs-1e20", "coefficient-nan",
+            "coefficient-inf", "coefficient-1e15", "coefficient-1e-13", "coefficient-1e-9",
+            "cost-near-1e20", "upper-near-1e20", "rhs-near-1e20", "coefficient-near-1e-9",
+            "coefficient-near-1e15"])
+    def test_value_is_named(self, column, row, place):
         column = {"lb": 0.0, "ub": 5.0, "obj": 1.0, **column}
-        rows = [] if row is None else [({("x",): row[0]}, LE, row[1])]
-        lp = build_lp([(("x",), column["lb"], column["ub"], False, column["obj"])], rows,
-                      "unreadable")
-        path = tmp_path / f"model.{fmt}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            export_model(lp, path, fmt=fmt)
-        assert not path.exists()
+        coefficient, rhs = row or (1.0, 2.1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"toy: {place}, which HiGHS would not read as written")):
+            build_lp([(("x",), column["lb"], column["ub"], False, column["obj"]),
+                      (("y",), 0.0, 1.0, False, 1.0)],
+                     [({("y",): 1.0}, LE, 1.0), ({("x",): coefficient, ("y",): 1.0}, LE, rhs)],
+                     "toy")
+
+    def test_a_coefficient_highs_drops_is_refused(self):
+        # HiGHS drops 5e-10 on load, and the search found x = 10 optimal
+        # though the model's optimum is x = 2
+        with pytest.raises(ValueError, match=re.escape(
+                "toy: row 0, column 0 ('x',) has coefficient 5e-10")):
+            build_lp([(("x",), 0.0, 10.0, False, 1.0)], [({("x",): 5e-10}, LE, 1e-9)], "toy")
 
     @settings(max_examples=200, deadline=None)
-    @given(lp=small_programs(readable=False))
-    def test_refused_exactly_when_unreadable(self, lp, tmp_path_factory):
-        c, lb, ub, _ = lp.column_arrays()
-        _, _, data, _, rhs = lp.row_arrays()
-        numbers = np.concatenate([c, lb, ub, rhs])
+    @given(parts=program_parts(readable=False))
+    def test_refused_exactly_when_unreadable(self, parts, tmp_path_factory):
+        columns, rows = parts
+        _, lb, ub, _, cost = zip(*columns)
+        numbers = np.array(cost + lb + ub + tuple(rhs for _, _, rhs in rows))
+        data = np.array([v for coeffs, _, _ in rows for v in coeffs.values() if v != 0.0])
         unreadable = (np.any(np.isfinite(numbers) & (np.abs(numbers) >= 1e20))
                       or np.any((np.abs(data) >= 1e15) | (np.abs(data) <= 1e-9)))
+        if unreadable:
+            with pytest.raises(ValueError, match="which HiGHS would not read as written"):
+                build_lp(columns, rows, "drawn")
+            return
+        lp = build_lp(columns, rows, "drawn")
         for fmt in ("lp", "mps"):
             path = tmp_path_factory.getbasetemp() / f"refused.{fmt}"
-            if unreadable:
-                with pytest.raises(ValueError):
-                    export_model(lp, path, fmt=fmt)
-            else:
-                export_model(lp, path, fmt=fmt)
-                assert_reads_back(lp, path)
+            export_model(lp, path, fmt=fmt)
+            assert_reads_back(lp, path)
