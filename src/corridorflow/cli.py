@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver, twostage
+from . import twostage
 from .controller import CONTROLLER_KINDS, TWO_STAGE, plan_model
 from .experiments import (
     ExperimentConfig,
@@ -84,6 +84,10 @@ def cmd_compare(args) -> int:
     comp = run_comparison(config, seeds, jobs=args.jobs)
     comp.to_csv(out / "comparison.csv")
     write_manifest(config, out / "manifest.json", seeds, {"command": "compare"})
+    if comp.failures:
+        for key, msg in comp.failures.items():
+            print(f"FAILED {key}: {msg}", file=sys.stderr)
+        return 1
     for kind in CONTROLLER_KINDS:
         agg = comp.aggregate(kind)
         print(f"{kind:10s} block={agg['block_penalty']:10.4f} "
@@ -91,10 +95,6 @@ def cmd_compare(args) -> int:
               f"throughput={agg['throughput']:10.1f}")
     for kind, frac in comp.reductions().items():
         print(f"reduction vs {kind}: {100 * frac:.1f}%")
-    if comp.failures:
-        for key, msg in comp.failures.items():
-            print(f"FAILED {key}: {msg}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -124,6 +124,7 @@ def cmd_export_milp(args) -> int:
     bundle = plan_model(corridor, state, args.controller, config.distribution(),
                         config.weights())
     path = out / f"horizon_{args.controller}.{args.format}"
+    from . import solver  # loads scipy only for the command that writes a model
     solver.export_model(bundle.lp, path, fmt=args.format)
     print(f"wrote {path} ({bundle.lp.n_vars} variables, "
           f"{bundle.lp.n_constraints} constraints)")

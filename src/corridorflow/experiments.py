@@ -334,7 +334,13 @@ class ComparisonResult:
 
     def reductions(self) -> dict:
         """Combined-metric reduction of the two-stage controller vs each
-        deterministic baseline, on seed-summed totals."""
+        deterministic baseline, on seed-summed totals.  A seed without the
+        record of every controller raises ValueError naming the missing
+        ``(seed, controller)`` pairs: a partial total is not comparable."""
+        missing = [(s, kind) for s in self.seeds for kind in CONTROLLER_KINDS
+                   if (s, kind) not in self.records]
+        if missing:
+            raise ValueError(f"no record for (seed, controller) {missing}")
         two = self.aggregate(ctl.TWO_STAGE)["combined"]
         out = {}
         for kind in (ctl.D_MIN, ctl.D_MEAN, ctl.D_MAX):
@@ -400,16 +406,25 @@ def run_comparison(
 ) -> ComparisonResult:
     """All controllers on identical seeded streams; ``n_horizons``, when
     given, replaces ``config.n_horizons``.  The runs are spread over at most
-    ``jobs`` worker processes, no more than there are runs; ``jobs`` below 1
-    raises ValueError."""
+    ``jobs`` worker processes, no more than there are runs.  Before any run,
+    ``jobs`` below 1, a repeated seed (its record would be summed twice) and
+    an unknown controller kind raise ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated seeds {repeated}")
+    unknown = [kind for kind in controllers if kind not in CONTROLLER_KINDS]
+    if unknown:
+        raise ValueError(f"unknown controller kinds {unknown}; known: {list(CONTROLLER_KINDS)}")
     if n_horizons is not None:
         config = replace(config, n_horizons=n_horizons)
     tasks = [(config, kind, seed) for seed in seeds for kind in controllers]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # the forked workers inherit the solver, and scipy, from this process
+        importlib.import_module(f"{__package__}.solver")
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             outcomes = pool.map(_comparison_task, tasks)
     else:

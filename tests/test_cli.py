@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as highs_core
 
-from corridorflow import cli, twostage
+from corridorflow import cli, solver, twostage
 from corridorflow.controller import CONTROLLER_KINDS, TWO_STAGE, assumed_level
 from corridorflow.experiments import ExperimentConfig, load_config, save_config
 
@@ -46,6 +46,21 @@ def test_compare_emits_table(tiny_config, tmp_path, capsys):
     assert (out / "comparison.csv").exists()
     text = capsys.readouterr().out
     assert "reduction vs d-min" in text
+
+
+def test_compare_with_a_failed_run_prints_no_totals(tiny_config, tmp_path, capsys,
+                                                   monkeypatch):
+    infeasible = solver.Solution(solver.INFEASIBLE)
+    monkeypatch.setattr(solver, "branch_and_bound", lambda *a, **k: infeasible)
+    rc = cli.main([
+        "compare", "--config", str(tiny_config), "--output-dir", str(tmp_path / "cmp"),
+        "--seeds", "0",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "block=" not in captured.out
+    assert "reduction" not in captured.out
+    assert "FAILED (0, 'two-stage'): ClosedLoopError" in captured.err
 
 
 def test_sweep_emits_grid(tiny_config, tmp_path, capsys):

@@ -284,6 +284,26 @@ class TestComparison:
             comp.failures[(0, "d-min")],
         )
 
+    @pytest.mark.parametrize("seeds, controllers, problem", [
+        ([0, 1, 0, 1, 2], ctl.CONTROLLER_KINDS, r"repeated seeds \[0, 1\]"),
+        ([0], ("d-min", "bogus", "d-max", "twostage"),
+         r"unknown controller kinds \['bogus', 'twostage'\]"),
+    ])
+    def test_a_bad_run_list_is_refused_before_any_run(self, small_config, monkeypatch,
+                                                      seeds, controllers, problem):
+        calls = []
+        monkeypatch.setattr(experiments, "_comparison_task", calls.append)
+        with pytest.raises(ValueError, match=problem):
+            run_comparison(small_config, seeds=seeds, n_horizons=1, controllers=controllers)
+        assert calls == []
+
+    def test_reductions_refuse_totals_missing_a_controller(self, small_config):
+        comp = run_comparison(small_config, seeds=[0], n_horizons=1, controllers=("d-min",))
+        assert list(comp.records) == [(0, "d-min")]
+        with pytest.raises(ValueError, match=re.escape(
+                "(0, 'two-stage'), (0, 'd-mean'), (0, 'd-max')")):
+            comp.reductions()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_a_worker_count_below_one_is_refused(self, small_config, jobs):
         with pytest.raises(ValueError, match=f"got {jobs}"):

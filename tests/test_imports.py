@@ -2,7 +2,12 @@
 the tests and of the benchmark uses each name it imports; the package keeps
 solver formats in ``solver``: no module but ``solver.py`` imports any scipy
 module, so linprog, the ``_highspy`` binding and the column-wise layouts of
-the rows (``scipy.sparse``) stay there; and it keeps junction roles in
+the rows (``scipy.sparse``) stay there; the solver, and scipy with it, loads
+where a model is first solved or written: importing ``corridorflow``,
+``corridorflow.experiments``, ``corridorflow.sim`` or ``corridorflow.cli``
+loads no scipy module, the package resolves its solver names on first use,
+and a comparison's parent process loads the solver before it forks its
+workers, so they inherit it; and it keeps junction roles in
 ``network``: no module but ``network.py`` compares anything with a junction
 kind, so the others read the roles a ``Corridor`` resolved; the search
 reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``; and
@@ -11,9 +16,14 @@ package defines or reads ``INFINITE_VALUE``, ``LARGE_COEFFICIENT`` or
 ``ROUNDING``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import corridorflow
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "corridorflow"
@@ -142,3 +152,45 @@ def test_the_scan_finds_a_limit_used():
                          ids=lambda p: p.name)
 def test_only_the_model_container_states_highs_limits(path):
     assert limit_uses(path.read_text()) == []
+
+
+def fresh(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports the package
+    from the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+@pytest.mark.parametrize("module", ["corridorflow", "corridorflow.experiments",
+                                    "corridorflow.sim", "corridorflow.cli"])
+def test_importing_loads_no_scipy(module):
+    assert fresh(f"import sys\nimport {module}\n{LOADED_SCIPY}") == "[]\n"
+
+
+def test_the_solver_names_resolve_to_the_solver_on_first_use():
+    out = fresh("import corridorflow\n"
+                "from corridorflow import branch_and_bound\n"
+                "from corridorflow import solver\n"
+                "print(branch_and_bound is solver.branch_and_bound,\n"
+                "      corridorflow.export_model is solver.export_model,\n"
+                "      corridorflow.Solution is solver.Solution)\n")
+    assert out == "True True True\n"
+
+
+def test_a_name_the_package_lacks_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'corridorflow' has no attribute 'nope'"):
+        corridorflow.nope
+
+
+def test_a_parallel_comparison_loads_the_solver_before_it_forks():
+    out = fresh("import sys\n"
+                "from corridorflow.experiments import case_study, run_comparison\n"
+                "before = 'corridorflow.solver' in sys.modules\n"
+                "comp = run_comparison(case_study(), [0], n_horizons=1, jobs=2,\n"
+                "                      controllers=('d-min', 'd-max'))\n"
+                "print(before, 'corridorflow.solver' in sys.modules, sorted(comp.records))\n")
+    assert out == "False True [(0, 'd-max'), (0, 'd-min')]\n"
