@@ -30,7 +30,7 @@ from .twostage import (
 )
 from .lp import LinearProgram
 from .controller import HorizonConfig, Trajectory, run_closed_loop
-from .experiments import ExperimentConfig, case_study, run_comparison, run_sd_sweep
+from .experiments import ExperimentConfig, SweepError, case_study, run_comparison, run_sd_sweep
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,7 @@ from . import twostage
 from .controller import CONTROLLER_KINDS, TWO_STAGE, plan_model
 from .experiments import (
     ExperimentConfig,
+    SweepError,
     case_study,
     load_config,
     run_comparison,
@@ -101,7 +102,12 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out = _prepare_dir(args, config)
-    rows = run_sd_sweep(config, jobs=args.jobs)
+    try:
+        rows = run_sd_sweep(config, jobs=args.jobs)
+    except SweepError as err:
+        for key, msg in err.failures.items():
+            print(f"FAILED {key}: {msg}", file=sys.stderr)
+        return 1
     sweep_to_csv(rows, out / "sweep.csv")
     write_manifest(config, out / "manifest.json",
                    list(range(config.sweep_seeds)), {"command": "sweep"})

@@ -362,6 +362,8 @@ class ComparisonResult:
                                      f"{rec.fluctuation:.6f}", f"{rec.combined:.6f}",
                                      f"{rec.throughput:.6f}"])
             for kind in CONTROLLER_KINDS:
+                if any((seed, kind) not in self.records for seed in self.seeds):
+                    continue  # a total over some seeds only is not comparable
                 agg = self.aggregate(kind)
                 writer.writerow(["total", kind, f"{agg['block_penalty']:.6f}",
                                  f"{agg['fluctuation']:.6f}", f"{agg['combined']:.6f}",
@@ -406,9 +408,13 @@ def run_comparison(
 ) -> ComparisonResult:
     """All controllers on identical seeded streams; ``n_horizons``, when
     given, replaces ``config.n_horizons``.  The runs are spread over at most
-    ``jobs`` worker processes, no more than there are runs.  Before any run,
-    ``jobs`` below 1, a repeated seed (its record would be summed twice) and
-    an unknown controller kind raise ValueError."""
+    ``jobs`` worker processes, no more than there are runs.  The runs share
+    their searches (``solver.shared_searches``): a model that a run of this
+    call already solved from the same warm start, in the same process, is
+    not solved again; each worker keeps its own memo, and a hit logs the
+    lookup as its ``solve_time``.  Before any run, ``jobs`` below 1, a
+    repeated seed (its record would be summed twice) and an unknown
+    controller kind raise ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
@@ -422,13 +428,16 @@ def run_comparison(
         config = replace(config, n_horizons=n_horizons)
     tasks = [(config, kind, seed) for seed in seeds for kind in controllers]
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        # the forked workers inherit the solver, and scipy, from this process
-        importlib.import_module(f"{__package__}.solver")
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outcomes = pool.map(_comparison_task, tasks)
-    else:
-        outcomes = [_comparison_task(t) for t in tasks]
+    # loaded here, not on import: the forked workers inherit the solver, and
+    # scipy, from this process, and each keeps its own memo of searches
+    from . import solver
+
+    with solver.shared_searches():
+        if workers > 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                outcomes = pool.map(_comparison_task, tasks)
+        else:
+            outcomes = [_comparison_task(t) for t in tasks]
     result = ComparisonResult(config, seeds, {})
     for seed, kind, metrics, failure in sorted(
         outcomes, key=lambda o: (o[0], CONTROLLER_KINDS.index(o[1]))
@@ -452,17 +461,29 @@ def distribution_sd(dist: DemandDistribution) -> float:
     return math.sqrt(sum(p * (l - mean) ** 2 for l, p in zip(dist.levels, dist.probs)))
 
 
+class SweepError(RuntimeError):
+    """Runs of a sweep failed; ``failures`` maps each failed
+    ``(p, seed, controller)`` to its failure text."""
+
+    def __init__(self, failures: dict):
+        super().__init__("; ".join(f"{key}: {text}" for key, text in failures.items()))
+        self.failures = failures
+
+
 def run_sd_sweep(config: ExperimentConfig, jobs: int = 1) -> list:
     """Controller comparison across the symmetric demand distributions of
     ``config.sweep_p_grid``, each point over ``config.sweep_seeds`` seeds of
     ``config.sweep_horizons`` horizons; returns one row per grid point with
     the seed-summed metrics.  Every point's distribution is built before the
-    first comparison runs, so a bad point raises ValueError before any work."""
+    first comparison runs, so a bad point raises ValueError before any work.
+    A failed run would leave a partial sum in its point's row, so after the
+    last point any failure raises ``SweepError`` naming every failed run."""
     dists = [symmetric_distribution(config.demand_levels, p) for p in config.sweep_p_grid]
-    rows = []
+    rows, failures = [], {}
     for p, dist in zip(config.sweep_p_grid, dists):
         point = replace(config, demand_probs=dist.probs, n_horizons=config.sweep_horizons)
         comp = run_comparison(point, range(config.sweep_seeds), jobs=jobs)
+        failures.update({(p, seed, kind): text for (seed, kind), text in comp.failures.items()})
         row = {"p": p, "sd": distribution_sd(dist)}
         for kind in CONTROLLER_KINDS:
             agg = comp.aggregate(kind)
@@ -470,6 +491,8 @@ def run_sd_sweep(config: ExperimentConfig, jobs: int = 1) -> list:
             row[f"{kind}/fluct"] = agg["fluctuation"]
             row[f"{kind}/combined"] = agg["combined"]
         rows.append(row)
+    if failures:
+        raise SweepError(failures)
     return rows
 
 

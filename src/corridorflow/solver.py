@@ -19,6 +19,12 @@ cap (``MAX_NODES``) are module constants, so its answer depends on the model
 alone.  Neither the search nor the export checks a model's numbers:
 ``lp.LinearProgram`` refuses any that HiGHS would not read as written.
 
+So a repeated search is wasted work.  Inside ``shared_searches()`` (a
+controller comparison) each search is kept by a sha256 digest of every array
+it reads, the model's rows and columns and the rounded warm start, and a
+search with a kept digest returns a copy of the kept ``Solution`` without
+solving.  The memo holds digests and solutions only, and ends with the block.
+
 ``export_model`` writes LP or MPS text through one layout per format and row
 pattern: everything in the file but its numbers, built on the pattern's first
 export and kept (``LAYOUTS_KEPT``) with the numbers its last export wrote, so
@@ -28,7 +34,11 @@ for bit; all of them on the first export of a pattern).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import dataclasses
 import functools
+import hashlib
 import heapq
 import math
 import threading
@@ -171,6 +181,35 @@ def _most_fractional(values: list, tol):
     return pick
 
 
+#: the searches kept inside ``shared_searches()``, digest -> Solution; None
+#: outside it
+_searches: contextvars.ContextVar = contextvars.ContextVar("searches", default=None)
+
+
+@contextlib.contextmanager
+def shared_searches():
+    """Within the block, a search whose model and warm start were searched
+    before in it returns a copy of that search's ``Solution``.  The kept
+    solutions go with the block; a process forked inside it keeps its own."""
+    token = _searches.set({})
+    try:
+        yield
+    finally:
+        _searches.reset(token)
+
+
+def _digest(lp: LinearProgram, start) -> bytes:
+    """sha256 over every array a search reads, each with its dtype and length."""
+    h = hashlib.sha256()
+    for a in (*lp.row_arrays(), *lp.column_arrays(), start):
+        if a is None:
+            h.update(b"none;")
+            continue
+        h.update(f"{a.dtype.str}{len(a)};".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
 def branch_and_bound(lp: LinearProgram, *, warm_binaries=None) -> Solution:
     """Depth-first branch and bound with best-bound restarts.
 
@@ -181,21 +220,36 @@ def branch_and_bound(lp: LinearProgram, *, warm_binaries=None) -> Solution:
     cold solve with every binary fixed at the incumbent's value.  ``bound``
     is the largest LP bound of the incumbent and of the nodes left open or
     discarded by the gap test (``MIP_GAP``), so no feasible point scores
-    above it.
+    above it.  Inside ``shared_searches()`` a repeated search is looked up,
+    not run.
     """
+    n_bins = int(np.count_nonzero(lp.column_arrays().binary))
+    if warm_binaries is not None and np.shape(warm_binaries) != (n_bins,):
+        raise ValueError(f"warm_binaries must hold one value per binary of {lp.name}, "
+                         f"{n_bins} in all, in binary_ids() order")
+    # + 0.0 turns the -0.0 that np.round gives a tiny negative into 0.0
+    start = (None if warm_binaries is None
+             else np.round(np.asarray(warm_binaries, dtype=float)) + 0.0)
+    searches = _searches.get()
+    if searches is None:
+        return _search(lp, start)
+    key = _digest(lp, start)
+    if key not in searches:
+        searches[key] = _search(lp, start)
+    kept = searches[key]
+    return dataclasses.replace(kept, x=None if kept.x is None else kept.x.copy())
+
+
+def _search(lp: LinearProgram, start) -> Solution:
+    """The search of ``branch_and_bound`` from the rounded warm start."""
     _, lb0, ub0, binary = lp.column_arrays()
     bins = np.flatnonzero(binary)
-    if warm_binaries is not None and np.shape(warm_binaries) != bins.shape:
-        raise ValueError(f"warm_binaries must hold one value per binary of {lp.name}, "
-                         f"{len(bins)} in all, in binary_ids() order")
     relaxation = _Relaxation(lp)
 
     inc_bins, inc_obj = None, -math.inf  # the incumbent's binaries and objective
     nodes = 0
 
-    if warm_binaries is not None and len(bins):
-        # + 0.0 turns the -0.0 that np.round gives a tiny negative into 0.0
-        start = np.round(np.asarray(warm_binaries, dtype=float)) + 0.0
+    if start is not None and len(bins):
         warm = relaxation.solve(start, start)
         nodes += 1
         if warm.status == OPTIMAL:

@@ -72,6 +72,21 @@ def test_sweep_emits_grid(tiny_config, tmp_path, capsys):
     assert "sd=0.4472" in capsys.readouterr().out
 
 
+def test_sweep_with_a_failed_run_names_it_and_exits_1(tiny_config, tmp_path, capsys,
+                                                     monkeypatch):
+    infeasible = solver.Solution(solver.INFEASIBLE)
+    monkeypatch.setattr(solver, "branch_and_bound", lambda *a, **k: infeasible)
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(tiny_config), "--output-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "p=" not in captured.out
+    assert not (out / "sweep.csv").exists()
+    for p in (0.0, 0.4):
+        for kind in CONTROLLER_KINDS:
+            assert f"FAILED ({p}, 0, '{kind}'): ClosedLoopError" in captured.err
+
+
 @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
 def test_export_milp_formats(controller, tiny_config, tmp_path):
     # an external solver reads each format as the in-process model: same

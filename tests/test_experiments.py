@@ -16,6 +16,7 @@ from corridorflow.experiments import (
     distribution_sd,
     load_config,
     run_comparison,
+    run_single,
     sample_demand_stream,
     save_config,
     sweep_to_csv,
@@ -250,6 +251,64 @@ def small_config():
                             sweep_horizons=2)
 
 
+def fail_first_search(monkeypatch):
+    """The first ``branch_and_bound`` call returns ``infeasible``, so in a
+    serial comparison only the first run (the first seed's two-stage) fails;
+    later calls search."""
+    search, calls = solver.branch_and_bound, []
+
+    def first_fails(lp, **kwargs):
+        calls.append(lp.name)
+        return solver.Solution(solver.INFEASIBLE) if len(calls) == 1 else search(lp, **kwargs)
+
+    monkeypatch.setattr(solver, "branch_and_bound", first_fails)
+
+
+def assert_same_record(a, b):
+    """Two metrics records equal bit for bit."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "fluct_diffs":
+            assert [d.tobytes() for d in x] == [d.tobytes() for d in y]
+        elif isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+@pytest.fixture(scope="module")
+def shared_comparison(small_config):
+    """A serial comparison over seeds 0 and 1 and three horizons, with its
+    runs' trajectories in task order, the inputs of each ``branch_and_bound``
+    call (the model's arrays and the rounded warm start, as bytes) and the
+    searches run (one cold ``linprog`` solve each)."""
+    trajectories, calls, searches = [], [], []
+    run, search, linprog = ctl.run_closed_loop, solver.branch_and_bound, solver.linprog
+
+    def run_spy(*args, **kwargs):
+        trajectories.append(run(*args, **kwargs))
+        return trajectories[-1]
+
+    def search_spy(lp, *, warm_binaries=None):
+        warm = (None if warm_binaries is None
+                else (np.round(np.asarray(warm_binaries, dtype=float)) + 0.0).tobytes())
+        arrays = (*lp.row_arrays(), *lp.column_arrays())
+        calls.append((tuple(a.tobytes() for a in arrays), warm))
+        return search(lp, warm_binaries=warm_binaries)
+
+    def linprog_spy(*args, **kwargs):
+        searches.append(1)
+        return linprog(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ctl, "run_closed_loop", run_spy)
+        patch.setattr(solver, "branch_and_bound", search_spy)
+        patch.setattr(solver, "linprog", linprog_spy)
+        comp = run_comparison(small_config, seeds=[0, 1], n_horizons=3)
+    runs = [(seed, kind) for seed in (0, 1) for kind in ctl.CONTROLLER_KINDS]
+    return comp, dict(zip(runs, trajectories, strict=True)), calls, searches
+
+
 class TestComparison:
 
     def test_point_distribution_rows_identical(self, small_config):
@@ -336,6 +395,20 @@ class TestComparison:
             assert sorted(comp.failures) == sorted((0, kind) for kind in controllers)
         assert sizes == [2, 3]
 
+    def test_shared_searches_change_no_record(self, small_config, shared_comparison):
+        comp, trajectories, _, _ = shared_comparison
+        config = replace(small_config, n_horizons=3)
+        assert sorted(comp.records) == sorted(trajectories)
+        for (seed, kind), traj in trajectories.items():
+            alone, metrics = run_single(config, kind, seed)
+            assert_same_record(comp.records[(seed, kind)], metrics)
+            assert ([replace(log, solve_time=0.0) for log in traj.solves]
+                    == [replace(log, solve_time=0.0) for log in alone.solves])
+
+    def test_each_distinct_search_runs_once(self, shared_comparison):
+        _, _, calls, searches = shared_comparison
+        assert len(searches) == len(set(calls)) < len(calls)
+
     def test_csv_and_manifest(self, small_config, tmp_path):
         comp = run_comparison(small_config, seeds=[0], n_horizons=2)
         comp.to_csv(tmp_path / "cmp.csv")
@@ -347,6 +420,27 @@ class TestComparison:
         assert manifest["config_hash"] == config_hash(small_config)
         assert manifest["versions"]["numpy"] == np.__version__
         assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def test_csv_writes_no_total_over_some_seeds(self, small_config, tmp_path, monkeypatch):
+        fail_first_search(monkeypatch)
+        comp = run_comparison(small_config, seeds=[0, 1], n_horizons=1)
+        assert list(comp.failures) == [(0, "two-stage")]
+        comp.to_csv(tmp_path / "cmp.csv")
+        lines = (tmp_path / "cmp.csv").read_text().splitlines()
+        kinds = list(ctl.CONTROLLER_KINDS)
+        assert [line.split(",")[:2] for line in lines[1:]] == (
+            [["0", kind] for kind in kinds[1:]] + [["1", kind] for kind in kinds]
+            + [["total", kind] for kind in kinds[1:]])
+
+    def test_a_failed_sweep_run_is_raised_with_its_point(self, small_config, monkeypatch):
+        fail_first_search(monkeypatch)
+        config = replace(small_config, sweep_p_grid=(0.0, 0.4), sweep_horizons=1)
+        with pytest.raises(experiments.SweepError) as raised:
+            experiments.run_sd_sweep(config)
+        assert list(raised.value.failures) == [(0.0, 0, "two-stage")]
+        assert re.fullmatch(r"\(0\.0, 0, 'two-stage'\): ClosedLoopError: horizon 0 plan: "
+                            r"solver returned infeasible \(controller\.py:\d+\)",
+                            str(raised.value))
 
     def test_sweep_rows_and_csv(self, small_config, tmp_path):
         config = replace(small_config, sweep_p_grid=(0.0, 0.4))

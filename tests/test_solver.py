@@ -141,6 +141,113 @@ class TestBranchAndBound:
         assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
+def count_searches(monkeypatch) -> list:
+    """A list that grows by one per search run: each search ends in one cold
+    ``linprog`` solve, and a search looked up in the memo runs none."""
+    searches, linprog = [], solver.linprog
+
+    def spy(*args, **kwargs):
+        searches.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linprog", spy)
+    return searches
+
+
+def changed(lp, part, field, at=0, by=1.0):
+    """``lp`` with entry ``at`` of one of its arrays moved by ``by``; ``part``
+    is "rows" or "columns"."""
+    cols, rows = lp.column_arrays(), lp.row_arrays()
+    arrays = rows if part == "rows" else cols
+    values = getattr(arrays, field).copy()
+    values[at] += by
+    arrays = arrays._replace(**{field: values})
+    return LinearProgram(lp.name, lp.keys, arrays if part == "columns" else cols,
+                         arrays if part == "rows" else rows)
+
+
+class TestSharedSearches:
+    """Inside ``solver.shared_searches()`` a repeated search is looked up."""
+
+    def test_a_repeat_is_looked_up_and_equal(self, monkeypatch):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        alone = branch_and_bound(lp)
+        searches = count_searches(monkeypatch)
+        with solver.shared_searches():
+            first, again = branch_and_bound(lp), branch_and_bound(lp)
+        assert len(searches) == 1
+        for sol in (first, again):
+            assert dataclasses.replace(sol, x=None) == dataclasses.replace(alone, x=None)
+            assert sol.x.tobytes() == alone.x.tobytes()
+
+    @pytest.mark.parametrize("part, field", [
+        ("rows", "rhs"), ("rows", "data"), ("columns", "lb"), ("columns", "ub"),
+        ("columns", "obj")])
+    def test_any_changed_number_searches_again(self, monkeypatch, part, field):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        # a binary's bounds move to 1 (lb) or 0 (ub): the search rounds binaries
+        by = {"lb": 1.0, "ub": -1.0}.get(field, 0.5)
+        other = changed(lp, part, field, by=by)
+        searches = count_searches(monkeypatch)
+        with solver.shared_searches():
+            branch_and_bound(lp)
+            branch_and_bound(other)
+            branch_and_bound(other)
+        assert len(searches) == 2
+
+    def test_a_changed_warm_start_searches_again(self, monkeypatch):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        cold = branch_and_bound(lp)
+        warm = cold.x[lp.binary_ids()]
+        flipped = warm.copy()
+        flipped[0] = 1.0 - flipped[0]
+        searches = count_searches(monkeypatch)
+        with solver.shared_searches():
+            for start in (None, warm, flipped, warm, None):
+                branch_and_bound(lp, warm_binaries=start)
+        assert len(searches) == 3
+
+    def test_outside_the_block_every_call_searches(self, monkeypatch):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        searches = count_searches(monkeypatch)
+        with solver.shared_searches():
+            branch_and_bound(lp)
+        branch_and_bound(lp)
+        branch_and_bound(lp)
+        assert len(searches) == 3
+
+    def test_a_hit_hands_out_its_own_point(self):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        with solver.shared_searches():
+            first = branch_and_bound(lp)
+            kept = first.x.copy()
+            first.x[:] = -7.0
+            hit = branch_and_bound(lp)
+            hit.x[:] = 9.0
+            assert branch_and_bound(lp).x.tobytes() == kept.tobytes()
+
+    def test_the_memo_keeps_digests_and_solutions_and_ends_with_the_block(self):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        assert solver._searches.get() is None
+        with solver.shared_searches():
+            branch_and_bound(lp)
+            branch_and_bound(lp, warm_binaries=np.zeros(len(lp.binary_ids())))
+            memo = solver._searches.get()
+            assert len(memo) == 2
+            assert all(isinstance(key, bytes) and type(sol) is solver.Solution
+                       for key, sol in memo.items())
+        assert solver._searches.get() is None
+
+    def test_a_bad_warm_start_is_refused_inside_the_block(self):
+        lp, *_ = random_knapsack(np.random.default_rng(3), 4)
+        cold = branch_and_bound(lp)
+        with solver.shared_searches():
+            for warm in ({vid: round(cold.x[vid]) for vid in lp.binary_ids()},
+                         cold.x[lp.binary_ids()][:-1], [1.0] * 5):
+                with pytest.raises(ValueError, match="warm_binaries"):
+                    branch_and_bound(lp, warm_binaries=warm)
+
+
 @pytest.fixture(scope="module")
 def certification_models(config):
     """Two-stage and d-mean models of the three certification states."""
