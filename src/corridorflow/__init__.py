@@ -5,9 +5,9 @@ and variable-speed-limit MILP on top of them, a rolling-horizon closed loop,
 and the experiment harness that compares the hedged controller against
 fixed-demand baselines.
 
-The solver's names (``Solution``, ``branch_and_bound``, ``export_model``)
-load ``corridorflow.solver``, and scipy with it, on first use, so importing
-the package loads no scipy.
+Importing the package loads no scipy: ``corridorflow.solver`` imports it where
+a model is first solved, so writing a model (``export_model``) loads none
+either.
 """
 
 from .lwr import (
@@ -29,16 +29,8 @@ from .twostage import (
     objective_breakdown,
 )
 from .lp import LinearProgram
+from .solver import Solution, branch_and_bound, export_model
 from .controller import HorizonConfig, Trajectory, run_closed_loop
 from .experiments import ExperimentConfig, SweepError, case_study, run_comparison, run_sd_sweep
 
 __version__ = "0.1.0"
-
-_SOLVER_NAMES = ("Solution", "branch_and_bound", "export_model")
-
-
-def __getattr__(name):
-    if name in _SOLVER_NAMES:
-        from . import solver
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import twostage
+from . import solver, twostage
 from .controller import CONTROLLER_KINDS, TWO_STAGE, plan_model
 from .experiments import (
     ExperimentConfig,
@@ -130,7 +130,6 @@ def cmd_export_milp(args) -> int:
     bundle = plan_model(corridor, state, args.controller, config.distribution(),
                         config.weights())
     path = out / f"horizon_{args.controller}.{args.format}"
-    from . import solver  # loads scipy only for the command that writes a model
     solver.export_model(bundle.lp, path, fmt=args.format)
     print(f"wrote {path} ({bundle.lp.n_vars} variables, "
           f"{bundle.lp.n_constraints} constraints)")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import twostage
+from . import solver, twostage
 from .network import Corridor
 from .sim import CorridorSimulator
 from .twostage import (
@@ -208,7 +208,6 @@ def run_closed_loop(
         state = HorizonState({lid: sim.segment_densities(lid) for lid in sim.states},
                              dict(sim.queues), n1, T, t0)
         bundle = build(corridor, state, *args)
-        from . import solver  # loads scipy on the first solve, not on import
         start = time.monotonic()
         sol = solver.branch_and_bound(bundle.lp, warm_binaries=warm[stage])
         elapsed = time.monotonic() - start

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import controller as ctl
+from . import solver
 from .controller import CONTROLLER_KINDS, HorizonConfig, Trajectory
 from .linkmodel import ENTRY, FD, LinkSpec
 from .lwr import LinkGeometry, TriangularFD
@@ -428,12 +429,9 @@ def run_comparison(
         config = replace(config, n_horizons=n_horizons)
     tasks = [(config, kind, seed) for seed in seeds for kind in controllers]
     workers = min(jobs, len(tasks))
-    # loaded here, not on import: the forked workers inherit the solver, and
-    # scipy, from this process, and each keeps its own memo of searches
-    from . import solver
-
     with solver.shared_searches():
         if workers > 1:
+            solver._load_scipy()  # before the fork, so the workers inherit scipy
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 outcomes = pool.map(_comparison_task, tasks)
         else:

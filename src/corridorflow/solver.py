@@ -7,6 +7,13 @@ incumbents are fully deterministic: branch on the most fractional binary
 best-bound open node after a prune.  A node is the binaries' lower and upper
 bounds, two arrays in ``lp.binary_ids()`` order.
 
+scipy is imported where a model is first solved, not on import:
+``_load_scipy`` binds ``sparse``, ``linprog`` and ``_highs`` as module globals
+once, called by ``_linprog_rows`` and ``_Relaxation``, and the module's
+``__getattr__`` calls it when one of those names is read from outside before
+any solve.  So a process that only writes models, or only reads this module's
+names, loads numpy and ``lp`` alone.
+
 One search loads the LP relaxation once, by array and with the rows as the
 model's CSR block holds them, into a HiGHS instance (scipy's private
 ``_highspy`` binding, the one ``linprog`` drives) and solves every node by
@@ -45,9 +52,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as _highs
 
 from .lp import EQ_CODE, GE_CODE, LE_CODE, LinearProgram
 
@@ -85,10 +89,29 @@ class SolverError(RuntimeError):
     pass
 
 
+def _load_scipy():
+    """Bind ``sparse``, ``linprog`` and ``_highs`` as module globals, on the
+    first call only, so a name replaced since (a test's spy) stays replaced."""
+    global sparse, linprog, _highs
+    if "_highs" in globals():
+        return
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as _highs
+
+
+def __getattr__(name):
+    if name in ("sparse", "linprog", "_highs"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _linprog_rows(lp: LinearProgram):
     """The rows of ``lp`` as linprog takes them, (A_ub, b_ub, A_eq, b_eq):
     ``<=`` rows and negated ``>=`` rows in A_ub, ``=`` rows in A_eq, each in
     model order, the matrices CSR."""
+    _load_scipy()
     indptr, indices, data, sense, rhs = lp.row_arrays()
     sign = np.where(sense == GE_CODE, -1.0, 1.0)
     signed = sparse.csr_matrix((data * np.repeat(sign, np.diff(indptr)), indices, indptr),
@@ -130,6 +153,7 @@ class _Relaxation:
     """
 
     def __init__(self, lp: LinearProgram):
+        _load_scipy()
         c, lb, ub, _ = lp.column_arrays()
         indptr, indices, data, sense, rhs = lp.row_arrays()
         inf = _highs.kHighsInf

@@ -1,13 +1,13 @@
 """Every module of the package (but ``__init__.py``, which re-exports), of
 the tests and of the benchmark uses each name it imports; the package keeps
 solver formats in ``solver``: no module but ``solver.py`` imports any scipy
-module, so linprog, the ``_highspy`` binding and the column-wise layouts of
-the rows (``scipy.sparse``) stay there; the solver, and scipy with it, loads
-where a model is first solved or written: importing ``corridorflow``,
-``corridorflow.experiments``, ``corridorflow.sim`` or ``corridorflow.cli``
-loads no scipy module, the package resolves its solver names on first use,
-and a comparison's parent process loads the solver before it forks its
-workers, so they inherit it; and it keeps junction roles in
+module, and it does so in one function, so linprog, the ``_highspy`` binding
+and the column-wise layouts of the rows (``scipy.sparse``) stay there; scipy
+loads where a model is first solved: importing ``corridorflow`` or any of
+its modules, writing a model (``export_model`` and ``export-milp``) and
+reading the solver's names load no scipy module, a search and reading
+``solver.linprog`` load it, and a comparison's parent process loads it
+before it forks its workers, so they inherit it; and it keeps junction roles in
 ``network``: no module but ``network.py`` compares anything with a junction
 kind, so the others read the roles a ``Corridor`` resolved; the search
 reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``; and
@@ -90,6 +90,32 @@ def test_the_search_reads_no_clock():
     assert not reaches(names, "time") and not reaches(names, "datetime")
 
 
+def scipy_import_scopes(source: str) -> list[str]:
+    """The name of the innermost function around each import of a scipy
+    module in ``source``, or "<module>" for one outside any function."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Import, ast.ImportFrom))
+                    and reaches(imported(ast.unparse(child)), "scipy")):
+                scopes.append(scope)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return scopes
+
+
+def test_the_scan_finds_where_scipy_is_imported():
+    source = ("import numpy as np\nfrom scipy import sparse\n"
+              "def load():\n    import scipy.optimize\n    from scipy.optimize import linprog\n")
+    assert scipy_import_scopes(source) == ["<module>", "load", "load"]
+
+
+def test_the_solver_imports_scipy_in_one_function():
+    assert scipy_import_scopes((SRC / "solver.py").read_text()) == ["_load_scipy"] * 3
+
+
 def test_the_model_container_imports_no_scipy():
     assert not reaches(imported((SRC / "lp.py").read_text()), "scipy")
 
@@ -163,22 +189,76 @@ def fresh(code: str) -> str:
 
 
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+ANY_SCIPY = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 
 
 @pytest.mark.parametrize("module", ["corridorflow", "corridorflow.experiments",
-                                    "corridorflow.sim", "corridorflow.cli"])
+                                    "corridorflow.sim", "corridorflow.cli",
+                                    "corridorflow.solver"])
 def test_importing_loads_no_scipy(module):
     assert fresh(f"import sys\nimport {module}\n{LOADED_SCIPY}") == "[]\n"
 
 
-def test_the_solver_names_resolve_to_the_solver_on_first_use():
-    out = fresh("import corridorflow\n"
-                "from corridorflow import branch_and_bound\n"
+PLAN_MODEL = ("import sys\n"
+              "import numpy as np\n"
+              "import corridorflow\n"
+              "from corridorflow import twostage\n"
+              "from corridorflow.controller import TWO_STAGE, plan_model\n"
+              "config = corridorflow.case_study()\n"
+              "corridor = config.corridor()\n"
+              "state = twostage.HorizonState(\n"
+              "    {l.id: np.zeros(l.geometry.k_max) for l in corridor.fd_links},\n"
+              "    {l.id: 0.0 for l in corridor.entry_links}, config.n_project, config.T)\n"
+              "lp = plan_model(corridor, state, TWO_STAGE, config.distribution(),\n"
+              "                config.weights()).lp\n")
+
+
+def test_writing_a_model_loads_no_scipy(tmp_path):
+    out = fresh(PLAN_MODEL
+                + "for fmt in ('lp', 'mps'):\n"
+                + f"    corridorflow.export_model(lp, {str(tmp_path)!r} + '/plan.' + fmt, fmt=fmt)\n"
+                + LOADED_SCIPY)
+    assert out == "[]\n"
+    assert all((tmp_path / f"plan.{fmt}").stat().st_size for fmt in ("lp", "mps"))
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_the_export_command_loads_no_scipy(fmt, tmp_path):
+    out = fresh("import sys\n"
+                "from corridorflow import cli\n"
+                f"rc = cli.main(['export-milp', '--output-dir', {str(tmp_path)!r}, "
+                f"'--format', {fmt!r}])\n"
+                f"print(rc)\n{LOADED_SCIPY}")
+    assert out.splitlines()[-2:] == ["0", "[]"]
+    assert (tmp_path / f"horizon_two-stage.{fmt}").stat().st_size > 0
+
+
+def test_a_search_loads_scipy():
+    out = fresh(PLAN_MODEL
+                + f"before = {ANY_SCIPY}\n"
+                + "sol = corridorflow.branch_and_bound(lp)\n"
+                + "print(before, sol.status, 'scipy.optimize' in sys.modules)\n")
+    assert out == "False optimal True\n"
+
+
+def test_reading_linprog_before_any_solve_loads_it():
+    out = fresh("import sys\n"
                 "from corridorflow import solver\n"
-                "print(branch_and_bound is solver.branch_and_bound,\n"
-                "      corridorflow.export_model is solver.export_model,\n"
-                "      corridorflow.Solution is solver.Solution)\n")
-    assert out == "True True True\n"
+                f"before = {ANY_SCIPY}\n"
+                "import scipy.optimize\n"
+                "print(before, solver.linprog is scipy.optimize.linprog)\n")
+    assert out == "False True\n"
+
+
+def test_the_package_re_exports_the_solver_names():
+    solver = corridorflow.solver
+    assert (corridorflow.branch_and_bound, corridorflow.export_model, corridorflow.Solution) == (
+        solver.branch_and_bound, solver.export_model, solver.Solution)
+
+
+def test_an_unknown_solver_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'corridorflow.solver' has no attribute 'nope'"):
+        corridorflow.solver.nope
 
 
 def test_a_name_the_package_lacks_is_an_attribute_error():
@@ -187,10 +267,12 @@ def test_a_name_the_package_lacks_is_an_attribute_error():
 
 
 def test_a_parallel_comparison_loads_the_solver_before_it_forks():
+    # the parent solves nothing at jobs=2: scipy is in it only if it loaded
+    # scipy before the fork, for the workers to inherit
     out = fresh("import sys\n"
                 "from corridorflow.experiments import case_study, run_comparison\n"
-                "before = 'corridorflow.solver' in sys.modules\n"
+                f"before = {ANY_SCIPY}\n"
                 "comp = run_comparison(case_study(), [0], n_horizons=1, jobs=2,\n"
                 "                      controllers=('d-min', 'd-max'))\n"
-                "print(before, 'corridorflow.solver' in sys.modules, sorted(comp.records))\n")
+                "print(before, 'scipy.optimize' in sys.modules, sorted(comp.records))\n")
     assert out == "False True [(0, 'd-max'), (0, 'd-min')]\n"
