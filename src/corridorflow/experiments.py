@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-import importlib.metadata
 import io
 import json
 import math
@@ -413,12 +412,17 @@ def run_comparison(
     their searches (``solver.shared_searches``): a model that a run of this
     call already solved from the same warm start, in the same process, is
     not solved again; each worker keeps its own memo, and a hit logs the
-    lookup as its ``solve_time``.  Before any run, ``jobs`` below 1, a
-    repeated seed (its record would be summed twice) and an unknown
-    controller kind raise ValueError."""
+    lookup as its ``solve_time``.  Before any run, ``jobs`` below 1, no
+    seeds or no controllers (totals over no runs), a repeated seed (its
+    record would be summed twice) and an unknown controller kind raise
+    ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = list(seeds if seeds is not None else range(config.n_seeds))
+    if not seeds:
+        raise ValueError("seeds is empty")
+    if not controllers:
+        raise ValueError("controllers is empty")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValueError(f"repeated seeds {repeated}")
@@ -473,9 +477,12 @@ def run_sd_sweep(config: ExperimentConfig, jobs: int = 1) -> list:
     ``config.sweep_p_grid``, each point over ``config.sweep_seeds`` seeds of
     ``config.sweep_horizons`` horizons; returns one row per grid point with
     the seed-summed metrics.  Every point's distribution is built before the
-    first comparison runs, so a bad point raises ValueError before any work.
-    A failed run would leave a partial sum in its point's row, so after the
-    last point any failure raises ``SweepError`` naming every failed run."""
+    first comparison runs, so an empty grid or a bad point raises ValueError
+    before any work.  A failed run would leave a partial sum in its point's
+    row, so after the last point any failure raises ``SweepError`` naming
+    every failed run."""
+    if not config.sweep_p_grid:
+        raise ValueError("sweep_p_grid is empty")
     dists = [symmetric_distribution(config.demand_levels, p) for p in config.sweep_p_grid]
     rows, failures = [], {}
     for p, dist in zip(config.sweep_p_grid, dists):
@@ -507,6 +514,8 @@ def sweep_to_csv(rows: list, path) -> None:
 
 
 def write_manifest(config: ExperimentConfig, path, seeds, extra=None) -> None:
+    import importlib.metadata  # here, not at import: no other caller reads it
+
     manifest = {
         "config_hash": config_hash(config),
         "seeds": list(seeds),

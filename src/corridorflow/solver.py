@@ -32,11 +32,12 @@ it reads, the model's rows and columns and the rounded warm start, and a
 search with a kept digest returns a copy of the kept ``Solution`` without
 solving.  The memo holds digests and solutions only, and ends with the block.
 
-``export_model`` writes LP or MPS text through one layout per format and row
-pattern: everything in the file but its numbers, built on the pattern's first
-export and kept (``LAYOUTS_KEPT``) with the numbers its last export wrote, so
-an export formats and places only the numbers that changed since then (bit
-for bit; all of them on the first export of a pattern).
+``export_model`` writes LP or MPS text through one layout per format and
+pattern (the model's name, row structure and column masks): the file minus
+its numbers, built on the pattern's first export and kept (``LAYOUTS_KEPT``)
+with the numbers its last export wrote, so an export formats and places only
+the numbers that changed since then (bit for bit; all of them on the first
+export of a pattern).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
-import functools
 import hashlib
 import heapq
 import math
@@ -349,11 +349,13 @@ def _search(lp: LinearProgram, start) -> Solution:
 
 # -- model file export ------------------------------------------------------
 #
-# A file is its layout, the text that depends only on the model's row
-# pattern (names, labels, sense tags, markers, the order of the entries),
-# with the numbers put into the layout's slots.  Each format's layout is
-# built once per pattern and kept with the bit patterns of the numbers it
-# holds; an export formats and places only the numbers that differ from them.
+# A file is its layout, the file minus its numbers, with every number put
+# into one of the layout's slots.  The layout depends only on the model's
+# pattern (``_layout_key``): its name, its row structure and senses, and the
+# column masks of ``_masks``, which say where a cost or bound is written and
+# where not.  Each format's layout is built once per pattern and kept with
+# the bit patterns of the numbers it holds; an export formats and places
+# only the numbers that differ from them.
 
 #: layouts kept, the least recently used dropped first; the models of one
 #: template share one pattern, so a few layouts serve a run's exports
@@ -367,15 +369,13 @@ _layouts_lock = threading.Lock()  # guards _layouts and each layout's pieces and
 class _Layout:
     """A file but its numbers: ``pieces`` in file order (an object array
     until the first fill, a list after it), a number's place holding the
-    last fill's text, ``slots`` the places of each kind of number in file
-    order (an index for a text slot, an array of them for an array slot),
-    the column names, the row block's entries in column order and, once
-    filled, ``kept``: the bit patterns (int64) the last fill wrote into each
-    array slot."""
+    last fill's text, ``slots`` the places of each slot's numbers (an array
+    of indices into ``pieces``) in file order, the row block's entries in
+    column order and, once filled, ``kept``: the bit patterns (int64) the
+    last fill wrote into each slot."""
 
     pieces: np.ndarray | list
     slots: tuple
-    names: np.ndarray
     order: np.ndarray | None = None
     kept: list | None = None
 
@@ -392,17 +392,9 @@ def _texts(values, fmt) -> np.ndarray:
     return texts[np.searchsorted(distinct, bits)]
 
 
-@functools.lru_cache(maxsize=None)
-def _names_upto(size: int, prefix: str, suffix: str) -> np.ndarray:
-    names = np.array([f"{prefix}{i}{suffix}" for i in range(size)], dtype=object)
-    names.setflags(write=False)
-    return names
-
-
 def _numbered(n: int, prefix: str = "", suffix: str = "") -> np.ndarray:
-    """prefix + str(i) + suffix for i in range(n): a slice of a cached array
-    whose size is the next power of two, so each size class is built once."""
-    return _names_upto(1 << max(n - 1, 0).bit_length(), prefix, suffix)[:n]
+    """prefix + str(i) + suffix for i in range(n), as an object array."""
+    return np.array([f"{prefix}{i}{suffix}" for i in range(n)], dtype=object)
 
 
 def _lp_coef(v: float) -> str:
@@ -438,40 +430,28 @@ def _interleave(*columns):
     return out.ravel(), [np.arange(p, out.size, len(columns)) for p in range(len(columns))]
 
 
-def _joined(*columns) -> str:
-    return "".join(_interleave(*columns)[0].tolist())
-
-
-def _lay_out(names, *parts, order=None) -> _Layout:
-    """The layout of ``parts`` in file order: a part is a string, None (a
-    slot of one piece) or the pieces of a section and its slots' places."""
+def _lay_out(*parts, order=None) -> _Layout:
+    """The layout of ``parts`` in file order: a part is a string or the
+    pieces of a section and its slots' places."""
     pieces, slots, at = [], [], 0
     for part in parts:
-        if isinstance(part, str):
-            part = np.array([part], dtype=object), []
-        elif part is None:
-            part = np.empty(1, dtype=object), [0]
-        section, places = part
+        section, places = (np.array([part], dtype=object), []) if isinstance(part, str) else part
         pieces.append(section)
         slots += [place + at for place in places]
         at += len(section)
-    return _Layout(np.concatenate(pieces), tuple(slots), names, order)
+    return _Layout(np.concatenate(pieces), tuple(slots), order)
 
 
 def _fill(layout: _Layout, *numbers) -> str:
-    """The layout's text with ``numbers`` put into its slots, one per slot: a
-    text, or ``(values, fmt)`` for an array slot.  The first fill formats
-    every value; a later one formats and writes only the values whose bit
-    patterns differ from the ones the last fill wrote, so the places left
-    alone already hold the same text and no number of another model stays."""
+    """The layout's text with ``numbers`` put into its slots, ``(values,
+    fmt)`` for each slot.  The first fill formats every value; a later one
+    formats and writes only the values whose bit patterns differ from the
+    ones the last fill wrote, so the places left alone already hold the same
+    text and no number of another model stays."""
     with _layouts_lock:
         pieces, kept = layout.pieces, layout.kept
         first = kept is None
-        for s, (place, number) in enumerate(zip(layout.slots, numbers, strict=True)):
-            if isinstance(number, str):
-                pieces[place] = number
-                continue
-            values, fmt = number
+        for s, (place, (values, fmt)) in enumerate(zip(layout.slots, numbers, strict=True)):
             if first:
                 pieces[place] = _texts(values, fmt)
                 continue
@@ -482,28 +462,33 @@ def _fill(layout: _Layout, *numbers) -> str:
                 pieces[at] = text
             kept[s][changed] = bits[changed]
         if first:
-            layout.kept = [None if isinstance(number, str) else
-                           np.array(number[0], dtype=float).view(np.int64)
-                           for number in numbers]
+            layout.kept = [np.array(values, dtype=float).view(np.int64) for values, _ in numbers]
             layout.pieces = pieces = pieces.tolist()
         return "".join(pieces)
 
 
-def _columns(lp: LinearProgram):
-    """Names (x<vid>, b<vid> for a binary) and binary mask of the columns."""
-    binary = lp.column_arrays().binary
-    return np.where(binary, "b", "x").astype(object) + _numbered(len(binary)), binary
+def _masks(lp: LinearProgram) -> tuple:
+    """The column masks of ``lp``'s pattern: binary, costed (a nonzero
+    cost), free (lower bound -inf), nonzero lower bound (neither 0 nor
+    -inf) and finite upper bound (not +inf)."""
+    cost, lb, ub, binary = lp.column_arrays()
+    free = lb == -math.inf
+    return binary, cost != 0.0, free, (lb != 0.0) & ~free, ub != math.inf
+
+
+def _names(binary) -> np.ndarray:
+    """The column names: x<vid>, or b<vid> for a binary."""
+    return np.where(binary, "b", "x").astype(object) + _numbered(len(binary))
 
 
 def _layout_key(fmt: str, lp: LinearProgram) -> tuple:
-    """The content of ``lp``'s pattern in format ``fmt``: the row block's
-    structure, the sense codes, the binary mask and, for MPS, which columns
-    have costs."""
-    cost, _, _, binary = lp.column_arrays()
+    """The format and ``lp``'s pattern, everything its layouts hold: the
+    model's name, the row block's structure, the sense codes and the column
+    masks."""
     indptr, indices, _, sense, _ = lp.row_arrays()
-    masks = (binary, cost != 0.0) if fmt == "mps" else (binary,)
-    return (fmt, *(np.asarray(a, dtype=np.int64).tobytes() for a in (indptr, indices)),
-            *(np.asarray(a, dtype=np.int8).tobytes() for a in (sense, *masks)))
+    return (fmt, lp.name,
+            *(np.asarray(a, dtype=np.int64).tobytes() for a in (indptr, indices)),
+            *(np.asarray(a, dtype=np.int8).tobytes() for a in (sense, *_masks(lp))))
 
 
 def _layout(fmt: str, lp: LinearProgram) -> _Layout:
@@ -521,34 +506,35 @@ def _layout(fmt: str, lp: LinearProgram) -> _Layout:
 
 
 def _lp_layout(lp: LinearProgram) -> _Layout:
-    names, binary = _columns(lp)
+    binary, costed, *_ = _masks(lp)
+    names = _names(binary)
     indptr, indices, _, sense, _ = lp.row_arrays()
     ops = np.array([" <= ", " >= ", " = "], dtype=object)  # by sense code
+    objective, obj_at = _interleave(None, names[costed])
+    # a model without costs names its first column (if it has one) at 0
+    no_cost = "" if costed.any() else "".join((" 0 " + names[:1]).tolist())
     rows, at = _scatter(indptr, [_numbered(len(sense), "\n c", ":")], [None, names[indices]],
                         [ops[sense], None])
     bounds, bound_at = _interleave(None, names, None)
     binaries = "\nBinary\n " + " ".join(names[binary].tolist()) if binary.any() else ""
-    return _lay_out(names, "\\ ", None, "\nMaximize\n obj:", None, "\nSubject To",
-                    (rows, [at[1], at[4]]), "\nBounds", (bounds, [bound_at[0], bound_at[2]]),
-                    binaries + "\nEnd\n")
+    return _lay_out(f"\\ {lp.name}\nMaximize\n obj:", (objective, obj_at[:1]),
+                    no_cost + "\nSubject To", (rows, [at[1], at[4]]),
+                    "\nBounds", (bounds, [bound_at[0], bound_at[2]]), binaries + "\nEnd\n")
 
 
 def _write_lp_text(lp: LinearProgram) -> str:
     cost, lb, ub, _ = lp.column_arrays()
     _, _, data, _, rhs = lp.row_arrays()
-    layout = _layout("lp", lp)
-    names = layout.names
-    objective = (_joined(_texts(cost[cost != 0.0], _lp_coef), names[cost != 0.0])
-                 or _joined(" 0 ", names[:1]))
-    return _fill(layout, lp.name, objective, (data, _lp_coef), (rhs, "{:.12g}".format),
-                 (lb, "\n {:.12g} <= ".format),
+    costed = _masks(lp)[1]
+    return _fill(_layout("lp", lp), (cost[costed], _lp_coef), (data, _lp_coef),
+                 (rhs, "{:.12g}".format), (lb, "\n {:.12g} <= ".format),
                  (ub, lambda v: " <= +inf" if v == math.inf else f" <= {v:.12g}"))
 
 
 def _mps_layout(lp: LinearProgram) -> _Layout:
-    names, binary = _columns(lp)
+    binary, costed, free, lower, upper = _masks(lp)
+    names = _names(binary)
     indptr, indices, _, sense, _ = lp.row_arrays()
-    costed = lp.column_arrays().obj != 0.0
     rows = _numbered(len(sense), "c")
     tags = np.array(["\n L  ", "\n G  ", "\n E  "], dtype=object)  # by sense code
     # the entries' places in the row block, column by column and rows
@@ -565,26 +551,25 @@ def _mps_layout(lp: LinearProgram) -> _Layout:
         [np.where(~costed & (counts == 0), line + "obj  0", ""),
          np.where(binary, "\n    MARKER    'MARKER'    'INTEND'", "")])
     rhs, rhs_at = _interleave("\n    RHS  ", rows, None)
-    return _lay_out(names, "NAME          ", None,
-                    "".join(["\nOBJSENSE\n    MAX\nROWS\n N  obj", _joined(tags[sense], rows),
-                             "\nCOLUMNS"]),
+    bounds, bound_at = _interleave(
+        np.where(free, "\n MI BND  " + names, np.where(lower, "\n LO BND  " + names, "")),
+        np.where(lower, None, ""), np.where(upper, "\n UP BND  " + names, ""),
+        np.where(upper, None, ""))
+    return _lay_out(f"NAME          {lp.name}\nOBJSENSE\n    MAX\nROWS\n N  obj"
+                    + "".join((tags[sense] + rows).tolist()) + "\nCOLUMNS",
                     (columns, [at[2][costed], at[5]]), "\nRHS", (rhs, [rhs_at[2]]),
-                    "\nBOUNDS", None, "\nENDATA\n", order=order)
+                    "\nBOUNDS", (bounds, [bound_at[1][lower], bound_at[3][upper]]),
+                    "\nENDATA\n", order=order)
 
 
 def _write_mps_text(lp: LinearProgram) -> str:
     cost, lb, ub, _ = lp.column_arrays()
     _, _, data, _, rhs = lp.row_arrays()
+    _, costed, _, lower, upper = _masks(lp)
     layout = _layout("mps", lp)
-    names = layout.names
-    free, lower, upper = lb == -math.inf, (lb != 0.0) & (lb != -math.inf), ub != math.inf
-    bounds = _joined(np.where(free, "\n MI BND  ", np.where(lower, "\n LO BND  ", "")),
-                     np.where(free | lower, names, ""),
-                     np.where(lower, _texts(lb, "  {:.12g}".format), ""),
-                     np.where(upper, "\n UP BND  ", ""), np.where(upper, names, ""),
-                     np.where(upper, _texts(ub, "  {:.12g}".format), ""))
-    return _fill(layout, lp.name, (cost[cost != 0.0], "{:.12g}".format),
-                 (data[layout.order], "  {:.12g}".format), (rhs, "  {:.12g}".format), bounds)
+    number = "  {:.12g}".format
+    return _fill(layout, (cost[costed], "{:.12g}".format), (data[layout.order], number),
+                 (rhs, number), (lb[lower], number), (ub[upper], number))
 
 
 def export_model(lp: LinearProgram, destination, fmt: str = "lp") -> None:

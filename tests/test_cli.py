@@ -87,6 +87,22 @@ def test_sweep_with_a_failed_run_names_it_and_exits_1(tiny_config, tmp_path, cap
             assert f"FAILED ({p}, 0, '{kind}'): ClosedLoopError" in captured.err
 
 
+@pytest.mark.parametrize("command, field, output", [
+    ("compare", {"n_seeds": 0}, "comparison.csv"),
+    ("sweep", {"sweep_p_grid": ()}, "sweep.csv"),
+    ("sweep", {"sweep_seeds": 0}, "sweep.csv"),
+], ids=["n_seeds=0", "sweep_p_grid=()", "sweep_seeds=0"])
+def test_a_command_over_no_runs_is_refused(command, field, output, tmp_path, capsys):
+    # a table of totals over no runs would read as a result
+    config = tmp_path / "empty.ini"
+    save_config(ExperimentConfig(n_horizons=1, **field), config)
+    assert load_config(config) == ExperimentConfig(n_horizons=1, **field)
+    with pytest.raises(ValueError, match="is empty"):
+        cli.main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / output).exists()
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
 def test_export_milp_formats(controller, tiny_config, tmp_path):
     # an external solver reads each format as the in-process model: same

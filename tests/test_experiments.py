@@ -347,6 +347,9 @@ class TestComparison:
         ([0, 1, 0, 1, 2], ctl.CONTROLLER_KINDS, r"repeated seeds \[0, 1\]"),
         ([0], ("d-min", "bogus", "d-max", "twostage"),
          r"unknown controller kinds \['bogus', 'twostage'\]"),
+        # totals over no runs would read as a result
+        ([], ctl.CONTROLLER_KINDS, "seeds is empty"),
+        ([0], (), "controllers is empty"),
     ])
     def test_a_bad_run_list_is_refused_before_any_run(self, small_config, monkeypatch,
                                                       seeds, controllers, problem):
@@ -463,4 +466,12 @@ class TestComparison:
         config = replace(small_config, sweep_p_grid=(0.0, 0.7))
         with pytest.raises(ValueError, match="p must lie"):
             experiments.run_sd_sweep(config)
+        assert calls == []
+
+    def test_an_empty_sweep_grid_is_refused(self, small_config, monkeypatch):
+        # rows over no grid points would read as a result
+        calls = []
+        monkeypatch.setattr(experiments, "run_comparison", calls.append)
+        with pytest.raises(ValueError, match="sweep_p_grid is empty"):
+            experiments.run_sd_sweep(replace(small_config, sweep_p_grid=()))
         assert calls == []

@@ -7,9 +7,11 @@ loads where a model is first solved: importing ``corridorflow`` or any of
 its modules, writing a model (``export_model`` and ``export-milp``) and
 reading the solver's names load no scipy module, a search and reading
 ``solver.linprog`` load it, and a comparison's parent process loads it
-before it forks its workers, so they inherit it; and it keeps junction roles in
-``network``: no module but ``network.py`` compares anything with a junction
-kind, so the others read the roles a ``Corridor`` resolved; the search
+before it forks its workers, so they inherit it; importing ``corridorflow``
+loads no ``importlib.metadata``, which only a manifest reads; and it keeps
+junction roles in ``network``: no module but ``network.py`` compares
+anything with a junction kind, so the others read the roles a ``Corridor``
+resolved; the search
 reads no clock: ``solver.py`` imports neither ``time`` nor ``datetime``; and
 HiGHS's load-time limits are stated in ``lp`` alone: no other module of the
 package defines or reads ``INFINITE_VALUE``, ``LARGE_COEFFICIENT`` or
@@ -211,6 +213,12 @@ PLAN_MODEL = ("import sys\n"
               "    {l.id: 0.0 for l in corridor.entry_links}, config.n_project, config.T)\n"
               "lp = plan_model(corridor, state, TWO_STAGE, config.distribution(),\n"
               "                config.weights()).lp\n")
+
+
+def test_importing_loads_no_package_metadata():
+    # only a run's manifest reads the installed versions
+    out = fresh("import sys\nimport corridorflow\nprint('importlib.metadata' in sys.modules)")
+    assert out == "False\n"
 
 
 def test_writing_a_model_loads_no_scipy(tmp_path):

@@ -768,9 +768,11 @@ class TestExportMatchesLineWriters:
 
 @st.composite
 def one_pattern_twice(draw):
-    """(A, B, other): readable models A and B with one pattern (the binary
-    flags, each row's columns and sense, and which columns have costs) and
-    numbers drawn apart, and a readable model ``other`` of another pattern."""
+    """(A, B, other): readable models A and B with one pattern (the name, the
+    binary flags, each row's columns and sense, which columns have costs and
+    which are free, have a zero or a nonzero lower bound and a finite upper
+    bound) and numbers drawn apart, and a readable model ``other`` of another
+    pattern."""
     a = draw(small_programs())
     cost, lb, ub, binary = a.column_arrays()
     indptr, indices, data, sense, rhs = a.row_arrays()
@@ -779,14 +781,15 @@ def one_pattern_twice(draw):
         return np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
 
     readable = [v for v in VALUES if abs(v) < 1e20]
-    costed = cost != 0.0
+    costed, free, upper = cost != 0.0, lb == -math.inf, ub != math.inf
     cost = np.where(costed, numbers([v for v in readable if v != 0.0], len(cost)),
                     numbers([-0.0, 0.0], len(cost)))
-    lb = numbers([-math.inf, -0.0, 0.0, 1e-13, -3.25], len(lb))
-    ub = np.maximum(lb, numbers([math.inf, 0.0, 1e-13, 4.5], len(ub)))
-    lb, ub = np.where(binary, numbers([0.0, 1.0], len(lb)), lb), np.where(binary, 1.0, ub)
+    new_lb = np.where(free, -math.inf, np.where(lb != 0.0, numbers([1e-13, -3.25, 2.0], len(lb)),
+                                                numbers([-0.0, 0.0], len(lb))))
+    new_ub = np.where(upper, np.maximum(new_lb, numbers([0.0, 1e-13, 4.5], len(ub))), math.inf)
+    lb, ub = np.where(binary, lb, new_lb), np.where(binary, ub, new_ub)
     data = numbers([v for v in readable if abs(v) >= 1e-9], len(data))
-    b = LinearProgram("same pattern", a.keys, (cost, lb, ub, binary),
+    b = LinearProgram(a.name, a.keys, (cost, lb, ub, binary),
                       (indptr, indices, data, sense, numbers(readable, len(rhs))))
     other = draw(small_programs())
     assume(any(solver._layout_key(fmt, other) != solver._layout_key(fmt, a)
@@ -802,13 +805,15 @@ class TestLayouts:
     @given(models=one_pattern_twice())
     def test_reused_layout_writes_each_models_numbers(self, models, tmp_path_factory):
         a, b, other = models
+        # A's numbers under another name: the name is part of the pattern
+        renamed = LinearProgram(a.name + " renamed", a.keys, a.column_arrays(), a.row_arrays())
         solver._layouts.clear()
-        for lp in (a, b, other, a):
+        for lp in (a, b, renamed, other, a):
             for fmt, oracle in (("lp", export_oracle.lp_text), ("mps", export_oracle.mps_text)):
                 path = tmp_path_factory.getbasetemp() / f"reused.{fmt}"
                 export_model(lp, path, fmt=fmt)
                 assert path.read_bytes() == oracle(lp).encode()
-        assert len(solver._layouts) == 2 + sum(
+        assert len(solver._layouts) == 4 + sum(
             solver._layout_key(fmt, other) != solver._layout_key(fmt, a) for fmt in ("lp", "mps"))
 
     def test_export_formats_only_the_numbers_that_changed(self, tmp_path, monkeypatch):
@@ -831,9 +836,6 @@ class TestLayouts:
             return texts(values, fmt)
 
         monkeypatch.setattr(solver, "_texts", counted)
-        # the LP objective (2 costs) and the MPS bounds section (2 lower and 2
-        # upper bounds) are text slots, formatted whole on every export
-        whole = {"lp": 2, "mps": 4}
         solver._layouts.clear()
         counts = {"lp": [], "mps": []}
         for lp in (a, a, b, a, b, b):
@@ -842,13 +844,12 @@ class TestLayouts:
                 path = tmp_path / f"model.{fmt}"
                 export_model(lp, path, fmt=fmt)
                 assert path.read_bytes() == oracle(lp).encode()
-                counts[fmt].append(sum(formatted) - whole[fmt])
-        # the first export formats every number of the array slots (LP: 4
-        # coefficients, 2 right-hand sides, 2 lower and 2 upper bounds; MPS:
-        # 2 costs, 4 coefficients, 2 right-hand sides), a re-export none, and
-        # a switch between A and B the coefficient, the right-hand side and,
-        # in LP, the bound
-        assert counts == {"lp": [10, 0, 3, 3, 3, 0], "mps": [8, 0, 2, 2, 2, 0]}
+                counts[fmt].append(sum(formatted))
+        # the first export formats every number (LP: 2 costs, 4 coefficients,
+        # 2 right-hand sides, 2 lower and 2 upper bounds; MPS: the same but
+        # the zero lower bound), a re-export none, and a switch between A and
+        # B the coefficient, the right-hand side and the upper bound
+        assert counts == {"lp": [12, 0, 3, 3, 3, 0], "mps": [11, 0, 3, 3, 3, 0]}
 
     def test_layouts_kept_are_bounded(self, tmp_path):
         solver._layouts.clear()
