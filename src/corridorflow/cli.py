@@ -15,11 +15,13 @@ from .experiments import (
     ExperimentConfig,
     SweepError,
     case_study,
+    comparison_seeds,
     load_config,
     run_comparison,
     run_sd_sweep,
     run_single,
     save_config,
+    sweep_distributions,
     sweep_to_csv,
     write_manifest,
 )
@@ -45,6 +47,15 @@ def _load(args) -> ExperimentConfig:
     if args.config:
         return load_config(args.config)
     return case_study()
+
+
+def _checked(args, check, *values):
+    """``check(*values)``, or argparse's one-line refusal (exit status 2)
+    with its ValueError, before anything is written."""
+    try:
+        return check(*values)
+    except ValueError as err:
+        args.parser.error(str(err))
 
 
 def _prepare_dir(args, config) -> Path:
@@ -80,8 +91,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args)
+    seeds = _checked(args, comparison_seeds, args.seeds or range(config.n_seeds))
     out = _prepare_dir(args, config)
-    seeds = args.seeds if args.seeds else list(range(config.n_seeds))
     comp = run_comparison(config, seeds, jobs=args.jobs)
     comp.to_csv(out / "comparison.csv")
     write_manifest(config, out / "manifest.json", seeds, {"command": "compare"})
@@ -101,6 +112,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args)
+    _checked(args, sweep_distributions, config)
     out = _prepare_dir(args, config)
     try:
         rows = run_sd_sweep(config, jobs=args.jobs)
@@ -153,12 +165,12 @@ def main(argv=None) -> int:
     _add_common(p)
     _add_jobs(p)
     p.add_argument("--seeds", type=int, nargs="*", default=None)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, parser=p)
 
     p = sub.add_parser("sweep", help="demand-variation sweep")
     _add_common(p)
     _add_jobs(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("export-milp", help="write one horizon's model file")
     _add_common(p)

@@ -399,6 +399,18 @@ def _failure_text(err: BaseException) -> str:
     return f"{type(err).__name__}: {err} ({os.path.basename(where.filename)}:{where.lineno})"
 
 
+def comparison_seeds(seeds) -> list:
+    """``seeds`` as a list.  No seeds (totals over no runs) and a repeated
+    seed (its record would be summed twice) raise ValueError."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds is empty")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated seeds {repeated}")
+    return seeds
+
+
 def run_comparison(
     config: ExperimentConfig,
     seeds=None,
@@ -409,23 +421,19 @@ def run_comparison(
     """All controllers on identical seeded streams; ``n_horizons``, when
     given, replaces ``config.n_horizons``.  The runs are spread over at most
     ``jobs`` worker processes, no more than there are runs.  The runs share
-    their searches (``solver.shared_searches``): a model that a run of this
-    call already solved from the same warm start, in the same process, is
-    not solved again; each worker keeps its own memo, and a hit logs the
-    lookup as its ``solve_time``.  Before any run, ``jobs`` below 1, no
+    their searches (``solver.shared_searches``, the caller's block if one is
+    open): a model that a run of this call or of that block already solved
+    from the same warm start, in the same process, is not solved again; each
+    worker keeps its own memo, and a hit logs the lookup as its
+    ``solve_time``.  Before any run, ``jobs`` below 1, no
     seeds or no controllers (totals over no runs), a repeated seed (its
     record would be summed twice) and an unknown controller kind raise
     ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    seeds = list(seeds if seeds is not None else range(config.n_seeds))
-    if not seeds:
-        raise ValueError("seeds is empty")
+    seeds = comparison_seeds(seeds if seeds is not None else range(config.n_seeds))
     if not controllers:
         raise ValueError("controllers is empty")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ValueError(f"repeated seeds {repeated}")
     unknown = [kind for kind in controllers if kind not in CONTROLLER_KINDS]
     if unknown:
         raise ValueError(f"unknown controller kinds {unknown}; known: {list(CONTROLLER_KINDS)}")
@@ -472,30 +480,42 @@ class SweepError(RuntimeError):
         self.failures = failures
 
 
+def sweep_distributions(config: ExperimentConfig) -> list:
+    """The distribution of each point of ``config.sweep_p_grid``.  An empty
+    grid, a p outside [0, 0.5] and no seeds raise ValueError: rows over no
+    points or no runs would read as a result."""
+    if not config.sweep_p_grid:
+        raise ValueError("sweep_p_grid is empty")
+    comparison_seeds(range(config.sweep_seeds))
+    return [symmetric_distribution(config.demand_levels, p) for p in config.sweep_p_grid]
+
+
 def run_sd_sweep(config: ExperimentConfig, jobs: int = 1) -> list:
     """Controller comparison across the symmetric demand distributions of
     ``config.sweep_p_grid``, each point over ``config.sweep_seeds`` seeds of
     ``config.sweep_horizons`` horizons; returns one row per grid point with
-    the seed-summed metrics.  Every point's distribution is built before the
-    first comparison runs, so an empty grid or a bad point raises ValueError
-    before any work.  A failed run would leave a partial sum in its point's
-    row, so after the last point any failure raises ``SweepError`` naming
-    every failed run."""
-    if not config.sweep_p_grid:
-        raise ValueError("sweep_p_grid is empty")
-    dists = [symmetric_distribution(config.demand_levels, p) for p in config.sweep_p_grid]
+    the seed-summed metrics.  ``sweep_distributions`` checks the grid and
+    the seeds before the first comparison runs.  All points share one
+    ``solver.shared_searches`` block, so a search that an earlier point ran
+    (a baseline plan that does not depend on p, say) is looked up; at
+    ``jobs`` > 1 each point's workers keep their own memo.  A failed run would
+    leave a partial sum in its point's row, so after the last point any
+    failure raises ``SweepError`` naming every failed run."""
+    dists = sweep_distributions(config)
     rows, failures = [], {}
-    for p, dist in zip(config.sweep_p_grid, dists):
-        point = replace(config, demand_probs=dist.probs, n_horizons=config.sweep_horizons)
-        comp = run_comparison(point, range(config.sweep_seeds), jobs=jobs)
-        failures.update({(p, seed, kind): text for (seed, kind), text in comp.failures.items()})
-        row = {"p": p, "sd": distribution_sd(dist)}
-        for kind in CONTROLLER_KINDS:
-            agg = comp.aggregate(kind)
-            row[f"{kind}/block"] = agg["block_penalty"]
-            row[f"{kind}/fluct"] = agg["fluctuation"]
-            row[f"{kind}/combined"] = agg["combined"]
-        rows.append(row)
+    with solver.shared_searches():
+        for p, dist in zip(config.sweep_p_grid, dists):
+            point = replace(config, demand_probs=dist.probs, n_horizons=config.sweep_horizons)
+            comp = run_comparison(point, range(config.sweep_seeds), jobs=jobs)
+            failures.update({(p, seed, kind): text
+                             for (seed, kind), text in comp.failures.items()})
+            row = {"p": p, "sd": distribution_sd(dist)}
+            for kind in CONTROLLER_KINDS:
+                agg = comp.aggregate(kind)
+                row[f"{kind}/block"] = agg["block_penalty"]
+                row[f"{kind}/fluct"] = agg["fluctuation"]
+                row[f"{kind}/combined"] = agg["combined"]
+            rows.append(row)
     if failures:
         raise SweepError(failures)
     return rows

@@ -137,10 +137,12 @@ def _fsum(values) -> float:
 class LaxHopfKernel:
     """Point evaluations of one link's value conditions.
 
-    The link's constants (edges, rho_c, Q, per-segment head sums, initial
-    mass and the boundary flows) are read once, as Python floats: numpy
-    scalars would make every operation several times slower without
-    changing its result.  Every component value is computed with the same
+    The link's constants (edges, rho_c, Q, each segment's offsets, head sum
+    and density, the initial mass and the boundary flows) are read once, as
+    Python floats: numpy scalars would make every operation several times
+    slower without changing its result.  ``_counts`` reads all the points of
+    one time in one pass, so ``segment_mean_densities`` sets a time up once
+    for all the edges.  Every component value is computed with the same
     floating-point operations, in the same order, as the tests' evaluation
     of the matching component expression (``lwr_oracle.component_value``:
     const + rcvf*Q, the inflow terms in step order, the kin term, the
@@ -157,89 +159,107 @@ class LaxHopfKernel:
     """
 
     def __init__(self, vc: ValueConditionSet, fd: TriangularFD, geom: LinkGeometry):
-        rho = vc.initial_density
-        self.densities, self.fd = rho, fd
+        self.densities, self.fd = vc.initial_density, fd
         self.geom = geom
         self.vf, self.w, self.rho_m = fd.vf, fd.w, fd.rho_m
         self.rho_c, self.Q = fd.rho_c, fd.Q
         X = self.X = geom.X
         self.xi, self.chi = float(geom.xi), float(geom.chi)
         self.edges = geom.segment_edges().tolist()
-        #: each segment's (left, right) offset from xi
-        self.spans = [(k * X, (k + 1) * X) for k in range(geom.k_max)]
-        self.rho = rho.tolist()
-        self.head = [-_fsum(self.rho[:k]) * X for k in range(geom.k_max)]
-        self.mass = _fsum(self.rho) * X
+        rho = vc.initial_density.tolist()
+        #: each segment's left and right offset from xi, head sum and density
+        self.segments = [(k * X, (k + 1) * X, -_fsum(rho[:k]) * X, rho[k])
+                         for k in range(geom.k_max)]
+        self.mass = _fsum(rho) * X
         self.T = vc.T
         self.inflow = vc.inflow.tolist()
         self.outflow = vc.outflow.tolist()
+        #: each step's (start, end), kept as the steps are first read
+        self._step_bounds: list = []
 
     def _count(self, t: float, x: float, best=None, up: bool = True,
                down: bool = True) -> float:
-        """The cumulative count at (t, x): one running minimum over the
-        component values, the initial ones by segment, then the inflow and
-        outflow ones of each step in turn.  A value replaces the minimum only
-        when it is smaller, as ``min`` does, and ``best`` None starts it at
-        the first value (INF when there is none).  The boundary counts start
-        it at INF and leave out one side's components with ``up``/``down``."""
+        """The cumulative count at (t, x): ``_counts`` at the one point."""
+        return self._counts(t, (x,), best, up, down)[0]
+
+    def _counts(self, t: float, xs, best=None, up: bool = True,
+                down: bool = True) -> list:
+        """The cumulative count at (t, x) for each x of ``xs``, in one pass.
+
+        Each is one running minimum over the component values, the initial
+        ones by segment, then the inflow and outflow ones of each step in
+        turn.  A value replaces the minimum only when it is smaller, as
+        ``min`` does, and ``best`` None starts it at the first value (INF
+        when there is none).  The boundary counts start it at INF and leave
+        out one side's components with ``up``/``down``."""
         vf, w, rc, X, T, Q = self.vf, self.w, self.rho_c, self.X, self.T, self.Q
-        xh, xt = x - self.xi, x - self.chi
-        tw, tvf, jam = t * w, vf * t, self.rho_m * t * w
-        for (left, right), head, rk in zip(self.spans, self.head, self.rho):
-            if xh < left + tw - GUARD_TOL or xh > right + tvf + GUARD_TOL:
-                continue
-            if rk <= rc + GUARD_TOL:
-                if xh >= left + tvf - GUARD_TOL:
-                    v = head + rk * (tvf + left - xh) + 0.0
+        xi, chi, mass, rho_m = self.xi, self.chi, self.mass, self.rho_m
+        tw, tvf, jam = t * w, vf * t, rho_m * t * w
+        segments, bounds = self.segments, self._step_bounds
+        inflow, outflow = self.inflow, self.outflow
+        if len(bounds) < len(inflow):
+            bounds += [((n - 1) * T, n * T) for n in range(len(bounds) + 1, len(inflow) + 1)]
+        counts = []
+        for x in xs:
+            xh, xt = x - xi, x - chi
+            low = best
+            for left, right, head, rk in segments:
+                if xh < left + tw - GUARD_TOL or xh > right + tvf + GUARD_TOL:
+                    continue
+                if rk <= rc + GUARD_TOL:
+                    if xh >= left + tvf - GUARD_TOL:
+                        v = head + rk * (tvf + left - xh) + 0.0
+                    else:
+                        v = head + rc * (tvf + left - xh) + 0.0
+                elif xh <= right + tw + GUARD_TOL:
+                    v = head + rk * (tw + left - xh) - jam + 0.0
                 else:
-                    v = head + rc * (tvf + left - xh) + 0.0
-            elif xh <= right + tw + GUARD_TOL:
-                v = head + rk * (tw + left - xh) - jam + 0.0
-            else:
-                v = head - rk * X + rc * (tw + right - xh) - jam + 0.0
-            if best is None or v < best:
-                best = v
-        # each side keeps its steps' T*q terms, added in step order; its waves
-        # arrive in step order, so it ends at the first step whose wave has not
-        up_lag, up_base, up_done, up_terms = xh / vf, -rc * xh, 0.0, []
-        dn_lag, dn_base, dn_terms = xt / w, -self.mass - rc * xt, []
-        dn_done = (-self.mass - self.rho_m * xt) + 0.0
-        for n, (qi, qo) in enumerate(zip(self.inflow, self.outflow), 1):
-            t0, t1 = (n - 1) * T, n * T
-            up = up and not t < t0 + up_lag - GUARD_TOL
-            down = down and not t < t0 + dn_lag - GUARD_TOL
-            if up:
-                up_terms.append(T * qi)
-                if t <= t1 + up_lag + GUARD_TOL:
-                    v = up_done + (0.0 + (t - t0)) * qi + -xh * qi / vf
-                else:
-                    v = up_base + (t - t1) * Q
-                    for a in up_terms:
-                        v += a
-                if best is None or v < best:
-                    best = v
-                up_done += up_terms[-1]
-            elif not down:
-                break
-            if down:
-                dn_terms.append(T * qo)
-                if t <= t1 + dn_lag + GUARD_TOL:
-                    v = dn_done + (0.0 + (t - dn_lag - t0)) * qo
-                else:
-                    v = dn_base + (t - t1) * Q
-                    for a in dn_terms:
-                        v += a
-                if best is None or v < best:
-                    best = v
-                dn_done += dn_terms[-1]
-        return INF if best is None else best
+                    v = head - rk * X + rc * (tw + right - xh) - jam + 0.0
+                if low is None or v < low:
+                    low = v
+            # each side keeps its steps' T*q terms, added in step order; its
+            # waves arrive in step order, so it ends at the first step whose
+            # wave has not
+            on_up, on_down = up, down
+            up_lag, up_base, up_done, up_terms = xh / vf, -rc * xh, 0.0, []
+            dn_lag, dn_base, dn_terms = xt / w, -mass - rc * xt, []
+            dn_done = (-mass - rho_m * xt) + 0.0
+            for (t0, t1), qi, qo in zip(bounds, inflow, outflow):
+                on_up = on_up and not t < t0 + up_lag - GUARD_TOL
+                on_down = on_down and not t < t0 + dn_lag - GUARD_TOL
+                if on_up:
+                    up_terms.append(T * qi)
+                    if t <= t1 + up_lag + GUARD_TOL:
+                        v = up_done + (0.0 + (t - t0)) * qi + -xh * qi / vf
+                    else:
+                        v = up_base + (t - t1) * Q
+                        for a in up_terms:
+                            v += a
+                    if low is None or v < low:
+                        low = v
+                    up_done += up_terms[-1]
+                elif not on_down:
+                    break
+                if on_down:
+                    dn_terms.append(T * qo)
+                    if t <= t1 + dn_lag + GUARD_TOL:
+                        v = dn_done + (0.0 + (t - dn_lag - t0)) * qo
+                    else:
+                        v = dn_base + (t - t1) * Q
+                        for a in dn_terms:
+                            v += a
+                    if low is None or v < low:
+                        low = v
+                    dn_done += dn_terms[-1]
+            counts.append(INF if low is None else low)
+        return counts
 
     def segment_mean_densities(self, t: float) -> np.ndarray:
         """Per-segment mean densities at time t from the cumulative-count
         differences at the segment edges, clipped to [0, rho_m].  The edges
         lie in the link by construction, so only t is checked."""
         _check_domain(self.geom, t, self.xi)
-        counts = [self._count(t, x) for x in self.edges]
+        counts = self._counts(t, self.edges)
         X, rho_m = self.X, self.rho_m
         # np.clip's result, NaN and -0.0 included
         return np.array([min(max((0.0 + (a - b)) / X, 0.0), rho_m)

@@ -23,15 +23,23 @@ from .network import Corridor
 
 
 def _step_rate(T: float, Q: float, count_fn, flows: list, edge_kinks: list,
-               lag: float) -> float:
+               lag: float, check_times: dict | None = None) -> float:
     """Largest constant rate, at most ``Q``, at which the link can send
     (demand) or receive (supply) over its open step, the last of ``flows``:
-    the count is read at each of the step's ``lwr.step_check_times``."""
+    the count is read at each of the step's ``lwr.step_check_times``.  They
+    follow from the step, the kinks and the lag alone, so ``check_times``,
+    kept for one side of a link under one flux law, holds each step's times
+    once built."""
     n = len(flows)
+    if check_times is None:
+        check_times = {}
+    times = check_times.get(n)
+    if times is None:
+        times = check_times[n] = lwr.step_check_times(T, n, edge_kinks, lag)
     cum_prev = lwr._fsum(flows[:-1]) * T
     t_prev = (n - 1) * T
     rate = Q
-    for t in lwr.step_check_times(T, n, edge_kinks, lag):
+    for t in times:
         rate = min(rate, (count_fn(t) - cum_prev) / (t - t_prev))
     return max(rate, 0.0)
 
@@ -81,8 +89,11 @@ class CorridorSimulator:
         self._junctions = corridor.roles
         #: link id -> the running period's kernel
         self.states: dict[str, lwr.LaxHopfKernel] = {}
-        #: link id -> ``boundaries()`` of its kernel
-        self._rates: dict[str, tuple] = {}
+        #: link id -> ``boundaries()`` of its kernel, each side with its
+        #: check times by step (``_step_rate``)
+        self._rates: dict[str, list] = {}
+        #: (link id, flux law) -> the check times of its two sides by step
+        self._check_times: dict = {}
         #: link id -> the densities at the last step end, the simulator's own
         #: array: records and state reads get copies
         self._densities: dict[str, np.ndarray] = {}
@@ -108,7 +119,8 @@ class CorridorSimulator:
         """Give the link a fresh kernel: ``densities`` at its start, no steps yet."""
         vc = lwr.ValueConditionSet(densities, [], [], self.T)
         k = self.states[link_id] = lwr.LaxHopfKernel(vc, fd, geom)
-        self._rates[link_id] = k.boundaries()
+        kept = self._check_times.setdefault((link_id, fd), ({}, {}))
+        self._rates[link_id] = [(*side, times) for side, times in zip(k.boundaries(), kept)]
 
     # -- state inspection ---------------------------------------------------
 

@@ -27,10 +27,11 @@ alone.  Neither the search nor the export checks a model's numbers:
 ``lp.LinearProgram`` refuses any that HiGHS would not read as written.
 
 So a repeated search is wasted work.  Inside ``shared_searches()`` (a
-controller comparison) each search is kept by a sha256 digest of every array
-it reads, the model's rows and columns and the rounded warm start, and a
-search with a kept digest returns a copy of the kept ``Solution`` without
-solving.  The memo holds digests and solutions only, and ends with the block.
+controller comparison, or a sweep of them) each search is kept by a sha256
+digest of every array it reads, the model's rows and columns and the rounded
+warm start, and a search with a kept digest returns a copy of the kept
+``Solution`` without solving.  The memo holds digests and solutions only, and
+ends with the outermost block.
 
 ``export_model`` writes LP or MPS text through one layout per format and
 pattern (the model's name, row structure and column masks): the file minus
@@ -213,8 +214,13 @@ _searches: contextvars.ContextVar = contextvars.ContextVar("searches", default=N
 @contextlib.contextmanager
 def shared_searches():
     """Within the block, a search whose model and warm start were searched
-    before in it returns a copy of that search's ``Solution``.  The kept
-    solutions go with the block; a process forked inside it keeps its own."""
+    before in it returns a copy of that search's ``Solution``.  A block
+    inside another keeps its searches in the enclosing block's memo.  The
+    kept solutions go with the outermost block; a process forked inside it
+    keeps its own."""
+    if _searches.get() is not None:
+        yield
+        return
     token = _searches.set({})
     try:
         yield

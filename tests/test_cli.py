@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,20 +88,27 @@ def test_sweep_with_a_failed_run_names_it_and_exits_1(tiny_config, tmp_path, cap
             assert f"FAILED ({p}, 0, '{kind}'): ClosedLoopError" in captured.err
 
 
-@pytest.mark.parametrize("command, field, output", [
-    ("compare", {"n_seeds": 0}, "comparison.csv"),
-    ("sweep", {"sweep_p_grid": ()}, "sweep.csv"),
-    ("sweep", {"sweep_seeds": 0}, "sweep.csv"),
-], ids=["n_seeds=0", "sweep_p_grid=()", "sweep_seeds=0"])
-def test_a_command_over_no_runs_is_refused(command, field, output, tmp_path, capsys):
-    # a table of totals over no runs would read as a result
+@pytest.mark.parametrize("command, field, args, message", [
+    ("compare", {"n_seeds": 0}, [], "seeds is empty"),
+    ("compare", {}, ["--seeds", "0", "0"], r"repeated seeds \[0\]"),
+    ("sweep", {"sweep_p_grid": ()}, [], "sweep_p_grid is empty"),
+    ("sweep", {"sweep_seeds": 0}, [], "seeds is empty"),
+], ids=["n_seeds=0", "repeated-seeds", "sweep_p_grid=()", "sweep_seeds=0"])
+def test_a_command_over_no_runs_is_refused(command, field, args, message, tmp_path,
+                                           capsys):
+    # a table of totals over no runs (or a run summed twice) would read as a
+    # result: refused as a bad option is, before anything is written
     config = tmp_path / "empty.ini"
     save_config(ExperimentConfig(n_horizons=1, **field), config)
     assert load_config(config) == ExperimentConfig(n_horizons=1, **field)
-    with pytest.raises(ValueError, match="is empty"):
-        cli.main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")])
-    assert not (tmp_path / "out" / output).exists()
-    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(config), "--output-dir", str(tmp_path / "out"),
+                  *args])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(f"^corridorflow {command}: error: {message}$", captured.err, re.M)
 
 
 @pytest.mark.parametrize("controller", CONTROLLER_KINDS)

@@ -454,6 +454,24 @@ class TestComparison:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_a_sweep_shares_its_searches_across_points(self, small_config, monkeypatch):
+        # each point swept alone against all points in one block: the same
+        # rows, bit for bit, from fewer searches
+        config = replace(small_config, sweep_p_grid=(0.0, 0.4))
+        search, calls = solver._search, []
+
+        def counting(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(solver, "_search", counting)
+        apart = [row for p in config.sweep_p_grid
+                 for row in experiments.run_sd_sweep(replace(config, sweep_p_grid=(p,)))]
+        n_apart = len(calls)
+        calls.clear()
+        assert repr(experiments.run_sd_sweep(config)) == repr(apart)
+        assert 0 < len(calls) < n_apart
+
     def test_a_bad_sweep_point_is_refused_before_any_comparison(self, small_config,
                                                                 monkeypatch):
         calls = []

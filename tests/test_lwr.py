@@ -436,12 +436,21 @@ class TestKernelMatchesExpressions:
         X, tiny = geom.X, 5e-324
         # per segment: NaN, +inf, an underflow to -0.0, below 0, inside
         counts = [math.inf, math.inf, 0.0, tiny, tiny + 0.1 * X, tiny - 0.1 * X]
-        points = iter(counts)
-        kernel._count = lambda t, x: next(points)
+        kernel._counts = lambda t, xs: counts
         got = kernel.segment_mean_densities(0.0)
         raw = np.array([(0.0 + (a - b)) / X for a, b in zip(counts, counts[1:])])
         assert got.tobytes() == np.clip(raw, 0.0, fd.rho_m).tobytes()
         assert math.isnan(got[0]) and _bits(got[2]) == _bits(-0.0)
+
+    @given(link_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_read_is_the_point_reads(self, case):
+        vc, fd, geom, t = case
+        kernel = lwr.LaxHopfKernel(vc, fd, geom)
+        xs = evaluation_points(geom)
+        got = [_bits(v) for v in kernel._counts(t, xs)]
+        assert got == [_bits(kernel._count(t, x)) for x in xs]
+        assert got == [_bits(expr_moskowitz(vc, fd, geom, t, x)) for x in xs]
 
     def test_domain_checks_kept(self, fd, geom):
         vc = ValueConditionSet([0.1, 0.1], steps(1.0), steps(1.0), T)
@@ -497,6 +506,24 @@ class TestSimulatorStepSequence:
             got = kernel.segment_mean_densities(n * T)
             want = lwr_oracle.segment_mean_densities(written, fd, geom, n * T)
             assert got.tobytes() == want.tobytes()
+
+    @given(link_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_read_of_a_stepped_kernel(self, case):
+        # the kernel keeps each step's start and end once first read: reads
+        # before and after its flows grow must equal a fresh kernel's
+        vc, fd, geom, t = case
+        T, rho = vc.T, vc.initial_density
+        kernel = lwr.LaxHopfKernel(ValueConditionSet(rho, [], [], T), fd, geom)
+        for n in range(len(vc.inflow) + 1):
+            fresh = lwr.LaxHopfKernel(
+                ValueConditionSet(rho, vc.inflow[:n], vc.outflow[:n], T), fd, geom)
+            for at in (t, n * T):
+                got = [_bits(v) for v in kernel._counts(at, kernel.edges)]
+                assert got == [_bits(fresh._count(at, x)) for x in kernel.edges]
+            if n < len(vc.inflow):
+                kernel.inflow.append(float(vc.inflow[n]))
+                kernel.outflow.append(float(vc.outflow[n]))
 
     def test_step_rate_reads_the_full_scans_times(self):
         geom = LinkGeometry(0.0, 1200.0, 3)

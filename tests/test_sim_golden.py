@@ -129,6 +129,54 @@ def test_replay_builds_one_kernel_per_link_and_period(config, monkeypatch):
     assert len(built) == 4 + 3 * (1 + 4)
 
 
+def test_replay_reads_each_links_edges_in_one_pass_per_step(config, monkeypatch):
+    passes = []
+    counts = lwr.LaxHopfKernel._counts
+
+    def counting(kernel, t, xs, *args):
+        if len(xs) > 1:
+            assert xs is kernel.edges and t == len(kernel.inflow) * config.T
+            passes.append(t)
+        return counts(kernel, t, xs, *args)
+
+    monkeypatch.setattr(lwr.LaxHopfKernel, "_counts", counting)
+    sim = seeded_replay(config)
+    # the boundary reads are one point each; the step end reads every edge
+    assert len(passes) == len(sim.records) * len(sim.states)
+
+
+def test_step_check_times_are_built_once_per_link_and_flux_law(config):
+    sim = mixed_start(config)
+    T = config.T
+
+    def assert_kept(n_steps):
+        for lid, kernel in sim.states.items():
+            sides = sim._rates[lid]
+            for (_, _, _, kinks, lag, kept), side in zip(sides, kernel.boundaries()):
+                assert (kinks, lag) == side[3:]
+                want = {n: lwr.step_check_times(T, n, kinks, lag)
+                        for n in range(1, n_steps + 1)}
+                assert {n: kept[n] for n in want} == want
+
+    for _ in range(config.n_project):
+        sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+    assert_kept(config.n_project)
+    # the demand side's kinks and lag follow the speed
+    before = sim._rates["M3"][0][5]
+    sim.end_period(new_speeds={"M3": 15.0}, links=["M3"])
+    new = sim._rates["M3"][0][5]
+    assert new is not before and not new
+    for _ in range(3):
+        sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+    assert_kept(3)
+    assert [new[n] for n in (1, 2, 3)] != [before[n] for n in (1, 2, 3)]
+    # back at the first speed, the link reads the times it built then
+    sim.end_period(new_speeds={"M3": 25.0}, links=["M3"])
+    assert sim._rates["M3"][0][5] is before
+    sim.step({"E": 1.0}, {"E": 1.5, "R": 0.05})
+    assert_kept(1)
+
+
 def replay_trajectory(config) -> Trajectory:
     """``seeded_replay`` as a trajectory, its level per horizon read back
     from the entry demand of the horizon's first step."""

@@ -238,6 +238,19 @@ class TestSharedSearches:
                        for key, sol in memo.items())
         assert solver._searches.get() is None
 
+    def test_a_nested_block_keeps_to_the_enclosing_memo(self, monkeypatch):
+        lp, *_ = random_knapsack(np.random.default_rng(4), 8)
+        searches = count_searches(monkeypatch)
+        with solver.shared_searches():
+            memo = solver._searches.get()
+            with solver.shared_searches():
+                assert solver._searches.get() is memo
+                branch_and_bound(lp)
+            assert solver._searches.get() is memo and len(memo) == 1
+            branch_and_bound(lp)
+        assert solver._searches.get() is None
+        assert len(searches) == 1
+
     def test_a_bad_warm_start_is_refused_inside_the_block(self):
         lp, *_ = random_knapsack(np.random.default_rng(3), 4)
         cold = branch_and_bound(lp)
